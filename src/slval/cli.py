@@ -19,7 +19,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from .exactnum import Scalar, ScalarParseError
+from .exactnum import Scalar, ScalarParseError, _check_discriminant
 from .harness import (
     fit_classification,
     fit_validation_polytopes,
@@ -62,6 +62,13 @@ def _dimension(text: str) -> int:
     return value
 
 
+def _discriminant(text: str) -> int:
+    try:
+        return _check_discriminant(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slval",
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the seeded check suite")
     verify.add_argument("--n", type=_dimension, default=2)
-    verify.add_argument("--field-d", type=int, default=2,
+    verify.add_argument("--field-d", type=_discriminant, default=2,
                         help="discriminant for the surd checks, 0 to skip them")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--cases", type=_positive, default=20)

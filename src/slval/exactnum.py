@@ -80,6 +80,8 @@ class Scalar:
     d: int
 
     def __init__(self, a, b=0, d: int = 0) -> None:
+        if not (isinstance(a, Rational) and isinstance(b, Rational)):
+            raise TypeError(f"Scalar coefficients must be exact rationals, got {a!r}, {b!r}")
         a = Fraction(a)
         b = Fraction(b)
         d = _check_discriminant(d)

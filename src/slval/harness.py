@@ -37,6 +37,7 @@ from .triangulate import volume
 from .valuation import (
     BASIS_VALUATIONS,
     ClassifiedValuation,
+    cone_volume,
     evaluate,
     origin_indicator,
     relint_sign,
@@ -297,7 +298,7 @@ def check_sl_invariance(val, P: Polytope, A: Matrix):
 
 
 def check_cone_decomposition(P: Polytope):
-    """Hull-with-origin volume against polytope plus visible-facet cones."""
+    """Hull-with-origin volume (the oracle) against visible-facet cones and cone_volume."""
     n = P.ambient_dim
     if P.is_empty:
         raise ValueError("cone decomposition needs a nonempty polytope")
@@ -309,15 +310,17 @@ def check_cone_decomposition(P: Polytope):
         parts = volume(P)
         for facet in visible_facets(P):
             parts = parts + volume(cone_hull(facet))
-        if total == parts:
+        value = cone_volume(P)
+        if total == parts == value:
             return True
-        return {"cone_volume": total, "decomposed": parts}
+        return {"hull_volume": total, "decomposed": parts, "cone_volume": value}
     if k == n - 1 and not in_affine_hull(P, origin(n)):
-        # below full dimension the polytope itself contributes no volume
+        # below full dimension the hull with the origin is one pyramid over P
         total = volume(cone_hull(P))
-        if total == total - volume(P):
+        value = cone_volume(P)
+        if total == value:
             return True
-        return {"cone_volume": total, "flat_volume": volume(P)}
+        return {"hull_volume": total, "cone_volume": value}
     raise ValueError("needs a full-dimensional P, or dim n-1 with 0 off aff P")
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactnum import ZERO, Scalar
+from .exactnum import ZERO, Scalar, _check_discriminant
 from .linalg import (
     Matrix,
     Vector,
@@ -462,7 +462,7 @@ def to_json(P: Polytope) -> dict:
 def from_json(obj: dict) -> Polytope:
     try:
         n = int(obj["ambient_dim"])
-        d = int(obj["field_d"])
+        d = _check_discriminant(int(obj["field_d"]))
         raw = obj["vertices"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad polytope object: {exc}") from None

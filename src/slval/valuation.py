@@ -9,12 +9,15 @@ hull of P with the origin.  Every valuation in scope is the combination
 
 with psi and phi additive solutions of the Cauchy equation.  All
 valuations take the value 0 on the empty polytope.
+
+The cone term builds no second hull: conv(P ∪ {0}) is P plus the pyramids
+from 0 over the visible facets of P, coned from their pulling triangulations.
+A flat P with 0 off its affine hull is one such pyramid; other flat P give 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .exactnum import (
@@ -29,14 +32,15 @@ from .exactnum import (
 from .polytope import (
     IncomparableHullsError,
     Polytope,
-    cone_hull,
     contains,
     dim,
+    in_affine_hull,
     intersect,
     origin,
     relint_contains_origin,
+    visible_facets,
 )
-from .triangulate import volume
+from .triangulate import cone_over, triangulate, volume
 
 MAX_UNION_PARTS = 12
 
@@ -60,7 +64,20 @@ def origin_indicator(P: Polytope) -> Scalar:
 def cone_volume(P: Polytope) -> Scalar:
     if P.is_empty:
         return ZERO
-    return volume(cone_hull(P))
+    n = P.ambient_dim
+    zero = origin(n)
+    if dim(P) == n:
+        if contains(P, zero):
+            return volume(P)
+        total, bases = volume(P), visible_facets(P)
+    elif dim(P) == n - 1 and not in_affine_hull(P, zero):
+        total, bases = ZERO, (P,)
+    else:
+        return ZERO
+    for base in bases:
+        for cell in cone_over(triangulate(base)):
+            total = total + cell.volume()
+    return total
 
 
 #: basis order fixed across fitting and reports
@@ -105,7 +122,6 @@ def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
     )
 
 
-@lru_cache(maxsize=None)
 def _intersection_lattice(parts: tuple[Polytope, ...]):
     """All nonempty-index intersections, keyed by index frozenset."""
     lattice: dict[frozenset[int], Polytope] = {}

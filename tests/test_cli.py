@@ -78,6 +78,16 @@ class TestValuate:
         ])
         assert code == 2
 
+    def test_non_squarefree_field_exits_2(self, tmp_path, capsys):
+        square_root_field = dict(ORIGIN_POINT, field_d=4)
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", square_root_field),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation(c0="1")),
+        ])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestFit:
     def test_self_test_round_trip(self, tmp_path, capsys):
@@ -174,6 +184,12 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--cases", "0"])
         assert err.value.code == 2
+
+    def test_non_squarefree_field_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--field-d", "4"])
+        assert err.value.code == 2
+        assert "squarefree" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, capsys):
         main(["verify", "--cases", "4", "--seed", "7"])

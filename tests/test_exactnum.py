@@ -62,6 +62,14 @@ def test_discriminant_must_be_squarefree():
         Scalar(0, 1, 1)
 
 
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        Scalar(0.1)
+    with pytest.raises(TypeError):
+        Scalar(0, 0.5, 2)
+    assert Scalar(Fraction(1, 10)) == Scalar.parse("1/10")
+
+
 def test_vanishing_surd_collapses_to_rational():
     x = Scalar(1, 1, 2) + Scalar(1, -1, 2)
     assert x.d == 0

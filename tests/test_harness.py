@@ -240,6 +240,13 @@ class TestConeDecomposition:
         seg = P((1, 0), (0, 1))
         assert check_cone_decomposition(seg) is True
 
+    def test_flat_branch_can_fail(self, monkeypatch):
+        # a hull route that forgets the origin must be caught, not excused
+        seg = P((1, 0), (0, 1))
+        monkeypatch.setattr("slval.harness.cone_hull", lambda Q: Q)
+        outcome = check_cone_decomposition(seg)
+        assert outcome == {"hull_volume": Scalar(0), "cone_volume": Scalar(Fraction(1, 2))}
+
     def test_flat_branch_needs_origin_off_hull(self):
         with pytest.raises(ValueError):
             check_cone_decomposition(P((1, 0), (2, 0)))  # aff contains 0

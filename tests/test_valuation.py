@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slval.polytope
 from slval.exactnum import Linear, RationalPart, Scalar
+from slval.harness import FAMILIES, gen_polytope
 from slval.linalg import Vector
-from slval.polytope import Polytope, from_points
+from slval.polytope import Polytope, cone_hull, dim, from_points, in_affine_hull
 from slval.triangulate import triangulate, volume
 from slval.valuation import (
     ClassifiedValuation,
@@ -66,6 +69,29 @@ def test_cone_volume_when_origin_inside():
 def test_cone_volume_of_far_segment():
     assert cone_volume(P((1, 0), (0, 1))) == Scalar(Fraction(1, 2))
     assert cone_volume(Polytope.empty(2)) == Scalar(0)
+
+
+def _no_hull(*args, **kwargs):
+    raise AssertionError("cone_volume built a polytope from points")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cone_volume_matches_hull_route(n, monkeypatch):
+    # flat n-1 simplices: 0 off the affine hull, and 0 on it
+    corners = [Vector.basis(n, i) for i in range(n)]
+    off_hull = from_points(corners, n)
+    through_origin = from_points([Vector.zero(n)] + corners[1:], n)
+    polys = [off_hull, through_origin]
+    for family in FAMILIES:
+        for seed in range(8):
+            polys.append(gen_polytope(seed, n, max_vertices=6, coord_bound=3, family=family))
+    flat = {(dim(Q), in_affine_hull(Q, Vector.zero(n))) for Q in polys[2:] if dim(Q) < n}
+    assert {(n - 1, False), (1, False), (0, False)} <= flat
+    expected = [volume(cone_hull(Q)) for Q in polys]
+    assert expected[0] == Scalar(Fraction(1, factorial(n)))
+    # the production route must reuse P's own facets, never rebuild a hull
+    monkeypatch.setattr(slval.polytope, "from_points", _no_hull)
+    assert [cone_volume(Q) for Q in polys] == expected
 
 
 def test_evaluate_single_terms():
