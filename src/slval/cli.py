@@ -6,7 +6,8 @@ verify (run the seeded check suite), demo-usc (semicontinuity tables).
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
 parse error, 3 external oracle failure.  Scalars cross the boundary as
-exact strings, never as floats.
+exact strings, never as floats.  An oracle command that has not answered
+within ORACLE_TIMEOUT_S seconds is killed and counts as an oracle failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .polytope import from_json as polytope_from_json
 from .polytope import to_json as polytope_to_json
 from .valuation import evaluate
 from .valuation import from_json as valuation_from_json
+
+
+#: seconds an --oracle-cmd process gets to answer every polytope (exit 3 after)
+ORACLE_TIMEOUT_S = 600
 
 
 class UsageError(Exception):
@@ -91,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--valuation", metavar="FILE",
                         help="self-test against a stored valuation")
     source.add_argument("--oracle-cmd", metavar="CMD",
-                        help="external command fed polytope JSON lines on stdin")
+                        help="external command fed polytope JSON lines on stdin; "
+                             f"killed after {ORACLE_TIMEOUT_S} s")
     fit.add_argument("--format", choices=("json", "text"), default="json")
     fit.set_defaults(func=_cmd_fit)
 
@@ -155,10 +161,13 @@ def _oracle_table(cmd: str, polys: list[Polytope]) -> dict[Polytope, Scalar]:
     payload = "".join(json.dumps(polytope_to_json(P), sort_keys=True) + "\n" for P in polys)
     try:
         proc = subprocess.run(
-            shlex.split(cmd), input=payload, capture_output=True, text=True
+            shlex.split(cmd), input=payload, capture_output=True, text=True,
+            timeout=ORACLE_TIMEOUT_S,
         )
     except OSError as exc:
         raise OracleError(f"cannot run {cmd!r}: {exc}")
+    except subprocess.TimeoutExpired:
+        raise OracleError(f"oracle gave no answer within {ORACLE_TIMEOUT_S} s")
     if proc.returncode != 0:
         detail = proc.stderr.strip() or f"exit code {proc.returncode}"
         raise OracleError(f"oracle failed: {detail}")

@@ -275,6 +275,9 @@ class Scalar:
         return self._cmp_sign(other) >= 0
 
     def __hash__(self) -> int:
+        # a rational hashes like the int or Fraction it equals
+        if self._qb == 0:
+            return hash(self._qa) if self._q == 1 else hash(Fraction(self._qa, self._q))
         return hash((self._qa, self._qb, self._q, self.d))
 
     def __bool__(self) -> bool:

@@ -2,9 +2,12 @@
 
 A polytope is stored as its extreme points, deduplicated and sorted, so
 structural equality is geometric equality.  The empty polytope is a
-first-class value.  Halfspace descriptions are derived on demand by
-brute-force facet enumeration, which is exact and fast enough for the
-intended scale (ambient dimension <= 4, at most 12 vertices).
+first-class value.  Halfspace descriptions are derived on demand by an
+exact double-description pass (Motzkin, Raiffa, Thompson and Thrall 1953;
+Fukuda and Prodon 1996): points are inserted in index order, so the
+result is deterministic, degenerate input needs no perturbation, and the
+cost grows with the number of facets rather than with the number of
+point subsets.
 """
 
 from __future__ import annotations
@@ -146,19 +149,35 @@ def origin(n: int) -> Vector:
 # -- membership ----------------------------------------------------------
 
 
+def _first_simplex(pts: Sequence[Vector], k: int) -> list[int]:
+    """Index 0 and the indices whose point raises the affine rank, in index
+    order, until the rank reaches k."""
+    chosen = [0]
+    rows: list[list[Scalar]] = []
+    for i in range(1, len(pts)):
+        delta = list(pts[i] - pts[0])
+        if matrix_rank(rows + [delta]) > len(rows):
+            rows.append(delta)
+            chosen.append(i)
+            if len(rows) == k:
+                break
+    return chosen
+
+
 def _affine_coords(points: Sequence[Vector]) -> tuple[Vector, list[Vector], list[list[Scalar]]]:
-    """Base point, independent direction basis, and coordinates of every point."""
+    """Base point, independent direction basis, and coordinates of every point.
+
+    A full-rank configuration keeps its ambient coordinates: facet
+    incidence and the rank of active normals do not depend on that affine
+    change of frame, so no point needs solving for.
+    """
     base = points[0]
-    dirs: list[Vector] = []
-    for p in points[1:]:
-        delta = p - base
-        if matrix_rank([list(v) for v in dirs + [delta]]) > len(dirs):
-            dirs.append(delta)
-    coords = []
-    rows = [[d[i] for d in dirs] for i in range(len(base))]
-    for p in points:
-        sol = solve_any(rows, list(p - base))
-        coords.append(sol)
+    n = len(base)
+    dirs = [points[i] - base for i in _first_simplex(points, n)[1:]]
+    if len(dirs) == n:
+        return base, dirs, [list(p) for p in points]
+    rows = [[d[i] for d in dirs] for i in range(n)]
+    coords = [solve_any(rows, list(p - base)) for p in points]
     return base, dirs, coords
 
 
@@ -169,52 +188,82 @@ def _coords_in_frame(base: Vector, dirs: list[Vector], x: Vector) -> list[Scalar
     return solve_any(rows, list(x - base))
 
 
+def _canonical(w: Vector, c: Scalar) -> tuple[Vector, Scalar]:
+    """Positive rescaling that makes the last nonzero coordinate of w +-1."""
+    last = next(x for x in reversed(w.coords) if not x.is_zero())
+    inv = abs(last).inverse()
+    return w.scale(inv), c * inv
+
+
 def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
     """Facet halfspaces of a rank-k point configuration, in its own coordinates.
 
     Returns {incident index frozenset: (normal w, offset c)} with
-    <w, x> <= c valid on every point.  Every facet carries k affinely
-    independent configuration points, so enumerating the hyperplanes
-    spanned by k-subsets and keeping the one-sided ones finds all facets.
+    <w, x> <= c valid on every point, equality exactly on the incident
+    points, and the last nonzero coordinate of w equal to +-1 (the
+    reduced-echelon kernel vector of the facet's points, oriented outward).
+
+    Double description: each facet is a ray (w, c, Z) of the cone of
+    valid inequalities, Z the bitmask of tight points inserted so far.
+    The facets of a simplex on the first affinely independent points seed
+    the rays; every other point is then inserted in index order.  Rays it
+    violates are dropped, and each violated ray is combined with every
+    adjacent satisfied ray into the ray tight at the new point.  Two rays
+    are adjacent iff their common tight set has at least k - 1 points and
+    lies in no third ray's tight set.
     """
     pts = [Vector(c) for c in coords]
-    m = len(pts)
-    found: dict[frozenset[int], tuple[Vector, Scalar]] = {}
-    for subset in combinations(range(m), k):
-        first = pts[subset[0]]
-        rows = [list(pts[i] - first) for i in subset[1:]]
-        kernel = kernel_basis(rows, k)
-        if len(kernel) != 1:
-            continue
-        w = kernel[0]
+    simplex = _first_simplex(pts, k)
+    rays: list[tuple[Vector, Scalar, int]] = []
+    for j in simplex:
+        face = [i for i in simplex if i != j]
+        first = pts[face[0]]
+        (w,) = kernel_basis([list(pts[i] - first) for i in face[1:]], k)
         c = w.dot(first)
-        signs = []
-        has_pos = has_neg = False
-        for t in pts:
-            s = (w.dot(t) - c).sign()
-            if s > 0:
-                has_pos = True
-            elif s < 0:
-                has_neg = True
-            if has_pos and has_neg:
-                break
-            signs.append(s)
-        if has_pos and has_neg:
-            continue
-        if has_pos:
+        if (w.dot(pts[j]) - c).sign() > 0:
             w, c = -w, -c
-            signs = [-s for s in signs]
-        incident = frozenset(i for i, s in enumerate(signs) if s == 0)
-        if incident not in found:
-            found[incident] = (w, c)
-    return found
+        rays.append((w, c, sum(1 << i for i in face)))
+    skip = set(simplex)
+    for i, p in enumerate(pts):
+        if i in skip:
+            continue
+        bit = 1 << i
+        violated, satisfied, kept = [], [], []
+        for w, c, z in rays:
+            excess = w.dot(p) - c
+            s = excess.sign()
+            if s > 0:
+                violated.append((w, c, z, excess))
+            elif s < 0:
+                kept.append((w, c, z))
+                satisfied.append((w, c, z, excess))
+            else:
+                kept.append((w, c, z | bit))
+        masks = [z for _, _, z in rays]
+        for wv, cv, zv, ev in violated:
+            for ws, cs, zs, es in satisfied:
+                common = zv & zs
+                if common.bit_count() < k - 1:
+                    continue
+                if any(z & common == common for z in masks if z != zv and z != zs):
+                    continue
+                # ev > 0 > es: the positive combination tight at p
+                w, c = _canonical(ws.scale(ev) - wv.scale(es), cs * ev - cv * es)
+                kept.append((w, c, common | bit))
+        rays = kept
+    return {
+        frozenset(i for i in range(len(pts)) if z >> i & 1): (w, c)
+        for w, c, z in rays
+    }
 
 
 def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     """Canonical hull: keeps exactly the extreme points of the input.
 
     A point is extreme iff its incident facet normals span the full rank
-    of the configuration, so one facet enumeration settles every point.
+    of the configuration, so one double-description pass over the points
+    (in their own affine frame when they are not full-dimensional)
+    settles every point.
     """
     pts = [p if isinstance(p, Vector) else Vector(p) for p in points]
     if not pts:
@@ -283,13 +332,11 @@ def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
     k = dim(P)
     if k < 1:
         raise ValueError("facet enumeration needs dim >= 1")
-    n = P.ambient_dim
-    if k == n:
-        supporting = _supporting([list(v) for v in P.vertices], k)
+    base, frame_dirs, frame_coords = _frame(P)
+    supporting = _supporting(frame_coords, k)
+    if k == P.ambient_dim:
         items = [(Halfspace(w, c), incident) for incident, (w, c) in supporting.items()]
     else:
-        base, frame_dirs, frame_coords = _frame(P)
-        supporting = _supporting(frame_coords, k)
         items = []
         for incident, (w, c) in supporting.items():
             # lift the in-hull normal to an ambient functional u solving

@@ -1,11 +1,14 @@
-"""Independent plane-geometry oracles used to pin expected test values.
+"""Independent geometry oracles used to pin expected test values.
 
-Everything here works on pairs of Fractions and never touches the package
+Everything here works on tuples of Fractions and never touches the package
 under test, so derived constants in the test suite come from a second,
-unrelated computation.
+unrelated computation.  The plane helpers use a monotone chain; the
+facet oracle for any dimension is the brute-force scan over all k-subsets
+of the points, with its own Gaussian elimination.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def _cross(o, a, b):
@@ -60,3 +63,85 @@ def in_hull2d(points, q):
         if _cross(p, ring[(i + 1) % len(ring)], q) < 0:
             return False
     return True
+
+
+def _rref(rows):
+    """Reduced row echelon form over Fractions and its pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def affine_frame(points):
+    """Rank k of the points and their images under an injective affine map
+    of their affine hull onto Q^k (projection to the pivot coordinates of
+    the difference vectors)."""
+    base = points[0]
+    deltas = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    _, pivots = _rref(deltas) if deltas else ([], [])
+    return len(pivots), [tuple(Fraction(p[c]) for c in pivots) for p in points]
+
+
+def facets_by_subsets(coords, k):
+    """{incident index frozenset: (w, c)} for the facets of full-rank
+    points in Q^k, found by testing the hyperplane through every k-subset.
+
+    <w, x> <= c holds on every point; w is scaled positively so that its
+    last nonzero coordinate is +-1.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in coords]
+    found = {}
+    for subset in combinations(range(len(pts)), k):
+        first = pts[subset[0]]
+        rows = [[x - f for x, f in zip(pts[i], first)] for i in subset[1:]]
+        reduced, pivots = _rref(rows) if rows else ([], [])
+        free = [c for c in range(k) if c not in pivots]
+        if len(free) != 1:
+            continue
+        w = [Fraction(0)] * k
+        w[free[0]] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            w[pc] = -reduced[r][free[0]]
+        c = sum(a * b for a, b in zip(w, first))
+        signs = [(sum(a * b for a, b in zip(w, p)) - c) for p in pts]
+        if any(s > 0 for s in signs) and any(s < 0 for s in signs):
+            continue
+        if any(s > 0 for s in signs):
+            w, c = [-a for a in w], -c
+        last = next(a for a in reversed(w) if a != 0)
+        w, c = tuple(a / abs(last) for a in w), c / abs(last)
+        incident = frozenset(i for i, s in enumerate(signs) if s == 0)
+        found.setdefault(incident, (w, c))
+    return found
+
+
+def extreme_indices(points):
+    """Indices of the vertices of the hull: a point is a vertex iff the
+    facets through it meet in no other point."""
+    k, coords = affine_frame(points)
+    facets = facets_by_subsets(coords, k)
+    everything = frozenset(range(len(points)))
+    out = set()
+    for i in range(len(points)):
+        face = everything
+        for incident in facets:
+            if i in incident:
+                face &= incident
+        if face == {i}:
+            out.add(i)
+    return out

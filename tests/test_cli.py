@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from slval import cli
 from slval.cli import main
 
 
@@ -124,6 +125,16 @@ class TestFit:
         ])
         assert code == 3
         assert "oracle" in capsys.readouterr().err
+
+    def test_hanging_oracle_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 0.5)
+        oracle = tmp_path / "oracle.py"
+        oracle.write_text("import time\ntime.sleep(60)\n")
+        code = main([
+            "fit", "--oracle-cmd", f"{sys.executable} {oracle}", "--cases", "5",
+        ])
+        assert code == 3
+        assert "no answer within 0.5 s" in capsys.readouterr().err
 
     def test_short_oracle_output_exits_3(self, tmp_path, capsys):
         oracle = tmp_path / "oracle.py"

@@ -83,6 +83,20 @@ def test_comparisons():
     assert Scalar(1, 1, 2) >= Scalar(1, 1, 2)
 
 
+@pytest.mark.parametrize("x", [-7, 0, 1, Fraction(-3, 4), Fraction(22, 7)])
+def test_rational_hash_agrees_with_equality(x):
+    assert Scalar(x) == x
+    assert hash(Scalar(x)) == hash(x)
+    assert x in {Scalar(x)}
+    assert Scalar(x) in {x}
+
+
+def test_surd_hash_keys_a_dict():
+    table = {Scalar(1, 1, 2): "one plus root two"}
+    assert table[Scalar(Fraction(2, 2), 1, 2)] == "one plus root two"
+    assert Scalar(1, 1, 2) not in {Scalar(1), Scalar(1, 1, 3)}
+
+
 def test_parse_and_str_round_trip():
     for text in ["3", "-1/2", "0", "1/2+3/4*sqrt(2)", "0+1*sqrt(5)", "-2-1/3*sqrt(7)"]:
         assert str(Scalar.parse(text)) == text

@@ -1,0 +1,163 @@
+"""Differential tests of the double-description hull against the k-subset scan.
+
+The oracle in `oracles.py` tests the hyperplane through every k-subset of
+the points in plain Fractions, so it shares no code with `polytope`.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from slval import polytope
+from slval.exactnum import Scalar
+from slval.linalg import Vector
+from slval.polytope import _facet_data, _supporting, from_points
+
+from oracles import affine_frame, extreme_indices, facets_by_subsets
+
+
+def as_scalars(points):
+    return [[Scalar(x) for x in p] for p in points]
+
+
+def as_fractions(supporting):
+    out = {}
+    for incident, (w, c) in supporting.items():
+        assert all(x.is_rational() for x in w) and c.is_rational()
+        out[incident] = (tuple(x.a for x in w), c.a)
+    return out
+
+
+def symmetric_cloud(rng, n, m, bound=6):
+    """Distinct points in pairs x, -x, with m // 2 random integer x."""
+    points = {}
+    while len(points) < m:
+        x = tuple(rng.randint(-bound, bound) for _ in range(n))
+        if any(x):
+            points[x] = None
+            points[tuple(-c for c in x)] = None
+    return list(points)
+
+
+def grid_sample(rng, k, m):
+    """m shuffled points of {-2..2}^k: collinear and coplanar runs, and
+    facets with many points on them."""
+    grid = list(product(range(-2, 3), repeat=k))
+    return rng.sample(grid, m)
+
+
+def assert_matches_oracle(points, k):
+    assert affine_frame(points)[0] == k
+    assert as_fractions(_supporting(as_scalars(points), k)) == facets_by_subsets(points, k)
+
+
+@pytest.mark.parametrize("n, sizes", [(2, (4, 10, 24)), (3, (6, 10, 16)), (4, (8, 10, 12))])
+def test_symmetric_clouds_match_subset_scan(n, sizes):
+    rng = random.Random(100 + n)
+    for m in sizes:
+        for _ in range(4):
+            assert_matches_oracle(symmetric_cloud(rng, n, m), n)
+
+
+@pytest.mark.parametrize("k, m, draws", [(2, 25, 3), (3, 14, 6), (4, 11, 6)])
+def test_shuffled_grids_match_subset_scan(k, m, draws):
+    rng = random.Random(200 + k)
+    checked = 0
+    for _ in range(draws):
+        points = grid_sample(rng, k, m)
+        if affine_frame(points)[0] == k:
+            assert_matches_oracle(points, k)
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_unit_grids_with_non_simplicial_facets(k):
+    rng = random.Random(300 + k)
+    points = list(product(range(2), repeat=k)) if k == 4 else list(product(range(-1, 2), repeat=k))
+    rng.shuffle(points)
+    facets = facets_by_subsets(points, k)
+    assert any(len(incident) > k for incident in facets)
+    assert_matches_oracle(points, k)
+
+
+def assert_tight_exactly_on(vectors, w, c, incident):
+    signs = [(w.dot(v) - c).sign() for v in vectors]
+    assert all(s <= 0 for s in signs)
+    assert {i for i, s in enumerate(signs) if s == 0} == incident
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flat_point_sets_in_r4(k):
+    """k-dimensional point sets in R^4 take the affine-frame path of
+    from_points and _facet_data."""
+    rng = random.Random(400 + k)
+    checked = 0
+    for _ in range(4):
+        while True:
+            embed = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(4)]
+            if affine_frame([(0,) * 4] + [tuple(row[j] for row in embed) for j in range(k)])[0] == k:
+                break
+        shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+        low = grid_sample(rng, k, 6 + 2 * k) if k > 1 else [(x,) for x in rng.sample(range(-5, 6), 5)]
+        if affine_frame(low)[0] != k:
+            continue
+        points = [tuple(sum(row[j] * x[j] for j in range(k)) + s for row, s in zip(embed, shift))
+                  for x in low]
+        P = from_points(as_scalars(points))
+        assert set(P.vertices) == {Vector(points[i]) for i in extreme_indices(points)}
+
+        rank, frame = affine_frame([tuple(c.a for c in v) for v in P.vertices])
+        assert rank == k
+        items = _facet_data(P)
+        assert {incident for _, incident in items} == set(facets_by_subsets(frame, k))
+        for h, incident in items:
+            assert_tight_exactly_on(P.vertices, h.normal, h.offset, incident)
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_surd_clouds_keep_incidence(k):
+    """An invertible linear map over Q(sqrt 2) keeps facet incidence, so the
+    oracle's incident sets on the rational preimage are the answer."""
+    rng = random.Random(500 + k)
+    root2 = Scalar.sqrt_of(2)
+    shear = [[Scalar(1) if i == j else (root2 if j == i + 1 else Scalar(0)) for j in range(k)]
+             for i in range(k)]
+    checked = 0
+    for _ in range(4):
+        points = grid_sample(rng, k, 10)
+        if affine_frame(points)[0] != k:
+            continue
+        image = [[sum((shear[i][j] * x[j] for j in range(k)), Scalar(0)) for i in range(k)]
+                 for x in points]
+        supporting = _supporting(image, k)
+        assert set(supporting) == set(facets_by_subsets(points, k))
+        vectors = [Vector(p) for p in image]
+        for incident, (w, c) in supporting.items():
+            last = next(x for x in reversed(w.coords) if not x.is_zero())
+            assert abs(last) == 1
+            assert_tight_exactly_on(vectors, w, c, incident)
+        checked += 1
+    assert checked > 0
+
+
+def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
+    """A 40-point cloud in R^3 has C(40, 3) = 9880 point triples; the hull
+    needs one kernel only for each facet of its starting simplex."""
+    calls = []
+    real = polytope.kernel_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "kernel_basis", counting)
+    points = symmetric_cloud(random.Random(3), 3, 40, bound=20)
+    assert len(points) == 40
+    P = from_points(as_scalars(points))
+    assert len(P.vertices) > 3
+    assert len(calls) <= 2 * (3 + 1)
