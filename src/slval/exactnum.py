@@ -334,9 +334,6 @@ class CauchySolution:
     def value_at(self, x: Scalar) -> Scalar:
         raise NotImplementedError
 
-    def __call__(self, x: Scalar) -> Scalar:
-        return cauchy_eval(self, x)
-
 
 class Linear(CauchySolution):
     __slots__ = ("coefficient",)

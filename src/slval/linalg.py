@@ -229,12 +229,16 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Scalar] | None:
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
     """Basis of the right kernel of the given row list."""
     data = [[as_scalar(x) for x in row] for row in rows]
-    if not data:
-        return [Vector.basis(ncols, i) for i in range(ncols)]
-    reduced, pivots = _reduced_echelon(data)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    return _echelon_kernel(*_reduced_echelon(data), ncols)
+
+
+def _echelon_kernel(reduced: list[list[Scalar]], pivots: list[int], ncols: int) -> list[Vector]:
+    """Kernel basis read off a reduced echelon form: one vector per free
+    column, 1 there and 0 on the other free columns."""
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         coords = [ZERO] * ncols
         coords[fc] = ONE
         for r, pc in enumerate(pivots):

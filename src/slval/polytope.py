@@ -2,17 +2,23 @@
 
 A polytope is stored as its extreme points, deduplicated and sorted, so
 structural equality is geometric equality.  The empty polytope is a
-first-class value.  Halfspace descriptions are derived on demand by an
-exact double-description pass (Motzkin, Raiffa, Thompson and Thrall 1953;
-Fukuda and Prodon 1996): points are inserted in index order, so the
-result is deterministic, degenerate input needs no perturbation, and the
-cost grows with the number of facets rather than with the number of
-point subsets.
+first-class value.
+
+Derived data lives on the polytope that owns it, in slots filled once on
+first use and ignored by equality and hashing: the affine frame, the facet
+halfspaces with their incident vertices, and the facets as polytopes.  The
+frame is the pivot projection: the pivot columns of the reduced echelon
+form of the directions v - v0, which depend only on aff P and map it
+isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
+from an exact double-description pass (Motzkin, Raiffa, Thompson and
+Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
+inserted in index order, so the result is deterministic, degenerate input
+needs no perturbation, and the cost grows with the number of facets rather
+than with the number of point subsets.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -20,10 +26,11 @@ from .exactnum import ZERO, Scalar, _check_discriminant
 from .linalg import (
     Matrix,
     Vector,
+    _echelon_kernel,
+    _reduced_echelon,
     det,
     kernel_basis,
     matrix_rank,
-    solve_any,
 )
 
 
@@ -55,10 +62,6 @@ class Halfspace:
     def excess(self, x: Vector) -> Scalar:
         return self.normal.dot(x) - self.offset
 
-    def side(self, x: Vector) -> int:
-        """-1 strictly inside, 0 on the boundary, +1 strictly outside."""
-        return self.excess(x).sign()
-
     def complement(self) -> Halfspace:
         return Halfspace(-self.normal, -self.offset)
 
@@ -80,10 +83,11 @@ class Polytope:
     """Convex hull of finitely many points, in canonical vertex form.
 
     Build through from_points unless the points are already known to be
-    the extreme points; the constructor only sorts and deduplicates.
+    the extreme points; the constructor only sorts and deduplicates.  The
+    underscored slots hold derived data, None until first use.
     """
 
-    __slots__ = ("ambient_dim", "vertices")
+    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -99,6 +103,8 @@ class Polytope:
         _common_discriminant(ordered)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", ordered)
+        for slot in ("_frame", "_facets", "_faces"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -146,7 +152,7 @@ def origin(n: int) -> Vector:
     return Vector.zero(n)
 
 
-# -- membership ----------------------------------------------------------
+# -- derived data ----------------------------------------------------------
 
 
 def _first_simplex(pts: Sequence[Vector], k: int) -> list[int]:
@@ -162,30 +168,6 @@ def _first_simplex(pts: Sequence[Vector], k: int) -> list[int]:
             if len(rows) == k:
                 break
     return chosen
-
-
-def _affine_coords(points: Sequence[Vector]) -> tuple[Vector, list[Vector], list[list[Scalar]]]:
-    """Base point, independent direction basis, and coordinates of every point.
-
-    A full-rank configuration keeps its ambient coordinates: facet
-    incidence and the rank of active normals do not depend on that affine
-    change of frame, so no point needs solving for.
-    """
-    base = points[0]
-    n = len(base)
-    dirs = [points[i] - base for i in _first_simplex(points, n)[1:]]
-    if len(dirs) == n:
-        return base, dirs, [list(p) for p in points]
-    rows = [[d[i] for d in dirs] for i in range(n)]
-    coords = [solve_any(rows, list(p - base)) for p in points]
-    return base, dirs, coords
-
-
-def _coords_in_frame(base: Vector, dirs: list[Vector], x: Vector) -> list[Scalar] | None:
-    if not dirs:
-        return [] if (x - base).is_zero() else None
-    rows = [[d[i] for d in dirs] for i in range(len(base))]
-    return solve_any(rows, list(x - base))
 
 
 def _canonical(w: Vector, c: Scalar) -> tuple[Vector, Scalar]:
@@ -257,13 +239,56 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
     }
 
 
+def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], ...]]:
+    """Pivot columns of aff P and the equalities <w, x> = b pinning it.
+
+    A reduced echelon form is unique, so both depend only on aff P.
+    """
+    if P._frame is None:
+        base = P.vertices[0]
+        reduced, pivots = _reduced_echelon([list(v - base) for v in P.vertices[1:]])
+        equalities = tuple(
+            (w, w.dot(base)) for w in _echelon_kernel(reduced, pivots, P.ambient_dim)
+        )
+        object.__setattr__(P, "_frame", (tuple(pivots), equalities))
+    return P._frame
+
+
+def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
+    """Supporting halfspace and incident vertex index set of every facet,
+    sorted by incident indices.
+
+    One double-description pass on the pivot coordinates, filled once; a
+    normal lifts to R^n with zeros off the pivot columns, which agrees with
+    it on aff P and keeps its offset.
+    """
+    if P._facets is None:
+        k = dim(P)
+        if k < 1:
+            raise ValueError("facet enumeration needs dim >= 1")
+        pivots = _frame(P)[0]
+        coords = [[v[c] for c in pivots] for v in P.vertices]
+        items = []
+        for incident, (w, c) in _supporting(coords, k).items():
+            lift = [ZERO] * P.ambient_dim
+            for col, x in zip(pivots, w):
+                lift[col] = x
+            items.append((Halfspace(Vector(lift), c), incident))
+        _fill_facets(P, items)
+    return P._facets
+
+
+def _fill_facets(P: Polytope, items) -> None:
+    object.__setattr__(P, "_facets", tuple(sorted(items, key=lambda item: sorted(item[1]))))
+
+
 def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     """Canonical hull: keeps exactly the extreme points of the input.
 
-    A point is extreme iff its incident facet normals span the full rank
-    of the configuration, so one double-description pass over the points
-    (in their own affine frame when they are not full-dimensional)
-    settles every point.
+    One double-description pass over the distinct points settles every
+    point: a point is extreme iff it is the only point on every facet
+    through it.  The result is handed that pass's frame and facets,
+    renumbered; both are canonical, so they equal what it would derive.
     """
     pts = [p if isinstance(p, Vector) else Vector(p) for p in points]
     if not pts:
@@ -275,89 +300,41 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
         raise ValueError("points do not match the requested ambient_dim")
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
-    unique = list(dict.fromkeys(pts))
-    if len(unique) == 1:
-        return Polytope(n, unique)
-    _, dirs, coords = _affine_coords(unique)
-    k = len(dirs)
-    supporting = _supporting(coords, k)
-    active: dict[int, list[list[Scalar]]] = {i: [] for i in range(len(unique))}
-    for incident, (w, _) in supporting.items():
-        row = list(w)
+    raw = Polytope(n, pts)
+    if dim(raw) == 0:
+        return raw
+    data = _facet_data(raw)
+    through: list[list[frozenset[int]]] = [[] for _ in raw.vertices]
+    for _, incident in data:
         for i in incident:
-            active[i].append(row)
-    keep = [
-        p
-        for i, p in enumerate(unique)
-        if len(active[i]) >= k and matrix_rank(active[i]) == k
-    ]
-    return Polytope(n, keep)
-
-
-@lru_cache(maxsize=None)
-def _frame(P: Polytope):
-    base, dirs, coords = _affine_coords(P.vertices)
-    return base, tuple(dirs), tuple(tuple(c) for c in coords)
+            through[i].append(incident)
+    keep = [i for i, sets in enumerate(through) if sets and len(frozenset.intersection(*sets)) == 1]
+    if len(keep) == len(raw.vertices):
+        return raw
+    P = Polytope(n, [raw.vertices[i] for i in keep])
+    renumber = {old: new for new, old in enumerate(keep)}
+    object.__setattr__(P, "_frame", raw._frame)
+    _fill_facets(P, [(h, frozenset(renumber[i] for i in inc if i in renumber)) for h, inc in data])
+    return P
 
 
 def dim(P: Polytope) -> int:
     if P.is_empty:
         raise EmptyPolytopeError("dimension of the empty polytope is undefined")
-    return len(_frame(P)[1])
+    return len(_frame(P)[0])
 
 
-def in_affine_hull(P: Polytope, x: Vector) -> bool:
-    if P.is_empty:
-        return False
-    base, dirs, _ = _frame(P)
-    return _coords_in_frame(base, list(dirs), x) is not None
-
-
-@lru_cache(maxsize=None)
-def contains(P: Polytope, x: Vector) -> bool:
-    if P.is_empty:
-        return False
-    if len(x) != P.ambient_dim:
-        raise ValueError("point dimension does not match the polytope")
-    if not in_affine_hull(P, x):
-        return False
-    if dim(P) == 0:
-        return True
-    return all(h.excess(x).sign() <= 0 for h, _ in _facet_data(P))
-
-
-@lru_cache(maxsize=None)
-def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
-    """Supporting halfspace and incident vertex index set of every facet."""
-    k = dim(P)
-    if k < 1:
-        raise ValueError("facet enumeration needs dim >= 1")
-    base, frame_dirs, frame_coords = _frame(P)
-    supporting = _supporting(frame_coords, k)
-    if k == P.ambient_dim:
-        items = [(Halfspace(w, c), incident) for incident, (w, c) in supporting.items()]
-    else:
-        items = []
-        for incident, (w, c) in supporting.items():
-            # lift the in-hull normal to an ambient functional u solving
-            # <u, dir_j> = w_j; any solution agrees with w on aff P
-            lift = solve_any([list(d) for d in frame_dirs], list(w))
-            normal = Vector(lift)
-            items.append((Halfspace(normal, normal.dot(base) + c), incident))
-    items.sort(key=lambda item: sorted(item[1]))
-    return tuple(items)
-
-
-@lru_cache(maxsize=None)
 def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
     """All (dim-1)-faces as polytopes with their supporting halfspaces."""
-    return tuple(
-        (h, Polytope(P.ambient_dim, [P.vertices[i] for i in incident]))
-        for h, incident in _facet_data(P)
-    )
+    if P._faces is None:
+        faces = tuple(
+            (h, Polytope(P.ambient_dim, [P.vertices[i] for i in incident]))
+            for h, incident in _facet_data(P)
+        )
+        object.__setattr__(P, "_faces", faces)
+    return P._faces
 
 
-@lru_cache(maxsize=None)
 def _edges(P: Polytope) -> tuple[tuple[int, int], ...]:
     """Vertex index pairs spanning 1-faces.
 
@@ -379,15 +356,27 @@ def _edges(P: Polytope) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def relint_contains_origin(P: Polytope) -> bool:
+# -- membership ----------------------------------------------------------
+
+
+def in_affine_hull(P: Polytope, x: Vector) -> bool:
     if P.is_empty:
         return False
-    zero = origin(P.ambient_dim)
-    if dim(P) == 0:
-        return P.vertices[0] == zero
-    if not in_affine_hull(P, zero):
+    if len(x) != P.ambient_dim:
+        raise ValueError("point dimension does not match the polytope")
+    return all(w.dot(x) == b for w, b in _frame(P)[1])
+
+
+def contains(P: Polytope, x: Vector) -> bool:
+    if not in_affine_hull(P, x):
         return False
-    return all(halfspace.offset.sign() > 0 for halfspace, _ in _facet_data(P))
+    return dim(P) == 0 or all(h.excess(x).sign() <= 0 for h, _ in _facet_data(P))
+
+
+def relint_contains_origin(P: Polytope) -> bool:
+    if not in_affine_hull(P, origin(P.ambient_dim)):
+        return False
+    return dim(P) == 0 or all(h.offset.sign() > 0 for h, _ in _facet_data(P))
 
 
 def clip(P: Polytope, H: Halfspace) -> Polytope:
@@ -439,11 +428,8 @@ def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
 
 def _affine_equalities(P: Polytope) -> list[Halfspace]:
     """Halfspace pairs pinning the affine hull of P."""
-    n = P.ambient_dim
-    base, dirs, _ = _frame(P)
     constraints = []
-    for w in kernel_basis([list(d) for d in dirs], n):
-        b = w.dot(base)
+    for w, b in _frame(P)[1]:
         constraints.append(Halfspace(w, b))
         constraints.append(Halfspace(-w, -b))
     return constraints

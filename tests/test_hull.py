@@ -9,11 +9,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slval import polytope
 from slval.exactnum import Scalar
 from slval.linalg import Vector
-from slval.polytope import _facet_data, _supporting, from_points
+from slval.polytope import Polytope, _edges, _facet_data, _frame, _supporting, from_points
 
 from oracles import affine_frame, extreme_indices, facets_by_subsets
 
@@ -51,6 +53,19 @@ def grid_sample(rng, k, m):
 def assert_matches_oracle(points, k):
     assert affine_frame(points)[0] == k
     assert as_fractions(_supporting(as_scalars(points), k)) == facets_by_subsets(points, k)
+    assert_handover_matches_fresh(as_scalars(points))
+
+
+def assert_handover_matches_fresh(points):
+    """The frame and facets from_points hands its result equal what a fresh
+    polytope on the same vertices derives for itself."""
+    P = from_points(points)
+    fresh = Polytope(P.ambient_dim, P.vertices)
+    assert fresh._frame is None and fresh._facets is None
+    assert _facet_data(P) == _facet_data(fresh)
+    assert _frame(P) == _frame(fresh)
+    assert _edges(P) == _edges(fresh)
+    return P
 
 
 @pytest.mark.parametrize("n, sizes", [(2, (4, 10, 24)), (3, (6, 10, 16)), (4, (8, 10, 12))])
@@ -106,7 +121,7 @@ def test_flat_point_sets_in_r4(k):
             continue
         points = [tuple(sum(row[j] * x[j] for j in range(k)) + s for row, s in zip(embed, shift))
                   for x in low]
-        P = from_points(as_scalars(points))
+        P = assert_handover_matches_fresh(as_scalars(points))
         assert set(P.vertices) == {Vector(points[i]) for i in extreme_indices(points)}
 
         rank, frame = affine_frame([tuple(c.a for c in v) for v in P.vertices])
@@ -141,6 +156,7 @@ def test_surd_clouds_keep_incidence(k):
             last = next(x for x in reversed(w.coords) if not x.is_zero())
             assert abs(last) == 1
             assert_tight_exactly_on(vectors, w, c, incident)
+        assert_handover_matches_fresh(image)
         checked += 1
     assert checked > 0
 
@@ -161,3 +177,58 @@ def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
     P = from_points(as_scalars(points))
     assert len(P.vertices) > 3
     assert len(calls) <= 2 * (3 + 1)
+
+
+def test_one_hull_pass_serves_every_query(monkeypatch):
+    """from_points hands its result the facets its own pass found, so no
+    query on the result runs a second pass."""
+    calls = []
+    real = polytope._supporting
+
+    def counting(coords, k):
+        calls.append(k)
+        return real(coords, k)
+
+    monkeypatch.setattr(polytope, "_supporting", counting)
+    points = symmetric_cloud(random.Random(3), 3, 40, bound=20)
+    P = from_points(as_scalars(points))
+    zero = Vector.zero(3)
+    assert polytope.dim(P) == 3
+    assert len(_facet_data(P)) == len(polytope.facets(P)) >= 4
+    assert polytope.contains(P, zero)
+    assert polytope.in_affine_hull(P, zero)
+    assert polytope.relint_contains_origin(P)
+    assert calls == [3]
+
+
+@st.composite
+def hull_with_extra_points(draw):
+    """A polytope in R^3 or R^4 (flat in one of four draws), plus convex
+    combinations of its vertices and a shuffle of both."""
+    n = draw(st.sampled_from([3, 4]))
+    coord = st.integers(-3, 3)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=2, max_size=n + 3, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        raw = [p[:-1] + (2,) for p in raw]
+    P = from_points(as_scalars(raw))
+    m = len(P.vertices)
+    weights = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+    extras = []
+    for ws in draw(st.lists(weights, max_size=6)):
+        total = sum(ws)
+        extras.append(Vector(sum((v[i] * Fraction(w, total) for v, w in zip(P.vertices, ws)), Scalar(0))
+                             for i in range(n)))
+    points = draw(st.permutations(list(P.vertices) + extras))
+    return P, points
+
+
+@given(hull_with_extra_points())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_convex_combinations_leave_the_hull(case):
+    P, points = case
+    Q = from_points(points)
+    assert Q == P
+    if polytope.dim(Q) >= 1:
+        fresh = Polytope(P.ambient_dim, P.vertices)
+        assert _facet_data(Q) == _facet_data(fresh)
+        assert _edges(Q) == _edges(fresh)

@@ -18,6 +18,7 @@ from slval.polytope import (
     facets,
     from_json,
     from_points,
+    in_affine_hull,
     intersect,
     relint_contains_origin,
     to_json,
@@ -77,6 +78,20 @@ def test_contains_segment():
     assert contains(seg, V(Fraction(1, 2), 0))
     assert not contains(seg, V(2, 0))
     assert contains(P2((0, 0)), V(0, 0))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 1), (1, 0, 1), (0, 1, 1)]],
+    ids=["full", "flat"],
+)
+def test_point_of_wrong_dimension_rejected(points):
+    p = from_points([Vector(t) for t in points])
+    for x in (V(0, 0), V(0, 0, 1, 0)):
+        with pytest.raises(ValueError):
+            in_affine_hull(p, x)
+        with pytest.raises(ValueError):
+            contains(p, x)
 
 
 def test_relint_origin_cases():

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import slval.polytope
 from slval.exactnum import Linear, RationalPart, Scalar
 from slval.harness import FAMILIES, gen_polytope
-from slval.linalg import Vector
-from slval.polytope import Polytope, cone_hull, dim, from_points, in_affine_hull
+from slval.linalg import Vector, random_sl_matrix
+from slval.polytope import Polytope, cone_hull, dim, from_points, in_affine_hull, transform
 from slval.triangulate import triangulate, volume
 from slval.valuation import (
+    BASIS_VALUATIONS,
     ClassifiedValuation,
     cone_volume,
     euler_char,
@@ -220,3 +221,25 @@ def test_union_over_triangulation_is_additive(raw):
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     parts = [s.as_polytope() for s in triangulate(p)]
     assert evaluate_union(v, parts) == evaluate(v, p)
+
+
+@st.composite
+def spatial_points(draw):
+    """Up to n + 3 integer points in R^3 or R^4; one draw in four lies on
+    the hyperplane x_n = 1, which misses the origin."""
+    n = draw(st.sampled_from([3, 4]))
+    coord = st.integers(-2, 2)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=n + 3, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        raw = [t[:-1] + (1,) for t in raw]
+    return n, raw
+
+
+@given(spatial_points(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_basis_valuations_are_sl_invariant_in_space(case, seed):
+    n, raw = case
+    p = from_points([Vector(t) for t in raw])
+    image = transform(random_sl_matrix(seed, n, 2 * n), p)
+    for name, f in BASIS_VALUATIONS:
+        assert f(image) == f(p), name
