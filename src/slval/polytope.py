@@ -6,10 +6,10 @@ first-class value.
 
 Derived data lives on the polytope that owns it, in slots filled once on
 first use and ignored by equality and hashing: the affine frame, the facet
-halfspaces with their incident vertices, and the facets as polytopes.  The
-frame is the pivot projection: the pivot columns of the reduced echelon
-form of the directions v - v0, which depend only on aff P and map it
-isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
+halfspaces with their incident vertices, the facets as polytopes and the
+edges.  The frame is the pivot projection: the pivot columns of the reduced
+echelon form of the directions v - v0, which depend only on aff P and map
+it isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
 from an exact double-description pass (Motzkin, Raiffa, Thompson and
 Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
 inserted in index order, so the result is deterministic, degenerate input
@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactnum import ZERO, Scalar, _check_discriminant
+from .exactnum import ZERO, Scalar, _check_discriminant, _merge_discriminants
 from .linalg import (
     Matrix,
     Vector,
@@ -87,7 +87,7 @@ class Polytope:
     underscored slots hold derived data, None until first use.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces")
+    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_edges")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -103,7 +103,7 @@ class Polytope:
         _common_discriminant(ordered)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", ordered)
-        for slot in ("_frame", "_facets", "_faces"):
+        for slot in ("_frame", "_facets", "_faces", "_edges"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -136,11 +136,8 @@ def _common_discriminant(vectors: Sequence[Vector]) -> int:
     d = 0
     for v in vectors:
         for c in v:
-            if c.d != 0:
-                if d == 0:
-                    d = c.d
-                elif c.d != d:
-                    raise ValueError("vertices mix distinct quadratic fields")
+            if c.d != d:
+                d = _merge_discriminants(d, c.d)
     return d
 
 
@@ -340,20 +337,21 @@ def _edges(P: Polytope) -> tuple[tuple[int, int], ...]:
 
     The smallest face containing two vertices is the intersection of all
     facets containing both; the pair is an edge iff that intersection
-    holds no other vertex.
+    holds no other vertex.  Filled once, like the facets.
     """
-    k = dim(P)
-    if k < 1:
-        return ()
-    if k == 1:
-        return ((0, 1),)
-    incidences = [incident for _, incident in _facet_data(P)]
-    out = []
-    for i, j in combinations(range(len(P.vertices)), 2):
-        shared = [inc for inc in incidences if i in inc and j in inc]
-        if shared and len(frozenset.intersection(*shared)) == 2:
-            out.append((i, j))
-    return tuple(out)
+    if P._edges is None:
+        k = dim(P)
+        if k < 2:
+            edges = ((0, 1),) if k == 1 else ()
+        else:
+            incidences = [incident for _, incident in _facet_data(P)]
+            edges = []
+            for i, j in combinations(range(len(P.vertices)), 2):
+                shared = [inc for inc in incidences if i in inc and j in inc]
+                if shared and len(frozenset.intersection(*shared)) == 2:
+                    edges.append((i, j))
+        object.__setattr__(P, "_edges", tuple(edges))
+    return P._edges
 
 
 # -- membership ----------------------------------------------------------

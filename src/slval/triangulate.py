@@ -50,9 +50,6 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertices) - 1
 
-    def has_origin_vertex(self) -> bool:
-        return any(v.is_zero() for v in self.vertices)
-
     def as_polytope(self) -> Polytope:
         return Polytope(self.ambient_dim, self.vertices)
 
@@ -174,12 +171,16 @@ def verify_complex(T: Triangulation):
     return True
 
 
-def cone_over(base: Triangulation) -> Triangulation:
-    """Cone every base cell to the origin; needs 0 off each affine hull."""
-    cells = []
-    for cell in base:
-        zero = origin(cell.ambient_dim)
-        if in_affine_hull(cell.as_polytope(), zero):
-            raise ValueError(f"origin lies in the affine hull of {cell!r}")
-        cells.append(Simplex(cell.ambient_dim, cell.vertices + (zero,)))
-    return Triangulation(cells)
+def apex_volume(F: Polytope) -> Scalar:
+    """Volume of conv(F ∪ {0}) for dim F = n - 1 with 0 off aff F.
+
+    Each cell of F's pulling triangulation spans a pyramid with apex 0 of
+    volume |det(cell vertices)| / n!.
+    """
+    n = F.ambient_dim
+    if dim(F) != n - 1 or in_affine_hull(F, origin(n)):
+        raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {F!r}")
+    total = ZERO
+    for cell in triangulate(F):
+        total = total + abs(det(Matrix(cell.vertices)))
+    return total / Fraction(factorial(n))

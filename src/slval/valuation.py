@@ -10,9 +10,13 @@ hull of P with the origin.  Every valuation in scope is the combination
 with psi and phi additive solutions of the Cauchy equation.  All
 valuations take the value 0 on the empty polytope.
 
-The cone term builds no second hull: conv(P ∪ {0}) is P plus the pyramids
-from 0 over the visible facets of P, coned from their pulling triangulations.
-A flat P with 0 off its affine hull is one such pyramid; other flat P give 0.
+`basis_vector` computes all five in one pass: one affine-hull test of the
+origin and one reading of the signs of P's facet offsets settle both
+indicators, and the cone term is vol P plus the pyramids from 0 over the
+facets whose offset is negative (the visible-facet part of Lawrence's
+signed-cone decomposition, Math. Comp. 1991).  A flat P with 0 off its
+affine hull is one such pyramid; other flat P give 0.  No second hull is
+built.
 """
 
 from __future__ import annotations
@@ -32,62 +36,46 @@ from .exactnum import (
 from .polytope import (
     IncomparableHullsError,
     Polytope,
-    contains,
+    _facet_data,
     dim,
+    facets,
     in_affine_hull,
     intersect,
     origin,
-    relint_contains_origin,
-    visible_facets,
 )
-from .triangulate import cone_over, triangulate, volume
+from .triangulate import apex_volume, volume
 
 MAX_UNION_PARTS = 12
 
-
-def euler_char(P: Polytope) -> Scalar:
-    return ZERO if P.is_empty else ONE
-
-
-def relint_sign(P: Polytope) -> Scalar:
-    if P.is_empty or not relint_contains_origin(P):
-        return ZERO
-    return ONE if dim(P) % 2 == 0 else -ONE
-
-
-def origin_indicator(P: Polytope) -> Scalar:
-    if P.is_empty:
-        return ZERO
-    return ONE if contains(P, origin(P.ambient_dim)) else ZERO
-
-
-def cone_volume(P: Polytope) -> Scalar:
-    if P.is_empty:
-        return ZERO
-    n = P.ambient_dim
-    zero = origin(n)
-    if dim(P) == n:
-        if contains(P, zero):
-            return volume(P)
-        total, bases = volume(P), visible_facets(P)
-    elif dim(P) == n - 1 and not in_affine_hull(P, zero):
-        total, bases = ZERO, (P,)
-    else:
-        return ZERO
-    for base in bases:
-        for cell in cone_over(triangulate(base)):
-            total = total + cell.volume()
-    return total
-
-
 #: basis order fixed across fitting and reports
-BASIS_VALUATIONS = (
-    ("euler_char", euler_char),
-    ("relint_sign", relint_sign),
-    ("volume", volume),
-    ("origin_indicator", origin_indicator),
-    ("cone_volume", cone_volume),
-)
+BASIS_NAMES = ("euler_char", "relint_sign", "volume", "origin_indicator", "cone_volume")
+
+
+def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
+    """(euler, relint_sign, volume, origin, cone) of P, in BASIS_NAMES order.
+
+    The origin lies in relint P iff it lies in aff P and every facet offset
+    is > 0, and in P iff every offset is >= 0.
+    """
+    if P.is_empty:
+        return (ZERO,) * 5
+    n, k = P.ambient_dim, dim(P)
+    vol = volume(P)
+    on_hull = in_affine_hull(P, origin(n))
+    signs = [h.offset.sign() for h, _ in _facet_data(P)] if k and on_hull else []
+    relint = on_hull and all(s > 0 for s in signs)
+    inside = on_hull and all(s >= 0 for s in signs)
+    if k == n:
+        cone = vol
+        for s, (_, F) in zip(signs, facets(P)):
+            if s < 0:
+                cone = cone + apex_volume(F)
+    elif k == n - 1 and not on_hull:
+        cone = apex_volume(P)
+    else:
+        cone = ZERO
+    sign = ONE if k % 2 == 0 else -ONE
+    return ONE, sign if relint else ZERO, vol, ONE if inside else ZERO, cone
 
 
 @dataclass(frozen=True)
@@ -113,12 +101,13 @@ class ClassifiedValuation:
 def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
     if P.is_empty:
         return ZERO
+    euler, relint, vol, inside, cone = basis_vector(P)
     return (
-        V.c0 * euler_char(P)
-        + V.c0p * relint_sign(P)
-        + cauchy_eval(V.psi, volume(P))
-        + V.d0 * origin_indicator(P)
-        + cauchy_eval(V.phi, cone_volume(P))
+        V.c0 * euler
+        + V.c0p * relint
+        + cauchy_eval(V.psi, vol)
+        + V.d0 * inside
+        + cauchy_eval(V.phi, cone)
     )
 
 

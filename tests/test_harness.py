@@ -30,7 +30,7 @@ from slval.harness import (
     usc_sequences,
 )
 from slval.triangulate import volume
-from slval.valuation import ClassifiedValuation, evaluate, relint_sign
+from slval.valuation import ClassifiedValuation, basis_vector, evaluate
 
 from oracles import shoelace_area
 
@@ -133,11 +133,11 @@ class TestGenSplit:
 class TestIdentityCheck:
     def test_relint_sign_on_degenerate_segment_split(self):
         case = gen_split(0, P((-1, 0), (1, 0)))
-        assert check_valuation_identity(relint_sign, case) is True
+        assert check_valuation_identity(lambda Q: basis_vector(Q)[1], case) is True
         # the four values realize 0 + 0 = -1 + 1
-        assert relint_sign(case.left) == Scalar(0)
-        assert relint_sign(case.whole) == Scalar(-1)
-        assert relint_sign(case.meet) == Scalar(1)
+        assert basis_vector(case.left)[1] == Scalar(0)
+        assert basis_vector(case.whole)[1] == Scalar(-1)
+        assert basis_vector(case.meet)[1] == Scalar(1)
 
     def test_volume_on_half_square(self):
         sq = P((0, 0), (1, 0), (0, 1), (1, 1))
@@ -174,7 +174,7 @@ class TestSlInvariance:
             poly = gen_polytope(seed, 2, family="generic")
             a = random_sl_matrix(seed, 2, 8)
             assert check_sl_invariance(volume, poly, a) is True
-            assert check_sl_invariance(relint_sign, poly, a) is True
+            assert check_sl_invariance(lambda Q: basis_vector(Q)[1], poly, a) is True
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):

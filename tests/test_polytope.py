@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slval.exactnum import Scalar
+from slval.exactnum import FieldMismatchError, Scalar
 from slval.linalg import Matrix, Vector, random_sl_matrix
 from slval.polytope import (
     EmptyPolytopeError,
     Halfspace,
     IncomparableHullsError,
     Polytope,
+    _edges,
     clip,
     cone_hull,
     contains,
@@ -159,6 +160,16 @@ def test_clip_lower_dimensional():
     assert right == P2((0, 0), (1, 0))
 
 
+def test_straddling_clip_keeps_the_edges_on_the_polytope():
+    cube = from_points([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    assert cube._edges is None
+    cut = clip(cube, Halfspace(V(1, 1, 1), Fraction(3, 2)))
+    assert len(cut.vertices) == 10
+    assert cube._edges is not None
+    assert cube._edges == _edges(Polytope(3, cube.vertices))
+    assert len(cube._edges) == 12
+
+
 def test_cone_hull_cases():
     assert cone_hull(P2((1, 0), (0, 1))) == P2((0, 0), (1, 0), (0, 1))
     sq = P2((0, 0), (1, 0), (0, 1), (1, 1))
@@ -241,6 +252,12 @@ def test_json_with_surds():
     obj = to_json(p)
     assert obj["field_d"] == 2
     assert from_json(obj) == p
+
+
+def test_mixed_fields_raise_field_mismatch():
+    r2, r3 = Scalar.sqrt_of(2), Scalar.sqrt_of(3)
+    with pytest.raises(FieldMismatchError):
+        from_points([Vector([r2, Scalar(0)]), Vector([Scalar(0), r3])])
 
 
 def test_json_rejects_bad_objects():

@@ -11,7 +11,7 @@ from slval.polytope import Halfspace, Polytope, clip, from_points, transform, vi
 from slval.triangulate import (
     Simplex,
     Triangulation,
-    cone_over,
+    apex_volume,
     triangulate,
     verify_complex,
     volume,
@@ -121,35 +121,28 @@ def test_verify_complex_catches_vertex_in_edge():
 
 
 def test_cone_over_single_edge():
-    base = Triangulation([Simplex(2, [Vector((1, 0)), Vector((0, 1))])])
-    coned = cone_over(base)
-    assert coned.simplices[0].vertices == (
-        Vector((0, 0)),
-        Vector((0, 1)),
-        Vector((1, 0)),
-    )
-    assert all(s.has_origin_vertex() for s in coned)
+    assert apex_volume(P((1, 0), (0, 1))) == Scalar(Fraction(1, 2))
 
 
 def test_cone_over_visible_edges_of_shifted_square():
     sq = P((1, 1), (2, 1), (1, 2), (2, 2))
-    base_cells = []
-    for edge in visible_facets(sq):
-        base_cells.extend(triangulate(edge).simplices)
-    coned = cone_over(Triangulation(base_cells))
-    assert len(coned) == 2
-    total = sum((s.volume() for s in coned), Scalar(0))
+    edges = visible_facets(sq)
+    assert len(edges) == 2
+    total = sum((apex_volume(edge) for edge in edges), Scalar(0))
     assert total == Scalar(1)
 
 
-def test_cone_over_empty():
-    assert len(cone_over(Triangulation([]))) == 0
-
-
 def test_cone_over_rejects_origin_in_hull():
-    base = Triangulation([Simplex(2, [Vector((-1, 0)), Vector((1, 0))])])
     with pytest.raises(ValueError):
-        cone_over(base)
+        apex_volume(P((-1, 0), (1, 0)))
+
+
+def test_apex_volume_needs_a_hyperplane_piece():
+    with pytest.raises(ValueError):
+        apex_volume(P((1, 1), (2, 1), (1, 2)))  # full-dimensional
+    with pytest.raises(ValueError):
+        apex_volume(from_points([Vector((1, 0, 1)), Vector((0, 1, 1))]))  # dim n - 2
+
 
 
 def test_alternate_order_gives_other_diagonal():

@@ -9,18 +9,24 @@ import slval.polytope
 from slval.exactnum import Linear, RationalPart, Scalar
 from slval.harness import FAMILIES, gen_polytope
 from slval.linalg import Vector, random_sl_matrix
-from slval.polytope import Polytope, cone_hull, dim, from_points, in_affine_hull, transform
+from slval.polytope import (
+    Polytope,
+    cone_hull,
+    contains,
+    dim,
+    from_points,
+    in_affine_hull,
+    relint_contains_origin,
+    transform,
+)
 from slval.triangulate import triangulate, volume
 from slval.valuation import (
-    BASIS_VALUATIONS,
+    BASIS_NAMES,
     ClassifiedValuation,
-    cone_volume,
-    euler_char,
+    basis_vector,
     evaluate,
     evaluate_union,
     from_json,
-    origin_indicator,
-    relint_sign,
     to_json,
 )
 
@@ -39,41 +45,41 @@ TRIANGLE = P((1, 0), (2, 0), (1, 1))
 
 
 def test_euler_char():
-    assert euler_char(ORIGIN_PT) == Scalar(1)
-    assert euler_char(Polytope.empty(2)) == Scalar(0)
-    assert euler_char(UNIT_SQUARE) == Scalar(1)
+    assert basis_vector(ORIGIN_PT)[0] == Scalar(1)
+    assert basis_vector(Polytope.empty(2))[0] == Scalar(0)
+    assert basis_vector(UNIT_SQUARE)[0] == Scalar(1)
 
 
 def test_relint_sign():
-    assert relint_sign(ORIGIN_PT) == Scalar(1)
-    assert relint_sign(SEGMENT_Y) == Scalar(-1)
-    assert relint_sign(HALF_SEG) == Scalar(0)
-    assert relint_sign(Polytope.empty(2)) == Scalar(0)
+    assert basis_vector(ORIGIN_PT)[1] == Scalar(1)
+    assert basis_vector(SEGMENT_Y)[1] == Scalar(-1)
+    assert basis_vector(HALF_SEG)[1] == Scalar(0)
+    assert basis_vector(Polytope.empty(2))[1] == Scalar(0)
 
 
 def test_origin_indicator():
-    assert origin_indicator(HALF_SEG) == Scalar(1)
-    assert origin_indicator(P((1, 0))) == Scalar(0)
-    assert origin_indicator(Polytope.empty(2)) == Scalar(0)
+    assert basis_vector(HALF_SEG)[3] == Scalar(1)
+    assert basis_vector(P((1, 0)))[3] == Scalar(0)
+    assert basis_vector(Polytope.empty(2))[3] == Scalar(0)
 
 
 def test_cone_volume_of_triangle():
     oracle = shoelace_area([(0, 0), (1, 0), (2, 0), (1, 1)])
     assert oracle == Fraction(1)
-    assert cone_volume(TRIANGLE) == Scalar(oracle)
+    assert basis_vector(TRIANGLE)[4] == Scalar(oracle)
 
 
 def test_cone_volume_when_origin_inside():
-    assert cone_volume(UNIT_SQUARE) == volume(UNIT_SQUARE)
+    assert basis_vector(UNIT_SQUARE)[4] == volume(UNIT_SQUARE)
 
 
 def test_cone_volume_of_far_segment():
-    assert cone_volume(P((1, 0), (0, 1))) == Scalar(Fraction(1, 2))
-    assert cone_volume(Polytope.empty(2)) == Scalar(0)
+    assert basis_vector(P((1, 0), (0, 1)))[4] == Scalar(Fraction(1, 2))
+    assert basis_vector(Polytope.empty(2))[4] == Scalar(0)
 
 
 def _no_hull(*args, **kwargs):
-    raise AssertionError("cone_volume built a polytope from points")
+    raise AssertionError("basis_vector built a polytope from points")
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -92,7 +98,7 @@ def test_cone_volume_matches_hull_route(n, monkeypatch):
     assert expected[0] == Scalar(Fraction(1, factorial(n)))
     # the production route must reuse P's own facets, never rebuild a hull
     monkeypatch.setattr(slval.polytope, "from_points", _no_hull)
-    assert [cone_volume(Q) for Q in polys] == expected
+    assert [basis_vector(Q)[4] for Q in polys] == expected
 
 
 def test_evaluate_single_terms():
@@ -121,8 +127,8 @@ def test_reduction_when_origin_inside():
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     for poly in (UNIT_SQUARE, SEGMENT_Y, ORIGIN_PT, HALF_SEG):
         expected = (
-            (v.c0 + v.d0) * euler_char(poly)
-            + v.c0p * relint_sign(poly)
+            (v.c0 + v.d0) * basis_vector(poly)[0]
+            + v.c0p * basis_vector(poly)[1]
             + Scalar(3) * volume(poly)
             + Scalar(5) * volume(poly)
         )
@@ -241,5 +247,24 @@ def test_basis_valuations_are_sl_invariant_in_space(case, seed):
     n, raw = case
     p = from_points([Vector(t) for t in raw])
     image = transform(random_sl_matrix(seed, n, 2 * n), p)
-    for name, f in BASIS_VALUATIONS:
-        assert f(image) == f(p), name
+    for name, after, before in zip(BASIS_NAMES, basis_vector(image), basis_vector(p)):
+        assert after == before, name
+
+
+@given(spatial_points())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_basis_vector_matches_predicates_and_hull_route(case):
+    # independent oracle: the membership predicates of polytope and the
+    # volume of the hull rebuilt with the origin
+    n, raw = case
+    p = from_points([Vector(t) for t in raw])
+    zero = Vector.zero(n)
+    sign = Scalar(1) if dim(p) % 2 == 0 else Scalar(-1)
+    expected = (
+        Scalar(1),
+        sign if relint_contains_origin(p) else Scalar(0),
+        volume(p),
+        Scalar(1) if contains(p, zero) else Scalar(0),
+        volume(cone_hull(p)),
+    )
+    assert basis_vector(p) == expected
