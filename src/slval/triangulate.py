@@ -1,186 +1,68 @@
-"""Face-to-face triangulations and exact volume.
+"""Exact volume by pyramid recursion on the facet data.
 
-The triangulation is the pulling rule: every face is coned from its first
-vertex in a fixed total order on the vertices of the whole polytope.  Using
-one order consistently through the recursion is what makes the output a
-simplicial complex, so the order is part of every recursive call.
+Let k = dim P, a the first vertex of P and <w_F, x> <= c_F its facet
+halfspaces.  The pyramids with apex a over the facets not through a tile
+P, so (Lasserre, JOTA 39, 1983, with a vertex as apex; Bueler, Enge and
+Fukuda 2000)
+
+    vol_k P = (1/k) * sum over facets F not through a of (c_F - <w_F, a>) * vol_{k-1} F.
+
+Every volume is taken in the polytope's own pivot coordinates, the pivot
+columns of its frame, and needs no norm.  The last nonzero entry of w_F
+is +-1, and its column is exactly the one F's own frame drops.  The
+height of a over F is (c_F - <w_F, a>) / |w_F|, and dropping that column
+shrinks F's (k-1)-volume by the factor 1 / |w_F|, so the two norms
+cancel.  A simplex ends the recursion with |det| / k! on its pivot
+columns; its cells are those of the pulling triangulation from the first
+vertex.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
-from math import factorial
-from typing import Iterable
-
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
-from .exactnum import ZERO, Scalar
-from .linalg import Matrix, Vector, affine_rank, det
-from .polytope import (
-    EmptyPolytopeError,
-    Polytope,
-    _intersect_unchecked,
-    dim,
-    facets,
-    in_affine_hull,
-    origin,
-)
+from .exactnum import ONE, ZERO, Scalar
+from .linalg import Matrix, det
+from .polytope import Polytope, _facet_data, _frame, dim, facets, in_affine_hull, origin
 
 
-class Simplex:
-    """Affinely independent vertex tuple, stored sorted."""
-
-    __slots__ = ("ambient_dim", "vertices")
-
-    ambient_dim: int
-    vertices: tuple[Vector, ...]
-
-    def __init__(self, ambient_dim: int, vertices: Iterable[Vector]) -> None:
-        ordered = tuple(sorted(vertices, key=Vector.sort_key))
-        if affine_rank(ordered) != len(ordered) - 1:
-            raise ValueError("simplex vertices must be affinely independent")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vertices", ordered)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Simplex is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def as_polytope(self) -> Polytope:
-        return Polytope(self.ambient_dim, self.vertices)
-
-    def volume(self) -> Scalar:
-        """Full-dimensional volume; 0 when the simplex is lower-dimensional."""
-        n = self.ambient_dim
-        if self.dim < n:
-            return ZERO
-        v0 = self.vertices[0]
-        rows = [list(v - v0) for v in self.vertices[1:]]
-        return abs(det(Matrix(rows))) / Fraction(factorial(n))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Simplex)
-            and self.ambient_dim == other.ambient_dim
-            and self.vertices == other.vertices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.vertices))
-
-    def __repr__(self) -> str:
-        body = ", ".join(repr(list(map(str, v))) for v in self.vertices)
-        return f"Simplex(n={self.ambient_dim}, [{body}])"
+def _pivot_volume(P: Polytope) -> Scalar:
+    """vol_k P in P's pivot coordinates, k = dim P."""
+    pivots = _frame(P)[0]
+    k = len(pivots)
+    if k == 0:
+        return ONE
+    a = P.vertices[0]
+    if len(P.vertices) == k + 1:
+        rows = [[v[c] - a[c] for c in pivots] for v in P.vertices[1:]]
+        return abs(det(Matrix(rows))) / Fraction(factorial(k))
+    total = ZERO
+    for (h, incident), (_, F) in zip(_facet_data(P), facets(P)):
+        if 0 not in incident:
+            total = total + (h.offset - h.normal.dot(a)) * _pivot_volume(F)
+    return total / Fraction(k)
 
 
-class Triangulation:
-    __slots__ = ("simplices",)
-
-    simplices: tuple[Simplex, ...]
-
-    def __init__(self, simplices: Iterable[Simplex]) -> None:
-        cells = tuple(sorted(simplices, key=lambda s: tuple(v.sort_key() for v in s.vertices)))
-        if cells:
-            k = cells[0].dim
-            if any(s.dim != k for s in cells):
-                raise ValueError("triangulation cells must share one dimension")
-            if any(s.ambient_dim != cells[0].ambient_dim for s in cells):
-                raise ValueError("triangulation cells must share the ambient space")
-        object.__setattr__(self, "simplices", cells)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Triangulation is immutable")
-
-    def dim(self) -> int:
-        return self.simplices[0].dim if self.simplices else -1
-
-    def __iter__(self):
-        return iter(self.simplices)
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Triangulation) and self.simplices == other.simplices
-
-    def __hash__(self) -> int:
-        return hash(self.simplices)
-
-    def __repr__(self) -> str:
-        return f"Triangulation({len(self.simplices)} cells, dim {self.dim()})"
-
-
-@lru_cache(maxsize=None)
-def _pull(P: Polytope, order: tuple[Vector, ...]) -> tuple[Simplex, ...]:
-    rank = {v: i for i, v in enumerate(order)}
-    verts = P.vertices
-    if len(verts) == dim(P) + 1:
-        return (Simplex(P.ambient_dim, verts),)
-    anchor = min(verts, key=rank.__getitem__)
-    cells = []
-    for _, face in facets(P):
-        if anchor in face.vertices:
-            continue
-        sub_order = tuple(v for v in order if v in set(face.vertices))
-        for cell in _pull(face, sub_order):
-            cells.append(Simplex(P.ambient_dim, cell.vertices + (anchor,)))
-    return tuple(cells)
-
-
-def triangulate(P: Polytope, order: tuple[Vector, ...] | None = None) -> Triangulation:
-    """Pulling triangulation of P; the optional order varies the complex."""
-    if P.is_empty:
-        raise EmptyPolytopeError("cannot triangulate the empty polytope")
-    if order is None:
-        order = P.vertices
-    else:
-        order = tuple(order)
-        if sorted(order, key=Vector.sort_key) != list(P.vertices):
-            raise ValueError("order must be a permutation of the vertices")
-    return Triangulation(_pull(P, order))
-
-
+# the cache stays only because perfbench/tracing.py reads cache_info() by name
 @lru_cache(maxsize=None)
 def volume(P: Polytope) -> Scalar:
     """Lebesgue volume in the ambient dimension; 0 below full dimension."""
     if P.is_empty or dim(P) < P.ambient_dim:
         return ZERO
-    total = ZERO
-    for cell in triangulate(P):
-        total = total + cell.volume()
-    return total
-
-
-def verify_complex(T: Triangulation):
-    """True when every pair meets in the hull of its shared vertices.
-
-    Pairwise agreement suffices for convex cells; the witness on failure
-    is the offending pair.
-    """
-    cells = T.simplices
-    for a, b in combinations(cells, 2):
-        pa, pb = a.as_polytope(), b.as_polytope()
-        common = set(pa.vertices) & set(pb.vertices)
-        expected = Polytope(pa.ambient_dim, common)
-        if _intersect_unchecked(pa, pb) != expected:
-            return (a, b)
-    return True
+    return _pivot_volume(P)
 
 
 def apex_volume(F: Polytope) -> Scalar:
     """Volume of conv(F ∪ {0}) for dim F = n - 1 with 0 off aff F.
 
-    Each cell of F's pulling triangulation spans a pyramid with apex 0 of
-    volume |det(cell vertices)| / n!.
+    F's one frame equality <w, x> = b has its last nonzero entry 1 on the
+    column F's pivots drop, so the height |b| / |w| and F's pivot volume
+    times |w| give the pyramid |b| * vol(F) / n.
     """
     n = F.ambient_dim
     if dim(F) != n - 1 or in_affine_hull(F, origin(n)):
         raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {F!r}")
-    total = ZERO
-    for cell in triangulate(F):
-        total = total + abs(det(Matrix(cell.vertices)))
-    return total / Fraction(factorial(n))
+    ((_, b),) = _frame(F)[1]
+    return abs(b) * _pivot_volume(F) / Fraction(n)

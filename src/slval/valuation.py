@@ -164,6 +164,8 @@ def _solution_to_json(f: CauchySolution) -> dict:
 
 
 def _solution_from_json(obj: dict) -> CauchySolution:
+    if not isinstance(obj, dict):
+        raise ValueError(f"Cauchy solution must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "linear":
         return Linear(Scalar.parse(obj["lambda"]))

@@ -35,7 +35,7 @@ from slval.polytope import (
     transform,
     visible_facets,
 )
-from slval.triangulate import Simplex, triangulate, verify_complex, volume
+from slval.triangulate import volume
 from slval.valuation import (
     BASIS_NAMES,
     ClassifiedValuation,
@@ -45,6 +45,7 @@ from slval.valuation import (
 )
 
 from oracles import shoelace_area
+from pulling import Simplex, triangulate, verify_complex
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:

@@ -72,6 +72,17 @@ class TestValuate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("term", ["psi", "phi"])
+    def test_non_object_cauchy_solution_exits_2(self, term, tmp_path, capsys):
+        valuation = dict(linear_valuation(), **{term: "linear"})
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", ORIGIN_POINT),
+            "--valuation", write_json(tmp_path / "v.json", valuation),
+        ])
+        assert code == 2
+        assert "not a valuation file" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main([
             "valuate", "--in", str(tmp_path / "absent.json"),

@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slval.triangulate
 from slval.exactnum import Scalar
-from slval.linalg import Vector, random_sl_matrix
-from slval.polytope import Halfspace, Polytope, clip, from_points, transform, visible_facets
-from slval.triangulate import (
-    Simplex,
-    Triangulation,
-    apex_volume,
-    triangulate,
-    verify_complex,
-    volume,
+from slval.harness import FAMILIES, gen_polytope
+from slval.linalg import Vector, det, random_sl_matrix
+from slval.polytope import (
+    Halfspace,
+    Polytope,
+    clip,
+    cone_hull,
+    dim,
+    from_points,
+    transform,
+    visible_facets,
 )
+from slval.triangulate import apex_volume, volume
 
 from oracles import shoelace_area
+from pulling import Simplex, Triangulation, triangulate, verify_complex
 
 
 def P(*tuples):
@@ -191,3 +196,75 @@ def test_volume_is_sl_invariant(raw, seed):
     p = from_points([Vector(t) for t in raw])
     a = random_sl_matrix(seed, 2, 8)
     assert volume(transform(a, p)) == volume(p)
+
+
+def _with_leaves(fn, P):
+    """fn(P) and the number of determinants it took, one per simplex leaf."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return det(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slval.triangulate, "det", counting)
+        value = fn(P)
+    return value, len(calls)
+
+
+def _lift(Q, normal, offset, free):
+    """Q's points in R^{n-1} placed on <normal, x> = offset by solving for
+    coordinate `free`."""
+    rest = normal[:free] + normal[free + 1:]
+    points = []
+    for y in Q.vertices:
+        x = (offset - Vector(rest).dot(y)) / normal[free]
+        points.append(Vector(list(y)[:free] + [x] + list(y)[free:]))
+    return from_points(points)
+
+
+FULL_FAMILIES = [f for f in FAMILIES if f != "lower_dim"]
+# every entry nonzero and none +-1: no hyperplane is axis-parallel and the
+# frame equality divides by a non-unit entry; the factor 2 also makes the
+# integer normals non-primitive
+entries_st = st.sampled_from([-5, -3, -2, 2, 3, 5])
+
+
+@st.composite
+def volume_routes_case(draw):
+    n = draw(st.sampled_from([3, 4]))
+    seed = draw(st.integers(0, 10**6))
+    factor = draw(st.sampled_from([1, 2]))
+    normal = [Scalar(factor * draw(entries_st)) for _ in range(n)]
+    offset = Scalar(draw(st.integers(1, 9)) * draw(st.sampled_from([-1, 1])))
+    if draw(st.booleans()):
+        # a Q(sqrt 2) piece
+        r2 = Scalar.sqrt_of(2)
+        normal[draw(st.integers(0, n - 1))] *= r2
+        offset = offset + r2
+    free = draw(st.integers(0, n - 1))
+    family = draw(st.sampled_from(FULL_FAMILIES))
+    return n, seed, normal, offset, free, family
+
+
+@given(volume_routes_case())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_volume_routes_agree(case):
+    # the pyramid recursion against the pulling triangulation: equal sums,
+    # and one determinant per pulling cell (the recursion's simplex leaves
+    # are those cells, so it recursed only into facets not through a)
+    n, seed, normal, offset, free, family = case
+    for fam in FAMILIES:
+        p = gen_polytope(seed, n, max_vertices=6, coord_bound=3, family=fam)
+        cells = triangulate(p)
+        assert sum((s.volume() for s in cells), Scalar(0)) == volume(p)
+        if dim(p) == n:
+            assert _with_leaves(volume.__wrapped__, p) == (volume(p), len(cells))
+    # a hyperplane piece missing the origin: the pyramid over it, against
+    # the volume of the hull rebuilt with the origin
+    piece = _lift(gen_polytope(seed, n - 1, max_vertices=6, coord_bound=3, family=family),
+                  normal, offset, free)
+    assert dim(piece) == n - 1
+    value, leaves = _with_leaves(apex_volume, piece)
+    assert value == volume(cone_hull(piece))
+    assert leaves == len(triangulate(piece))

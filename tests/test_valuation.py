@@ -19,7 +19,7 @@ from slval.polytope import (
     relint_contains_origin,
     transform,
 )
-from slval.triangulate import triangulate, volume
+from slval.triangulate import volume
 from slval.valuation import (
     BASIS_NAMES,
     ClassifiedValuation,
@@ -31,6 +31,7 @@ from slval.valuation import (
 )
 
 from oracles import shoelace_area
+from pulling import triangulate
 
 
 def P(*tuples):
