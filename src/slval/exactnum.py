@@ -222,9 +222,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return self._qb == 0
 
-    def rational_part(self) -> Fraction:
-        return Fraction(self._qa, self._q)
-
     def sign(self) -> int:
         return _surd_sign(self._qa, self._qb, self.d)
 

@@ -129,12 +129,7 @@ def gen_polytope(
         if dim(poly) != n:
             continue
         if family == "origin_in_relint":
-            weights = [Fraction(rng.randint(1, 5)) for _ in poly.vertices]
-            total = sum(weights)
-            center = Vector.zero(n)
-            for w, v in zip(weights, poly.vertices):
-                center = center + v.scale(Fraction(w, total))
-            return translate(poly, -center)
+            return translate(poly, -_interior_point(rng, poly))
         return poly
     raise RuntimeError(f"family {family!r} not satisfiable for seed {seed}")
 
@@ -444,6 +439,14 @@ def _scalarize(value):
     return value
 
 
+def _line(check: str, seed: int, outcome, **fields) -> dict:
+    """Report line of a check whose outcome is True or a witness."""
+    line = {"check": check, "seed": seed, "pass": outcome is True, **fields}
+    if outcome is not True:
+        line["witness"] = _scalarize(outcome)
+    return line
+
+
 def run_suite(
     n: int,
     seed: int = 0,
@@ -463,25 +466,14 @@ def run_suite(
         for name, (left, right, whole, meet) in zip(BASIS_NAMES, zip(*sides)):
             if left + right != whole + meet:
                 witnesses[name] = {"left": left, "right": right, "whole": whole, "meet": meet}
-        line = {
-            "check": "valuation_identity",
-            "seed": i,
-            "pass": not witnesses,
-            "label": classify_split(case),
-        }
-        if witnesses:
-            line["witness"] = _scalarize(witnesses)
-        yield line
+        yield _line("valuation_identity", i, witnesses or True, label=classify_split(case))
 
     for i in range(cases):
         family = FAMILIES[i % len(FAMILIES)]
         P = gen_polytope(_sub_seed(seed, 300 + i), n, max_vertices=6, coord_bound=3, family=family)
         A = random_sl_matrix(_sub_seed(seed, 400 + i), n, steps=6)
         outcome = check_sl_invariance(lambda Q: evaluate(reference, Q), P, A)
-        line = {"check": "sl_invariance", "seed": i, "pass": outcome is True}
-        if outcome is not True:
-            line["witness"] = _scalarize(outcome)
-        yield line
+        yield _line("sl_invariance", i, outcome)
 
     if field_d:
         surd = Scalar.sqrt_of(field_d)
@@ -496,31 +488,21 @@ def run_suite(
             )
             A = random_sl_matrix(_sub_seed(seed, 600 + i), n, steps=4)
             outcome = check_sl_invariance(lambda Q: evaluate(surd_val, Q), box, A)
-            line = {"check": "sl_invariance_rational_part", "seed": i, "pass": outcome is True}
-            if outcome is not True:
-                line["witness"] = _scalarize(outcome)
-            yield line
+            yield _line("sl_invariance_rational_part", i, outcome)
 
     for i in range(cases):
         P = gen_polytope(_sub_seed(seed, 700 + i), n, max_vertices=6, coord_bound=3,
                          family="avoids_origin")
-        outcome = check_cone_decomposition(P)
-        line = {"check": "cone_decomposition", "seed": i, "pass": outcome is True}
-        if outcome is not True:
-            line["witness"] = _scalarize(outcome)
-        yield line
+        yield _line("cone_decomposition", i, check_cone_decomposition(P))
 
     report = fit_classification(lambda P: evaluate(reference, P), n, seed=seed,
                                 validation_count=25)
     expected = (Scalar(1), Scalar(2), Scalar(3), Scalar(4), Scalar(5))
     fit_pass = report.coefficients == expected and report.residual_max.is_zero()
-    line = {"check": "fit_roundtrip", "seed": 0, "pass": fit_pass}
-    if not fit_pass:
-        line["witness"] = _scalarize({
-            "coefficients": list(report.coefficients),
-            "residual_max": report.residual_max,
-        })
-    yield line
+    yield _line("fit_roundtrip", 0, fit_pass or {
+        "coefficients": list(report.coefficients),
+        "residual_max": report.residual_max,
+    })
 
     scales = [Scalar(Fraction(1, 2**k)) for k in range(4)]
     usc_bad = usc_sequences(ONE, ZERO, scales)
@@ -531,8 +513,4 @@ def run_suite(
     if include_broken:
         R = gen_polytope(_sub_seed(seed, 800), n, family="origin_in_relint")
         case = gen_split(_sub_seed(seed, 801) * 20 + 7, R)
-        outcome = check_valuation_identity(_broken_functional, case)
-        line = {"check": "broken_plugin", "seed": 0, "pass": outcome is True}
-        if outcome is not True:
-            line["witness"] = _scalarize(outcome)
-        yield line
+        yield _line("broken_plugin", 0, check_valuation_identity(_broken_functional, case))

@@ -247,15 +247,6 @@ def _echelon_kernel(reduced: list[list[Scalar]], pivots: list[int], ncols: int) 
     return basis
 
 
-def affine_rank(points: Sequence[Vector]) -> int:
-    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
-    pts = list(points)
-    if not pts:
-        return -1
-    origin = pts[0]
-    return matrix_rank([list(p - origin) for p in pts[1:]])
-
-
 def random_sl_matrix(seed: int, n: int, steps: int, bound: int = 5) -> Matrix:
     """Deterministic product of integer shear matrices; determinant is 1."""
     if n < 1 or steps < 0 or bound < 1:

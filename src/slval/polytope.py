@@ -6,10 +6,10 @@ first-class value.
 
 Derived data lives on the polytope that owns it, in slots filled once on
 first use and ignored by equality and hashing: the affine frame, the facet
-halfspaces with their incident vertices, the facets as polytopes and the
-edges.  The frame is the pivot projection: the pivot columns of the reduced
-echelon form of the directions v - v0, which depend only on aff P and map
-it isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
+halfspaces with their incident vertices, and the facets as polytopes.  The
+frame is the pivot projection: the pivot columns of the reduced echelon
+form of the directions v - v0, which depend only on aff P and map it
+isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
 from an exact double-description pass (Motzkin, Raiffa, Thompson and
 Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
 inserted in index order, so the result is deterministic, degenerate input
@@ -87,7 +87,7 @@ class Polytope:
     underscored slots hold derived data, None until first use.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_edges")
+    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -103,7 +103,7 @@ class Polytope:
         _common_discriminant(ordered)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", ordered)
-        for slot in ("_frame", "_facets", "_faces", "_edges"):
+        for slot in ("_frame", "_facets", "_faces"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -332,28 +332,6 @@ def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
     return P._faces
 
 
-def _edges(P: Polytope) -> tuple[tuple[int, int], ...]:
-    """Vertex index pairs spanning 1-faces.
-
-    The smallest face containing two vertices is the intersection of all
-    facets containing both; the pair is an edge iff that intersection
-    holds no other vertex.  Filled once, like the facets.
-    """
-    if P._edges is None:
-        k = dim(P)
-        if k < 2:
-            edges = ((0, 1),) if k == 1 else ()
-        else:
-            incidences = [incident for _, incident in _facet_data(P)]
-            edges = []
-            for i, j in combinations(range(len(P.vertices)), 2):
-                shared = [inc for inc in incidences if i in inc and j in inc]
-                if shared and len(frozenset.intersection(*shared)) == 2:
-                    edges.append((i, j))
-        object.__setattr__(P, "_edges", tuple(edges))
-    return P._edges
-
-
 # -- membership ----------------------------------------------------------
 
 
@@ -381,7 +359,10 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     """P cut down to the halfspace, canonicalized.
 
     Kept vertices stay extreme, and a straddling edge meets the cut
-    hyperplane in a single new vertex, so the result needs no pruning.
+    hyperplane in a single new vertex, so the result needs no pruning.  A
+    straddling vertex pair is an edge iff the facets through both vertices
+    share no third vertex (Kaibel and Pfetsch 2002); a segment is its own
+    edge.
     """
     if P.is_empty:
         return P
@@ -394,12 +375,18 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     kept = [v for v, s in zip(P.vertices, signs) if s <= 0]
     if not kept:
         return Polytope.empty(P.ambient_dim)
+    incidences = [incident for _, incident in _facet_data(P)] if dim(P) > 1 else None
     crossing = []
-    for i, j in _edges(P):
-        if signs[i] * signs[j] < 0:
-            vi, vj = P.vertices[i], P.vertices[j]
-            t = excesses[i] / (excesses[i] - excesses[j])
-            crossing.append(vi + (vj - vi).scale(t))
+    for i, j in combinations(range(len(signs)), 2):
+        if signs[i] * signs[j] >= 0:
+            continue
+        if incidences is not None:
+            shared = [inc for inc in incidences if i in inc and j in inc]
+            if not shared or len(frozenset.intersection(*shared)) != 2:
+                continue
+        vi, vj = P.vertices[i], P.vertices[j]
+        t = excesses[i] / (excesses[i] - excesses[j])
+        crossing.append(vi + (vj - vi).scale(t))
     return Polytope(P.ambient_dim, kept + crossing)
 
 
@@ -424,29 +411,19 @@ def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
     return tuple(F for halfspace, F in facets(P) if halfspace.offset.sign() < 0)
 
 
-def _affine_equalities(P: Polytope) -> list[Halfspace]:
-    """Halfspace pairs pinning the affine hull of P."""
-    constraints = []
-    for w, b in _frame(P)[1]:
-        constraints.append(Halfspace(w, b))
-        constraints.append(Halfspace(-w, -b))
-    return constraints
-
-
 def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
+    """P and Q, whose affine hulls are nested, cut one by the other.
+
+    The operand of lower dimension lies in the other's affine hull, where
+    the other's lifted facet halfspaces define it.
+    """
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
-    big, small = (P, Q) if dim(P) >= dim(Q) else (Q, P)
-    if dim(small) == 0:
-        point = small.vertices[0]
-        return small if contains(big, point) else Polytope.empty(P.ambient_dim)
-    result = big
-    if dim(big) < P.ambient_dim or dim(small) < P.ambient_dim:
-        for constraint in _affine_equalities(small):
-            result = clip(result, constraint)
-            if result.is_empty:
-                return result
-    for halfspace, _ in _facet_data(small):
+    cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
+    if dim(by) == 0:
+        return cut if cut == by else Polytope.empty(P.ambient_dim)
+    result = cut
+    for halfspace, _ in _facet_data(by):
         result = clip(result, halfspace)
         if result.is_empty:
             return result

@@ -8,7 +8,8 @@ ambient coordinates, with no facet offsets involved, so summing the cells
 checks `slval.triangulate.volume` by a different computation.
 
 Unlike `oracles.py` this module builds on slval's polytopes: it reads the
-facets of `slval.polytope` and the exact determinant of `slval.linalg`.
+facets of `slval.polytope` and the exact determinant and rank of
+`slval.linalg`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from slval.exactnum import ZERO, Scalar
-from slval.linalg import Matrix, Vector, affine_rank, det
+from slval.linalg import Matrix, Vector, det, matrix_rank
 from slval.polytope import EmptyPolytopeError, Polytope, _intersect_unchecked, dim, facets
+
+
+def affine_rank(points: Sequence[Vector]) -> int:
+    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
+    pts = list(points)
+    if not pts:
+        return -1
+    origin = pts[0]
+    return matrix_rank([list(p - origin) for p in pts[1:]])
 
 
 class Simplex:

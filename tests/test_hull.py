@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from slval import polytope
 from slval.exactnum import Scalar
 from slval.linalg import Vector
-from slval.polytope import Polytope, _edges, _facet_data, _frame, _supporting, from_points
+from slval.polytope import Polytope, _facet_data, _frame, _supporting, from_points
 
 from oracles import affine_frame, extreme_indices, facets_by_subsets
 
@@ -64,7 +64,6 @@ def assert_handover_matches_fresh(points):
     assert fresh._frame is None and fresh._facets is None
     assert _facet_data(P) == _facet_data(fresh)
     assert _frame(P) == _frame(fresh)
-    assert _edges(P) == _edges(fresh)
     return P
 
 
@@ -231,4 +230,3 @@ def test_convex_combinations_leave_the_hull(case):
     if polytope.dim(Q) >= 1:
         fresh = Polytope(P.ambient_dim, P.vertices)
         assert _facet_data(Q) == _facet_data(fresh)
-        assert _edges(Q) == _edges(fresh)

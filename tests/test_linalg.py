@@ -9,7 +9,6 @@ from slval.linalg import (
     Matrix,
     SingularMatrixError,
     Vector,
-    affine_rank,
     det,
     kernel_basis,
     matrix_rank,
@@ -17,6 +16,8 @@ from slval.linalg import (
     solve,
     solve_any,
 )
+
+from pulling import affine_rank
 
 
 def test_det_2x2():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slval.exactnum import FieldMismatchError, Scalar
@@ -11,7 +11,6 @@ from slval.polytope import (
     Halfspace,
     IncomparableHullsError,
     Polytope,
-    _edges,
     clip,
     cone_hull,
     contains,
@@ -24,6 +23,7 @@ from slval.polytope import (
     relint_contains_origin,
     to_json,
     transform,
+    translate,
     visible_facets,
 )
 
@@ -160,14 +160,17 @@ def test_clip_lower_dimensional():
     assert right == P2((0, 0), (1, 0))
 
 
-def test_straddling_clip_keeps_the_edges_on_the_polytope():
+def test_straddling_clip_cuts_only_edges():
+    # x + y + z = 3/2 also separates the ends of face and body diagonals,
+    # whose crossings lie inside the hexagonal section
     cube = from_points([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    assert cube._edges is None
     cut = clip(cube, Halfspace(V(1, 1, 1), Fraction(3, 2)))
+    half = Fraction(1, 2)
+    kept = [V(0, 0, 0), V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]
+    section = [V(1, half, 0), V(1, 0, half), V(half, 1, 0),
+               V(0, 1, half), V(half, 0, 1), V(0, half, 1)]
     assert len(cut.vertices) == 10
-    assert cube._edges is not None
-    assert cube._edges == _edges(Polytope(3, cube.vertices))
-    assert len(cube._edges) == 12
+    assert cut == from_points(kept + section)
 
 
 def test_cone_hull_cases():
@@ -298,3 +301,48 @@ def test_dim_and_relint_are_sl_invariant(raw, seed):
     image = transform(a, p)
     assert dim(image) == dim(p)
     assert relint_contains_origin(image) == relint_contains_origin(p)
+
+
+@st.composite
+def nested_pairs(draw):
+    """Two polytopes in R^3 or R^4 with nested affine hulls.
+
+    R is full-dimensional and F one of its facets.  P is R, a translate of
+    R, or a translate of F inside aff F; Q is F clipped by a random halfspace,
+    or a facet of that clip, so it may be flat of any dimension, a point or
+    empty.
+    """
+    n = draw(st.sampled_from([3, 4]))
+    coord = st.integers(-3, 3)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4, unique=True))
+    R = from_points([Vector(p) for p in raw])
+    assume(dim(R) == n)
+    F = draw(st.sampled_from([face for _, face in facets(R)]))
+    kind = draw(st.sampled_from(["full", "shifted", "flat"]))
+    if kind == "full":
+        P = R
+    elif kind == "shifted":
+        shift = draw(st.tuples(*[st.sampled_from([0, Fraction(1, 2), -1])] * n))
+        P = translate(R, Vector(shift))
+    else:
+        a, b = draw(st.permutations(F.vertices))[:2]
+        P = translate(F, (a - b).scale(Fraction(1, 2)))
+    normal = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    Q = clip(F, Halfspace(Vector(normal), draw(st.integers(-4, 4))))
+    if not Q.is_empty and dim(Q) >= 1 and draw(st.booleans()):
+        Q = draw(st.sampled_from([face for _, face in facets(Q)]))
+    return P, Q
+
+
+@given(nested_pairs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_intersect_of_nested_hulls(pair):
+    """Symmetric, canonical (a crossing off an edge is not extreme), inside
+    both operands, and keeping every vertex of one that lies in the other."""
+    P, Q = pair
+    meet = intersect(P, Q)
+    assert intersect(Q, P) == meet
+    assert meet == from_points(meet.vertices, P.ambient_dim)
+    assert all(contains(P, v) and contains(Q, v) for v in meet.vertices)
+    for A, B in ((P, Q), (Q, P)):
+        assert all(contains(meet, v) for v in A.vertices if contains(B, v))
