@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar
+from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar, as_scalar
 from .linalg import Matrix, Vector, det, random_sl_matrix, solve
 from .polytope import (
     Halfspace,
@@ -384,7 +384,7 @@ def usc_sequences(c0p: Scalar, d0: Scalar, s_values: list[Scalar]) -> dict:
     both read off basis_vector.
     Upper semicontinuity along a sequence needs value <= limit value.
     """
-    s_values = [Scalar._coerce(s) for s in s_values]
+    s_values = [as_scalar(s) for s in s_values]
     if not s_values:
         raise ValueError("need at least one scale")
     if any(s.sign() <= 0 for s in s_values):

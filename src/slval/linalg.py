@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import ONE, ZERO, Scalar, as_scalar
@@ -65,8 +66,12 @@ class Vector:
         return all(x.is_zero() for x in self.coords)
 
     def sort_key(self) -> tuple:
-        # lexicographic over exact coordinates; total because Scalar is ordered
-        return tuple((c.a, c.b) for c in self.coords)
+        # lexicographic over the exact (a, b) of each coordinate; an integer
+        # coefficient stays an int, which compares exactly with a Fraction
+        return tuple(
+            (c._qa, c._qb) if c._q == 1 else (Fraction(c._qa, c._q), Fraction(c._qb, c._q))
+            for c in self.coords
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.coords == other.coords

@@ -15,6 +15,15 @@ Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
 inserted in index order, so the result is deterministic, degenerate input
 needs no perturbation, and the cost grows with the number of facets rather
 than with the number of point subsets.
+
+Only polytopes built from bare points run that pass.  A derived polytope
+inherits its face data from its parent by exact arithmetic on the parent's
+frame and facet record: a facet of P (also when a clip leaves exactly
+that facet) derives its own on first use, from the ridges of P within it
+(Kaibel and Pfetsch, Comput. Geom. 23, 2002); a clip of a full-dimensional
+P, a translate and an SL image are handed theirs when they are built.
+Frame and facet record are canonical, so every hand-over equals what a
+fresh pass on the same vertices derives.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactnum import ZERO, Scalar, _check_discriminant, _merge_discriminants
+from .exactnum import ONE, ZERO, Scalar, _check_discriminant, _merge_discriminants, as_scalar
 from .linalg import (
     Matrix,
     Vector,
@@ -54,7 +63,7 @@ class Halfspace:
         if normal.is_zero():
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", Scalar._coerce(offset))
+        object.__setattr__(self, "offset", as_scalar(offset))
 
     def __setattr__(self, name, value):
         raise AttributeError("Halfspace is immutable")
@@ -84,10 +93,12 @@ class Polytope:
 
     Build through from_points unless the points are already known to be
     the extreme points; the constructor only sorts and deduplicates.  The
-    underscored slots hold derived data, None until first use.
+    underscored slots hold derived data, None until first use; `_parent`
+    is set on a facet of another polytope, to (that polytope's frame, its
+    facet record, the facet's index), from which the facet derives its own.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces")
+    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_parent")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -103,7 +114,7 @@ class Polytope:
         _common_discriminant(ordered)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "vertices", ordered)
-        for slot in ("_frame", "_facets", "_faces"):
+        for slot in ("_frame", "_facets", "_faces", "_parent"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -242,12 +253,16 @@ def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], .
     A reduced echelon form is unique, so both depend only on aff P.
     """
     if P._frame is None:
-        base = P.vertices[0]
-        reduced, pivots = _reduced_echelon([list(v - base) for v in P.vertices[1:]])
-        equalities = tuple(
-            (w, w.dot(base)) for w in _echelon_kernel(reduced, pivots, P.ambient_dim)
-        )
-        object.__setattr__(P, "_frame", (tuple(pivots), equalities))
+        if P._parent is not None:
+            frame = _facet_frame(*P._parent)
+        else:
+            base = P.vertices[0]
+            reduced, pivots = _reduced_echelon([list(v - base) for v in P.vertices[1:]])
+            equalities = tuple(
+                (w, w.dot(base)) for w in _echelon_kernel(reduced, pivots, P.ambient_dim)
+            )
+            frame = (tuple(pivots), equalities)
+        object.__setattr__(P, "_frame", frame)
     return P._frame
 
 
@@ -257,12 +272,16 @@ def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
 
     One double-description pass on the pivot coordinates, filled once; a
     normal lifts to R^n with zeros off the pivot columns, which agrees with
-    it on aff P and keeps its offset.
+    it on aff P and keeps its offset.  A facet of another polytope reads
+    its facets off that polytope's instead.
     """
     if P._facets is None:
         k = dim(P)
         if k < 1:
             raise ValueError("facet enumeration needs dim >= 1")
+        if P._parent is not None:
+            _fill_facets(P, _facet_ridges(*P._parent))
+            return P._facets
         pivots = _frame(P)[0]
         coords = [[v[c] for c in pivots] for v in P.vertices]
         items = []
@@ -273,6 +292,63 @@ def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
             items.append((Halfspace(Vector(lift), c), incident))
         _fill_facets(P, items)
     return P._facets
+
+
+def _pinned(h: Halfspace) -> tuple[int, Vector, Scalar]:
+    """The last nonzero column j of a facet normal, and the facet's
+    equality <w, x> = c scaled so that w[j] = 1."""
+    j = max(col for col, x in enumerate(h.normal) if not x.is_zero())
+    if h.normal[j].sign() > 0:
+        return j, h.normal, h.offset
+    return j, -h.normal, -h.offset
+
+
+def _facet_frame(frame, data, index: int):
+    """Frame of facet `index` of a polytope with this frame and facet record.
+
+    The facet's normal has its last nonzero entry on a pivot column j of
+    the polytope, so the facet's pivots are the polytope's without j.  Its
+    equalities are the polytope's, each cleared on column j by the facet's
+    own equality, plus that equality: one per free column, 1 there and 0 on
+    the other free columns, which is the echelon kernel of the facet.
+    """
+    pivots, equalities = frame
+    j, w, c = _pinned(data[index][0])
+    free = [col for col in range(len(w)) if col not in pivots]
+    rows = {j: (w, c)}
+    for col, (e, b) in zip(free, equalities):
+        f = e[j]
+        rows[col] = (e, b) if f.is_zero() else (e - w.scale(f), b - c * f)
+    return tuple(col for col in pivots if col != j), tuple(rows[col] for col in sorted(rows))
+
+
+def _facet_ridges(frame, data, index: int):
+    """Facet items of facet F = `index` of a polytope with this frame and
+    facet record, numbered in F's own vertex order.
+
+    The facets of F are the inclusion-maximal sets F ∩ G over the other
+    facets G; each lies in the hyperplane of G, which on aff F is G's
+    inequality cleared on F's dropped column j by F's equality.
+    """
+    k = len(frame[0])
+    j, w, c = _pinned(data[index][0])
+    incident = data[index][1]
+    meets: dict[frozenset[int], Halfspace] = {}
+    for g, (h, other) in enumerate(data):
+        common = incident & other
+        if g != index and len(common) >= k - 1 and common not in meets:
+            meets[common] = h
+    renumber = {old: new for new, old in enumerate(sorted(incident))}
+    items = []
+    for common, h in meets.items():
+        if any(common < larger for larger in meets):
+            continue
+        normal, offset = h.normal, h.offset
+        f = normal[j]
+        if not f.is_zero():
+            normal, offset = normal - w.scale(f), offset - c * f
+        items.append((Halfspace(*_canonical(normal, offset)), frozenset(renumber[i] for i in common)))
+    return items
 
 
 def _fill_facets(P: Polytope, items) -> None:
@@ -322,13 +398,18 @@ def dim(P: Polytope) -> int:
 
 
 def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
-    """All (dim-1)-faces as polytopes with their supporting halfspaces."""
+    """All (dim-1)-faces as polytopes with their supporting halfspaces.
+
+    Each facet is set to derive its own face data from P's.
+    """
     if P._faces is None:
-        faces = tuple(
-            (h, Polytope(P.ambient_dim, [P.vertices[i] for i in incident]))
-            for h, incident in _facet_data(P)
-        )
-        object.__setattr__(P, "_faces", faces)
+        frame, data = _frame(P), _facet_data(P)
+        faces = []
+        for index, (h, incident) in enumerate(data):
+            F = Polytope(P.ambient_dim, [P.vertices[i] for i in incident])
+            object.__setattr__(F, "_parent", (frame, data, index))
+            faces.append((h, F))
+        object.__setattr__(P, "_faces", tuple(faces))
     return P._faces
 
 
@@ -363,31 +444,65 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     straddling vertex pair is an edge iff the facets through both vertices
     share no third vertex (Kaibel and Pfetsch 2002); a segment is its own
     edge.
+
+    A cut that leaves exactly a facet of P returns that facet.  A cut of a
+    full-dimensional P through its interior is handed its facets: those of
+    P with a vertex strictly inside H, through their kept vertices and
+    their crossing points, and H itself, through the kept vertices on it
+    and every crossing point.
     """
     if P.is_empty:
         return P
-    if len(H.normal) != P.ambient_dim:
+    n = P.ambient_dim
+    if len(H.normal) != n:
         raise ValueError("halfspace dimension does not match the polytope")
     excesses = [H.excess(v) for v in P.vertices]
     signs = [e.sign() for e in excesses]
     if all(s <= 0 for s in signs):
         return P
-    kept = [v for v, s in zip(P.vertices, signs) if s <= 0]
+    kept = [i for i, s in enumerate(signs) if s <= 0]
     if not kept:
-        return Polytope.empty(P.ambient_dim)
-    incidences = [incident for _, incident in _facet_data(P)] if dim(P) > 1 else None
+        return Polytope.empty(n)
+    k = dim(P)
+    data = _facet_data(P) if k > 1 else None
+    if all(signs[i] == 0 for i in kept):
+        if data is not None:
+            face = frozenset(kept)
+            for index, (_, incident) in enumerate(data):
+                if incident == face:
+                    return facets(P)[index][1]
+        return Polytope(n, [P.vertices[i] for i in kept])
     crossing = []
+    through: list[list[int]] = []
     for i, j in combinations(range(len(signs)), 2):
         if signs[i] * signs[j] >= 0:
             continue
-        if incidences is not None:
-            shared = [inc for inc in incidences if i in inc and j in inc]
-            if not shared or len(frozenset.intersection(*shared)) != 2:
+        if data is not None:
+            shared = [g for g, (_, inc) in enumerate(data) if i in inc and j in inc]
+            if not shared or len(frozenset.intersection(*(data[g][1] for g in shared))) != 2:
                 continue
+            through.append(shared)
         vi, vj = P.vertices[i], P.vertices[j]
         t = excesses[i] / (excesses[i] - excesses[j])
         crossing.append(vi + (vj - vi).scale(t))
-    return Polytope(P.ambient_dim, kept + crossing)
+    Q = Polytope(n, [P.vertices[i] for i in kept] + crossing)
+    if k == n and data is not None:
+        position = {v: q for q, v in enumerate(Q.vertices)}
+        new = [position[v] for v in crossing]
+        on: list[list[int]] = [[] for _ in data]
+        for q, shared in zip(new, through):
+            for g in shared:
+                on[g].append(q)
+        items = [
+            (h, frozenset([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
+            for g, (h, incident) in enumerate(data)
+            if any(signs[i] < 0 for i in incident)
+        ]
+        cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
+        items.append((Halfspace(*_canonical(H.normal, H.offset)), frozenset(cut + new)))
+        object.__setattr__(Q, "_frame", _frame(P))
+        _fill_facets(Q, items)
+    return Q
 
 
 def cone_hull(P: Polytope) -> Polytope:
@@ -444,16 +559,51 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
 
 
 def transform(A: Matrix, P: Polytope) -> Polytope:
-    """Image under an invertible linear map; extreme points stay extreme."""
+    """Image under an invertible linear map; extreme points stay extreme.
+
+    The image of a full-dimensional P whose facets are known is handed
+    them: a normal w maps to A^-T w, re-canonicalized, and the incident
+    indices follow the vertices through the new sort.
+    """
     if det(A).is_zero():
         raise ValueError("transform needs an invertible matrix")
-    return Polytope(P.ambient_dim, [A @ v for v in P.vertices])
+    images = [A @ v for v in P.vertices]
+    Q = Polytope(P.ambient_dim, images)
+    if P._facets is not None and dim(P) == P.ambient_dim:
+        inverse_t = _inverse_transpose(A)
+        position = {v: q for q, v in enumerate(Q.vertices)}
+        moved = [position[v] for v in images]
+        items = [
+            (Halfspace(*_canonical(inverse_t @ h.normal, h.offset)),
+             frozenset(moved[i] for i in incident))
+            for h, incident in P._facets
+        ]
+        object.__setattr__(Q, "_frame", _frame(P))
+        _fill_facets(Q, items)
+    return Q
+
+
+def _inverse_transpose(A: Matrix) -> Matrix:
+    n = A.nrows
+    rows = [list(A.column(i)) + [ONE if r == i else ZERO for r in range(n)] for i in range(n)]
+    reduced, _ = _reduced_echelon(rows)
+    return Matrix(row[n:] for row in reduced)
 
 
 def translate(P: Polytope, t: Vector) -> Polytope:
+    """P + t.  A translation keeps the vertex order, so P's frame and facets,
+    where already known, carry over with their offsets shifted by <w, t>."""
     if len(t) != P.ambient_dim:
         raise ValueError("translation dimension does not match the polytope")
-    return Polytope(P.ambient_dim, [v + t for v in P.vertices])
+    Q = Polytope(P.ambient_dim, [v + t for v in P.vertices])
+    if P._frame is not None:
+        pivots, equalities = P._frame
+        object.__setattr__(Q, "_frame", (pivots, tuple((w, b + w.dot(t)) for w, b in equalities)))
+    if P._facets is not None:
+        shifted = tuple((Halfspace(h.normal, h.offset + h.normal.dot(t)), incident)
+                        for h, incident in P._facets)
+        object.__setattr__(Q, "_facets", shifted)
+    return Q
 
 
 # -- serialization -------------------------------------------------------

@@ -31,6 +31,7 @@ from .exactnum import (
     Linear,
     RationalPart,
     Scalar,
+    as_scalar,
     cauchy_eval,
 )
 from .polytope import (
@@ -90,9 +91,9 @@ class ClassifiedValuation:
     def linear(cls, c0, c0p, cn, d0, dn) -> ClassifiedValuation:
         """Measurable case: psi and phi are plain linear maps."""
         return cls(
-            c0=Scalar._coerce(c0),
-            c0p=Scalar._coerce(c0p),
-            d0=Scalar._coerce(d0),
+            c0=as_scalar(c0),
+            c0p=as_scalar(c0p),
+            d0=as_scalar(d0),
             psi=Linear(cn),
             phi=Linear(dn),
         )

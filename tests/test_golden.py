@@ -27,7 +27,7 @@ with open(os.path.join(BENCH_DIR, "expected.json")) as _fh:
     EXPECTED = json.load(_fh)
 
 
-@pytest.mark.parametrize("key", ["2:0", "2:1", "3:0", "4:0"])
+@pytest.mark.parametrize("key", ["2:0", "2:1", "3:0", "3:1", "4:0", "4:1"])
 def test_verify_lines(key, capsys):
     stratum, index = key.split(":")
     assert cli.main(verify_argv(stratum, int(index))) == 0
@@ -42,7 +42,7 @@ def test_surd_union(stratum, count):
         assert digest(text) == EXPECTED["surd_union"][f"{stratum}:{index}"], index
 
 
-@pytest.mark.parametrize("key", ["2x40:0", "2x40:1", "3x24:0", "4x12:0"])
+@pytest.mark.parametrize("key", ["2x40:0", "2x40:1", "3x24:0", "3x40:0", "4x12:0", "4x20:0"])
 def test_hull_wide(key, tmp_path, capsys):
     stratum, index = key.split(":")
     files = HullFiles(str(tmp_path))

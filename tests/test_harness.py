@@ -286,6 +286,10 @@ class TestUscSequences:
         with pytest.raises(ValueError):
             usc_sequences(Scalar(1), Scalar(0), [Scalar(-1)])
 
+    def test_float_scale_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            usc_sequences(Scalar(1), Scalar(1), [0.5])
+
 
 class TestSuite:
     def test_default_suite_passes(self):

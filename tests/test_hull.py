@@ -2,6 +2,9 @@
 
 The oracle in `oracles.py` tests the hyperplane through every k-subset of
 the points in plain Fractions, so it shares no code with `polytope`.
+Derived polytopes (facets, clips, translates, SL images) inherit their
+face data instead of running the pass; their tests compare with a fresh
+pass on the same vertices and count the passes run.
 """
 
 import random
@@ -13,9 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slval import polytope
-from slval.exactnum import Scalar
-from slval.linalg import Vector
-from slval.polytope import Polytope, _facet_data, _frame, _supporting, from_points
+from slval.exactnum import Linear, RationalPart, Scalar
+from slval.linalg import Matrix, Vector, random_sl_matrix
+from slval.polytope import (
+    Halfspace,
+    Polytope,
+    _facet_data,
+    _frame,
+    _supporting,
+    clip,
+    facets,
+    from_points,
+    transform,
+    translate,
+)
+from slval.triangulate import volume
+from slval.valuation import ClassifiedValuation, evaluate, evaluate_union
 
 from oracles import affine_frame, extreme_indices, facets_by_subsets
 
@@ -230,3 +246,118 @@ def test_convex_combinations_leave_the_hull(case):
     if polytope.dim(Q) >= 1:
         fresh = Polytope(P.ambient_dim, P.vertices)
         assert _facet_data(Q) == _facet_data(fresh)
+
+
+def assert_inherits_at_every_depth(P):
+    """P and every face of P, down to the vertices, hold the frame and facets
+    a fresh polytope on the same vertices derives for itself."""
+    fresh = Polytope(P.ambient_dim, P.vertices)
+    assert _frame(P) == _frame(fresh)
+    if polytope.dim(P) >= 1:
+        assert _facet_data(P) == _facet_data(fresh)
+        for _, F in facets(P):
+            assert_inherits_at_every_depth(F)
+
+
+ROOT2 = Scalar.sqrt_of(2)
+
+
+@st.composite
+def derived_from(draw):
+    """A hull in R^2, R^3 or R^4 (flat in R^4, or sheared over Q(sqrt 2), in
+    some draws), a cut through it, a translation and an SL matrix."""
+    kind = draw(st.sampled_from(["cloud", "flat", "surd"]))
+    n = 4 if kind == "flat" else draw(st.sampled_from([2, 3, 4]))
+    coord = st.integers(-2, 2)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4, unique=True))
+    points = as_scalars(raw)
+    if kind == "flat":
+        points = [p[:3] + [p[0] - 2 * p[1] + 1] for p in points]
+    elif kind == "surd":
+        points = [[x + ROOT2 * y for x, y in zip(p, p[1:] + [Scalar(0)])] for p in points]
+    P = from_points(points)
+    u = Vector(draw(st.tuples(*[coord] * n).filter(any)))
+    values = [u.dot(v) for v in P.vertices]
+    a, b = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+    c = a + (b - a) * draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)]))
+    t = Vector(draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * n)))
+    A = random_sl_matrix(draw(st.integers(0, 1000)), n, 4)
+    return P, Halfspace(u, c), t, A
+
+
+@given(derived_from())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_derived_face_data_equals_a_fresh_pass(case):
+    P, H, t, A = case
+    assert_inherits_at_every_depth(P)
+    for near, far in ((H, H.complement()), (H.complement(), H)):
+        Q = clip(P, near)
+        if not Q.is_empty:
+            assert_inherits_at_every_depth(Q)
+            # the face that the opposite cut leaves on the cut hyperplane
+            face = clip(Q, far)
+            if not face.is_empty:
+                assert_inherits_at_every_depth(face)
+    assert_inherits_at_every_depth(translate(P, t))
+    assert_inherits_at_every_depth(transform(A, P))
+
+
+def test_derived_polytopes_are_handed_their_facets():
+    """Clips through the interior, a translate and an SL image come with
+    their facets; the cut that leaves a facet returns that facet.
+
+    The cut x + y + z <= 1 passes through three vertices of the cube, and
+    each of the facets x = 1, y = 1 and z = 1 meets it in one vertex only,
+    which makes no facet of the cut."""
+    cube = from_points([Vector(p) for p in product(range(2), repeat=3)])
+    derived = [clip(cube, Halfspace(Vector([1, 1, 1]), c)) for c in (Fraction(3, 2), 1)]
+    derived += [translate(cube, Vector([1, 0, -1])), transform(random_sl_matrix(5, 3, 4), cube)]
+    for Q in derived:
+        assert Q._facets is not None
+        assert _facet_data(Q) == _facet_data(Polytope(3, Q.vertices))
+    assert len(_facet_data(derived[1])) == 4
+    top = clip(cube, Halfspace(Vector([0, 0, -1]), -1))
+    assert top._parent is not None and top._facets is None
+    assert top == from_points([Vector([x, y, 1]) for x in range(2) for y in range(2)])
+
+
+def count_passes(monkeypatch):
+    calls = []
+    real = polytope._supporting
+
+    def counting(coords, k):
+        calls.append(k)
+        return real(coords, k)
+
+    monkeypatch.setattr(polytope, "_supporting", counting)
+    return calls
+
+
+def test_derived_polytopes_run_no_hull_pass(monkeypatch):
+    """Only from_points runs a double-description pass.  A slab split of a
+    polytope over Q(sqrt 2) checked by inclusion-exclusion, and the volume
+    of the unit 4-cube, whose faces are cubes at every depth, run none."""
+    calls = count_passes(monkeypatch)
+    rng = random.Random(8)
+    while True:
+        points = [Vector([Scalar(rng.randint(-3, 3)) + ROOT2 * rng.randint(-2, 2)
+                          for _ in range(3)]) for _ in range(6)]
+        P = from_points(points)
+        if polytope.dim(P) == 3:
+            break
+    u = Vector([1, -2, 1])
+    values = [u.dot(v) for v in P.vertices]
+    low, high = min(values), max(values)
+    c1, c2 = low + (high - low) * Fraction(1, 4), low + (high - low) * Fraction(5, 8)
+    calls.clear()
+    slabs = [clip(P, Halfspace(u, c1)),
+             clip(clip(P, Halfspace(-u, -c1)), Halfspace(u, c2)),
+             clip(P, Halfspace(-u, -c2))]
+    V = ClassifiedValuation(Scalar(1), Scalar(2), Scalar(4), psi=RationalPart(), phi=Linear(5))
+    assert evaluate_union(V, slabs) == evaluate(V, P)
+    assert calls == []
+
+    cube = from_points([Vector(p) for p in product(range(2), repeat=4)])
+    # uncached, so that the recursion over every face runs here
+    assert volume.__wrapped__(cube) == Scalar(1)
+    assert calls == [4]

@@ -142,6 +142,11 @@ def test_facet_inequalities_of_triangle():
         assert any(_matches(h, normal, offset) for h in halfspaces)
 
 
+def test_halfspace_rejects_a_float_offset():
+    with pytest.raises(TypeError):
+        Halfspace(V(1, 0), 0.5)
+
+
 def test_clip_square_in_half():
     sq = P2((0, 0), (1, 0), (0, 1), (1, 1))
     left = clip(sq, Halfspace(V(1, 0), Fraction(1, 2)))

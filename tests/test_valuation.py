@@ -112,6 +112,15 @@ def test_evaluate_single_terms():
     assert evaluate(only_vol, TRIANGLE) == Scalar(shoelace_area([(1, 0), (2, 0), (1, 1)]))
 
 
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_linear_rejects_a_float_coefficient(position):
+    """c0, c0p and d0 are coerced at the boundary, as cn and dn are."""
+    coefficients = [0, 0, 0, 0, 0]
+    coefficients[position] = 0.5
+    with pytest.raises(TypeError):
+        ClassifiedValuation.linear(*coefficients)
+
+
 def test_evaluate_empty_is_zero():
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     assert evaluate(v, Polytope.empty(2)) == Scalar(0)
