@@ -17,13 +17,15 @@ needs no perturbation, and the cost grows with the number of facets rather
 than with the number of point subsets.
 
 Only polytopes built from bare points run that pass.  A derived polytope
-inherits its face data from its parent by exact arithmetic on the parent's
-frame and facet record: a facet of P (also when a clip leaves exactly
-that facet) derives its own on first use, from the ridges of P within it
-(Kaibel and Pfetsch, Comput. Geom. 23, 2002); a clip of a full-dimensional
-P, a translate and an SL image are handed theirs when they are built.
-Frame and facet record are canonical, so every hand-over equals what a
-fresh pass on the same vertices derives.
+of any dimension inherits its face data from its parent by exact
+arithmetic on the parent's frame and facet record: a facet of P (also
+when a clip leaves exactly that facet) derives its own on first use, from
+the ridges of P within it (Kaibel and Pfetsch, Comput. Geom. 23, 2002); a
+clip through P, a translate and an SL image are handed theirs when they
+are built.  A halfspace becomes a facet of a flat polytope in the form a
+fresh pass gives, cleared on the free columns by the frame's equalities.
+A point has no facets.  Frame and facet record are canonical, so every
+hand-over equals what a fresh pass on the same vertices derives.
 """
 
 from __future__ import annotations
@@ -268,39 +270,43 @@ def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], .
 
 def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
     """Supporting halfspace and incident vertex index set of every facet,
-    sorted by incident indices.
+    sorted by incident indices; a point has none.
 
     One double-description pass on the pivot coordinates, filled once; a
     normal lifts to R^n with zeros off the pivot columns, which agrees with
-    it on aff P and keeps its offset.  A facet of another polytope reads
-    its facets off that polytope's instead.
+    it on aff P and keeps its offset.  A facet of another polytope, of any
+    dimension, reads its facets off that polytope's instead.
     """
     if P._facets is None:
-        k = dim(P)
-        if k < 1:
-            raise ValueError("facet enumeration needs dim >= 1")
-        if P._parent is not None:
-            _fill_facets(P, _facet_ridges(*P._parent))
-            return P._facets
-        pivots = _frame(P)[0]
-        coords = [[v[c] for c in pivots] for v in P.vertices]
-        items = []
-        for incident, (w, c) in _supporting(coords, k).items():
-            lift = [ZERO] * P.ambient_dim
-            for col, x in zip(pivots, w):
-                lift[col] = x
-            items.append((Halfspace(Vector(lift), c), incident))
+        frame = _frame(P)
+        pivots = frame[0]
+        if not pivots:
+            items = ()
+        elif P._parent is not None:
+            items = _facet_ridges(frame, *P._parent[1:])
+        else:
+            coords = [[v[c] for c in pivots] for v in P.vertices]
+            items = []
+            for incident, (w, c) in _supporting(coords, len(pivots)).items():
+                lift = [ZERO] * P.ambient_dim
+                for col, x in zip(pivots, w):
+                    lift[col] = x
+                items.append((Halfspace(Vector(lift), c), incident))
         _fill_facets(P, items)
     return P._facets
 
 
-def _pinned(h: Halfspace) -> tuple[int, Vector, Scalar]:
-    """The last nonzero column j of a facet normal, and the facet's
-    equality <w, x> = c scaled so that w[j] = 1."""
-    j = max(col for col, x in enumerate(h.normal) if not x.is_zero())
-    if h.normal[j].sign() > 0:
-        return j, h.normal, h.offset
-    return j, -h.normal, -h.offset
+def _restricted(frame, w: Vector, c: Scalar) -> Halfspace:
+    """The halfspace <w, x> <= c on the affine hull with this frame, in the
+    form a fresh pass gives: w cleared on each free column by the frame
+    equality that is 1 there, then canonical."""
+    pivots, equalities = frame
+    free = [col for col in range(len(w)) if col not in pivots]
+    for col, (e, b) in zip(free, equalities):
+        f = w[col]
+        if not f.is_zero():
+            w, c = w - e.scale(f), c - b * f
+    return Halfspace(*_canonical(w, c))
 
 
 def _facet_frame(frame, data, index: int):
@@ -309,11 +315,14 @@ def _facet_frame(frame, data, index: int):
     The facet's normal has its last nonzero entry on a pivot column j of
     the polytope, so the facet's pivots are the polytope's without j.  Its
     equalities are the polytope's, each cleared on column j by the facet's
-    own equality, plus that equality: one per free column, 1 there and 0 on
-    the other free columns, which is the echelon kernel of the facet.
+    own equality scaled to 1 there, plus that equality: one per free
+    column, 1 there and 0 on the other free columns, which is the echelon
+    kernel of the facet.
     """
     pivots, equalities = frame
-    j, w, c = _pinned(data[index][0])
+    h = data[index][0]
+    j = max(col for col, x in enumerate(h.normal) if not x.is_zero())
+    w, c = (h.normal, h.offset) if h.normal[j].sign() > 0 else (-h.normal, -h.offset)
     free = [col for col in range(len(w)) if col not in pivots]
     rows = {j: (w, c)}
     for col, (e, b) in zip(free, equalities):
@@ -322,33 +331,26 @@ def _facet_frame(frame, data, index: int):
     return tuple(col for col in pivots if col != j), tuple(rows[col] for col in sorted(rows))
 
 
-def _facet_ridges(frame, data, index: int):
-    """Facet items of facet F = `index` of a polytope with this frame and
-    facet record, numbered in F's own vertex order.
+def _facet_ridges(own_frame, data, index: int):
+    """Facet items of facet F = `index` of a polytope with this facet
+    record, in F's own frame and vertex order.
 
     The facets of F are the inclusion-maximal sets F ∩ G over the other
-    facets G; each lies in the hyperplane of G, which on aff F is G's
-    inequality cleared on F's dropped column j by F's equality.
+    facets G; each lies in the hyperplane of G, restricted to aff F.
     """
-    k = len(frame[0])
-    j, w, c = _pinned(data[index][0])
+    k = len(own_frame[0])
     incident = data[index][1]
     meets: dict[frozenset[int], Halfspace] = {}
     for g, (h, other) in enumerate(data):
         common = incident & other
-        if g != index and len(common) >= k - 1 and common not in meets:
+        if g != index and len(common) >= k and common not in meets:
             meets[common] = h
     renumber = {old: new for new, old in enumerate(sorted(incident))}
-    items = []
-    for common, h in meets.items():
-        if any(common < larger for larger in meets):
-            continue
-        normal, offset = h.normal, h.offset
-        f = normal[j]
-        if not f.is_zero():
-            normal, offset = normal - w.scale(f), offset - c * f
-        items.append((Halfspace(*_canonical(normal, offset)), frozenset(renumber[i] for i in common)))
-    return items
+    return [
+        (_restricted(own_frame, h.normal, h.offset), frozenset(renumber[i] for i in common))
+        for common, h in meets.items()
+        if not any(common < larger for larger in meets)
+    ]
 
 
 def _fill_facets(P: Polytope, items) -> None:
@@ -374,14 +376,13 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
     raw = Polytope(n, pts)
-    if dim(raw) == 0:
-        return raw
     data = _facet_data(raw)
     through: list[list[frozenset[int]]] = [[] for _ in raw.vertices]
     for _, incident in data:
         for i in incident:
             through[i].append(incident)
-    keep = [i for i, sets in enumerate(through) if sets and len(frozenset.intersection(*sets)) == 1]
+    everything = frozenset(range(len(raw.vertices)))
+    keep = [i for i, sets in enumerate(through) if len(everything.intersection(*sets)) == 1]
     if len(keep) == len(raw.vertices):
         return raw
     P = Polytope(n, [raw.vertices[i] for i in keep])
@@ -427,13 +428,13 @@ def in_affine_hull(P: Polytope, x: Vector) -> bool:
 def contains(P: Polytope, x: Vector) -> bool:
     if not in_affine_hull(P, x):
         return False
-    return dim(P) == 0 or all(h.excess(x).sign() <= 0 for h, _ in _facet_data(P))
+    return all(h.excess(x).sign() <= 0 for h, _ in _facet_data(P))
 
 
 def relint_contains_origin(P: Polytope) -> bool:
     if not in_affine_hull(P, origin(P.ambient_dim)):
         return False
-    return dim(P) == 0 or all(h.offset.sign() > 0 for h, _ in _facet_data(P))
+    return all(h.offset.sign() > 0 for h, _ in _facet_data(P))
 
 
 def clip(P: Polytope, H: Halfspace) -> Polytope:
@@ -441,15 +442,16 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
 
     Kept vertices stay extreme, and a straddling edge meets the cut
     hyperplane in a single new vertex, so the result needs no pruning.  A
-    straddling vertex pair is an edge iff the facets through both vertices
-    share no third vertex (Kaibel and Pfetsch 2002); a segment is its own
-    edge.
+    straddling vertex pair is an edge iff the vertices on every facet
+    through both are exactly the pair (Kaibel and Pfetsch 2002); no facet
+    of a segment passes through both its vertices, so all are left.
 
-    A cut that leaves exactly a facet of P returns that facet.  A cut of a
-    full-dimensional P through its interior is handed its facets: those of
-    P with a vertex strictly inside H, through their kept vertices and
-    their crossing points, and H itself, through the kept vertices on it
-    and every crossing point.
+    A cut that leaves exactly a facet of P returns that facet, and one that
+    leaves a smaller face returns its bare points.  A cut with a vertex
+    strictly inside H has the affine hull of P, so it is handed P's frame
+    and its facets: those of P with a vertex strictly inside H, through
+    their kept vertices and their crossing points, and H restricted to aff
+    P, through the kept vertices on it and every crossing point.
     """
     if P.is_empty:
         return P
@@ -463,45 +465,42 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     kept = [i for i, s in enumerate(signs) if s <= 0]
     if not kept:
         return Polytope.empty(n)
-    k = dim(P)
-    data = _facet_data(P) if k > 1 else None
+    data = _facet_data(P)
     if all(signs[i] == 0 for i in kept):
-        if data is not None:
-            face = frozenset(kept)
-            for index, (_, incident) in enumerate(data):
-                if incident == face:
-                    return facets(P)[index][1]
+        face = frozenset(kept)
+        for index, (_, incident) in enumerate(data):
+            if incident == face:
+                return facets(P)[index][1]
         return Polytope(n, [P.vertices[i] for i in kept])
+    everything = frozenset(range(len(signs)))
     crossing = []
     through: list[list[int]] = []
     for i, j in combinations(range(len(signs)), 2):
         if signs[i] * signs[j] >= 0:
             continue
-        if data is not None:
-            shared = [g for g, (_, inc) in enumerate(data) if i in inc and j in inc]
-            if not shared or len(frozenset.intersection(*(data[g][1] for g in shared))) != 2:
-                continue
-            through.append(shared)
+        shared = [g for g, (_, inc) in enumerate(data) if i in inc and j in inc]
+        if len(everything.intersection(*(data[g][1] for g in shared))) != 2:
+            continue
+        through.append(shared)
         vi, vj = P.vertices[i], P.vertices[j]
         t = excesses[i] / (excesses[i] - excesses[j])
         crossing.append(vi + (vj - vi).scale(t))
     Q = Polytope(n, [P.vertices[i] for i in kept] + crossing)
-    if k == n and data is not None:
-        position = {v: q for q, v in enumerate(Q.vertices)}
-        new = [position[v] for v in crossing]
-        on: list[list[int]] = [[] for _ in data]
-        for q, shared in zip(new, through):
-            for g in shared:
-                on[g].append(q)
-        items = [
-            (h, frozenset([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
-            for g, (h, incident) in enumerate(data)
-            if any(signs[i] < 0 for i in incident)
-        ]
-        cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
-        items.append((Halfspace(*_canonical(H.normal, H.offset)), frozenset(cut + new)))
-        object.__setattr__(Q, "_frame", _frame(P))
-        _fill_facets(Q, items)
+    position = {v: q for q, v in enumerate(Q.vertices)}
+    new = [position[v] for v in crossing]
+    on: list[list[int]] = [[] for _ in data]
+    for q, shared in zip(new, through):
+        for g in shared:
+            on[g].append(q)
+    items = [
+        (h, frozenset([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
+        for g, (h, incident) in enumerate(data)
+        if any(signs[i] < 0 for i in incident)
+    ]
+    cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
+    items.append((_restricted(_frame(P), H.normal, H.offset), frozenset(cut + new)))
+    object.__setattr__(Q, "_frame", _frame(P))
+    _fill_facets(Q, items)
     return Q
 
 
@@ -530,15 +529,17 @@ def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
     """P and Q, whose affine hulls are nested, cut one by the other.
 
     The operand of lower dimension lies in the other's affine hull, where
-    the other's lifted facet halfspaces define it.
+    the other's lifted facet halfspaces define it.  A clip by one of the
+    cut operand's own facet halfspaces returns it, so those are skipped.
     """
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
     cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
-    if dim(by) == 0:
-        return cut if cut == by else Polytope.empty(P.ambient_dim)
+    own = {h for h, _ in _facet_data(cut)}
     result = cut
     for halfspace, _ in _facet_data(by):
+        if halfspace in own:
+            continue
         result = clip(result, halfspace)
         if result.is_empty:
             return result
@@ -561,25 +562,24 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
 def transform(A: Matrix, P: Polytope) -> Polytope:
     """Image under an invertible linear map; extreme points stay extreme.
 
-    The image of a full-dimensional P whose facets are known is handed
-    them: a normal w maps to A^-T w, re-canonicalized, and the incident
+    The image is handed P's facets, derived first if need be: a normal w
+    maps to A^-T w, restricted to the image's own frame, and the incident
     indices follow the vertices through the new sort.
     """
     if det(A).is_zero():
         raise ValueError("transform needs an invertible matrix")
+    if P.is_empty:
+        return P
     images = [A @ v for v in P.vertices]
     Q = Polytope(P.ambient_dim, images)
-    if P._facets is not None and dim(P) == P.ambient_dim:
-        inverse_t = _inverse_transpose(A)
-        position = {v: q for q, v in enumerate(Q.vertices)}
-        moved = [position[v] for v in images]
-        items = [
-            (Halfspace(*_canonical(inverse_t @ h.normal, h.offset)),
-             frozenset(moved[i] for i in incident))
-            for h, incident in P._facets
-        ]
-        object.__setattr__(Q, "_frame", _frame(P))
-        _fill_facets(Q, items)
+    inverse_t = _inverse_transpose(A)
+    frame = _frame(Q)
+    position = {v: q for q, v in enumerate(Q.vertices)}
+    moved = [position[v] for v in images]
+    _fill_facets(Q, [
+        (_restricted(frame, inverse_t @ h.normal, h.offset), frozenset(moved[i] for i in incident))
+        for h, incident in _facet_data(P)
+    ])
     return Q
 
 
@@ -592,17 +592,17 @@ def _inverse_transpose(A: Matrix) -> Matrix:
 
 def translate(P: Polytope, t: Vector) -> Polytope:
     """P + t.  A translation keeps the vertex order, so P's frame and facets,
-    where already known, carry over with their offsets shifted by <w, t>."""
+    derived first if need be, carry over with their offsets shifted by
+    <w, t>."""
     if len(t) != P.ambient_dim:
         raise ValueError("translation dimension does not match the polytope")
+    if P.is_empty:
+        return P
     Q = Polytope(P.ambient_dim, [v + t for v in P.vertices])
-    if P._frame is not None:
-        pivots, equalities = P._frame
-        object.__setattr__(Q, "_frame", (pivots, tuple((w, b + w.dot(t)) for w, b in equalities)))
-    if P._facets is not None:
-        shifted = tuple((Halfspace(h.normal, h.offset + h.normal.dot(t)), incident)
-                        for h, incident in P._facets)
-        object.__setattr__(Q, "_facets", shifted)
+    pivots, equalities = _frame(P)
+    object.__setattr__(Q, "_frame", (pivots, tuple((w, b + w.dot(t)) for w, b in equalities)))
+    object.__setattr__(Q, "_facets", tuple((Halfspace(h.normal, h.offset + h.normal.dot(t)), incident)
+                                           for h, incident in _facet_data(P)))
     return Q
 
 
@@ -619,9 +619,10 @@ def to_json(P: Polytope) -> dict:
 
 def from_json(obj: dict) -> Polytope:
     try:
-        n = int(obj["ambient_dim"])
-        d = _check_discriminant(int(obj["field_d"]))
-        raw = obj["vertices"]
+        n, d, raw = obj["ambient_dim"], obj["field_d"], obj["vertices"]
+        if type(n) is not int or type(d) is not int:
+            raise ValueError("ambient_dim and field_d must be JSON integers")
+        d = _check_discriminant(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad polytope object: {exc}") from None
     points = []

@@ -63,7 +63,7 @@ def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     n, k = P.ambient_dim, dim(P)
     vol = volume(P)
     on_hull = in_affine_hull(P, origin(n))
-    signs = [h.offset.sign() for h, _ in _facet_data(P)] if k and on_hull else []
+    signs = [h.offset.sign() for h, _ in _facet_data(P)] if on_hull else []
     relint = on_hull and all(s > 0 for s in signs)
     inside = on_hull and all(s >= 0 for s in signs)
     if k == n:

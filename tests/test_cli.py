@@ -24,6 +24,8 @@ def linear_valuation(c0="0", c0p="0", cn="0", d0="0", dn="0"):
 
 ORIGIN_POINT = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0"]]}
 VERTICAL_SEGMENT = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "-1"], ["0", "1"]]}
+TRIANGLE = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0"], ["1", "0"], ["0", "5"]]}
+SEGMENT = {"ambient_dim": 1, "field_d": 0, "vertices": [["0"], ["5"]]}
 
 
 class TestValuate:
@@ -96,6 +98,18 @@ class TestValuate:
             "valuate",
             "--in", write_json(tmp_path / "p.json", square_root_field),
             "--valuation", write_json(tmp_path / "v.json", linear_valuation(c0="1")),
+        ])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("obj, field, value", [
+        (TRIANGLE, "ambient_dim", 2.7), (SEGMENT, "ambient_dim", True), (TRIANGLE, "field_d", 2.9),
+    ])
+    def test_non_integer_dimension_exits_2(self, obj, field, value, tmp_path, capsys):
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", dict(obj, **{field: value})),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation(dn="1")),
         ])
         assert code == 2
         assert capsys.readouterr().out == ""

@@ -361,3 +361,58 @@ def test_derived_polytopes_run_no_hull_pass(monkeypatch):
     # uncached, so that the recursion over every face runs here
     assert volume.__wrapped__(cube) == Scalar(1)
     assert calls == [4]
+
+
+def test_flat_and_low_dimensional_derivations_run_no_hull_pass(monkeypatch):
+    """A clip of a flat square in R^3, its SL image, a clip of a segment and
+    a translate of a facet not yet derived are handed their face data, so
+    only from_points runs a pass.  The cut x + y + z <= 4 is x + y <= 3 on
+    the square's plane z = 1, and the cut x + 2y <= 3 is x <= 1 on the
+    segment's line y = x: a cut is restricted to the affine hull before it
+    becomes a facet."""
+    calls = count_passes(monkeypatch)
+    square = from_points([Vector([x, y, 1]) for x in (0, 2) for y in (0, 2)])
+    segment = from_points([Vector([0, 0]), Vector([2, 2])])
+    cube = from_points([Vector(p) for p in product(range(2), repeat=3)])
+    calls.clear()
+    cut = clip(square, Halfspace(Vector([1, 1, 0]), 3))
+    derived = [
+        cut,
+        clip(square, Halfspace(Vector([1, 1, 1]), 4)),
+        transform(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), cut),
+        clip(segment, Halfspace(Vector([1, 2]), 3)),
+        translate(facets(cube)[0][1], Vector([Fraction(1, 2), 0, 3])),
+    ]
+    records = [_facet_data(Q) for Q in derived]
+    assert calls == []
+    assert derived[0] == derived[1] and len(records[0]) == 5
+    assert derived[3] == from_points([Vector([0, 0]), Vector([1, 1])])
+    for Q, record in zip(derived, records):
+        assert Q == from_points(Q.vertices)
+        assert record == _facet_data(Polytope(Q.ambient_dim, Q.vertices))
+
+
+def test_a_point_has_no_facets():
+    point = from_points([Vector([1, 2, 3])] * 2)
+    assert point.vertices == (Vector([1, 2, 3]),)
+    assert facets(point) == () and _facet_data(point) == ()
+    (_, end), _ = facets(from_points([Vector([0, 0]), Vector([2, 2])]))
+    assert facets(end) == () and polytope.contains(end, Vector([0, 0]))
+
+
+def test_intersect_skips_the_facets_of_its_operand(monkeypatch):
+    """Two slabs of a square meet in their common edge; of the second
+    slab's four facets, two are facets of the first and cannot cut it."""
+    square = from_points([Vector([x, y]) for x in (0, 2) for y in (0, 2)])
+    left = clip(square, Halfspace(Vector([1, 0]), 1))
+    right = clip(square, Halfspace(Vector([-1, 0]), -1))
+    calls = []
+    real = polytope.clip
+
+    def counting(P, H):
+        calls.append(H)
+        return real(P, H)
+
+    monkeypatch.setattr(polytope, "clip", counting)
+    assert polytope.intersect(left, right) == from_points([Vector([1, 0]), Vector([1, 2])])
+    assert len(calls) == 2

@@ -275,6 +275,21 @@ def test_json_rejects_bad_objects():
         from_json({"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0+1*sqrt(2)"]]})
 
 
+TRIANGLE_JSON = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0"], ["1", "0"], ["0", "5"]]}
+SEGMENT_JSON = {"ambient_dim": 1, "field_d": 0, "vertices": [["0"], ["5"]]}
+
+
+@pytest.mark.parametrize("obj, field, value", [
+    (TRIANGLE_JSON, "ambient_dim", 2.7), (SEGMENT_JSON, "ambient_dim", True),
+    (TRIANGLE_JSON, "ambient_dim", "2"), (TRIANGLE_JSON, "field_d", 2.9),
+])
+def test_json_accepts_only_integer_dimensions(obj, field, value):
+    """A float, bool or string is never truncated into an ambient
+    dimension or field, even where the truncated value would load."""
+    with pytest.raises(ValueError, match="JSON integers"):
+        from_json(dict(obj, **{field: value}))
+
+
 coords_st = st.integers(min_value=-4, max_value=4)
 points_st = st.lists(
     st.tuples(coords_st, coords_st), min_size=1, max_size=8
