@@ -12,7 +12,7 @@ is an error: one run of the pipeline works in one field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 import re
 
@@ -59,6 +59,19 @@ def _surd_sign(A: int, B: int, d: int) -> int:
     if (A > 0) == (B > 0):
         return 1 if A > 0 else -1
     return (1 if A > 0 else -1) if A * A > d * B * B else (1 if B > 0 else -1)
+
+
+def _integer_rows(rows) -> tuple[list[list[tuple[int, int]]], int, int]:
+    """Rows of Scalars as rows of integer pairs (A, B), meaning A + B*sqrt(d),
+    over one positive common denominator L; returns (pair rows, L, d).
+    A rational entry is the pair (A, 0), whatever d is."""
+    d, L = 0, 1
+    for row in rows:
+        for x in row:
+            if x.d != d:
+                d = _merge_discriminants(d, x.d)
+            L = lcm(L, x._q)
+    return [[(x._qa * (L // x._q), x._qb * (L // x._q)) for x in row] for row in rows], L, d
 
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
@@ -296,14 +309,11 @@ class Scalar:
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ScalarParseError(f"bad scalar literal: {text!r}")
-        a = Fraction(m.group("a"))
-        if m.group("b") is None:
-            return cls(a)
-        b = Fraction(m.group("b"))
-        if m.group("sign") == "-":
-            b = -b
         try:
-            return cls(a, b, int(m.group("d")))
+            a, b = Fraction(m.group("a")), Fraction(m.group("b")) if m.group("b") else 0
+            return cls(a, -b if m.group("sign") == "-" else b, int(m.group("d") or 0))
+        except ZeroDivisionError:
+            raise ScalarParseError(f"zero denominator in scalar literal: {text!r}") from None
         except ValueError as exc:
             raise ScalarParseError(str(exc)) from None
 

@@ -1,12 +1,18 @@
-"""Exact vectors, matrices, and elimination over the scalar field."""
+"""Exact vectors, matrices, and elimination over the scalar field.
+
+Elimination is fraction-free (Bareiss 1968), on pairs (A, B) of ints
+meaning A + B*sqrt(d); Scalars are built only from the finished form.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, ZERO, Scalar, as_scalar
+from .exactnum import ONE, ZERO, Scalar, _integer_rows, as_scalar
 
 
 class SingularMatrixError(ValueError):
@@ -23,16 +29,23 @@ class Vector:
     def __init__(self, coords: Iterable) -> None:
         object.__setattr__(self, "coords", tuple(as_scalar(c) for c in coords))
 
+    @classmethod
+    def _of(cls, coords: tuple[Scalar, ...]) -> Vector:
+        """Trusted constructor for a tuple of Scalars just built: no coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", coords)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
     @classmethod
     def zero(cls, n: int) -> Vector:
-        return cls([ZERO] * n)
+        return cls._of((ZERO,) * n)
 
     @classmethod
     def basis(cls, n: int, i: int) -> Vector:
-        return cls([ONE if j == i else ZERO for j in range(n)])
+        return cls._of(tuple(ONE if j == i else ZERO for j in range(n)))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -44,17 +57,17 @@ class Vector:
         return self.coords[i]
 
     def __add__(self, other: Vector) -> Vector:
-        return Vector(x + y for x, y in zip(self.coords, other.coords, strict=True))
+        return Vector._of(tuple(x + y for x, y in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other: Vector) -> Vector:
-        return Vector(x - y for x, y in zip(self.coords, other.coords, strict=True))
+        return Vector._of(tuple(x - y for x, y in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> Vector:
-        return Vector(-x for x in self.coords)
+        return Vector._of(tuple(-x for x in self.coords))
 
     def scale(self, factor) -> Vector:
         factor = as_scalar(factor)
-        return Vector(factor * x for x in self.coords)
+        return Vector._of(tuple(factor * x for x in self.coords))
 
     def dot(self, other: Vector) -> Scalar:
         acc = ZERO
@@ -113,7 +126,7 @@ class Matrix:
         return Vector(self.rows[i])
 
     def column(self, j: int) -> Vector:
-        return Vector(r[j] for r in self.rows)
+        return Vector._of(tuple(r[j] for r in self.rows))
 
     def transpose(self) -> Matrix:
         return Matrix(zip(*self.rows)) if self.rows else Matrix([])
@@ -122,12 +135,12 @@ class Matrix:
         if isinstance(other, Vector):
             if self.ncols != len(other):
                 raise ValueError("shape mismatch")
-            return Vector(Vector(r).dot(other) for r in self.rows)
+            return Vector._of(tuple(Vector._of(r).dot(other) for r in self.rows))
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
             cols = [other.column(j) for j in range(other.ncols)]
-            return Matrix([[Vector(r).dot(c) for c in cols] for r in self.rows])
+            return Matrix([[Vector._of(r).dot(c) for c in cols] for r in self.rows])
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -168,27 +181,97 @@ def det(matrix: Matrix) -> Scalar:
     return result if sign > 0 else -result
 
 
-def _reduced_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+# -- fraction-free elimination on pairs (A, B) of ints, meaning A + B*sqrt(d)
+
+
+def _pair_dot(x, y, d: int) -> tuple[int, int]:
+    A = B = 0
+    for (xa, xb), (ya, yb) in zip(x, y):
+        A += xa * ya + d * xb * yb
+        B += xa * yb + xb * ya
+    return A, B
+
+
+def _pair_mul(x, y, d: int) -> tuple[int, int]:
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _primitive(x: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """x divided by the gcd of its integers, which is positive."""
+    g = gcd(*chain.from_iterable(x))
+    return [(a // g, b // g) for a, b in x] if g > 1 else x
+
+
+def _combine(x, p, y, f, d: int) -> list[tuple[int, int]]:
+    """x*p - y*f entrywise, made primitive."""
+    pa, pb = p
+    fa, fb = f
+    return _primitive([(xa * pa + d * xb * pb - ya * fa - d * yb * fb,
+                        xa * pb + xb * pa - ya * fb - yb * fa) for (xa, xb), (ya, yb) in zip(x, y)])
+
+
+def _eliminate(rows, d: int) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Fraction-free Gauss-Jordan over Z[sqrt d]: the nonzero rows of a form
+    spanning the same row space, and their pivot columns.
+
+    Row i is nonzero at pivot column c_i and zero at every other pivot
+    column; it is not divided by its pivot.  A row is cleared on column c by
+    row*p - pivot_row*f, with p the pivot and f the row's entry there, and
+    made primitive.
+    """
+    rows = list(rows)
     m = len(rows)
-    ncols = len(rows[0]) if m else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
+    for c in range(len(rows[0]) if m else 0):
+        r = len(pivots)
+        pick = next((i for i in range(r, m) if rows[i][c] != (0, 0)), None)
+        if pick is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
+        rows[r], rows[pick] = rows[pick], rows[r]
+        top = rows[r]
         for i in range(m):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != (0, 0):
+                rows[i] = _combine(rows[i], top[c], top, f, d)
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    return rows, pivots
+    return rows[:len(pivots)], pivots
+
+
+def _pair_kernel(rows, pivots: list[int], d: int) -> list[tuple[int, int]]:
+    """The kernel vector, made primitive, of an `_eliminate` form with one
+    free column f: x_f is the product of the pivots p_i, and x on pivot
+    column c_i is -a_i times the product of the other pivots, a_i being row
+    i's entry on f."""
+    free = next(c for c in range(len(pivots) + 1) if c not in pivots)
+    x = [(0, 0)] * (len(pivots) + 1)
+    x[free] = (1, 0)
+    for row, c in zip(rows, pivots):
+        a_times_q = _pair_mul(row[free], x[free], d)
+        x = [_pair_mul(e, row[c], d) for e in x]
+        x[c] = (-a_times_q[0], -a_times_q[1])
+    return _primitive(x)
+
+
+def _reduced_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced echelon form (zero rows last) and pivot columns.
+
+    The form depends only on the row space, so the rows are scaled to
+    integers and made primitive, eliminated by `_eliminate`, and each pivot
+    row is divided by its pivot once at the end.
+    """
+    ints, _, d = _integer_rows(rows)
+    reduced, pivots = _eliminate([_primitive(row) for row in ints], d)
+    out = []
+    for row, c in zip(reduced, pivots):
+        # x / p = x * conj(p) / norm(p)
+        pa, pb = row[c]
+        norm = pa * pa - d * pb * pb
+        out.append([Scalar._make(xa * pa - d * xb * pb, xb * pa - xa * pb, norm, d)
+                    if xa or xb else ZERO for xa, xb in row])
+    ncols = len(rows[0]) if rows else 0
+    return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence] | Matrix) -> int:
@@ -212,7 +295,7 @@ def solve(matrix: Matrix, rhs: Vector) -> Vector:
     main_pivots = [c for c in pivots if c < n]
     if len(main_pivots) < n:
         raise SingularMatrixError(len(main_pivots))
-    return Vector(reduced[i][n] for i in range(n))
+    return Vector._of(tuple(reduced[i][n] for i in range(n)))
 
 
 def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Scalar] | None:
@@ -248,7 +331,7 @@ def _echelon_kernel(reduced: list[list[Scalar]], pivots: list[int], ncols: int) 
         coords[fc] = ONE
         for r, pc in enumerate(pivots):
             coords[pc] = -reduced[r][fc]
-        basis.append(Vector(coords))
+        basis.append(Vector._of(tuple(coords)))
     return basis
 
 

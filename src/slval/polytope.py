@@ -14,7 +14,9 @@ from an exact double-description pass (Motzkin, Raiffa, Thompson and
 Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
 inserted in index order, so the result is deterministic, degenerate input
 needs no perturbation, and the cost grows with the number of facets rather
-than with the number of point subsets.
+than with the number of point subsets.  The pass runs on plain integers in
+Z[sqrt d] over one common denominator: its rays are gcd-reduced integer
+vectors, and Scalars are built only for its output, by `_canonical`.
 
 Only polytopes built from bare points run that pass.  A derived polytope
 of any dimension inherits its face data from its parent by exact
@@ -33,16 +35,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, ZERO, Scalar, _check_discriminant, _merge_discriminants, as_scalar
-from .linalg import (
-    Matrix,
-    Vector,
-    _echelon_kernel,
-    _reduced_echelon,
-    det,
-    kernel_basis,
-    matrix_rank,
-)
+from .exactnum import (ONE, ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
+                       _surd_sign, as_scalar)
+from .linalg import (Matrix, Vector, _combine, _echelon_kernel, _eliminate, _pair_dot, _pair_kernel,
+                     _reduced_echelon, det)
 
 
 class EmptyPolytopeError(ValueError):
@@ -165,21 +161,6 @@ def origin(n: int) -> Vector:
 # -- derived data ----------------------------------------------------------
 
 
-def _first_simplex(pts: Sequence[Vector], k: int) -> list[int]:
-    """Index 0 and the indices whose point raises the affine rank, in index
-    order, until the rank reaches k."""
-    chosen = [0]
-    rows: list[list[Scalar]] = []
-    for i in range(1, len(pts)):
-        delta = list(pts[i] - pts[0])
-        if matrix_rank(rows + [delta]) > len(rows):
-            rows.append(delta)
-            chosen.append(i)
-            if len(rows) == k:
-                break
-    return chosen
-
-
 def _canonical(w: Vector, c: Scalar) -> tuple[Vector, Scalar]:
     """Positive rescaling that makes the last nonzero coordinate of w +-1."""
     last = next(x for x in reversed(w.coords) if not x.is_zero())
@@ -192,61 +173,66 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
 
     Returns {incident index frozenset: (normal w, offset c)} with
     <w, x> <= c valid on every point, equality exactly on the incident
-    points, and the last nonzero coordinate of w equal to +-1 (the
-    reduced-echelon kernel vector of the facet's points, oriented outward).
+    points, and the last nonzero coordinate of w equal to +-1.
 
-    Double description: each facet is a ray (w, c, Z) of the cone of
-    valid inequalities, Z the bitmask of tight points inserted so far.
-    The facets of a simplex on the first affinely independent points seed
-    the rays; every other point is then inserted in index order.  Rays it
+    Double description in Z[sqrt d]: the points are scaled by one common
+    denominator L (one for all, since they are affine) and read as
+    integer pairs x' = (L x, -1).  Each facet is a ray (r, Z) of the cone
+    of valid inequalities: r = (w', c') a gcd-reduced integer vector with
+    <r, x'> <= 0 on every point, Z the bitmask of tight points inserted so
+    far.  The facets of a simplex on the first affinely independent points
+    (the pivot columns of the x' as columns) seed the rays: each is the
+    kernel vector of its k points, oriented by its sign at the opposite
+    point.  Every other point is then inserted in index order.  Rays it
     violates are dropped, and each violated ray is combined with every
     adjacent satisfied ray into the ray tight at the new point.  Two rays
     are adjacent iff their common tight set has at least k - 1 points and
-    lies in no third ray's tight set.
+    lies in no third ray's tight set.  Scalars are built only for the
+    output, where `_canonical` runs once per facet on (w', c' / L).
     """
-    pts = [Vector(c) for c in coords]
-    simplex = _first_simplex(pts, k)
-    rays: list[tuple[Vector, Scalar, int]] = []
+    ints, L, d = _integer_rows(coords)
+    pts = [row + [(-1, 0)] for row in ints]
+    _, simplex = _eliminate([list(column) for column in zip(*pts)], d)
+    rays: list[tuple[list[tuple[int, int]], int]] = []
     for j in simplex:
         face = [i for i in simplex if i != j]
-        first = pts[face[0]]
-        (w,) = kernel_basis([list(pts[i] - first) for i in face[1:]], k)
-        c = w.dot(first)
-        if (w.dot(pts[j]) - c).sign() > 0:
-            w, c = -w, -c
-        rays.append((w, c, sum(1 << i for i in face)))
+        r = _pair_kernel(*_eliminate([pts[i] for i in face], d), d)
+        if _surd_sign(*_pair_dot(r, pts[j], d), d) > 0:
+            r = [(-a, -b) for a, b in r]
+        rays.append((r, sum(1 << i for i in face)))
     skip = set(simplex)
     for i, p in enumerate(pts):
         if i in skip:
             continue
         bit = 1 << i
         violated, satisfied, kept = [], [], []
-        for w, c, z in rays:
-            excess = w.dot(p) - c
-            s = excess.sign()
+        for r, z in rays:
+            excess = _pair_dot(r, p, d)
+            s = _surd_sign(*excess, d)
             if s > 0:
-                violated.append((w, c, z, excess))
+                violated.append((r, z, excess))
             elif s < 0:
-                kept.append((w, c, z))
-                satisfied.append((w, c, z, excess))
+                kept.append((r, z))
+                satisfied.append((r, z, excess))
             else:
-                kept.append((w, c, z | bit))
-        masks = [z for _, _, z in rays]
-        for wv, cv, zv, ev in violated:
-            for ws, cs, zs, es in satisfied:
+                kept.append((r, z | bit))
+        masks = [z for _, z in rays]
+        for rv, zv, ev in violated:
+            for rs, zs, es in satisfied:
                 common = zv & zs
                 if common.bit_count() < k - 1:
                     continue
                 if any(z & common == common for z in masks if z != zv and z != zs):
                     continue
                 # ev > 0 > es: the positive combination tight at p
-                w, c = _canonical(ws.scale(ev) - wv.scale(es), cs * ev - cv * es)
-                kept.append((w, c, common | bit))
+                kept.append((_combine(rs, ev, rv, es, d), common | bit))
         rays = kept
-    return {
-        frozenset(i for i in range(len(pts)) if z >> i & 1): (w, c)
-        for w, c, z in rays
-    }
+    out = {}
+    for r, z in rays:
+        w = Vector._of(tuple(Scalar._make(a, b, 1, d) for a, b in r[:k]))
+        incident = frozenset(i for i in range(len(pts)) if z >> i & 1)
+        out[incident] = _canonical(w, Scalar._make(*r[k], L, d))
+    return out
 
 
 def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], ...]]:
@@ -291,7 +277,7 @@ def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
                 lift = [ZERO] * P.ambient_dim
                 for col, x in zip(pivots, w):
                     lift[col] = x
-                items.append((Halfspace(Vector(lift), c), incident))
+                items.append((Halfspace(Vector._of(tuple(lift)), c), incident))
         _fill_facets(P, items)
     return P._facets
 

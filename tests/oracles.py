@@ -4,7 +4,9 @@ Everything here works on tuples of Fractions and never touches the package
 under test, so derived constants in the test suite come from a second,
 unrelated computation.  The plane helpers use a monotone chain; the
 facet oracle for any dimension is the brute-force scan over all k-subsets
-of the points, with its own Gaussian elimination.
+of the points, with its own Gaussian elimination.  `rref_root2` is a
+Gauss-Jordan over Q(sqrt 2) on Fraction pairs, the oracle of the
+fraction-free elimination in `linalg`.
 """
 
 from fractions import Fraction
@@ -82,6 +84,43 @@ def _rref(rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def rref_root2(rows):
+    """Reduced row echelon form over Q(sqrt 2) and its pivot columns.
+
+    An entry is a pair (a, b) of Fractions meaning a + b*sqrt(2); a
+    rational matrix has every b = 0.  Plain Gauss-Jordan with field
+    division: each pivot row is divided by its pivot as soon as it is
+    chosen.  Zero rows end up last.
+    """
+    def mul(x, y):
+        return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def inverse(x):
+        norm = x[0] * x[0] - 2 * x[1] * x[1]
+        return (x[0] / norm, -x[1] / norm)
+
+    zero = (Fraction(0), Fraction(0))
+    rows = [[(Fraction(a), Fraction(b)) for a, b in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        scale = inverse(rows[r][c])
+        rows[r] = [mul(scale, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [(x[0] - g[0], x[1] - g[1])
+                           for x, g in zip(rows[i], (mul(f, y) for y in rows[r]))]
         pivots.append(c)
         r += 1
     return rows, pivots

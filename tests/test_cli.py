@@ -102,6 +102,24 @@ class TestValuate:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    def test_zero_denominator_vertex_exits_2(self, tmp_path, capsys):
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", dict(SEGMENT, vertices=[["0"], ["1/0"]])),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation(c0="1")),
+        ])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_zero_denominator_coefficient_exits_2(self, tmp_path, capsys):
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", ORIGIN_POINT),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation(c0="1/0")),
+        ])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     @pytest.mark.parametrize("obj, field, value", [
         (TRIANGLE, "ambient_dim", 2.7), (SEGMENT, "ambient_dim", True), (TRIANGLE, "field_d", 2.9),
     ])
@@ -181,6 +199,20 @@ class TestFit:
             "fit", "--oracle-cmd", f"{sys.executable} {oracle}", "--cases", "5",
         ])
         assert code == 3
+
+    def test_zero_denominator_oracle_value_exits_3(self, tmp_path, capsys):
+        oracle = tmp_path / "oracle.py"
+        oracle.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip():\n"
+            "        print('1/0')\n"
+        )
+        code = main([
+            "fit", "--oracle-cmd", f"{sys.executable} {oracle}", "--cases", "5",
+        ])
+        assert code == 3
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_non_valuation_blackbox_exits_1(self, tmp_path, capsys):
         # answers depend on nothing but line parity, so no classified

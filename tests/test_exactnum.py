@@ -104,8 +104,16 @@ def test_parse_and_str_round_trip():
 
 def test_parse_rejects_garbage():
     for text in ["", "1 + 2", "sqrt(2)", "1/0", "1+2*sqrt(-3)", "1.5", "1+2*sqrt(4)"]:
-        with pytest.raises((ScalarParseError, ZeroDivisionError)):
+        with pytest.raises(ScalarParseError):
             Scalar.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-0/0", "1+1/0*sqrt(2)", "3/0-1*sqrt(5)"])
+def test_parse_rejects_a_zero_denominator(text):
+    """A zero denominator in either coefficient is a parse error, which
+    every input boundary maps to its exit code, not a ZeroDivisionError."""
+    with pytest.raises(ScalarParseError, match="zero denominator"):
+        Scalar.parse(text)
 
 
 def test_str_is_canonical():

@@ -9,6 +9,7 @@ from slval.linalg import (
     Matrix,
     SingularMatrixError,
     Vector,
+    _reduced_echelon,
     det,
     kernel_basis,
     matrix_rank,
@@ -17,6 +18,7 @@ from slval.linalg import (
     solve_any,
 )
 
+from oracles import rref_root2
 from pulling import affine_rank
 
 
@@ -88,6 +90,18 @@ def test_affine_rank_cases():
     assert affine_rank([]) == -1
 
 
+def test_vector_coerces_and_rejects_floats():
+    """The public constructor coerces exact rationals and rejects floats;
+    the results of vector arithmetic hold Scalars as well."""
+    v = Vector([1, Fraction(1, 2)])
+    assert all(type(x) is Scalar for x in v)
+    with pytest.raises(TypeError):
+        Vector([1, 0.5])
+    for w in (v + v, v - v, -v, v.scale(3), v.scale(Fraction(2, 3))):
+        assert all(type(x) is Scalar for x in w) and len(w) == 2
+    assert v + v == v.scale(2) == Vector([2, 1])
+
+
 def test_matmul_vector():
     m = Matrix([[1, 2], [3, 4]])
     assert m @ Vector([1, 1]) == Vector([3, 7])
@@ -135,3 +149,38 @@ def test_solve_round_trip(rows, rhs):
         assert err.rank == matrix_rank(m) < 3
         return
     assert m @ x == Vector(rhs)
+
+
+@st.composite
+def echelon_cases(draw):
+    """A rational or Q(sqrt 2) matrix of up to 6 x 5 entries with
+    denominators up to 10^6, whose rows are fresh, zero, repeated or a
+    combination of earlier rows, so shapes of every rank occur."""
+    surd = draw(st.booleans())
+    ncols = draw(st.integers(1, 5))
+    coefficient = st.fractions(-9, 9, max_denominator=10**6)
+    entry = st.tuples(coefficient, coefficient if surd else st.just(Fraction(0)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "zero", "repeat", "combination"]),
+                              min_size=1, max_size=6)):
+        if kind == "zero":
+            rows.append([(Fraction(0), Fraction(0))] * ncols)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(coefficient)
+            rows.append([(s * a + t * c, s * b + t * e) for (a, b), (c, e) in zip(x, y)])
+    return rows, 2 if surd else 0
+
+
+@given(echelon_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_reduced_echelon_matches_a_fraction_oracle(case):
+    rows, d = case
+    reduced, pivots = _reduced_echelon([[Scalar(a, b, d) for a, b in row] for row in rows])
+    expected, expected_pivots = rref_root2(rows)
+    assert pivots == expected_pivots
+    assert [[(x.a, x.b) for x in row] for row in reduced] == expected
