@@ -62,10 +62,6 @@ class SplitCase:
         """Left and right meet only in the shared cutting hyperplane."""
         return (self.hyperplane.offset + self.opposite.offset).is_zero()
 
-    @property
-    def through_origin(self) -> bool:
-        return self.is_classic and self.hyperplane.offset.is_zero()
-
 
 @dataclass(frozen=True)
 class FitReport:

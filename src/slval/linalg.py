@@ -1,7 +1,10 @@
 """Exact vectors, matrices, and elimination over the scalar field.
 
-Elimination is fraction-free (Bareiss 1968), on pairs (A, B) of ints
-meaning A + B*sqrt(d); Scalars are built only from the finished form.
+There is one elimination, `_eliminate`: a fraction-free Gauss-Jordan
+(Bareiss 1968) on pairs (A, B) of ints meaning A + B*sqrt(d), which leaves
+one common pivot D on every pivot row.  Determinants, kernels, reduced
+echelon forms and solutions are read off that form; Scalars are built only
+from it, by one division by D.
 """
 
 from __future__ import annotations
@@ -155,30 +158,17 @@ class Matrix:
 
 
 def det(matrix: Matrix) -> Scalar:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: +-D / L^n, D the common pivot `_eliminate` leaves on the
+    rows scaled by their common denominator L.  A 1 x 1 determinant, the
+    length of an edge in a volume recursion, is its entry."""
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return ONE
-    a = [list(row) for row in matrix.rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
+    if n == 1:
+        return matrix.rows[0][0]
+    ints, L, d = _integer_rows(matrix.rows)
+    _, pivots, sign, (Da, Db) = _eliminate(ints, d)
+    return Scalar._make(sign * Da, sign * Db, L ** n, d) if len(pivots) == n else ZERO
 
 
 # -- fraction-free elimination on pairs (A, B) of ints, meaning A + B*sqrt(d)
@@ -192,97 +182,108 @@ def _pair_dot(x, y, d: int) -> tuple[int, int]:
     return A, B
 
 
-def _pair_mul(x, y, d: int) -> tuple[int, int]:
-    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
 def _primitive(x: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """x divided by the gcd of its integers, which is positive."""
     g = gcd(*chain.from_iterable(x))
     return [(a // g, b // g) for a, b in x] if g > 1 else x
 
 
-def _combine(x, p, y, f, d: int) -> list[tuple[int, int]]:
-    """x*p - y*f entrywise, made primitive."""
+def _cross(x, p, y, f, d: int) -> list[tuple[int, int]]:
+    """x*p - y*f entrywise."""
     pa, pb = p
     fa, fb = f
-    return _primitive([(xa * pa + d * xb * pb - ya * fa - d * yb * fb,
-                        xa * pb + xb * pa - ya * fb - yb * fa) for (xa, xb), (ya, yb) in zip(x, y)])
+    return [(xa * pa + d * xb * pb - ya * fa - d * yb * fb,
+             xa * pb + xb * pa - ya * fb - yb * fa) for (xa, xb), (ya, yb) in zip(x, y)]
 
 
-def _eliminate(rows, d: int) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """Fraction-free Gauss-Jordan over Z[sqrt d]: the nonzero rows of a form
-    spanning the same row space, and their pivot columns.
+def _combine(x, p, y, f, d: int) -> list[tuple[int, int]]:
+    """x*p - y*f entrywise, made primitive."""
+    return _primitive(_cross(x, p, y, f, d))
 
-    Row i is nonzero at pivot column c_i and zero at every other pivot
-    column; it is not divided by its pivot.  A row is cleared on column c by
-    row*p - pivot_row*f, with p the pivot and f the row's entry there, and
-    made primitive.
+
+def _rationalized(x, q: tuple[int, int], d: int) -> tuple[list[tuple[int, int]], int]:
+    """(x', n) with x / q = x' / n and n an integer: x * conj(q) over the
+    norm of q, or x over q itself if q is rational."""
+    qa, qb = q
+    if not qb:
+        return x, qa
+    return [(a * qa - d * b * qb, b * qa - a * qb) for a, b in x], qa * qa - d * qb * qb
+
+
+def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
+    """Fraction-free Gauss-Jordan over Z[sqrt d] (Bareiss 1968).
+
+    Returns the nonzero rows of a form spanning the same row space, their
+    pivot columns, the sign of the row swaps, and the common pivot D (1 if
+    there is none).  A row is cleared on pivot column c by
+    (row*p - pivot_row*f) / q, with p the pivot, f the row's entry on c and
+    q the previous pivot; every other row takes the same step.  Each entry
+    is then a minor of the input, so the division is exact.  Row i ends
+    with D, the determinant of the pivot minor, on its pivot column c_i
+    and zero on every other pivot column.
     """
     rows = list(rows)
     m = len(rows)
     pivots: list[int] = []
+    sign = 1
+    q = (1, 0)
     for c in range(len(rows[0]) if m else 0):
         r = len(pivots)
         pick = next((i for i in range(r, m) if rows[i][c] != (0, 0)), None)
         if pick is None:
             continue
-        rows[r], rows[pick] = rows[pick], rows[r]
+        if pick != r:
+            rows[r], rows[pick] = rows[pick], rows[r]
+            sign = -sign
         top = rows[r]
+        p = top[c]
         for i in range(m):
-            f = rows[i][c]
-            if i != r and f != (0, 0):
-                rows[i] = _combine(rows[i], top[c], top, f, d)
+            if i != r:
+                x, n = _rationalized(_cross(rows[i], p, top, rows[i][c], d), q, d)
+                rows[i] = [(a // n, b // n) for a, b in x] if n != 1 else x
+        q = p
         pivots.append(c)
         if len(pivots) == m:
             break
-    return rows[:len(pivots)], pivots
+    return rows[:len(pivots)], pivots, sign, q
 
 
-def _pair_kernel(rows, pivots: list[int], d: int) -> list[tuple[int, int]]:
-    """The kernel vector, made primitive, of an `_eliminate` form with one
-    free column f: x_f is the product of the pivots p_i, and x on pivot
-    column c_i is -a_i times the product of the other pivots, a_i being row
-    i's entry on f."""
-    free = next(c for c in range(len(pivots) + 1) if c not in pivots)
-    x = [(0, 0)] * (len(pivots) + 1)
-    x[free] = (1, 0)
-    for row, c in zip(rows, pivots):
-        a_times_q = _pair_mul(row[free], x[free], d)
-        x = [_pair_mul(e, row[c], d) for e in x]
-        x[c] = (-a_times_q[0], -a_times_q[1])
-    return _primitive(x)
+def _kernel(rows, pivots: list[int], D: tuple[int, int], ncols: int) -> list[list]:
+    """Right kernel basis of an `_eliminate` form, one vector per free column
+    f: D on f, 0 on the other free columns and -a_i on pivot column c_i, a_i
+    being row i's entry on f."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [(0, 0)] * ncols
+        x[f] = D
+        for row, c in zip(rows, pivots):
+            x[c] = (-row[f][0], -row[f][1])
+        basis.append(x)
+    return basis
+
+
+def _over(x: list[tuple[int, int]], D: tuple[int, int], d: int) -> list[Scalar]:
+    """The Scalars x / D, for integer pairs x and a nonzero pair D."""
+    x, n = _rationalized(x, D, d)
+    return [Scalar._make(a, b, n, d) if a or b else ZERO for a, b in x]
 
 
 def _reduced_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced echelon form (zero rows last) and pivot columns.
-
-    The form depends only on the row space, so the rows are scaled to
-    integers and made primitive, eliminated by `_eliminate`, and each pivot
-    row is divided by its pivot once at the end.
-    """
+    """Reduced echelon form (zero rows last) and pivot columns: the
+    `_eliminate` form of the rows scaled to integers, divided by D."""
     ints, _, d = _integer_rows(rows)
-    reduced, pivots = _eliminate([_primitive(row) for row in ints], d)
-    out = []
-    for row, c in zip(reduced, pivots):
-        # x / p = x * conj(p) / norm(p)
-        pa, pb = row[c]
-        norm = pa * pa - d * pb * pb
-        out.append([Scalar._make(xa * pa - d * xb * pb, xb * pa - xa * pb, norm, d)
-                    if xa or xb else ZERO for xa, xb in row])
+    reduced, pivots, _, D = _eliminate(ints, d)
+    out = [_over(row, D, d) for row in reduced]
     ncols = len(rows[0]) if rows else 0
     return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence] | Matrix) -> int:
-    if isinstance(rows, Matrix):
-        data = [list(r) for r in rows.rows]
-    else:
-        data = [[as_scalar(x) for x in row] for row in rows]
-    if not data:
-        return 0
-    _, pivots = _reduced_echelon(data)
-    return len(pivots)
+    data = rows.rows if isinstance(rows, Matrix) else [[as_scalar(x) for x in row] for row in rows]
+    ints, _, d = _integer_rows(data)
+    return len(_eliminate(ints, d)[1])
 
 
 def solve(matrix: Matrix, rhs: Vector) -> Vector:
@@ -315,24 +316,11 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Scalar] | None:
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
-    """Basis of the right kernel of the given row list."""
-    data = [[as_scalar(x) for x in row] for row in rows]
-    return _echelon_kernel(*_reduced_echelon(data), ncols)
-
-
-def _echelon_kernel(reduced: list[list[Scalar]], pivots: list[int], ncols: int) -> list[Vector]:
-    """Kernel basis read off a reduced echelon form: one vector per free
+    """Basis of the right kernel of the given row list: one vector per free
     column, 1 there and 0 on the other free columns."""
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        coords = [ZERO] * ncols
-        coords[fc] = ONE
-        for r, pc in enumerate(pivots):
-            coords[pc] = -reduced[r][fc]
-        basis.append(Vector._of(tuple(coords)))
-    return basis
+    ints, _, d = _integer_rows([[as_scalar(x) for x in row] for row in rows])
+    form, pivots, _, D = _eliminate(ints, d)
+    return [Vector._of(tuple(_over(x, D, d))) for x in _kernel(form, pivots, D, ncols)]
 
 
 def random_sl_matrix(seed: int, n: int, steps: int, bound: int = 5) -> Matrix:

@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 
 from .exactnum import (ONE, ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
                        _surd_sign, as_scalar)
-from .linalg import (Matrix, Vector, _combine, _echelon_kernel, _eliminate, _pair_dot, _pair_kernel,
-                     _reduced_echelon, det)
+from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _eliminate, _kernel, _over,
+                     _pair_dot, _primitive, _reduced_echelon)
 
 
 class EmptyPolytopeError(ValueError):
@@ -68,9 +68,6 @@ class Halfspace:
 
     def excess(self, x: Vector) -> Scalar:
         return self.normal.dot(x) - self.offset
-
-    def complement(self) -> Halfspace:
-        return Halfspace(-self.normal, -self.offset)
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,22 +178,26 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
     of valid inequalities: r = (w', c') a gcd-reduced integer vector with
     <r, x'> <= 0 on every point, Z the bitmask of tight points inserted so
     far.  The facets of a simplex on the first affinely independent points
-    (the pivot columns of the x' as columns) seed the rays: each is the
-    kernel vector of its k points, oriented by its sign at the opposite
-    point.  Every other point is then inserted in index order.  Rays it
-    violates are dropped, and each violated ray is combined with every
-    adjacent satisfied ray into the ray tight at the new point.  Two rays
-    are adjacent iff their common tight set has at least k - 1 points and
-    lies in no third ray's tight set.  Scalars are built only for the
+    (the pivot columns of `_eliminate` on the x' as columns) seed the rays.
+    Each is read off the `_eliminate` form of its k points, which has one
+    free column f and common pivot D: D on f and -a_i on pivot column c_i,
+    a_i being row i's entry on f; it is made primitive and oriented by its
+    sign at the opposite point.  Every other point is then inserted in
+    index order.  Rays it violates are dropped, and each violated ray is
+    combined with every adjacent satisfied ray into the ray tight at the
+    new point.  Two rays are adjacent iff their common tight set has at
+    least k - 1 points and lies in no third ray's tight set.  Scalars are built only for the
     output, where `_canonical` runs once per facet on (w', c' / L).
     """
     ints, L, d = _integer_rows(coords)
     pts = [row + [(-1, 0)] for row in ints]
-    _, simplex = _eliminate([list(column) for column in zip(*pts)], d)
+    simplex = _eliminate([list(column) for column in zip(*pts)], d)[1]
     rays: list[tuple[list[tuple[int, int]], int]] = []
     for j in simplex:
         face = [i for i in simplex if i != j]
-        r = _pair_kernel(*_eliminate([pts[i] for i in face], d), d)
+        form, pivots, _, D = _eliminate([pts[i] for i in face], d)
+        (r,) = _kernel(form, pivots, D, k + 1)
+        r = _primitive(r)
         if _surd_sign(*_pair_dot(r, pts[j], d), d) > 0:
             r = [(-a, -b) for a, b in r]
         rays.append((r, sum(1 << i for i in face)))
@@ -238,18 +239,22 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
 def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], ...]]:
     """Pivot columns of aff P and the equalities <w, x> = b pinning it.
 
-    A reduced echelon form is unique, so both depend only on aff P.
+    Both are read off the `_eliminate` form of the integer differences
+    v - v0 over one common denominator L: w is a kernel vector x / D, and
+    b = <x, L v0> / (D L).  A reduced echelon form is unique, so both depend
+    only on aff P.
     """
     if P._frame is None:
         if P._parent is not None:
             frame = _facet_frame(*P._parent)
         else:
-            base = P.vertices[0]
-            reduced, pivots = _reduced_echelon([list(v - base) for v in P.vertices[1:]])
-            equalities = tuple(
-                (w, w.dot(base)) for w in _echelon_kernel(reduced, pivots, P.ambient_dim)
-            )
-            frame = (tuple(pivots), equalities)
+            (base, *rest), L, d = _integer_rows(P.vertices)
+            form, pivots, _, D = _eliminate(
+                [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(v, base)] for v in rest], d)
+            kernel = _kernel(form, pivots, D, P.ambient_dim)
+            offsets = _over([_pair_dot(x, base, d) for x in kernel], (D[0] * L, D[1] * L), d)
+            normals = [Vector._of(tuple(_over(x, D, d))) for x in kernel]
+            frame = (tuple(pivots), tuple(zip(normals, offsets)))
         object.__setattr__(P, "_frame", frame)
     return P._frame
 
@@ -550,15 +555,17 @@ def transform(A: Matrix, P: Polytope) -> Polytope:
 
     The image is handed P's facets, derived first if need be: a normal w
     maps to A^-T w, restricted to the image's own frame, and the incident
-    indices follow the vertices through the new sort.
+    indices follow the vertices through the new sort.  A full-dimensional
+    image is handed its frame too: every column is a pivot, and there are
+    no equalities.
     """
-    if det(A).is_zero():
-        raise ValueError("transform needs an invertible matrix")
+    inverse_t = _inverse_transpose(A)
     if P.is_empty:
         return P
     images = [A @ v for v in P.vertices]
     Q = Polytope(P.ambient_dim, images)
-    inverse_t = _inverse_transpose(A)
+    if len(_frame(P)[0]) == P.ambient_dim:
+        object.__setattr__(Q, "_frame", _frame(P))
     frame = _frame(Q)
     position = {v: q for q, v in enumerate(Q.vertices)}
     moved = [position[v] for v in images]
@@ -570,9 +577,16 @@ def transform(A: Matrix, P: Polytope) -> Polytope:
 
 
 def _inverse_transpose(A: Matrix) -> Matrix:
+    """A^-T, from the reduced echelon form of [A^T | I]; A is invertible iff
+    the pivots are the first n columns."""
     n = A.nrows
+    if n != A.ncols:
+        raise ValueError("transform needs a square matrix")
     rows = [list(A.column(i)) + [ONE if r == i else ZERO for r in range(n)] for i in range(n)]
-    reduced, _ = _reduced_echelon(rows)
+    reduced, pivots = _reduced_echelon(rows)
+    rank = sum(c < n for c in pivots)
+    if rank < n:
+        raise SingularMatrixError(rank)
     return Matrix(row[n:] for row in reduced)
 
 

@@ -6,11 +6,12 @@ unrelated computation.  The plane helpers use a monotone chain; the
 facet oracle for any dimension is the brute-force scan over all k-subsets
 of the points, with its own Gaussian elimination.  `rref_root2` is a
 Gauss-Jordan over Q(sqrt 2) on Fraction pairs, the oracle of the
-fraction-free elimination in `linalg`.
+fraction-free elimination in `linalg`, and `det_root2` is the Leibniz
+determinant over Q(sqrt 2), which eliminates nothing.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def _cross(o, a, b):
@@ -124,6 +125,23 @@ def rref_root2(rows):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def det_root2(rows):
+    """Determinant over Q(sqrt 2) of a square matrix of pairs (a, b) of
+    Fractions, meaning a + b*sqrt(2): the Leibniz sum over permutations,
+    each signed by the parity of its inversions."""
+    n = len(rows)
+    total = (Fraction(0), Fraction(0))
+    for perm in permutations(range(n)):
+        term = (Fraction(1), Fraction(0))
+        for i, j in enumerate(perm):
+            a, b = rows[i][j]
+            term = (term[0] * a + 2 * term[1] * b, term[0] * b + term[1] * a)
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        sign = -1 if inversions % 2 else 1
+        total = (total[0] + sign * term[0], total[1] + sign * term[1])
+    return total
 
 
 def affine_frame(points):

@@ -42,6 +42,11 @@ def P(*tuples):
 SQUARE_AROUND_0 = P((-2, -1), (2, -1), (-2, 1), (2, 1))
 
 
+def through_origin(case):
+    """Left and right meet in one hyperplane, and it passes through 0."""
+    return case.is_classic and case.hyperplane.offset.is_zero()
+
+
 class TestGenPolytope:
     def test_deterministic(self):
         for family in FAMILIES:
@@ -97,13 +102,13 @@ class TestGenSplit:
         for seed in (0, 20, 40, 61, 82, 3):
             if seed % 20 < 5:
                 case = gen_split(seed, SQUARE_AROUND_0)
-                assert case.through_origin
+                assert through_origin(case)
                 assert case.is_classic
 
     def test_segment_split_through_origin(self):
         seg = P((-1, 0), (1, 0))
         case = gen_split(0, seg)
-        assert case.through_origin
+        assert through_origin(case)
         assert case.meet == P((0, 0))
         assert {case.left, case.right} == {P((-1, 0), (0, 0)), P((0, 0), (1, 0))}
 
@@ -142,27 +147,17 @@ class TestIdentityCheck:
     def test_volume_on_half_square(self):
         sq = P((0, 0), (1, 0), (0, 1), (1, 1))
         h = Halfspace(Vector((1, 0)), Fraction(1, 2))
-        case = SplitCase(
-            whole=sq,
-            left=clip(sq, h),
-            right=clip(sq, h.complement()),
-            meet=clip(clip(sq, h), h.complement()),
-            hyperplane=h,
-            opposite=h.complement(),
-        )
+        g = Halfspace(-h.normal, -h.offset)
+        case = SplitCase(whole=sq, left=clip(sq, h), right=clip(sq, g),
+                         meet=clip(clip(sq, h), g), hyperplane=h, opposite=g)
         assert check_valuation_identity(volume, case) is True
 
     def test_broken_functional_yields_witness(self):
         sq = P((0, 0), (1, 0), (0, 1), (1, 1))
         h = Halfspace(Vector((1, 0)), Fraction(1, 2))
-        case = SplitCase(
-            whole=sq,
-            left=clip(sq, h),
-            right=clip(sq, h.complement()),
-            meet=clip(clip(sq, h), h.complement()),
-            hyperplane=h,
-            opposite=h.complement(),
-        )
+        g = Halfspace(-h.normal, -h.offset)
+        case = SplitCase(whole=sq, left=clip(sq, h), right=clip(sq, g),
+                         meet=clip(clip(sq, h), g), hyperplane=h, opposite=g)
         witness = check_valuation_identity(lambda p: Scalar(dim(p)), case)
         assert witness is not True
         assert witness["left"] + witness["right"] != witness["whole"] + witness["meet"]

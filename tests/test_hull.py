@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slval import polytope
+from slval import linalg, polytope
 from slval.exactnum import Linear, RationalPart, Scalar
 from slval.linalg import Matrix, Vector, random_sl_matrix
 from slval.polytope import (
@@ -69,13 +69,12 @@ def grid_sample(rng, k, m):
 def assert_matches_oracle(points, k):
     assert affine_frame(points)[0] == k
     assert as_fractions(_supporting(as_scalars(points), k)) == facets_by_subsets(points, k)
-    assert_handover_matches_fresh(as_scalars(points))
+    assert_handover_matches_fresh(from_points(as_scalars(points)))
 
 
-def assert_handover_matches_fresh(points):
-    """The frame and facets from_points hands its result equal what a fresh
-    polytope on the same vertices derives for itself."""
-    P = from_points(points)
+def assert_handover_matches_fresh(P):
+    """The frame and facets handed to P, by from_points or by transform,
+    equal what a fresh polytope on the same vertices derives for itself."""
     fresh = Polytope(P.ambient_dim, P.vertices)
     assert fresh._frame is None and fresh._facets is None
     assert _facet_data(P) == _facet_data(fresh)
@@ -136,7 +135,7 @@ def test_flat_point_sets_in_r4(k):
             continue
         points = [tuple(sum(row[j] * x[j] for j in range(k)) + s for row, s in zip(embed, shift))
                   for x in low]
-        P = assert_handover_matches_fresh(as_scalars(points))
+        P = assert_handover_matches_fresh(from_points(as_scalars(points)))
         assert set(P.vertices) == {Vector(points[i]) for i in extreme_indices(points)}
 
         rank, frame = affine_frame([tuple(c.a for c in v) for v in P.vertices])
@@ -171,9 +170,53 @@ def test_surd_clouds_keep_incidence(k):
             last = next(x for x in reversed(w.coords) if not x.is_zero())
             assert abs(last) == 1
             assert_tight_exactly_on(vectors, w, c, incident)
-        assert_handover_matches_fresh(image)
+        assert_handover_matches_fresh(from_points(image))
         checked += 1
     assert checked > 0
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    for module in (linalg, polytope):
+        real = module._eliminate
+
+        def counting(rows, d, real=real):
+            calls.append(len(rows))
+            return real(rows, d)
+
+        monkeypatch.setattr(module, "_eliminate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl_images_are_handed_their_frame(monkeypatch, n):
+    """transform eliminates once, on [A^T | I]: the image of a
+    full-dimensional polytope is handed its frame, so only the image of a
+    flat one, here in the hyperplane x_1 = x_2 + 1, derives its own.  Both
+    images hold the frame and facets of a fresh pass."""
+    rng = random.Random(600 + n)
+    full = from_points(as_scalars(symmetric_cloud(rng, n, 2 * n + 4)))
+    lifted = [(p[1] + 1,) + p[1:] for p in symmetric_cloud(rng, n, 2 * n + 4)]
+    flat = from_points(as_scalars(lifted))
+    assert polytope.dim(full) == n and polytope.dim(flat) == n - 1
+    A = random_sl_matrix(n, n, 3 * n)
+    calls = count_eliminations(monkeypatch)
+    for P, eliminations in ((full, 1), (flat, 2)):
+        calls.clear()
+        image = transform(A, P)
+        assert len(calls) == eliminations
+        assert (image._frame is P._frame) == (P is full)
+        assert_handover_matches_fresh(image)
+    assert polytope.dim(image) == n - 1
+
+
+def test_transform_rejects_a_singular_matrix():
+    """A singular A is refused whether or not P has points."""
+    A = Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    cube = from_points([Vector(p) for p in product(range(2), repeat=3)])
+    for P in (Polytope.empty(3), cube):
+        with pytest.raises(ValueError):
+            transform(A, P)
 
 
 def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
@@ -310,7 +353,8 @@ def derived_from(draw):
 def test_derived_face_data_equals_a_fresh_pass(case):
     P, H, t, A = case
     assert_inherits_at_every_depth(P)
-    for near, far in ((H, H.complement()), (H.complement(), H)):
+    G = Halfspace(-H.normal, -H.offset)
+    for near, far in ((H, G), (G, H)):
         Q = clip(P, near)
         if not Q.is_empty:
             assert_inherits_at_every_depth(Q)

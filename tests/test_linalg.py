@@ -18,7 +18,7 @@ from slval.linalg import (
     solve_any,
 )
 
-from oracles import rref_root2
+from oracles import det_root2, rref_root2
 from pulling import affine_rank
 
 
@@ -152,19 +152,30 @@ def test_solve_round_trip(rows, rhs):
 
 
 @st.composite
-def echelon_cases(draw):
-    """A rational or Q(sqrt 2) matrix of up to 6 x 5 entries with
-    denominators up to 10^6, whose rows are fresh, zero, repeated or a
-    combination of earlier rows, so shapes of every rank occur."""
+def echelon_cases(draw, square=False):
+    """A rational or Q(sqrt 2) matrix of up to 6 x 5 entries (square up to
+    5 x 5 if asked) with denominators up to 10^6, whose rows are fresh,
+    fresh after leading zeros, zero, repeated or a combination of earlier
+    rows, so shapes of every rank occur and pivots need row swaps.  Half the
+    square draws take only fresh rows, with or without leading zeros, so
+    that many are nonsingular."""
     surd = draw(st.booleans())
     ncols = draw(st.integers(1, 5))
     coefficient = st.fractions(-9, 9, max_denominator=10**6)
     entry = st.tuples(coefficient, coefficient if surd else st.just(Fraction(0)))
+    zero = (Fraction(0), Fraction(0))
     rows = []
-    for kind in draw(st.lists(st.sampled_from(["fresh", "zero", "repeat", "combination"]),
-                              min_size=1, max_size=6)):
+    kinds = ["fresh", "leading zeros"]
+    if not square or draw(st.booleans()):
+        kinds += ["zero", "repeat", "combination"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=ncols if square else 1,
+                              max_size=ncols if square else 6)):
         if kind == "zero":
-            rows.append([(Fraction(0), Fraction(0))] * ncols)
+            rows.append([zero] * ncols)
+        elif kind == "leading zeros":
+            lead = draw(st.integers(1, max(1, ncols - 1)))
+            tail = st.lists(entry, min_size=ncols - lead, max_size=ncols - lead)
+            rows.append([zero] * lead + draw(tail))
         elif kind == "fresh" or not rows:
             rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
         elif kind == "repeat":
@@ -184,3 +195,11 @@ def test_reduced_echelon_matches_a_fraction_oracle(case):
     expected, expected_pivots = rref_root2(rows)
     assert pivots == expected_pivots
     assert [[(x.a, x.b) for x in row] for row in reduced] == expected
+
+
+@given(echelon_cases(square=True))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_det_matches_the_leibniz_oracle(case):
+    rows, d = case
+    value = det(Matrix([[Scalar(a, b, d) for a, b in row] for row in rows]))
+    assert (value.a, value.b) == det_root2(rows)
