@@ -355,16 +355,10 @@ def fit_classification(blackbox, n: int, seed: int = 0, validation_count: int = 
     matrix = probe_matrix(n)
     values = tuple(blackbox(P) for P in probe_polytopes(n))
     coefficients = tuple(solve(matrix, Vector(values)))
-
-    def model(P: Polytope) -> Scalar:
-        acc = ZERO
-        for c, value in zip(coefficients, basis_vector(P)):
-            acc = acc + c * value
-        return acc
-
+    model = ClassifiedValuation.linear(*coefficients)
     residual = ZERO
     for P in fit_validation_polytopes(n, seed, validation_count):
-        gap = abs(blackbox(P) - model(P))
+        gap = abs(blackbox(P) - evaluate(model, P))
         if gap > residual:
             residual = gap
     return FitReport(coefficients=coefficients, probe_values=values, residual_max=residual)
@@ -376,8 +370,8 @@ def fit_classification(blackbox, n: int, seed: int = 0, validation_count: int = 
 def usc_sequences(c0p: Scalar, d0: Scalar, s_values: list[Scalar]) -> dict:
     """Evaluate the two shrinking-segment sequences and their limits.
 
-    The functional under test is c0p * relint_sign + d0 * origin_indicator,
-    both read off basis_vector.
+    The functional under test is the classified valuation
+    c0p * relint_sign + d0 * origin_indicator.
     Upper semicontinuity along a sequence needs value <= limit value.
     """
     s_values = [as_scalar(s) for s in s_values]
@@ -388,10 +382,7 @@ def usc_sequences(c0p: Scalar, d0: Scalar, s_values: list[Scalar]) -> dict:
     if any(b >= a for a, b in zip(s_values, s_values[1:])):
         raise ValueError("scales must be strictly decreasing")
 
-    def phi(P: Polytope) -> Scalar:
-        _, relint, _, inside, _ = basis_vector(P)
-        return c0p * relint + d0 * inside
-
+    functional = ClassifiedValuation(ZERO, c0p, d0, Linear(ZERO), Linear(ZERO))
     e1 = Vector.basis(2, 0)
     e2 = Vector.basis(2, 1)
 
@@ -406,8 +397,8 @@ def usc_sequences(c0p: Scalar, d0: Scalar, s_values: list[Scalar]) -> dict:
         ("sequence1", segment, from_points([origin(2)], 2)),
         ("sequence2", rhombus, from_points([-e2, e2], 2)),
     ):
-        values = [phi(make(s)) for s in s_values]
-        limit_value = phi(limit)
+        values = [evaluate(functional, make(s)) for s in s_values]
+        limit_value = evaluate(functional, limit)
         report[name] = {
             "values": values,
             "limit_value": limit_value,

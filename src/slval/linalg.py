@@ -113,10 +113,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -135,16 +131,11 @@ class Matrix:
         return Matrix(zip(*self.rows)) if self.rows else Matrix([])
 
     def __matmul__(self, other):
-        if isinstance(other, Vector):
-            if self.ncols != len(other):
-                raise ValueError("shape mismatch")
-            return Vector._of(tuple(Vector._of(r).dot(other) for r in self.rows))
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = [other.column(j) for j in range(other.ncols)]
-            return Matrix([[Vector._of(r).dot(c) for c in cols] for r in self.rows])
-        return NotImplemented
+        if not isinstance(other, Vector):
+            return NotImplemented
+        if self.ncols != len(other):
+            raise ValueError("shape mismatch")
+        return Vector._of(tuple(Vector._of(r).dot(other) for r in self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -324,20 +315,20 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
 
 
 def random_sl_matrix(seed: int, n: int, steps: int, bound: int = 5) -> Matrix:
-    """Deterministic product of integer shear matrices; determinant is 1."""
+    """Deterministic product of integer shear matrices; determinant is 1.
+
+    Right-multiplying by the shear I + lam * e_i e_j^T adds lam times
+    column i to column j, so the product is built on ints."""
     if n < 1 or steps < 0 or bound < 1:
         raise ValueError("need n >= 1, steps >= 0, bound >= 1")
     rng = random.Random(seed)
-    result = Matrix.identity(n)
-    for _ in range(steps):
-        if n == 1:
-            break
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(steps if n > 1 else 0):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
         lam = rng.randint(-bound, bound)
-        shear = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-        shear[i][j] = Scalar(lam)
-        result = result @ Matrix(shear)
-    return result
+        for row in rows:
+            row[j] += lam * row[i]
+    return Matrix(rows)

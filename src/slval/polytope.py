@@ -444,11 +444,11 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     their kept vertices and their crossing points, and H restricted to aff
     P, through the kept vertices on it and every crossing point.
     """
-    if P.is_empty:
-        return P
     n = P.ambient_dim
     if len(H.normal) != n:
         raise ValueError("halfspace dimension does not match the polytope")
+    if P.is_empty:
+        return P
     excesses = [H.excess(v) for v in P.vertices]
     signs = [e.sign() for e in excesses]
     if all(s <= 0 for s in signs):
@@ -559,6 +559,8 @@ def transform(A: Matrix, P: Polytope) -> Polytope:
     image is handed its frame too: every column is a pivot, and there are
     no equalities.
     """
+    if A.nrows != P.ambient_dim:
+        raise ValueError("transform needs an n x n matrix for a polytope in R^n")
     inverse_t = _inverse_transpose(A)
     if P.is_empty:
         return P

@@ -8,7 +8,11 @@ hull of P with the origin.  Every valuation in scope is the combination
     c0 * euler + c0p * relint_sign + psi(volume) + d0 * origin + phi(cone_volume)
 
 with psi and phi additive solutions of the Cauchy equation.  All
-valuations take the value 0 on the empty polytope.
+valuations take the value 0 on the empty polytope.  So a valuation is one
+read of the basis vector, linear in euler, relint_sign and origin and
+additive in volume and cone_volume, and `_apply` is the only place that
+makes it: `evaluate_union` sums the signed basis vectors of the nonempty
+intersections and reads the sum once.
 
 `basis_vector` computes all five in one pass: one affine-hull test of the
 origin and one reading of the signs of P's facet offsets settle both
@@ -22,7 +26,6 @@ built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .exactnum import (
     ONE,
@@ -46,7 +49,8 @@ from .polytope import (
 )
 from .triangulate import apex_volume, volume
 
-MAX_UNION_PARTS = 12
+#: cap on the nonempty intersections an inclusion-exclusion visits (2^12 - 1)
+MAX_UNION_TERMS = 4095
 
 #: basis order fixed across fitting and reports
 BASIS_NAMES = ("euler_char", "relint_sign", "volume", "origin_indicator", "cone_volume")
@@ -99,10 +103,11 @@ class ClassifiedValuation:
         )
 
 
-def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
-    if P.is_empty:
-        return ZERO
-    euler, relint, vol, inside, cone = basis_vector(P)
+def _apply(V: ClassifiedValuation, b) -> Scalar:
+    """V read off a basis vector, or off a signed sum of basis vectors whose
+    volume and cone entries are >= 0: psi and phi are additive, so V of the
+    sum is the signed sum of the values."""
+    euler, relint, vol, inside, cone = b
     return (
         V.c0 * euler
         + V.c0p * relint
@@ -112,45 +117,44 @@ def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
     )
 
 
-def _intersection_lattice(parts: tuple[Polytope, ...]):
-    """All nonempty-index intersections, keyed by index frozenset."""
-    lattice: dict[frozenset[int], Polytope] = {}
-    m = len(parts)
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            key = frozenset(subset)
-            if size == 1:
-                lattice[key] = parts[subset[0]]
-                continue
-            prev = lattice[key - {subset[-1]}]
-            if prev.is_empty:
-                lattice[key] = prev
-                continue
-            try:
-                lattice[key] = intersect(prev, parts[subset[-1]])
-            except IncomparableHullsError as exc:
-                raise ValueError(
-                    f"intersection over parts {tuple(sorted(key))} is not supported: {exc}"
-                ) from None
-    return lattice
+def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
+    return _apply(V, basis_vector(P))
 
 
 def evaluate_union(V: ClassifiedValuation, parts: list[Polytope]) -> Scalar:
-    """Inclusion-exclusion value of a finite union, all terms exact."""
+    """Inclusion-exclusion value of a finite union, all terms exact.
+
+    The terms are the nonempty intersections of the parts, the nerve of the
+    cover (Naiman and Wynn, Ann. Statist. 1992).  They are visited depth
+    first in index order, and only a nonempty one is extended by a later
+    part.  Their basis vectors are summed with sign (-1)^(|I|+1) and V is
+    applied once to the sum, whose volume and cone entries are the union's
+    own.  More than MAX_UNION_TERMS nonempty terms raise ValueError.
+    """
     parts = tuple(parts)
-    if not parts:
-        return ZERO
-    if len(parts) > MAX_UNION_PARTS:
-        raise ValueError(f"at most {MAX_UNION_PARTS} parts supported, got {len(parts)}")
-    lattice = _intersection_lattice(parts)
-    total = ZERO
-    for key, piece in lattice.items():
-        term = evaluate(V, piece)
-        if len(key) % 2 == 1:
-            total = total + term
-        else:
-            total = total - term
-    return total
+    total = (ZERO,) * 5
+    terms = 0
+    # (index tuple, its intersection, next part to try); () is the whole space
+    stack = [((), None, 0)]
+    while stack:
+        key, meet, j = stack.pop()
+        if j == len(parts):
+            continue
+        stack.append((key, meet, j + 1))
+        key += (j,)
+        try:
+            piece = parts[j] if meet is None else intersect(meet, parts[j])
+        except IncomparableHullsError as exc:
+            raise ValueError(f"intersection over parts {key} is not supported: {exc}") from None
+        if piece.is_empty:
+            continue
+        terms += 1
+        if terms > MAX_UNION_TERMS:
+            raise ValueError(f"more than {MAX_UNION_TERMS} nonempty intersections")
+        b = basis_vector(piece)
+        total = tuple(t + x if len(key) % 2 else t - x for t, x in zip(total, b))
+        stack.append((key, piece, j + 1))
+    return _apply(V, total)
 
 
 # -- serialization -------------------------------------------------------

@@ -8,6 +8,8 @@ of the points, with its own Gaussian elimination.  `rref_root2` is a
 Gauss-Jordan over Q(sqrt 2) on Fraction pairs, the oracle of the
 fraction-free elimination in `linalg`, and `det_root2` is the Leibniz
 determinant over Q(sqrt 2), which eliminates nothing.
+`inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
+cover; the meet and the value are the caller's.
 """
 
 from fractions import Fraction
@@ -202,3 +204,19 @@ def extreme_indices(points):
         if face == {i}:
             out.add(i)
     return out
+
+
+def inclusion_exclusion(parts, meet, value):
+    """Value of the union of parts: the sum over every nonempty index subset
+    I of (-1)^(|I|+1) times the value of the meet of the parts in I, taken
+    in index order and from scratch for each I.  An empty meet must have
+    value 0."""
+    total = 0
+    for size in range(1, len(parts) + 1):
+        for subset in combinations(range(len(parts)), size):
+            piece = parts[subset[0]]
+            for i in subset[1:]:
+                piece = meet(piece, parts[i])
+            term = value(piece)
+            total = total + term if size % 2 else total - term
+    return total

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,18 @@ def test_det_2x2():
     assert det(Matrix([[1, 2], [3, 4]])) == Scalar(-2)
 
 
+def identity(n):
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def product(a, b):
+    """a @ b, entry by entry."""
+    return Matrix([[sum((x * y for x, y in zip(row, col)), Scalar(0)) for col in zip(*b.rows)]
+                   for row in a.rows])
+
+
 def test_det_identity():
-    assert det(Matrix.identity(4)) == Scalar(1)
+    assert det(identity(4)) == Scalar(1)
 
 
 def test_det_singular():
@@ -120,6 +131,30 @@ def test_random_sl_matrix_has_det_one():
             assert det(random_sl_matrix(seed, n, 8)) == Scalar(1)
 
 
+def shear_product(seed, n, steps, bound=5):
+    """The product of the shears I + lam * e_i e_j^T, drawn as random_sl_matrix
+    draws them, multiplied out as matrices."""
+    rng = random.Random(seed)
+    result = identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        lam = rng.randint(-bound, bound)
+        shear = [[int(r == c) for c in range(n)] for r in range(n)]
+        shear[i][j] = lam
+        result = product(result, Matrix(shear))
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_sl_matrix_is_the_product_of_its_shears(n):
+    for seed in range(25):
+        for steps in (0, 1, 6, 2 * n):
+            assert random_sl_matrix(seed, n, steps) == shear_product(seed, n, steps)
+
+
 def test_random_sl_matrix_entries_are_integers():
     m = random_sl_matrix(3, 2, 6)
     for row in m.rows:
@@ -135,7 +170,7 @@ small_ints = st.integers(min_value=-6, max_value=6)
 @settings(max_examples=40, deadline=None)
 def test_det_is_multiplicative(rows_a, rows_b):
     a, b = Matrix(rows_a), Matrix(rows_b)
-    assert det(a @ b) == det(a) * det(b)
+    assert det(product(a, b)) == det(a) * det(b)
 
 
 @given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=3, max_size=3),

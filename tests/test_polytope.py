@@ -165,6 +165,21 @@ def test_clip_lower_dimensional():
     assert right == P2((0, 0), (1, 0))
 
 
+def test_clip_rejects_a_halfspace_of_another_dimension():
+    """Checked before the empty shortcut, as translate checks its vector."""
+    H = Halfspace(V(1, 0, 0), 1)
+    for P in (Polytope.empty(2), P2((0, 0), (1, 0), (0, 1))):
+        with pytest.raises(ValueError, match="dimension"):
+            clip(P, H)
+
+
+def test_transform_rejects_a_matrix_of_another_dimension():
+    A = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for P in (Polytope.empty(2), P2((0, 0), (1, 0), (0, 1))):
+        with pytest.raises(ValueError, match="n x n"):
+            transform(A, P)
+
+
 def test_straddling_clip_cuts_only_edges():
     # x + y + z = 3/2 also separates the ends of face and body diagonals,
     # whose crossings lie inside the hexagonal section

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slval.polytope
+import slval.valuation
 from slval.exactnum import Linear, RationalPart, Scalar
 from slval.harness import FAMILIES, gen_polytope
 from slval.linalg import Vector, random_sl_matrix
@@ -16,6 +19,7 @@ from slval.polytope import (
     dim,
     from_points,
     in_affine_hull,
+    intersect,
     relint_contains_origin,
     transform,
 )
@@ -30,7 +34,7 @@ from slval.valuation import (
     to_json,
 )
 
-from oracles import shoelace_area
+from oracles import inclusion_exclusion, shoelace_area
 from pulling import triangulate
 
 
@@ -169,11 +173,30 @@ def test_evaluate_union_matches_evaluate_on_whole():
     assert evaluate_union(v, _square_halves()) == evaluate(v, UNIT_SQUARE)
 
 
-def test_evaluate_union_rejects_too_many_parts():
+def test_evaluate_union_accepts_a_long_chain():
+    """20 triangles, each meeting the next in one point: 39 nonempty terms,
+    where the 2^20 - 1 index subsets were refused."""
+    parts = [P((i, 0), (i + 1, 0), (i, 1)) for i in range(20)]
+    assert evaluate_union(ClassifiedValuation.linear(0, 0, 1, 0, 0), parts) == Scalar(10)
+    assert evaluate_union(ClassifiedValuation.linear(1, 0, 0, 0, 0), parts) == Scalar(1)
+
+
+def test_evaluate_union_rejects_too_many_parts(monkeypatch):
+    """13 parts through one point have 2^13 - 1 = 8191 nonempty
+    intersections; the cap stops the walk before the 4096th is read."""
+    calls = []
+    real = slval.valuation.basis_vector
+
+    def counted(Q):
+        calls.append(Q)
+        return real(Q)
+
+    monkeypatch.setattr(slval.valuation, "basis_vector", counted)
     v = ClassifiedValuation.linear(1, 0, 0, 0, 0)
-    parts = [P((i, 0), (i + 1, 0), (i, 1)) for i in range(13)]
-    with pytest.raises(ValueError):
+    parts = [P((0, 0), (i + 1, 0), (0, 1)) for i in range(13)]
+    with pytest.raises(ValueError, match="4095"):
         evaluate_union(v, parts)
+    assert len(calls) <= 4096
 
 
 def test_evaluate_union_reports_offending_tuple():
@@ -181,6 +204,59 @@ def test_evaluate_union_reports_offending_tuple():
     crossing = [P((0, 0), (1, 1)), P((1, 0), (0, 1))]
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         evaluate_union(v, crossing)
+
+
+UNION_VALUATIONS = (
+    ClassifiedValuation.linear(1, 2, 3, 4, 5),
+    ClassifiedValuation(Scalar(1), Scalar(2), Scalar(4), RationalPart(), Linear(5)),
+    ClassifiedValuation(Scalar(-1), Scalar(3), Scalar(1), Linear(Fraction(1, 2)), RationalPart()),
+)
+
+
+def union_family(seed, n, count, dense, d):
+    """Seeded full-dimensional parts in R^n, with coordinates in Q(sqrt d) if
+    d.  Dense parts all hold the cross-polytope conv(+-e_i), so every index
+    subset meets.  Sparse part i is conv(3i e_1 +- 2 e_j) and one more point,
+    which lies within 1/2 of that box, so only neighbours meet; the sparse
+    parts come shuffled, so an empty meet does not make every meet with a
+    later part empty."""
+    rng = random.Random(seed)
+
+    def coordinate(low, high):
+        # x + b (sqrt d - 1), which is within 1/2 of x
+        x, b = rng.randint(low, high), rng.randint(-1, 1) if d else 0
+        return Scalar(x - b, b, d) if b else Scalar(x)
+
+    parts = []
+    for i in range(count):
+        if dense:
+            shift, radius, box = Vector.zero(n), 1, [(-3, 3)] * n
+        else:
+            shift, radius, box = Vector.basis(n, 0).scale(3 * i), 2, [(3 * i - 2, 3 * i + 2)]
+            box += [(-2, 2)] * (n - 1)
+        points = [Vector.basis(n, j).scale(s * radius) + shift for j in range(n) for s in (1, -1)]
+        extra = 3 if dense else 1
+        points += [Vector([coordinate(low, high) for low, high in box]) for _ in range(extra)]
+        parts.append(from_points(points, n))
+    if not dense:
+        rng.shuffle(parts)
+    return parts
+
+
+@pytest.mark.parametrize("d", [0, 2])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_union_matches_all_subsets(n, dense, d):
+    """The nerve walk against the plain 2^m inclusion-exclusion, which
+    evaluates every index subset on its own."""
+    count = (5 if n == 3 else 7) if dense else 10
+    for seed in range(2):
+        parts = union_family(seed, n, count, dense, d)
+        # the oracle meets each subset from scratch; a memo keeps that cheap
+        meet = lru_cache(maxsize=None)(intersect)
+        for V in UNION_VALUATIONS:
+            expected = inclusion_exclusion(parts, meet, lambda Q: evaluate(V, Q))
+            assert evaluate_union(V, parts) == expected
 
 
 def test_rational_part_valuation_on_surd_box():
