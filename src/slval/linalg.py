@@ -149,17 +149,13 @@ class Matrix:
 
 
 def det(matrix: Matrix) -> Scalar:
-    """Determinant: +-D / L^n, D the common pivot `_eliminate` leaves on the
-    rows scaled by their common denominator L.  A 1 x 1 determinant, the
-    length of an edge in a volume recursion, is its entry."""
+    """Determinant: `_det` of the rows scaled by their common denominator L,
+    over L^n."""
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("determinant needs a square matrix")
-    if n == 1:
-        return matrix.rows[0][0]
     ints, L, d = _integer_rows(matrix.rows)
-    _, pivots, sign, (Da, Db) = _eliminate(ints, d)
-    return Scalar._make(sign * Da, sign * Db, L ** n, d) if len(pivots) == n else ZERO
+    return Scalar._make(*_det(ints, d), L ** n, d)
 
 
 # -- fraction-free elimination on pairs (A, B) of ints, meaning A + B*sqrt(d)
@@ -171,6 +167,13 @@ def _pair_dot(x, y, d: int) -> tuple[int, int]:
         A += xa * ya + d * xb * yb
         B += xa * yb + xb * ya
     return A, B
+
+
+def _det(rows, d: int) -> tuple[int, int]:
+    """Determinant of a square matrix of integer pairs: +-D, D the common
+    pivot `_eliminate` leaves, or (0, 0) if the rank falls short."""
+    _, pivots, sign, (Da, Db) = _eliminate(rows, d)
+    return (sign * Da, sign * Db) if len(pivots) == len(rows) else (0, 0)
 
 
 def _primitive(x: list[tuple[int, int]]) -> list[tuple[int, int]]:

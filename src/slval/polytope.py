@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 
 from .exactnum import (ONE, ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
                        _surd_sign, as_scalar)
-from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _eliminate, _kernel, _over,
-                     _pair_dot, _primitive, _reduced_echelon)
+from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _kernel,
+                     _over, _pair_dot, _primitive, _reduced_echelon)
 
 
 class EmptyPolytopeError(ValueError):
@@ -90,10 +90,11 @@ class Polytope:
     the extreme points; the constructor only sorts and deduplicates.  The
     underscored slots hold derived data, None until first use; `_parent`
     is set on a facet of another polytope, to (that polytope's frame, its
-    facet record, the facet's index), from which the facet derives its own.
+    facet record, the facet's index), from which the facet derives its own,
+    and `_volume` holds the pivot volume that `triangulate` computes.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_parent")
+    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_parent", "_volume")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -107,10 +108,22 @@ class Polytope:
                 raise ValueError("vertex dimension does not match ambient_dim")
         ordered = tuple(sorted(unique, key=Vector.sort_key))
         _common_discriminant(ordered)
+        self._fill(ambient_dim, ordered)
+
+    def _fill(self, ambient_dim: int, vertices: tuple[Vector, ...]) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vertices", ordered)
-        for slot in ("_frame", "_facets", "_faces", "_parent"):
+        object.__setattr__(self, "vertices", vertices)
+        for slot in Polytope.__slots__[2:]:
             object.__setattr__(self, slot, None)
+
+    @classmethod
+    def _face(cls, parent: Polytope, indices: Iterable[int]) -> Polytope:
+        """Trusted constructor for the parent's vertices at increasing
+        indices: a subsequence of a canonical vertex tuple is canonical, so
+        it needs no dedupe, sort or field check."""
+        self = object.__new__(cls)
+        self._fill(parent.ambient_dim, tuple(parent.vertices[i] for i in indices))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -376,7 +389,7 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     keep = [i for i, sets in enumerate(through) if len(everything.intersection(*sets)) == 1]
     if len(keep) == len(raw.vertices):
         return raw
-    P = Polytope(n, [raw.vertices[i] for i in keep])
+    P = Polytope._face(raw, keep)
     renumber = {old: new for new, old in enumerate(keep)}
     object.__setattr__(P, "_frame", raw._frame)
     _fill_facets(P, [(h, frozenset(renumber[i] for i in inc if i in renumber)) for h, inc in data])
@@ -398,7 +411,7 @@ def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
         frame, data = _frame(P), _facet_data(P)
         faces = []
         for index, (h, incident) in enumerate(data):
-            F = Polytope(P.ambient_dim, [P.vertices[i] for i in incident])
+            F = Polytope._face(P, sorted(incident))
             object.__setattr__(F, "_parent", (frame, data, index))
             faces.append((h, F))
         object.__setattr__(P, "_faces", tuple(faces))
@@ -443,14 +456,22 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     and its facets: those of P with a vertex strictly inside H, through
     their kept vertices and their crossing points, and H restricted to aff
     P, through the kept vertices on it and every crossing point.
+
+    Signs and crossings are read on integer pairs: with vertices X_i / L and
+    H as <W, x> <= C over its own denominator, vertex i has the sign of
+    E_i = <W, X_i> - C L, and edge ij meets the cut at
+    (E_i X_j - E_j X_i) / (L (E_i - E_j)).
     """
     n = P.ambient_dim
     if len(H.normal) != n:
         raise ValueError("halfspace dimension does not match the polytope")
     if P.is_empty:
         return P
-    excesses = [H.excess(v) for v in P.vertices]
-    signs = [e.sign() for e in excesses]
+    ints, L, d = _integer_rows(P.vertices)
+    ((*W, (Ca, Cb)),), _, e = _integer_rows([H.normal.coords + (H.offset,)])
+    d = _merge_discriminants(d, e)
+    excesses = [(A - Ca * L, B - Cb * L) for A, B in (_pair_dot(W, X, d) for X in ints)]
+    signs = [_surd_sign(A, B, d) for A, B in excesses]
     if all(s <= 0 for s in signs):
         return P
     kept = [i for i, s in enumerate(signs) if s <= 0]
@@ -462,7 +483,7 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
         for index, (_, incident) in enumerate(data):
             if incident == face:
                 return facets(P)[index][1]
-        return Polytope(n, [P.vertices[i] for i in kept])
+        return Polytope._face(P, kept)
     everything = frozenset(range(len(signs)))
     crossing = []
     through: list[list[int]] = []
@@ -473,9 +494,9 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
         if len(everything.intersection(*(data[g][1] for g in shared))) != 2:
             continue
         through.append(shared)
-        vi, vj = P.vertices[i], P.vertices[j]
-        t = excesses[i] / (excesses[i] - excesses[j])
-        crossing.append(vi + (vj - vi).scale(t))
+        (Ai, Bi), (Aj, Bj) = excesses[i], excesses[j]
+        x = _cross(ints[j], excesses[i], ints[i], excesses[j], d)
+        crossing.append(Vector._of(tuple(_over(x, (L * (Ai - Aj), L * (Bi - Bj)), d))))
     Q = Polytope(n, [P.vertices[i] for i in kept] + crossing)
     position = {v: q for q, v in enumerate(Q.vertices)}
     new = [position[v] for v in crossing]

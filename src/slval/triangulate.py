@@ -12,9 +12,11 @@ columns of its frame, and needs no norm.  The last nonzero entry of w_F
 is +-1, and its column is exactly the one F's own frame drops.  The
 height of a over F is (c_F - <w_F, a>) / |w_F|, and dropping that column
 shrinks F's (k-1)-volume by the factor 1 / |w_F|, so the two norms
-cancel.  A simplex ends the recursion with |det| / k! on its pivot
-columns; its cells are those of the pulling triangulation from the first
-vertex.
+cancel.  A simplex ends the recursion with |D| / (L^k k!), D the integer
+pair determinant of X_i - X_0, its pivot coordinates read as pairs X_i
+over one common denominator L; its cells are those of the pulling
+triangulation from the first vertex.  A polytope keeps its pivot volume,
+so `apex_volume` of a facet reuses what `volume` computed for it.
 """
 
 from __future__ import annotations
@@ -23,26 +25,30 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import ONE, ZERO, Scalar
-from .linalg import Matrix, det
+from .exactnum import ZERO, Scalar, _integer_rows, _surd_sign
+from .linalg import _det
 from .polytope import Polytope, _facet_data, _frame, dim, facets, in_affine_hull, origin
 
 
 def _pivot_volume(P: Polytope) -> Scalar:
-    """vol_k P in P's pivot coordinates, k = dim P."""
-    pivots = _frame(P)[0]
-    k = len(pivots)
-    if k == 0:
-        return ONE
-    a = P.vertices[0]
-    if len(P.vertices) == k + 1:
-        rows = [[v[c] - a[c] for c in pivots] for v in P.vertices[1:]]
-        return abs(det(Matrix(rows))) / Fraction(factorial(k))
-    total = ZERO
-    for (h, incident), (_, F) in zip(_facet_data(P), facets(P)):
-        if 0 not in incident:
-            total = total + (h.offset - h.normal.dot(a)) * _pivot_volume(F)
-    return total / Fraction(k)
+    """vol_k P in P's pivot coordinates, k = dim P, filled once."""
+    if P._volume is None:
+        pivots = _frame(P)[0]
+        k = len(pivots)
+        a = P.vertices[0]
+        if len(P.vertices) == k + 1:
+            (x0, *rest), L, d = _integer_rows([[v[c] for c in pivots] for v in P.vertices])
+            D = _det([[(A - A0, B - B0) for (A, B), (A0, B0) in zip(x, x0)] for x in rest], d)
+            s = _surd_sign(*D, d)
+            vol = Scalar._make(s * D[0], s * D[1], L ** k * factorial(k), d)
+        else:
+            total = ZERO
+            for (h, incident), (_, F) in zip(_facet_data(P), facets(P)):
+                if 0 not in incident:
+                    total = total + (h.offset - h.normal.dot(a)) * _pivot_volume(F)
+            vol = total / Fraction(k)
+        object.__setattr__(P, "_volume", vol)
+    return P._volume
 
 
 # the cache stays only because perfbench/tracing.py reads cache_info() by name

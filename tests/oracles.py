@@ -10,6 +10,12 @@ fraction-free elimination in `linalg`, and `det_root2` is the Leibniz
 determinant over Q(sqrt 2), which eliminates nothing.
 `inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
 cover; the meet and the value are the caller's.
+
+`reference_clip` is the one exception, the differential oracle of the
+clip in `slval.polytope`, which reads signs and crossing points off
+integer pairs.  It reads the package's facet record the same way, but
+takes every excess and crossing point in `Scalar` arithmetic and builds
+the polytopes it makes through the public constructor.
 """
 
 from fractions import Fraction
@@ -220,3 +226,56 @@ def inclusion_exclusion(parts, meet, value):
             term = value(piece)
             total = total + term if size % 2 else total - term
     return total
+
+
+def reference_clip(P, H):
+    """P cut down to the halfspace H, with Scalar excesses and crossings."""
+    from slval.polytope import Polytope, _facet_data, _fill_facets, _frame, _restricted, facets
+
+    n = P.ambient_dim
+    if P.is_empty:
+        return P
+    excesses = [H.excess(v) for v in P.vertices]
+    signs = [e.sign() for e in excesses]
+    if all(s <= 0 for s in signs):
+        return P
+    kept = [i for i, s in enumerate(signs) if s <= 0]
+    if not kept:
+        return Polytope.empty(n)
+    data = _facet_data(P)
+    if all(signs[i] == 0 for i in kept):
+        face = frozenset(kept)
+        for index, (_, incident) in enumerate(data):
+            if incident == face:
+                return facets(P)[index][1]
+        return Polytope(n, [P.vertices[i] for i in kept])
+    everything = frozenset(range(len(signs)))
+    crossing = []
+    through = []
+    for i, j in combinations(range(len(signs)), 2):
+        if signs[i] * signs[j] >= 0:
+            continue
+        shared = [g for g, (_, inc) in enumerate(data) if i in inc and j in inc]
+        if len(everything.intersection(*(data[g][1] for g in shared))) != 2:
+            continue
+        through.append(shared)
+        vi, vj = P.vertices[i], P.vertices[j]
+        t = excesses[i] / (excesses[i] - excesses[j])
+        crossing.append(vi + (vj - vi).scale(t))
+    Q = Polytope(n, [P.vertices[i] for i in kept] + crossing)
+    position = {v: q for q, v in enumerate(Q.vertices)}
+    new = [position[v] for v in crossing]
+    on = [[] for _ in data]
+    for q, shared in zip(new, through):
+        for g in shared:
+            on[g].append(q)
+    items = [
+        (h, frozenset([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
+        for g, (h, incident) in enumerate(data)
+        if any(signs[i] < 0 for i in incident)
+    ]
+    cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
+    items.append((_restricted(_frame(P), H.normal, H.offset), frozenset(cut + new)))
+    object.__setattr__(Q, "_frame", _frame(P))
+    _fill_facets(Q, items)
+    return Q

@@ -1,0 +1,212 @@
+"""The integer clip against its Scalar reference, the trusted face
+constructor, and the Scalar and leaf counts of a cut and a volume."""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations, product
+
+import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import slval.triangulate
+from slval.exactnum import Scalar
+from slval.linalg import Vector, _det
+from slval.polytope import (
+    Halfspace,
+    Polytope,
+    _facet_data,
+    _frame,
+    clip,
+    dim,
+    facets,
+    field_discriminant,
+    from_points,
+)
+from slval.triangulate import apex_volume, volume
+
+from oracles import reference_clip
+
+ROOT2 = Scalar.sqrt_of(2)
+
+
+def hull(raw, surd):
+    """from_points of rational points, sheared over Q(sqrt 2) if surd."""
+    points = [[Scalar(x) for x in p] for p in raw]
+    if surd:
+        points = [[x + ROOT2 * y for x, y in zip(p, p[1:] + [Scalar(0)])] for p in points]
+    return from_points([Vector(p) for p in points])
+
+
+@st.composite
+def clip_case(draw):
+    """A polytope in R^2, R^3 or R^4 over Q or Q(sqrt 2), with coordinates
+    of denominator up to 3, and a cut: generic, through a vertex, leaving
+    the face where a normal is smallest, leaving a drawn facet, or missing
+    P on either side."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    surd = draw(st.booleans())
+    coord = st.fractions(-2, 2, max_denominator=3)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3, unique=True))
+    P = hull(raw, surd)
+    kind = draw(st.sampled_from(["generic", "vertex", "face", "facet", "miss"]))
+    if kind == "facet" and dim(P) >= 1 and _facet_data(P):
+        h, _ = draw(st.sampled_from(_facet_data(P)))
+        return P, Halfspace(-h.normal, -h.offset)
+    normal = [Scalar(draw(st.integers(-2, 2))) for _ in range(n)]
+    if surd and draw(st.booleans()):
+        normal[draw(st.integers(0, n - 1))] += ROOT2
+    if all(x.is_zero() for x in normal):
+        normal[0] = Scalar(1)
+    u = Vector(normal)
+    values = sorted({u.dot(v) for v in P.vertices})
+    if kind == "vertex":
+        c = draw(st.sampled_from(values))
+    elif kind in ("face", "facet"):
+        c = values[0]
+    elif kind == "miss":
+        c = draw(st.sampled_from([values[0] - 1, values[-1]]))
+    else:
+        a, b = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+        c = a + (b - a) * draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]))
+    return P, Halfspace(u, c)
+
+
+@given(clip_case())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_integer_clip_matches_the_scalar_reference(case):
+    P, H = case
+    Q, R = clip(P, H), reference_clip(P, H)
+    assert Q.vertices == R.vertices
+    if not Q.is_empty:
+        assert _frame(Q) == _frame(R)
+        assert _facet_data(Q) == _facet_data(R)
+
+
+def assert_canonical(F):
+    """F is what the public constructor makes of its own vertices."""
+    fresh = Polytope(F.ambient_dim, F.vertices)
+    assert F.vertices == fresh.vertices
+    assert hash(F) == hash(fresh)
+    assert field_discriminant(F) == field_discriminant(fresh)
+
+
+def assert_faces_canonical(P):
+    assert_canonical(P)
+    if dim(P) >= 1:
+        for _, F in facets(P):
+            assert_faces_canonical(F)
+
+
+@st.composite
+def face_case(draw):
+    """Points in R^2, R^3 or R^4 over Q or Q(sqrt 2) with a midpoint and a
+    centroid added, so that from_points keeps a proper subset."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    surd = draw(st.booleans())
+    coord = st.integers(-2, 2)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3, unique=True))
+    raw += [tuple(Fraction(x + y, 2) for x, y in zip(raw[0], raw[1])),
+            tuple(Fraction(sum(col), len(raw)) for col in zip(*raw))]
+    return draw(st.permutations(raw)), surd
+
+
+@given(face_case())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_faces_built_by_index_are_canonical(case):
+    P = hull(*case)
+    assert_faces_canonical(P)
+    if dim(P) == 0:
+        return
+    data = _facet_data(P)
+    for (h, _), (_, F) in zip(data, facets(P)):
+        assert clip(P, Halfspace(-h.normal, -h.offset)) is F
+    # <w + w', x> <= c + c' holds on P with equality exactly on the face
+    # where facets (w, c) and (w', c') meet: a vertex, an edge or a ridge
+    for (h, inc), (g, other) in combinations(data, 2):
+        if inc & other and h.normal != -g.normal:
+            face = clip(P, Halfspace(-(h.normal + g.normal), -(h.offset + g.offset)))
+            assert face.vertices == tuple(P.vertices[i] for i in sorted(inc & other))
+            assert_faces_canonical(face)
+
+
+MANY_VERTICES = {
+    "12-gon": [(x * a, y * b) for x, y in ((1, 4), (4, 1), (3, 3)) for a in (1, -1) for b in (1, -1)],
+    "truncated octahedron": sorted(set(permutations((0, 1, 2))) | set(permutations((0, -1, 2)))
+                                   | set(permutations((0, 1, -2))) | set(permutations((0, -1, -2)))),
+    "4-cube": list(product(range(2), repeat=4)),
+    "flat permutohedron in R^4": list(permutations(range(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_VERTICES))
+@pytest.mark.parametrize("surd", [False, True])
+def test_faces_of_polytopes_with_many_vertices_are_canonical(name, surd):
+    # faces with vertex indices of 8 and more, where a frozenset of them
+    # need not iterate in increasing order
+    P = hull(MANY_VERTICES[name], surd)
+    assert len(P.vertices) >= 12
+    assert_faces_canonical(P)
+
+
+def surd_polytope():
+    """A fixed full-dimensional polytope in R^3 over Q(sqrt 2), off 0."""
+    rng = random.Random(8)
+    while True:
+        points = [Vector([Scalar(rng.randint(-3, 3)) + ROOT2 * rng.randint(-2, 2) + 7
+                          for _ in range(3)]) for _ in range(14)]
+        P = from_points(points)
+        if dim(P) == 3 and len(P.vertices) >= 6:
+            return P
+
+
+def test_clip_and_volume_build_few_scalars(monkeypatch):
+    """Signs, crossings and simplex leaves run on integer pairs: Scalars are
+    built for the crossing points, the new facet and the pyramid sums, 476
+    in all.  The Scalar clip and leaves built 721 for this cut and volume."""
+    P = surd_polytope()
+    values = sorted(Vector([1, -2, 1]).dot(v) for v in P.vertices)
+    H = Halfspace(Vector([1, -2, 1]), (values[0] + values[-1]) / 2)
+    calls = []
+    real = Scalar._make.__func__
+
+    def counting(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Scalar, "_make", classmethod(counting))
+    Q = clip(P, H)
+    assert volume.__wrapped__(Q) > 0
+    assert len(calls) <= 600
+
+
+def count_leaves(monkeypatch):
+    calls = []
+
+    def counting(rows, d):
+        calls.append(rows)
+        return _det(rows, d)
+
+    monkeypatch.setattr(slval.triangulate, "_det", counting)
+    return calls
+
+
+def test_apex_volume_reuses_the_volume_of_a_visited_facet(monkeypatch):
+    """volume(P) recurses into every facet not through P's first vertex and
+    keeps each facet's volume, so the pyramid from 0 over it takes no new
+    leaf.  On a fresh copy of P the same pyramids take leaves."""
+    P = surd_polytope()
+    # a facet's one frame equality <w, x> = b has b = 0 iff 0 is on its hull
+    pyramids = [F for (_, incident), (_, F) in zip(_facet_data(P), facets(P))
+                if 0 not in incident and not _frame(F)[1][0][1].is_zero()]
+    assert pyramids
+    leaves = count_leaves(monkeypatch)
+    volume.__wrapped__(P)
+    assert leaves
+    leaves.clear()
+    values = [apex_volume(F) for F in pyramids]
+    assert leaves == []
+    fresh = [Polytope(F.ambient_dim, F.vertices) for F in pyramids]
+    assert [apex_volume(F) for F in fresh] == values
+    assert len(leaves) >= len(fresh)
