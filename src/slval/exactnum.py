@@ -34,11 +34,15 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
+#: the largest discriminant: `parse` tests each surd literal's d by trial division
+MAX_DISCRIMINANT = 10**10
+
+
 def _check_discriminant(d: int) -> int:
     if d == 0:
         return 0
-    if d < 2 or not _is_squarefree(d):
-        raise ValueError(f"discriminant must be 0 or a squarefree integer >= 2, got {d}")
+    if not 2 <= d <= MAX_DISCRIMINANT or not _is_squarefree(d):
+        raise ValueError(f"discriminant must be 0 or squarefree in 2..{MAX_DISCRIMINANT}, got {d}")
     return d
 
 
@@ -74,10 +78,8 @@ def _integer_rows(rows) -> tuple[list[list[tuple[int, int]]], int, int]:
     return [[(x._qa * (L // x._q), x._qb * (L // x._q)) for x in row] for row in rows], L, d
 
 
-_RATIONAL = r"[+-]?\d+(?:/\d+)?"
-_SCALAR_RE = re.compile(
-    rf"^(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$"
-)
+# a = an/aq, then optionally +-(bn/bq)*sqrt(d)
+_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?$")
 
 
 class Scalar:
@@ -306,16 +308,20 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> Scalar:
+        """`a`, `a+b*sqrt(d)` or `a-b*sqrt(d)`, read into one integer triple."""
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ScalarParseError(f"bad scalar literal: {text!r}")
+        an, aq, sign, bn, bq, d = m.groups()
         try:
-            a, b = Fraction(m.group("a")), Fraction(m.group("b")) if m.group("b") else 0
-            return cls(a, -b if m.group("sign") == "-" else b, int(m.group("d") or 0))
-        except ZeroDivisionError:
-            raise ScalarParseError(f"zero denominator in scalar literal: {text!r}") from None
+            a, aq, b, bq, d = int(an), int(aq or 1), int(bn or 0), int(bq or 1), int(d or 0)
+            if not aq or not bq:
+                raise ValueError(f"zero denominator in scalar literal: {text!r}")
+            if not _check_discriminant(d) and b:
+                raise ValueError("irrational part requires a nonzero discriminant")
         except ValueError as exc:
             raise ScalarParseError(str(exc)) from None
+        return cls._make(a * bq, (-b if sign == "-" else b) * aq, aq * bq, d)
 
 
 ZERO = Scalar(0)

@@ -164,8 +164,10 @@ def det(matrix: Matrix) -> Scalar:
 def _pair_dot(x, y, d: int) -> tuple[int, int]:
     A = B = 0
     for (xa, xb), (ya, yb) in zip(x, y):
-        A += xa * ya + d * xb * yb
-        B += xa * yb + xb * ya
+        A += xa * ya
+        if xb or yb:
+            A += d * xb * yb
+            B += xa * yb + xb * ya
     return A, B
 
 
@@ -186,6 +188,8 @@ def _cross(x, p, y, f, d: int) -> list[tuple[int, int]]:
     """x*p - y*f entrywise."""
     pa, pb = p
     fa, fb = f
+    if not (pb or fb):
+        return [(xa * pa - ya * fa, xb * pa - yb * fa) for (xa, xb), (ya, yb) in zip(x, y)]
     return [(xa * pa + d * xb * pb - ya * fa - d * yb * fb,
              xa * pb + xb * pa - ya * fb - yb * fa) for (xa, xb), (ya, yb) in zip(x, y)]
 

@@ -12,11 +12,11 @@ form of the directions v - v0, which depend only on aff P and map it
 isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
 from an exact double-description pass (Motzkin, Raiffa, Thompson and
 Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
-inserted in index order, so the result is deterministic, degenerate input
-needs no perturbation, and the cost grows with the number of facets rather
-than with the number of point subsets.  The pass runs on plain integers in
-Z[sqrt d] over one common denominator: its rays are gcd-reduced integer
-vectors, and Scalars are built only for its output, by `_canonical`.
+inserted far first, degenerate input needs no perturbation, and the cost
+grows with the number of facets rather than with the number of point
+subsets.  The pass, like the vertex order, runs on plain integers in
+Z[sqrt d] over one common denominator; Scalars are built only for its
+output, by `_canonical`.
 
 Only polytopes built from bare points run that pass.  A derived polytope
 of any dimension inherits its face data from its parent by exact
@@ -102,13 +102,12 @@ class Polytope:
     def __init__(self, ambient_dim: int, vertices: Iterable[Vector] = ()) -> None:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        unique = dict.fromkeys(vertices)
-        for v in unique:
-            if len(v) != ambient_dim:
-                raise ValueError("vertex dimension does not match ambient_dim")
-        ordered = tuple(sorted(unique, key=Vector.sort_key))
-        _common_discriminant(ordered)
-        self._fill(ambient_dim, ordered)
+        vertices = tuple(vertices)
+        if any(len(v) != ambient_dim for v in vertices):
+            raise ValueError("vertex dimension does not match ambient_dim")
+        # over one common L > 0, pairs (A, B) order as `Vector.sort_key`
+        unique = dict(zip(map(tuple, _integer_rows([v.coords for v in vertices])[0]), vertices))
+        self._fill(ambient_dim, tuple(unique[key] for key in sorted(unique)))
 
     def _fill(self, ambient_dim: int, vertices: tuple[Vector, ...]) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -151,17 +150,8 @@ class Polytope:
         return f"Polytope(n={self.ambient_dim}, vertices=[{body}])"
 
 
-def _common_discriminant(vectors: Sequence[Vector]) -> int:
-    d = 0
-    for v in vectors:
-        for c in v:
-            if c.d != d:
-                d = _merge_discriminants(d, c.d)
-    return d
-
-
 def field_discriminant(P: Polytope) -> int:
-    return _common_discriminant(P.vertices)
+    return _integer_rows([v.coords for v in P.vertices])[2]
 
 
 def origin(n: int) -> Vector:
@@ -171,11 +161,13 @@ def origin(n: int) -> Vector:
 # -- derived data ----------------------------------------------------------
 
 
-def _canonical(w: Vector, c: Scalar) -> tuple[Vector, Scalar]:
-    """Positive rescaling that makes the last nonzero coordinate of w +-1."""
-    last = next(x for x in reversed(w.coords) if not x.is_zero())
-    inv = abs(last).inverse()
-    return w.scale(inv), c * inv
+def _canonical(row: list[tuple[int, int]], d: int) -> tuple[Vector, Scalar]:
+    """(w, c) from the integer pair row (W, C) of <W, x> <= C, divided by
+    |last nonzero entry of W| so that entry becomes +-1: one `_over`."""
+    A, B = next(x for x in reversed(row[:-1]) if x != (0, 0))
+    s = _surd_sign(A, B, d)
+    *w, c = _over(row, (s * A, s * B), d)
+    return Vector._of(tuple(w)), c
 
 
 def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
@@ -186,42 +178,43 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
     points, and the last nonzero coordinate of w equal to +-1.
 
     Double description in Z[sqrt d]: the points are scaled by one common
-    denominator L (one for all, since they are affine) and read as
-    integer pairs x' = (L x, -1).  Each facet is a ray (r, Z) of the cone
-    of valid inequalities: r = (w', c') a gcd-reduced integer vector with
-    <r, x'> <= 0 on every point, Z the bitmask of tight points inserted so
-    far.  The facets of a simplex on the first affinely independent points
-    (the pivot columns of `_eliminate` on the x' as columns) seed the rays.
-    Each is read off the `_eliminate` form of its k points, which has one
-    free column f and common pivot D: D on f and -a_i on pivot column c_i,
-    a_i being row i's entry on f; it is made primitive and oriented by its
-    sign at the opposite point.  Every other point is then inserted in
-    index order.  Rays it violates are dropped, and each violated ray is
-    combined with every adjacent satisfied ray into the ray tight at the
-    new point.  Two rays are adjacent iff their common tight set has at
-    least k - 1 points and lies in no third ray's tight set.  Scalars are built only for the
-    output, where `_canonical` runs once per facet on (w', c' / L).
+    denominator L and read as integer pairs x' = (L x, -1).  Each facet is
+    a ray (r, Z) of the cone of valid inequalities: r = (w', c') a
+    gcd-reduced integer vector with <r, x'> <= 0 on every point, Z the
+    bitmask of tight points inserted so far.  Points are inserted far
+    first, by decreasing sum of A^2 + d B^2 over their pairs, ties by
+    index, which keeps the intermediate rays few (Avis, Bremner and Seidel
+    1997); the facets do not depend on the order.  One `_eliminate` of
+    [X | I], X having the x' as columns in that order, seeds the rays: its
+    pivot columns pick the first affinely independent points, and its row
+    i right of X is tight on each of them but the i-th, where it takes the
+    common pivot D, whose sign orients it; on X's columns, row i holds its
+    excess at every point, so points strictly inside the seed simplex are
+    skipped.  Each later point drops the rays it violates, and combines
+    each violated ray with every adjacent satisfied one into a ray tight
+    at the point.  Two rays are adjacent iff their common tight set has at
+    least k - 1 points and lies in no third ray's tight set.  `_canonical`
+    builds the output Scalars from (L w', c').
     """
     ints, L, d = _integer_rows(coords)
     pts = [row + [(-1, 0)] for row in ints]
-    simplex = _eliminate([list(column) for column in zip(*pts)], d)[1]
-    rays: list[tuple[list[tuple[int, int]], int]] = []
-    for j in simplex:
-        face = [i for i in simplex if i != j]
-        form, pivots, _, D = _eliminate([pts[i] for i in face], d)
-        (r,) = _kernel(form, pivots, D, k + 1)
-        r = _primitive(r)
-        if _surd_sign(*_pair_dot(r, pts[j], d), d) > 0:
-            r = [(-a, -b) for a, b in r]
-        rays.append((r, sum(1 << i for i in face)))
-    skip = set(simplex)
-    for i, p in enumerate(pts):
-        if i in skip:
+    m = len(pts)
+    order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
+    unit = [[(int(r == c), 0) for r in range(k + 1)] for c in range(k + 1)]
+    form, pivots, _, D = _eliminate([list(row) for row in zip(*[pts[i] for i in order], *unit)], d)
+    simplex = [order[c] for c in pivots]
+    flip = -1 if _surd_sign(*D, d) > 0 else 1
+    rays: list[tuple[list[tuple[int, int]], int]] = [
+        (_primitive([(flip * a, flip * b) for a, b in row[m:]]),
+         sum(1 << j for j in simplex if j != i))
+        for row, i in zip(form, simplex)]
+    for c, i in enumerate(order):
+        if i in simplex or all(flip * _surd_sign(*row[c], d) < 0 for row in form):
             continue
         bit = 1 << i
         violated, satisfied, kept = [], [], []
         for r, z in rays:
-            excess = _pair_dot(r, p, d)
+            excess = _pair_dot(r, pts[i], d)
             s = _surd_sign(*excess, d)
             if s > 0:
                 violated.append((r, z, excess))
@@ -238,15 +231,11 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
                     continue
                 if any(z & common == common for z in masks if z != zv and z != zs):
                     continue
-                # ev > 0 > es: the positive combination tight at p
+                # ev > 0 > es: the positive combination tight at point i
                 kept.append((_combine(rs, ev, rv, es, d), common | bit))
         rays = kept
-    out = {}
-    for r, z in rays:
-        w = Vector._of(tuple(Scalar._make(a, b, 1, d) for a, b in r[:k]))
-        incident = frozenset(i for i in range(len(pts)) if z >> i & 1)
-        out[incident] = _canonical(w, Scalar._make(*r[k], L, d))
-    return out
+    return {frozenset(i for i in range(m) if z >> i & 1):
+            _canonical([(L * a, L * b) for a, b in r[:k]] + [r[k]], d) for r, z in rays}
 
 
 def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], ...]]:
@@ -310,7 +299,8 @@ def _restricted(frame, w: Vector, c: Scalar) -> Halfspace:
         f = w[col]
         if not f.is_zero():
             w, c = w - e.scale(f), c - b * f
-    return Halfspace(*_canonical(w, c))
+    (row,), _, d = _integer_rows([w.coords + (c,)])
+    return Halfspace(*_canonical(row, d))
 
 
 def _facet_frame(frame, data, index: int):

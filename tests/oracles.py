@@ -11,13 +11,17 @@ determinant over Q(sqrt 2), which eliminates nothing.
 `inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
 cover; the meet and the value are the caller's.
 
-`reference_clip` is the one exception, the differential oracle of the
-clip in `slval.polytope`, which reads signs and crossing points off
-integer pairs.  It reads the package's facet record the same way, but
-takes every excess and crossing point in `Scalar` arithmetic and builds
-the polytopes it makes through the public constructor.
+`reference_clip` and `reference_parse` are the exceptions.  The first is
+the differential oracle of the clip in `slval.polytope`, which reads signs
+and crossing points off integer pairs.  It reads the package's facet
+record the same way, but takes every excess and crossing point in `Scalar`
+arithmetic and builds the polytopes it makes through the public
+constructor.  The second is the oracle of `Scalar.parse`, which reads its
+integer triple straight off the text: it reads both coefficients as
+`Fraction`s and builds the value through the public `Scalar` constructor.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -279,3 +283,25 @@ def reference_clip(P, H):
     object.__setattr__(Q, "_frame", _frame(P))
     _fill_facets(Q, items)
     return Q
+
+
+_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+_SCALAR_RE = re.compile(
+    rf"^(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$"
+)
+
+
+def reference_parse(text):
+    """The Scalar a or a +- b*sqrt(d) that `text` spells, through Fractions."""
+    from slval.exactnum import Scalar, ScalarParseError
+
+    m = _SCALAR_RE.match(text)
+    if m is None:
+        raise ScalarParseError(f"bad scalar literal: {text!r}")
+    try:
+        a, b = Fraction(m.group("a")), Fraction(m.group("b")) if m.group("b") else 0
+        return Scalar(a, -b if m.group("sign") == "-" else b, int(m.group("d") or 0))
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in scalar literal: {text!r}") from None
+    except ValueError as exc:
+        raise ScalarParseError(str(exc)) from None

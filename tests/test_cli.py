@@ -1,10 +1,12 @@
 import json
 import sys
+import time
 
 import pytest
 
 from slval import cli
 from slval.cli import main
+from slval.exactnum import MAX_DISCRIMINANT
 
 
 def write_json(path, obj):
@@ -101,6 +103,19 @@ class TestValuate:
         ])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_huge_field_exits_2_at_once(self, tmp_path, capsys):
+        """A discriminant past MAX_DISCRIMINANT is refused before the
+        squarefree test, whose trial division would run for hours."""
+        start = time.perf_counter()
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", dict(ORIGIN_POINT, field_d=10**18 + 3)),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation(c0="1")),
+        ])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert str(MAX_DISCRIMINANT) in capsys.readouterr().err
 
     def test_zero_denominator_vertex_exits_2(self, tmp_path, capsys):
         code = main([
@@ -258,6 +273,14 @@ class TestVerify:
             main(["verify", "--field-d", "4"])
         assert err.value.code == 2
         assert "squarefree" in capsys.readouterr().err
+
+    def test_huge_field_is_usage_error_at_once(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--field-d", str(10**18 + 3)])
+        assert time.perf_counter() - start < 1
+        assert err.value.code == 2
+        assert str(MAX_DISCRIMINANT) in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, capsys):
         main(["verify", "--cases", "4", "--seed", "7"])

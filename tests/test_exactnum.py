@@ -13,6 +13,8 @@ from slval.exactnum import (
     cauchy_eval,
 )
 
+from oracles import reference_parse
+
 
 def test_rational_addition():
     assert Scalar(Fraction(1, 2)) + Scalar(Fraction(1, 3)) == Scalar(Fraction(5, 6))
@@ -114,6 +116,42 @@ def test_parse_rejects_a_zero_denominator(text):
     every input boundary maps to its exit code, not a ZeroDivisionError."""
     with pytest.raises(ScalarParseError, match="zero denominator"):
         Scalar.parse(text)
+
+
+@st.composite
+def scalar_texts(draw):
+    """Scalar literals with signs, leading zeros, /1, zero numerators and
+    denominators, and discriminants that are 0, 1, squarefree, not
+    squarefree or too large; one draw in eight is grammar noise."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.text(alphabet="0123456789+-/*sqrt() ", max_size=16))
+    zeros = st.sampled_from(["", "0", "00"])
+    numeral = st.builds(lambda z, x: z + str(x), zeros, st.integers(0, 10**4))
+    denominator = st.one_of(st.just(""), st.builds(lambda x: "/" + x,
+                                                   st.one_of(st.sampled_from(["0", "1", "01"]), numeral)))
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(numeral) + draw(denominator)
+    if draw(st.booleans()):
+        d = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 8, 12, 18, 10**10 - 33, 10**10 + 1, 10**18 + 3]),
+                           st.integers(0, 200)))
+        text += f"{draw(st.sampled_from('+-'))}{draw(numeral)}{draw(denominator)}*sqrt({draw(zeros)}{d})"
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        x = parse(text)
+    except Exception as exc:
+        return type(exc)
+    return x, x.d, str(x)
+
+
+@given(scalar_texts())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_parse_matches_the_fraction_reference(text):
+    """`parse` reads its integer triple straight off the text; the former
+    Fraction-based parse, kept as an oracle, gives the same value or
+    raises the same exception class."""
+    assert parse_outcome(Scalar.parse, text) == parse_outcome(reference_parse, text)
 
 
 def test_str_is_canonical():

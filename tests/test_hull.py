@@ -35,6 +35,8 @@ from slval.valuation import ClassifiedValuation, evaluate, evaluate_union
 
 from oracles import affine_frame, extreme_indices, facets_by_subsets
 
+ROOT2 = Scalar.sqrt_of(2)
+
 
 def as_scalars(points):
     return [[Scalar(x) for x in p] for p in points]
@@ -221,8 +223,8 @@ def test_transform_rejects_a_singular_matrix():
 
 def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
     """A 40-point cloud in R^3 has C(40, 3) = 9880 point triples; the hull
-    runs the elimination only to pick its starting simplex and to find the
-    kernel of each facet of that simplex."""
+    eliminates twice: once for the frame, and once on [X | I], which picks
+    the starting simplex and yields the facets of that simplex."""
     calls = []
     real = polytope._eliminate
 
@@ -235,7 +237,64 @@ def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
     assert len(points) == 40
     P = from_points(as_scalars(points))
     assert len(P.vertices) > 3
-    assert len(calls) <= 2 * (3 + 1)
+    assert len(calls) == 2
+
+
+def test_far_first_insertion_combines_few_rays(monkeypatch):
+    """Inserted in index order, the sorted points of this 40-point planar
+    cloud each lie outside the hull so far, and the pass combines 66 ray
+    pairs to find 12 edges; inserted far first, it combines 26."""
+    calls = []
+    real = polytope._combine
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "_combine", counting)
+    points = symmetric_cloud(random.Random(3), 2, 40, bound=20)
+    P = from_points(as_scalars(points))
+    assert len(P.vertices) == 12
+    assert len(calls) <= 30
+
+
+@st.composite
+def shuffled_point_sets(draw):
+    """Points in R^2, R^3 or R^4 over Q or Q(sqrt 2): a full-dimensional
+    cloud, a flat set in the hyperplane x_n = x_1 - x_2 + 1, or a sample of
+    {-1, 0, 1}^n with many coplanar points; and a shuffle of them."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    shape = draw(st.sampled_from(["cloud", "flat", "coplanar"]))
+    coord = st.integers(-1, 1) if shape == "coplanar" else st.integers(-3, 3)
+    raw = draw(st.lists(st.tuples(*[coord] * n), min_size=2, max_size=n + 8, unique=True))
+    if shape == "flat":
+        raw = [p[:-1] + (p[0] - p[1] + 1,) for p in raw]
+    points = as_scalars(raw)
+    if draw(st.booleans()):
+        points = [[x + ROOT2 * y for x, y in zip(p, p[1:] + [Scalar(0)])] for p in points]
+    return points, draw(st.permutations(points))
+
+
+@given(shuffled_point_sets())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_hull_does_not_depend_on_input_order(case):
+    """from_points on a shuffle of its input gives the same vertices and
+    facet record.  The constructor sorts the points before the pass, so
+    the pass is also run on shuffled coordinates directly: the insertion
+    order, seed simplex included, changes with the shuffle through the
+    ties of the far-first key, and the facets must not."""
+    points, shuffled = case
+    P, Q = from_points(points), from_points(shuffled)
+    assert Q.vertices == P.vertices
+    assert _facet_data(Q) == _facet_data(P)
+    raw = Polytope(P.ambient_dim, [Vector(p) for p in points])
+    pivots = _frame(raw)[0]
+    if pivots:
+        coords = [[v[c] for c in pivots] for v in raw.vertices]
+        order = [raw.vertices.index(Vector(p)) for p in dict.fromkeys(map(tuple, shuffled))]
+        moved = _supporting([coords[i] for i in order], len(pivots))
+        assert {frozenset(order[j] for j in incident): h for incident, h in moved.items()} == \
+            _supporting(coords, len(pivots))
 
 
 @pytest.mark.parametrize("n, m", [(3, 40), (4, 20)])
@@ -320,9 +379,6 @@ def assert_inherits_at_every_depth(P):
         assert _facet_data(P) == _facet_data(fresh)
         for _, F in facets(P):
             assert_inherits_at_every_depth(F)
-
-
-ROOT2 = Scalar.sqrt_of(2)
 
 
 @st.composite

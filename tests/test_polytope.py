@@ -277,6 +277,29 @@ def test_json_with_surds():
     assert from_json(obj) == p
 
 
+@st.composite
+def mixed_vertex_lists(draw):
+    """Points in R^1..R^4 whose coordinates have mixed denominators, over Q
+    or Q(sqrt 2), drawn from a small pool so that duplicates occur."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([0, 2]))
+    part = st.fractions(-3, 3, max_denominator=6)
+    coord = st.builds(lambda a, b: Scalar(a, b, d) if d else Scalar(a), part, part)
+    pool = draw(st.lists(st.builds(Vector, st.lists(coord, min_size=n, max_size=n)),
+                         min_size=1, max_size=6))
+    return n, draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+@given(mixed_vertex_lists())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_vertex_order_is_the_sort_key_order(case):
+    """The constructor dedupes and sorts on integer pairs over one common
+    denominator; that is the order of `Vector.sort_key` on the distinct
+    points."""
+    n, points = case
+    assert Polytope(n, points).vertices == tuple(sorted(set(points), key=Vector.sort_key))
+
+
 def test_mixed_fields_raise_field_mismatch():
     r2, r3 = Scalar.sqrt_of(2), Scalar.sqrt_of(3)
     with pytest.raises(FieldMismatchError):
