@@ -98,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--oracle-cmd", metavar="CMD",
                         help="external command fed polytope JSON lines on stdin; "
                              f"killed after {ORACLE_TIMEOUT_S} s")
+    fit.add_argument("--field-d", type=_discriminant, default=2,
+                     help="discriminant of the surd validation simplices, 0 to skip them")
     fit.add_argument("--format", choices=("json", "text"), default="json")
     fit.set_defaults(func=_cmd_fit)
 
@@ -191,11 +193,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         blackbox = functools.partial(evaluate, val)
     else:
         polys = list(probe_polytopes(args.n))
-        polys += fit_validation_polytopes(args.n, args.seed, args.cases)
+        polys += fit_validation_polytopes(args.n, args.seed, args.cases, args.field_d)
         table = _oracle_table(args.oracle_cmd, polys)
         blackbox = table.__getitem__
     report = fit_classification(blackbox, args.n, seed=args.seed,
-                                validation_count=args.cases)
+                                validation_count=args.cases, field_d=args.field_d)
     exact = report.residual_max.is_zero()
     if args.format == "json":
         print(json.dumps({

@@ -34,7 +34,7 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-#: the largest discriminant: `parse` tests each surd literal's d by trial division
+#: the largest discriminant, which is tested squarefree by trial division
 MAX_DISCRIMINANT = 10**10
 
 
@@ -307,8 +307,9 @@ class Scalar:
         return f"Scalar({self.a!r}, {self.b!r}, {self.d!r})"
 
     @classmethod
-    def parse(cls, text: str) -> Scalar:
-        """`a`, `a+b*sqrt(d)` or `a-b*sqrt(d)`, read into one integer triple."""
+    def parse(cls, text: str, field: int = 0) -> Scalar:
+        """`a`, `a+b*sqrt(d)` or `a-b*sqrt(d)`, read into one integer triple;
+        a d equal to `field`, which the caller has checked, is not rechecked."""
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ScalarParseError(f"bad scalar literal: {text!r}")
@@ -317,7 +318,9 @@ class Scalar:
             a, aq, b, bq, d = int(an), int(aq or 1), int(bn or 0), int(bq or 1), int(d or 0)
             if not aq or not bq:
                 raise ValueError(f"zero denominator in scalar literal: {text!r}")
-            if not _check_discriminant(d) and b:
+            if d != field:
+                _check_discriminant(d)
+            if not d and b:
                 raise ValueError("irrational part requires a nonzero discriminant")
         except ValueError as exc:
             raise ScalarParseError(str(exc)) from None

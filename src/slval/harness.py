@@ -331,33 +331,42 @@ def probe_matrix(n: int) -> Matrix:
     return Matrix([basis_vector(P) for P in probes])
 
 
-def fit_validation_polytopes(n: int, seed: int = 0, count: int = 100) -> list[Polytope]:
+def surd_simplices(n: int, d: int, count: int = 5) -> list[Polytope]:
+    """The simplices [0, (i+1)*sqrt(d)*e1, e2, ..., en], i < count: irrational volumes."""
+    surd = Scalar.sqrt_of(d)
+    return [from_points([origin(n), Vector([surd * (i + 1)] + [ZERO] * (n - 1))]
+                        + [Vector.basis(n, j) for j in range(1, n)], n) for i in range(count)]
+
+
+def fit_validation_polytopes(n: int, seed: int = 0, count: int = 100,
+                             field_d: int = 0) -> list[Polytope]:
+    """`count` seeded rational polytopes, then the surd simplices unless field_d is 0."""
     polys = []
     for i in range(count):
         family = FAMILIES[i % len(FAMILIES)]
         polys.append(
             gen_polytope(_sub_seed(seed, 900 + i), n, max_vertices=6, coord_bound=3, family=family)
         )
-    return polys
+    return polys + (surd_simplices(n, field_d) if field_d else [])
 
 
-def fit_classification(blackbox, n: int, seed: int = 0, validation_count: int = 100) -> FitReport:
+def fit_classification(blackbox, n: int, seed: int = 0, validation_count: int = 100,
+                       field_d: int = 0) -> FitReport:
     """Recover the five coefficients of a valuation from probe values.
 
     The probes pin the coefficient vector through an exact 5x5 solve; the
     validation set then measures the worst deviation of the fitted model.
     A blackbox of the classified form with linear psi and phi gives 0, and a
-    nonzero residual rules that form out.  The converse does not hold: the
-    validation polytopes are all rational, so their volumes are rational
-    and a RationalPart plugin, which fixes rationals, fits as Linear(1)
-    with residual 0.
+    nonzero residual rules that form out.  A RationalPart plugin agrees with
+    Linear(1) on rational volumes; the surd simplices of a nonzero field_d,
+    whose volumes are irrational, tell the two apart.
     """
     matrix = probe_matrix(n)
     values = tuple(blackbox(P) for P in probe_polytopes(n))
     coefficients = tuple(solve(matrix, Vector(values)))
     model = ClassifiedValuation.linear(*coefficients)
     residual = ZERO
-    for P in fit_validation_polytopes(n, seed, validation_count):
+    for P in fit_validation_polytopes(n, seed, validation_count, field_d):
         gap = abs(blackbox(P) - evaluate(model, P))
         if gap > residual:
             residual = gap
@@ -463,16 +472,10 @@ def run_suite(
         yield _line("sl_invariance", i, outcome)
 
     if field_d:
-        surd = Scalar.sqrt_of(field_d)
         surd_val = ClassifiedValuation(
             c0=ZERO, c0p=ZERO, d0=ZERO, psi=RationalPart(), phi=Linear(ZERO)
         )
-        for i in range(min(cases, 5)):
-            # simplex [0, (i+1)*sqrt(d)*e1, e2, ..., en] has irrational volume
-            apex = Vector([surd * (i + 1) if j == 0 else ZERO for j in range(n)])
-            box = from_points(
-                [origin(n), apex] + [Vector.basis(n, j) for j in range(1, n)], n
-            )
+        for i, box in enumerate(surd_simplices(n, field_d, min(cases, 5))):
             A = random_sl_matrix(_sub_seed(seed, 600 + i), n, steps=4)
             outcome = check_sl_invariance(lambda Q: evaluate(surd_val, Q), box, A)
             yield _line("sl_invariance_rational_part", i, outcome)

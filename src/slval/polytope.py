@@ -91,7 +91,8 @@ class Polytope:
     underscored slots hold derived data, None until first use; `_parent`
     is set on a facet of another polytope, to (that polytope's frame, its
     facet record, the facet's index), from which the facet derives its own,
-    and `_volume` holds the pivot volume that `triangulate` computes.
+    and `_volume` holds the pivot volume that `triangulate` sums over the
+    pulling cells it reads off the facet record; no face's volume is kept.
     """
 
     __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_parent", "_volume")
@@ -640,7 +641,7 @@ def from_json(obj: dict) -> Polytope:
         raise ValueError(f"bad polytope object: {exc}") from None
     points = []
     for row in raw:
-        coords = [Scalar.parse(text) for text in row]
+        coords = [Scalar.parse(text, d) for text in row]
         for c in coords:
             if c.d not in (0, d):
                 raise ValueError(f"vertex scalar {c} outside declared field sqrt({d})")

@@ -1,52 +1,76 @@
-"""Exact volume by pyramid recursion on the facet data.
+"""Exact volumes from the pulling triangulation on the facet incidences.
 
-Let k = dim P, a the first vertex of P and <w_F, x> <= c_F its facet
-halfspaces.  The pyramids with apex a over the facets not through a tile
-P, so (Lasserre, JOTA 39, 1983, with a vertex as apex; Bueler, Enge and
-Fukuda 2000)
+Every face is coned from its lowest-index vertex over those of its facets
+that miss that vertex, recursively.  The cells are the pulling
+triangulation of P from its first vertex, which are also the simplex
+leaves of the pyramid recursion with that apex (Bueler, Enge and Fukuda
+2000).  A face is a bitmask of P's vertex indices, and its facets are the
+inclusion-maximal proper meets of it with P's facet bitmasks (only from
+dimension 5 on can a lower face have as many vertices as a facet, so below
+that the vertex count alone decides).  The recursion thus reads only the
+incidences of P's facet record, derives no face's frame or record, and
+keeps its faces for one call.
 
-    vol_k P = (1/k) * sum over facets F not through a of (c_F - <w_F, a>) * vol_{k-1} F.
-
-Every volume is taken in the polytope's own pivot coordinates, the pivot
-columns of its frame, and needs no norm.  The last nonzero entry of w_F
-is +-1, and its column is exactly the one F's own frame drops.  The
-height of a over F is (c_F - <w_F, a>) / |w_F|, and dropping that column
-shrinks F's (k-1)-volume by the factor 1 / |w_F|, so the two norms
-cancel.  A simplex ends the recursion with |D| / (L^k k!), D the integer
-pair determinant of X_i - X_0, its pivot coordinates read as pairs X_i
-over one common denominator L; its cells are those of the pulling
-triangulation from the first vertex.  A polytope keeps its pivot volume,
-so `apex_volume` of a facet reuses what `volume` computed for it.
+With k = dim P, a cell's volume is |D| / (L^k k!), D the integer pair
+determinant of X_i - X_0, its vertices' pivot coordinates read as pairs
+X_i over one common denominator L; the |D| are summed on integers and one
+Scalar is built at the end, which P keeps in its `_volume` slot.  The
+pyramid from 0 over an (n-1)-face F with 0 off aff F is the union of the
+cones from 0 over F's cells, |det X| / (L^n n!) each, X the cell's
+vertices in ambient coordinates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .exactnum import ZERO, Scalar, _integer_rows, _surd_sign
 from .linalg import _det
-from .polytope import Polytope, _facet_data, _frame, dim, facets, in_affine_hull, origin
+from .polytope import Polytope, _facet_data, _frame, dim, in_affine_hull, origin
+
+
+def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
+    """Cells of the pulling triangulation of the k-face `face`, as vertex
+    bitmasks; `masks` are the polytope's facet bitmasks.  A facet of the
+    face has at least k vertices, and one through the apex is skipped."""
+    if face.bit_count() == k + 1:
+        return [face]
+    if face not in memo:
+        apex = face & -face
+        meets = {g for g in (face & m for m in masks) if g != face and g.bit_count() >= k}
+        memo[face] = [cell | apex for g in meets
+                      if not g & apex and not any(g & h == g != h for h in meets)
+                      for cell in _cells(masks, g, k - 1, memo)]
+    return memo[face]
+
+
+def _cell_sum(P: Polytope, rows, faces, k: int, from_origin: bool) -> Scalar:
+    """Sum of |det X| over the cells of the k-faces `faces` of P (incident
+    index sets), over L^m m!: X the cell's rows of `rows` = (pairs, L, d) if
+    from_origin, else their differences from its first; m the columns."""
+    points, L, d = rows
+    masks = [sum(1 << i for i in incident) for _, incident in _facet_data(P)]
+    memo: dict = {}
+    A = B = 0
+    for face in faces:
+        for cell in _cells(masks, sum(1 << i for i in face), k, memo):
+            x0, *rest = X = [x for i, x in enumerate(points) if cell >> i & 1]
+            if not from_origin:
+                X = [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(x, x0)] for x in rest]
+            a, b = _det(X, d)
+            s = _surd_sign(a, b, d)
+            A, B = A + s * a, B + s * b
+    m = len(points[0])
+    return Scalar._make(A, B, L ** m * factorial(m), d)
 
 
 def _pivot_volume(P: Polytope) -> Scalar:
     """vol_k P in P's pivot coordinates, k = dim P, filled once."""
     if P._volume is None:
         pivots = _frame(P)[0]
-        k = len(pivots)
-        a = P.vertices[0]
-        if len(P.vertices) == k + 1:
-            (x0, *rest), L, d = _integer_rows([[v[c] for c in pivots] for v in P.vertices])
-            D = _det([[(A - A0, B - B0) for (A, B), (A0, B0) in zip(x, x0)] for x in rest], d)
-            s = _surd_sign(*D, d)
-            vol = Scalar._make(s * D[0], s * D[1], L ** k * factorial(k), d)
-        else:
-            total = ZERO
-            for (h, incident), (_, F) in zip(_facet_data(P), facets(P)):
-                if 0 not in incident:
-                    total = total + (h.offset - h.normal.dot(a)) * _pivot_volume(F)
-            vol = total / Fraction(k)
+        rows = _integer_rows([[v[c] for c in pivots] for v in P.vertices])
+        vol = _cell_sum(P, rows, [range(len(P.vertices))], len(pivots), False)
         object.__setattr__(P, "_volume", vol)
     return P._volume
 
@@ -60,15 +84,13 @@ def volume(P: Polytope) -> Scalar:
     return _pivot_volume(P)
 
 
-def apex_volume(F: Polytope) -> Scalar:
-    """Volume of conv(F ∪ {0}) for dim F = n - 1 with 0 off aff F.
-
-    F's one frame equality <w, x> = b has its last nonzero entry 1 on the
-    column F's pivots drop, so the height |b| / |w| and F's pivot volume
-    times |w| give the pyramid |b| * vol(F) / n.
-    """
-    n = F.ambient_dim
-    if dim(F) != n - 1 or in_affine_hull(F, origin(n)):
-        raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {F!r}")
-    ((_, b),) = _frame(F)[1]
-    return abs(b) * _pivot_volume(F) / Fraction(n)
+def apex_volume(P: Polytope, faces=None) -> Scalar:
+    """Volume of the union of conv(F ∪ {0}) over the (n-1)-faces F of P
+    given as incident index sets, each with 0 off aff F; without `faces`,
+    over P itself, which must then have dim n - 1 with 0 off aff P."""
+    n = P.ambient_dim
+    if faces is None:
+        if dim(P) != n - 1 or in_affine_hull(P, origin(n)):
+            raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {P!r}")
+        faces = [range(len(P.vertices))]
+    return _cell_sum(P, _integer_rows(P.vertices), faces, n - 1, True)

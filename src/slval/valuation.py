@@ -19,8 +19,9 @@ origin and one reading of the signs of P's facet offsets settle both
 indicators, and the cone term is vol P plus the pyramids from 0 over the
 facets whose offset is negative (the visible-facet part of Lawrence's
 signed-cone decomposition, Math. Comp. 1991).  A flat P with 0 off its
-affine hull is one such pyramid; other flat P give 0.  No second hull is
-built.
+affine hull is one such pyramid; other flat P give 0.  `apex_volume` sums
+the pyramids over the pulling cells of those facets, given as incident index
+sets: no second hull and no facet polytope is built.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .polytope import (
     Polytope,
     _facet_data,
     dim,
-    facets,
     in_affine_hull,
     intersect,
     origin,
@@ -67,14 +67,13 @@ def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     n, k = P.ambient_dim, dim(P)
     vol = volume(P)
     on_hull = in_affine_hull(P, origin(n))
-    signs = [h.offset.sign() for h, _ in _facet_data(P)] if on_hull else []
+    data = _facet_data(P) if on_hull else ()
+    signs = [h.offset.sign() for h, _ in data]
     relint = on_hull and all(s > 0 for s in signs)
     inside = on_hull and all(s >= 0 for s in signs)
     if k == n:
-        cone = vol
-        for s, (_, F) in zip(signs, facets(P)):
-            if s < 0:
-                cone = cone + apex_volume(F)
+        visible = [incident for s, (_, incident) in zip(signs, data) if s < 0]
+        cone = vol + apex_volume(P, visible) if visible else vol
     elif k == n - 1 and not on_hull:
         cone = apex_volume(P)
     else:

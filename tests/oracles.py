@@ -11,19 +11,25 @@ determinant over Q(sqrt 2), which eliminates nothing.
 `inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
 cover; the meet and the value are the caller's.
 
-`reference_clip` and `reference_parse` are the exceptions.  The first is
-the differential oracle of the clip in `slval.polytope`, which reads signs
-and crossing points off integer pairs.  It reads the package's facet
-record the same way, but takes every excess and crossing point in `Scalar`
-arithmetic and builds the polytopes it makes through the public
-constructor.  The second is the oracle of `Scalar.parse`, which reads its
-integer triple straight off the text: it reads both coefficients as
-`Fraction`s and builds the value through the public `Scalar` constructor.
+`reference_clip`, `pyramid_volume` and `reference_parse` are the
+exceptions.  The first is the differential oracle of the clip in
+`slval.polytope`, which reads signs and crossing points off integer pairs.
+It reads the package's facet record the same way, but takes every excess
+and crossing point in `Scalar` arithmetic and builds the polytopes it
+makes through the public constructor.  The second is the other volume
+route beside `slval.triangulate`, which sums pair determinants over the
+pulling cells it finds on facet bitmasks: it recurses over the facets as
+polytopes, each with its own frame and facet record, and sums heights
+times facet volumes in `Scalar`s.  The third is the oracle of
+`Scalar.parse`, which reads its integer triple straight off the text: it
+reads both coefficients as `Fraction`s and builds the value through the
+public `Scalar` constructor.
 """
 
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 
 def _cross(o, a, b):
@@ -283,6 +289,33 @@ def reference_clip(P, H):
     object.__setattr__(Q, "_frame", _frame(P))
     _fill_facets(Q, items)
     return Q
+
+
+def pyramid_volume(P):
+    """(vol_k P in P's pivot coordinates, k = dim P, and the number of
+    simplex leaves) by pyramid recursion with apex a, the first vertex
+    (Lasserre, JOTA 39, 1983): vol_k P = (1/k) * the sum over the facets F
+    not through a of (c_F - <w_F, a>) * vol_{k-1} F, every facet taken in
+    its own frame and facet record.  A simplex ends the recursion with the
+    |det| / k! of its edge vectors on the pivot columns; the leaves are the
+    cells of the pulling triangulation from the first vertex."""
+    from slval.linalg import Matrix, det
+    from slval.polytope import _facet_data, _frame, facets
+
+    pivots = _frame(P)[0]
+    k = len(pivots)
+    first, *rest = [[v[c] for c in pivots] for v in P.vertices]
+    if len(rest) == k:
+        edges = Matrix([[x - x0 for x, x0 in zip(p, first)] for p in rest])
+        return abs(det(edges)) / factorial(k), 1
+    a = P.vertices[0]
+    total, leaves = 0, 0
+    for (h, incident), (_, F) in zip(_facet_data(P), facets(P)):
+        if 0 not in incident:
+            vol, count = pyramid_volume(F)
+            total = total + (h.offset - h.normal.dot(a)) * vol
+            leaves += count
+    return total / k, leaves
 
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"

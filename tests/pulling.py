@@ -1,11 +1,13 @@
-"""Pulling triangulations: the second, independent volume route of the tests.
+"""Pulling triangulations as explicit simplices, in any vertex order.
 
 Every face is coned from its first vertex in a fixed total order on the
 vertices of the whole polytope.  Using one order consistently through the
 recursion is what makes the output a simplicial complex, so the order is
 part of every recursive call.  Each cell's volume is |det| / n! on the
-ambient coordinates, with no facet offsets involved, so summing the cells
-checks `slval.triangulate.volume` by a different computation.
+ambient coordinates.  The tests use the cells as covers whose pieces meet
+in common faces and check that they form a complex; in the default order
+they are the cells that `slval.triangulate` sums, so the second volume
+route of the tests is the pyramid recursion in `oracles.py` instead.
 
 Unlike `oracles.py` this module builds on slval's polytopes: it reads the
 facets of `slval.polytope` and the exact determinant and rank of

@@ -104,6 +104,17 @@ class TestValuate:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    def test_literal_outside_a_valid_field_is_still_checked(self, tmp_path, capsys):
+        # literals in the declared field skip the squarefree test; others do not
+        bad = dict(VERTICAL_SEGMENT, field_d=2, vertices=[["0", "-1"], ["0", "1+1*sqrt(12)"]])
+        code = main([
+            "valuate",
+            "--in", write_json(tmp_path / "p.json", bad),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation(c0="1")),
+        ])
+        assert code == 2
+        assert "squarefree in 2..10000000000, got 12" in capsys.readouterr().err
+
     def test_huge_field_exits_2_at_once(self, tmp_path, capsys):
         """A discriminant past MAX_DISCRIMINANT is refused before the
         squarefree test, whose trial division would run for hours."""
@@ -159,6 +170,23 @@ class TestFit:
         report = json.loads(capsys.readouterr().out)
         assert report["coefficients"] == ["1", "2", "3", "4", "5"]
         assert report["residual_max"] == "0"
+
+    def test_rational_part_plugin_exits_1(self, tmp_path, capsys):
+        # RationalPart fixes every rational volume, so only the simplices
+        # with a sqrt(2) edge tell it from Linear(1)
+        val = dict(linear_valuation(dn="1"), psi={"kind": "rational_part"})
+        code = main(["fit", "--n", "3", "--valuation", write_json(tmp_path / "v.json", val)])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["coefficients"] == ["0", "0", "1", "0", "1"]
+        assert report["residual_max"] != "0"
+
+    def test_field_d_0_skips_the_surd_validation(self, tmp_path, capsys):
+        val = dict(linear_valuation(dn="1"), psi={"kind": "rational_part"})
+        code = main(["fit", "--n", "3", "--field-d", "0",
+                     "--valuation", write_json(tmp_path / "v.json", val)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["residual_max"] == "0"
 
     def test_oracle_euler_only(self, tmp_path, capsys):
         oracle = tmp_path / "oracle.py"

@@ -1,5 +1,6 @@
 """The integer clip against its Scalar reference, the trusted face
-constructor, and the Scalar and leaf counts of a cut and a volume."""
+constructor, and the Scalar and leaf counts of a cut and of the volume and
+cone terms."""
 
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slval.polytope
 import slval.triangulate
 from slval.exactnum import Scalar
 from slval.linalg import Vector, _det
@@ -24,9 +26,10 @@ from slval.polytope import (
     field_discriminant,
     from_points,
 )
-from slval.triangulate import apex_volume, volume
+from slval.triangulate import volume
+from slval.valuation import basis_vector
 
-from oracles import reference_clip
+from oracles import pyramid_volume, reference_clip
 
 ROOT2 = Scalar.sqrt_of(2)
 
@@ -162,9 +165,11 @@ def surd_polytope():
 
 
 def test_clip_and_volume_build_few_scalars(monkeypatch):
-    """Signs, crossings and simplex leaves run on integer pairs: Scalars are
-    built for the crossing points, the new facet and the pyramid sums, 476
-    in all.  The Scalar clip and leaves built 721 for this cut and volume."""
+    """Signs, crossings and volume cells run on integer pairs: Scalars are
+    built for the crossing points and the new facet, and one for the
+    volume, 38 in all.  The Scalar clip and leaves built 721 for this cut
+    and volume, and a pyramid recursion in Scalars over the integer clip
+    476."""
     P = surd_polytope()
     values = sorted(Vector([1, -2, 1]).dot(v) for v in P.vertices)
     H = Halfspace(Vector([1, -2, 1]), (values[0] + values[-1]) / 2)
@@ -178,7 +183,7 @@ def test_clip_and_volume_build_few_scalars(monkeypatch):
     monkeypatch.setattr(Scalar, "_make", classmethod(counting))
     Q = clip(P, H)
     assert volume.__wrapped__(Q) > 0
-    assert len(calls) <= 600
+    assert len(calls) <= 38
 
 
 def count_leaves(monkeypatch):
@@ -192,21 +197,48 @@ def count_leaves(monkeypatch):
     return calls
 
 
-def test_apex_volume_reuses_the_volume_of_a_visited_facet(monkeypatch):
-    """volume(P) recurses into every facet not through P's first vertex and
-    keeps each facet's volume, so the pyramid from 0 over it takes no new
-    leaf.  On a fresh copy of P the same pyramids take leaves."""
-    P = surd_polytope()
-    # a facet's one frame equality <w, x> = b has b = 0 iff 0 is on its hull
-    pyramids = [F for (_, incident), (_, F) in zip(_facet_data(P), facets(P))
-                if 0 not in incident and not _frame(F)[1][0][1].is_zero()]
-    assert pyramids
+def guard_polytopes():
+    """surd_polytope, and the 4-cube and the 12-gon of MANY_VERTICES moved
+    off the origin."""
+    moved = [hull([[x + 5 + i for i, x in enumerate(p)] for p in MANY_VERTICES[name]], False)
+             for name in ("4-cube", "12-gon")]
+    return [surd_polytope()] + moved
+
+
+def pulling_cells(P):
+    """Cells of the volume and of the cone term of P, by the pyramid
+    recursion of the tests' oracle: the volume's leaves and those of every
+    facet visible from 0."""
+    return pyramid_volume(P)[1] + sum(
+        pyramid_volume(F)[1] for h, F in facets(P) if h.offset.sign() < 0)
+
+
+def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
+    """The volume and cone terms read the pulling cells off facet bitmasks:
+    no facet's frame or facet record is derived, each cell takes one pair
+    determinant, and 122 Scalars are built for the three polytopes, most of
+    them by the hull passes.  Terms that recursed on each facet's own record
+    derived 107 facet frames and 32 facet records, restricted 144
+    halfspaces and built 1,778 Scalars."""
+    cells = sum(pulling_cells(P) for P in guard_polytopes())
+    fresh = [Polytope(P.ambient_dim, P.vertices) for P in guard_polytopes()]
+    volume.cache_clear()
+    derived = []
+    for name in ("_facet_frame", "_facet_ridges", "_restricted"):
+        real = getattr(slval.polytope, name)
+        monkeypatch.setattr(slval.polytope, name,
+                            lambda *args, name=name, real=real: derived.append(name) or real(*args))
     leaves = count_leaves(monkeypatch)
-    volume.__wrapped__(P)
-    assert leaves
-    leaves.clear()
-    values = [apex_volume(F) for F in pyramids]
-    assert leaves == []
-    fresh = [Polytope(F.ambient_dim, F.vertices) for F in pyramids]
-    assert [apex_volume(F) for F in fresh] == values
-    assert len(leaves) >= len(fresh)
+    made = []
+    real_make = Scalar._make.__func__
+
+    def counting(cls, *args):
+        made.append(args)
+        return real_make(cls, *args)
+
+    monkeypatch.setattr(Scalar, "_make", classmethod(counting))
+    for P in fresh:
+        basis_vector(P)
+    assert derived == []
+    assert len(leaves) == cells
+    assert len(made) <= 122

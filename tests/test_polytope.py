@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slval import exactnum
 from slval.exactnum import FieldMismatchError, Scalar
 from slval.linalg import Matrix, Vector, random_sl_matrix
 from slval.polytope import (
@@ -16,6 +17,7 @@ from slval.polytope import (
     contains,
     dim,
     facets,
+    field_discriminant,
     from_json,
     from_points,
     in_affine_hull,
@@ -311,6 +313,29 @@ def test_json_rejects_bad_objects():
         from_json({"ambient_dim": 2})
     with pytest.raises(ValueError):
         from_json({"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0+1*sqrt(2)"]]})
+
+
+def test_json_checks_its_field_once(monkeypatch):
+    """The declared field is checked squarefree once (about 10 ms at this
+    d), not once per surd literal; a literal in another field is still
+    checked, and refused as before."""
+    d = 9_999_999_967
+    calls = []
+    real = exactnum._is_squarefree
+    monkeypatch.setattr(exactnum, "_is_squarefree", lambda x: calls.append(x) or real(x))
+    vertices = [[f"{(i >> j & 1) * 3 + j}+{i % 5 + 1}/{j + 2}*sqrt({d})" for j in range(4)]
+                for i in range(20)]
+    P = from_json({"ambient_dim": 4, "field_d": d, "vertices": vertices})
+    assert sum(map(len, vertices)) == 80
+    assert calls == [d]
+    assert field_discriminant(P) == d
+    vertices[7][2] = "1+1*sqrt(12)"
+    with pytest.raises(ValueError, match="squarefree in 2..10000000000, got 12"):
+        from_json({"ambient_dim": 4, "field_d": d, "vertices": vertices})
+    vertices[7][2] = "1+1*sqrt(3)"
+    with pytest.raises(ValueError, match="outside declared field"):
+        from_json({"ambient_dim": 4, "field_d": d, "vertices": vertices})
+    assert calls == [d, d, 12, d, 3]
 
 
 TRIANGLE_JSON = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0"], ["1", "0"], ["0", "5"]]}

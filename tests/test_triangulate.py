@@ -12,16 +12,19 @@ from slval.linalg import Vector, _det, random_sl_matrix
 from slval.polytope import (
     Halfspace,
     Polytope,
+    _facet_data,
     clip,
     cone_hull,
     dim,
+    facets,
     from_points,
     transform,
     visible_facets,
 )
-from slval.triangulate import apex_volume, volume
+from slval.triangulate import _pivot_volume, apex_volume, volume
+from slval.valuation import basis_vector
 
-from oracles import shoelace_area
+from oracles import pyramid_volume, shoelace_area
 from pulling import Simplex, Triangulation, triangulate, verify_complex
 
 
@@ -199,8 +202,8 @@ def test_volume_is_sl_invariant(raw, seed):
 
 
 def _with_leaves(fn, P):
-    """fn(P) and the number of pair determinants it took, one per simplex
-    leaf.  A polytope keeps its volume, so P must not have had one taken."""
+    """fn(P) and the number of pair determinants it took, one per pulling
+    cell.  A polytope keeps its volume, so P must not have had one taken."""
     calls = []
 
     def counting(rows, d):
@@ -224,6 +227,13 @@ def _lift(Q, normal, offset, free):
     return from_points(points)
 
 
+def _over_root2(p):
+    """p under x_0 -> (1 + sqrt 2) x_0 + sqrt 2 x_{n-1}, hulled afresh: a
+    polytope over Q(sqrt 2) whose volume is (1 + sqrt 2) vol p."""
+    r2 = Scalar.sqrt_of(2)
+    return from_points([Vector([v[0] * (r2 + 1) + v[-1] * r2, *v[1:]]) for v in p.vertices])
+
+
 FULL_FAMILIES = [f for f in FAMILIES if f != "lower_dim"]
 # every entry nonzero and none +-1: no hyperplane is axis-parallel and the
 # frame equality divides by a non-unit entry; the factor 2 also makes the
@@ -233,7 +243,7 @@ entries_st = st.sampled_from([-5, -3, -2, 2, 3, 5])
 
 @st.composite
 def volume_routes_case(draw):
-    n = draw(st.sampled_from([3, 4]))
+    n = draw(st.sampled_from([2, 3, 4]))
     seed = draw(st.integers(0, 10**6))
     factor = draw(st.sampled_from([1, 2]))
     normal = [Scalar(factor * draw(entries_st)) for _ in range(n)]
@@ -251,22 +261,41 @@ def volume_routes_case(draw):
 @given(volume_routes_case())
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_volume_routes_agree(case):
-    # the pyramid recursion against the pulling triangulation: equal sums,
-    # and one determinant per pulling cell (the recursion's simplex leaves
-    # are those cells, so it recursed only into facets not through a)
+    # the pulling cells on facet bitmasks against the pyramid recursion on
+    # every facet's own record (tests/oracles.py): equal volumes, and one
+    # determinant per cell, the recursion's simplex leaves; the cone term
+    # against the volume of the hull rebuilt with the origin
     n, seed, normal, offset, free, family = case
     for fam in FAMILIES:
-        p = gen_polytope(seed, n, max_vertices=6, coord_bound=3, family=fam)
-        cells = triangulate(p)
-        assert sum((s.volume() for s in cells), Scalar(0)) == volume(p)
-        if dim(p) == n:
-            fresh = from_points(p.vertices)
-            assert _with_leaves(volume.__wrapped__, fresh) == (volume(p), len(cells))
-    # a hyperplane piece missing the origin: the pyramid over it, against
-    # the volume of the hull rebuilt with the origin
+        rational = gen_polytope(seed, n, max_vertices=6, coord_bound=3, family=fam)
+        for p in (rational, _over_root2(rational)):
+            assert _with_leaves(_pivot_volume, Polytope(n, p.vertices)) == pyramid_volume(p)
+            cone = basis_vector(p)[4]
+            assert cone == volume(cone_hull(p))
+            visible = [(inc, F) for (h, inc), (_, F) in zip(_facet_data(p), facets(p))
+                       if h.offset.sign() < 0]
+            if dim(p) == n and visible:
+                value, leaves = _with_leaves(lambda q: apex_volume(q, [i for i, _ in visible]),
+                                             Polytope(n, p.vertices))
+                assert volume(p) + value == cone
+                assert leaves == sum(pyramid_volume(F)[1] for _, F in visible)
+    # a hyperplane piece missing the origin: the pyramid over it
     piece = _lift(gen_polytope(seed, n - 1, max_vertices=6, coord_bound=3, family=family),
                   normal, offset, free)
     assert dim(piece) == n - 1
     value, leaves = _with_leaves(apex_volume, piece)
     assert value == volume(cone_hull(piece))
-    assert leaves == len(triangulate(piece))
+    assert leaves == pyramid_volume(piece)[1]
+
+
+@pytest.mark.parametrize("surd", [False, True])
+def test_volume_routes_agree_in_r5(surd):
+    # from dimension 5 on, a face F can meet another facet in a lower face
+    # with as many vertices as a facet of F: on the bipyramid over a
+    # 4-cube, two facets over adjacent cube facets from opposite apexes
+    # meet in a square, so only maximality tells the facets of F apart
+    cube = [[(mask >> i & 1) * 2 + 1 for i in range(4)] + [3] for mask in range(16)]
+    bipyramid = from_points([Vector(v) for v in cube + [[2, 2, 2, 2, 2], [2, 2, 2, 2, 4]]])
+    p = _over_root2(bipyramid) if surd else bipyramid
+    assert _with_leaves(_pivot_volume, Polytope(5, p.vertices)) == pyramid_volume(p)
+    assert basis_vector(p)[4] == volume(cone_hull(p))
