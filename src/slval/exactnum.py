@@ -146,6 +146,8 @@ class Scalar:
     def _coerce(value) -> Scalar:
         if isinstance(value, Scalar):
             return value
+        if type(value) is int:
+            return Scalar._make(value, 0, 1, 0)
         if isinstance(value, Rational):
             return Scalar(value)
         return NotImplemented

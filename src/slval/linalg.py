@@ -2,9 +2,10 @@
 
 There is one elimination, `_eliminate`: a fraction-free Gauss-Jordan
 (Bareiss 1968) on pairs (A, B) of ints meaning A + B*sqrt(d), which leaves
-one common pivot D on every pivot row.  Determinants, kernels, reduced
-echelon forms and solutions are read off that form; Scalars are built only
-from it, by one division by D.
+one common pivot D on every pivot row.  Kernels, reduced echelon forms,
+solutions and determinants beyond 4 x 4 are read off that form; Scalars
+are built only from it, by one division by D.  A determinant up to 4 x 4,
+such as a volume cell's, is expanded in closed form on the pairs instead.
 """
 
 from __future__ import annotations
@@ -171,11 +172,43 @@ def _pair_dot(x, y, d: int) -> tuple[int, int]:
     return A, B
 
 
+def _minor(x, y, i: int, j: int, d: int) -> tuple[int, int]:
+    """x_i y_j - x_j y_i."""
+    (ia, ib), (ja, jb), (Ia, Ib), (Ja, Jb) = x[i], x[j], y[i], y[j]
+    return ia * Ja - ja * Ia + d * (ib * Jb - jb * Ib), ia * Jb + ib * Ja - ja * Ib - jb * Ia
+
+
+#: the column pairs of a 4 x 4 matrix, each with its complement ordered so
+#: that its 2 x 2 minor carries the sign of the pair's Laplace term
+_LAPLACE = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)),
+            ((1, 2), (0, 3)), ((1, 3), (2, 0)), ((2, 3), (0, 1)))
+
+
 def _det(rows, d: int) -> tuple[int, int]:
-    """Determinant of a square matrix of integer pairs: +-D, D the common
-    pivot `_eliminate` leaves, or (0, 0) if the rank falls short."""
-    _, pivots, sign, (Da, Db) = _eliminate(rows, d)
-    return (sign * Da, sign * Db) if len(pivots) == len(rows) else (0, 0)
+    """Determinant of a square matrix of integer pairs.  Up to 4 x 4 in
+    closed form: the entry, the 2 x 2 minor, the cofactors of the first row
+    or the Laplace sum over the 2 x 2 minors of the first two rows.  Else
+    +-D, D the common pivot `_eliminate` leaves, or (0, 0) if the rank
+    falls short; the empty matrix has determinant 1."""
+    k = len(rows)
+    if not 0 < k <= 4:
+        _, pivots, sign, (Da, Db) = _eliminate(rows, d)
+        return (sign * Da, sign * Db) if len(pivots) == k else (0, 0)
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        return _minor(*rows, 0, 1, d)
+    if k == 3:
+        x, y, z = rows
+        terms = zip(x, (_minor(y, z, 1, 2, d), _minor(y, z, 2, 0, d), _minor(y, z, 0, 1, d)))
+    else:
+        x, y, z, w = rows
+        terms = [(_minor(x, y, *top, d), _minor(z, w, *bottom, d)) for top, bottom in _LAPLACE]
+    A = B = 0
+    for (fa, fb), (ga, gb) in terms:
+        A += fa * ga + d * fb * gb
+        B += fa * gb + fb * ga
+    return A, B
 
 
 def _primitive(x: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -33,12 +33,13 @@ hand-over equals what a fresh pass on the same vertices derives.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exactnum import (ONE, ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
                        _surd_sign, as_scalar)
 from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _kernel,
-                     _over, _pair_dot, _primitive, _reduced_echelon)
+                     _over, _pair_dot, _primitive, _rationalized, _reduced_echelon)
 
 
 class EmptyPolytopeError(ValueError):
@@ -117,12 +118,12 @@ class Polytope:
             object.__setattr__(self, slot, None)
 
     @classmethod
-    def _face(cls, parent: Polytope, indices: Iterable[int]) -> Polytope:
-        """Trusted constructor for the parent's vertices at increasing
-        indices: a subsequence of a canonical vertex tuple is canonical, so
-        it needs no dedupe, sort or field check."""
+    def _of(cls, ambient_dim: int, vertices: tuple[Vector, ...]) -> Polytope:
+        """Trusted constructor for vertices known to be canonical, such as a
+        subsequence of a canonical vertex tuple: no dedupe, sort or field
+        check."""
         self = object.__new__(cls)
-        self._fill(parent.ambient_dim, tuple(parent.vertices[i] for i in indices))
+        self._fill(ambient_dim, vertices)
         return self
 
     def __setattr__(self, name, value):
@@ -380,7 +381,7 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     keep = [i for i, sets in enumerate(through) if len(everything.intersection(*sets)) == 1]
     if len(keep) == len(raw.vertices):
         return raw
-    P = Polytope._face(raw, keep)
+    P = Polytope._of(n, tuple(raw.vertices[i] for i in keep))
     renumber = {old: new for new, old in enumerate(keep)}
     object.__setattr__(P, "_frame", raw._frame)
     _fill_facets(P, [(h, frozenset(renumber[i] for i in inc if i in renumber)) for h, inc in data])
@@ -402,7 +403,7 @@ def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
         frame, data = _frame(P), _facet_data(P)
         faces = []
         for index, (h, incident) in enumerate(data):
-            F = Polytope._face(P, sorted(incident))
+            F = Polytope._of(P.ambient_dim, tuple(P.vertices[i] for i in sorted(incident)))
             object.__setattr__(F, "_parent", (frame, data, index))
             faces.append((h, F))
         object.__setattr__(P, "_faces", tuple(faces))
@@ -451,7 +452,10 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     Signs and crossings are read on integer pairs: with vertices X_i / L and
     H as <W, x> <= C over its own denominator, vertex i has the sign of
     E_i = <W, X_i> - C L, and edge ij meets the cut at
-    (E_i X_j - E_j X_i) / (L (E_i - E_j)).
+    (E_i X_j - E_j X_i) / (L (E_i - E_j)), rationalized.  One sort of the
+    kept and crossing rows over one common denominator orders Q's vertices
+    as `Vector.sort_key` does; a crossing lies inside an edge, so none
+    repeats a vertex, and the facet record reads positions off that sort.
     """
     n = P.ambient_dim
     if len(H.normal) != n:
@@ -474,7 +478,7 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
         for index, (_, incident) in enumerate(data):
             if incident == face:
                 return facets(P)[index][1]
-        return Polytope._face(P, kept)
+        return Polytope._of(n, tuple(P.vertices[i] for i in kept))
     everything = frozenset(range(len(signs)))
     crossing = []
     through: list[list[int]] = []
@@ -486,21 +490,29 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
             continue
         through.append(shared)
         (Ai, Bi), (Aj, Bj) = excesses[i], excesses[j]
-        x = _cross(ints[j], excesses[i], ints[i], excesses[j], d)
-        crossing.append(Vector._of(tuple(_over(x, (L * (Ai - Aj), L * (Bi - Bj)), d))))
-    Q = Polytope(n, [P.vertices[i] for i in kept] + crossing)
-    position = {v: q for q, v in enumerate(Q.vertices)}
-    new = [position[v] for v in crossing]
+        x, q = _rationalized(_cross(ints[j], excesses[i], ints[i], excesses[j], d),
+                             (L * (Ai - Aj), L * (Bi - Bj)), d)
+        crossing.append((x, q) if q > 0 else ([(-a, -b) for a, b in x], -q))
+    M = lcm(L, *(q for _, q in crossing))
+    rows = [[(a * (M // L), b * (M // L)) for a, b in ints[i]] for i in kept]
+    rows += [[(a * (M // q), b * (M // q)) for a, b in x] for x, q in crossing]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    points = [P.vertices[i] for i in kept]
+    points += [Vector._of(tuple(_over(x, (q, 0), d))) for x, q in crossing]
+    Q = Polytope._of(n, tuple(points[t] for t in order))
+    position = sorted(range(len(order)), key=order.__getitem__)
+    at = dict(zip(kept, position))
+    new = position[len(kept):]
     on: list[list[int]] = [[] for _ in data]
     for q, shared in zip(new, through):
         for g in shared:
             on[g].append(q)
     items = [
-        (h, frozenset([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
+        (h, frozenset([at[i] for i in incident if signs[i] <= 0] + on[g]))
         for g, (h, incident) in enumerate(data)
         if any(signs[i] < 0 for i in incident)
     ]
-    cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
+    cut = [at[i] for i in kept if signs[i] == 0]
     items.append((_restricted(_frame(P), H.normal, H.offset), frozenset(cut + new)))
     object.__setattr__(Q, "_frame", _frame(P))
     _fill_facets(Q, items)
@@ -533,15 +545,17 @@ def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
 
     The operand of lower dimension lies in the other's affine hull, where
     the other's lifted facet halfspaces define it.  A clip by one of the
-    cut operand's own facet halfspaces returns it, so those are skipped.
+    cut operand's own facet halfspaces returns it, so those are skipped:
+    the ones the operands share as the same object, as two clips of one
+    polytope share its facets, found by identity without hashing.
     """
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
     cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
-    own = {h for h, _ in _facet_data(cut)}
+    own = [h for h, _ in _facet_data(cut)]
     result = cut
     for halfspace, _ in _facet_data(by):
-        if halfspace in own:
+        if any(halfspace is h for h in own):
             continue
         result = clip(result, halfspace)
         if result.is_empty:
@@ -549,15 +563,25 @@ def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
     return result
 
 
+def _in_hull_of(P: Polytope, Q: Polytope) -> bool:
+    """Whether P lies in aff Q, on integer pairs: every vertex X / L of P
+    meets every equality <W, x> = C of Q's frame as <W, X> = C L."""
+    ints, L, d = _integer_rows(P.vertices)
+    rows, _, e = _integer_rows([w.coords + (b,) for w, b in _frame(Q)[1]])
+    d = _merge_discriminants(d, e)
+    return all(_pair_dot(W, X, d) == (Ca * L, Cb * L) for *W, (Ca, Cb) in rows for X in ints)
+
+
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Exact intersection; the affine hulls must be nested or equal."""
-    if P.ambient_dim != Q.ambient_dim:
+    """Exact intersection; the affine hulls must be nested or equal.  They
+    are if either operand is full-dimensional; two flat ones are tested
+    on integer pairs."""
+    n = P.ambient_dim
+    if Q.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
     if P.is_empty or Q.is_empty:
-        return Polytope.empty(P.ambient_dim)
-    p_in_q = all(in_affine_hull(Q, v) for v in P.vertices)
-    q_in_p = all(in_affine_hull(P, v) for v in Q.vertices)
-    if not p_in_q and not q_in_p:
+        return Polytope.empty(n)
+    if dim(P) < n and dim(Q) < n and not (_in_hull_of(P, Q) or _in_hull_of(Q, P)):
         raise IncomparableHullsError("affine hulls are incomparable")
     return _intersect_unchecked(P, Q)
 

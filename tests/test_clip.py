@@ -1,5 +1,6 @@
 """The integer clip against its Scalar reference, the trusted face
-constructor, and the Scalar and leaf counts of a cut and of the volume and
+constructor, the integer nesting test of intersect, and the Scalar, leaf,
+constructor and hash counts of a cut, an intersection and the volume and
 cone terms."""
 
 import random
@@ -20,11 +21,14 @@ from slval.polytope import (
     Polytope,
     _facet_data,
     _frame,
+    _in_hull_of,
     clip,
     dim,
     facets,
     field_discriminant,
     from_points,
+    in_affine_hull,
+    intersect,
 )
 from slval.triangulate import volume
 from slval.valuation import basis_vector
@@ -182,8 +186,71 @@ def test_clip_and_volume_build_few_scalars(monkeypatch):
 
     monkeypatch.setattr(Scalar, "_make", classmethod(counting))
     Q = clip(P, H)
-    assert volume.__wrapped__(Q) > 0
+    vol = volume.__wrapped__(Q)
     assert len(calls) <= 38
+    assert vol > 0
+
+
+def counting_calls(monkeypatch, cls, name):
+    """The calls of method `name` of `cls` from now on."""
+    calls = []
+    real = getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda self, *args: calls.append(args) or real(self, *args))
+    return calls
+
+
+def mid_cut(P, u):
+    """The halfspace <u, x> <= c halfway across P."""
+    values = sorted(u.dot(v) for v in P.vertices)
+    return Halfspace(u, (values[0] + values[-1]) / 2)
+
+
+def test_straddling_clip_builds_no_polytope_and_hashes_no_vertex(monkeypatch):
+    """A straddling clip orders its kept vertices and crossing points by
+    one sort of their integer rows and reads their positions off that
+    permutation: no `Polytope.__init__` call and no `Vector.__hash__`.  A
+    clip that built Q with the public constructor and placed the vertices
+    by a {Vector: index} dict made 1 and 54 for this cut.  The result is
+    what a fresh hull of its vertices derives."""
+    P = surd_polytope()
+    H = mid_cut(P, Vector([1, -2, 1]))
+    built = counting_calls(monkeypatch, Polytope, "__init__")
+    hashed = counting_calls(monkeypatch, Vector, "__hash__")
+    Q = clip(P, H)
+    assert built == [] and hashed == []
+    monkeypatch.undo()
+    fresh = from_points(Q.vertices)
+    assert Q.vertices == fresh.vertices
+    assert _frame(Q) == _frame(fresh)
+    assert _facet_data(Q) == _facet_data(fresh)
+
+
+def test_intersect_of_adjacent_slabs_hashes_no_halfspace(monkeypatch):
+    """The slabs share P's facets as the same objects, which intersect
+    skips by identity; two full-dimensional operands need no nesting test.
+    Finding the shared facets in a set of halfspaces made 29
+    `Halfspace.__hash__` calls here."""
+    P = surd_polytope()
+    H = mid_cut(P, Vector([1, 1, -1]))
+    below, above = clip(P, H), clip(P, Halfspace(-H.normal, -H.offset))
+    hashed = counting_calls(monkeypatch, Halfspace, "__hash__")
+    meet = intersect(below, above)
+    assert hashed == []
+    assert meet == clip(below, Halfspace(-H.normal, -H.offset))
+    assert dim(meet) == 2
+
+
+@given(clip_case(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_integer_nesting_test_matches_the_scalar_one(case, data):
+    """`_in_hull_of` on integer pairs against `in_affine_hull` on Scalars,
+    for P, a facet or face of it, and a clip of either."""
+    P, H = case
+    Q = clip(P, H)
+    pool = [P] + ([Q] if not Q.is_empty else [])
+    pool += [F for R in list(pool) if dim(R) >= 1 for _, F in facets(R)]
+    A, B = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    assert _in_hull_of(A, B) == all(in_affine_hull(B, v) for v in A.vertices)
 
 
 def count_leaves(monkeypatch):

@@ -93,6 +93,20 @@ def test_rational_hash_agrees_with_equality(x):
     assert Scalar(x) in {x}
 
 
+@pytest.mark.parametrize("value", [0, 1, -1, 10**30, -10**30, True])
+def test_coerced_int_matches_the_fraction_path(value):
+    """An int is coerced on a fast path, a bool on the Fraction path; both
+    give the triple, field, hash and text of Scalar(Fraction(value)), with
+    plain ints for the triple."""
+    x, ref = Scalar._coerce(value), Scalar(Fraction(value))
+    assert (x._qa, x._qb, x._q, x.d) == (ref._qa, ref._qb, ref._q, ref.d)
+    assert all(type(c) is int for c in (x._qa, x._qb, x._q, x.d))
+    assert (x.a, x.b) == (ref.a, ref.b) == (Fraction(value), 0)
+    assert hash(x) == hash(ref) == hash(value)
+    assert str(x) == str(ref)
+    assert x + ref == Scalar(2 * value) and x - value == 0
+
+
 def test_surd_hash_keys_a_dict():
     table = {Scalar(1, 1, 2): "one plus root two"}
     assert table[Scalar(Fraction(2, 2), 1, 2)] == "one plus root two"

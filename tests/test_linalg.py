@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slval.linalg
 from slval.exactnum import Scalar
 from slval.linalg import (
     Matrix,
     SingularMatrixError,
     Vector,
+    _det,
     _reduced_echelon,
     det,
     kernel_basis,
@@ -238,3 +240,56 @@ def test_det_matches_the_leibniz_oracle(case):
     rows, d = case
     value = det(Matrix([[Scalar(a, b, d) for a, b in row] for row in rows]))
     assert (value.a, value.b) == det_root2(rows)
+
+
+@st.composite
+def pair_matrices(draw):
+    """A k x k matrix of integer pairs (A, B), meaning A + B*sqrt 2, for
+    k = 1 to 5, rational or with surd entries: fresh, with zeros in the
+    first row, with the second row a multiple of the first on some
+    columns (so some 2 x 2 minors of the top two rows vanish), or with one
+    row a combination of two others over Q(sqrt 2), which is singular."""
+    k = draw(st.integers(1, 5))
+    surd = draw(st.booleans())
+    coefficient = st.integers(-9, 9)
+    entry = st.tuples(coefficient, coefficient if surd else st.just(0))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["fresh", "zero in row 0", "zero top minor", "rank deficient"]))
+    columns = st.lists(st.integers(0, k - 1), min_size=1, unique=True)
+    if kind == "zero in row 0":
+        for j in draw(columns):
+            rows[0][j] = (0, 0)
+    elif kind == "zero top minor" and k >= 2:
+        t = draw(coefficient)
+        for j in draw(columns):
+            rows[1][j] = (t * rows[0][j][0], t * rows[0][j][1])
+    elif kind == "rank deficient" and k >= 2:
+        (sa, sb), (ta, tb) = draw(entry), draw(entry)
+        x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows[draw(st.integers(0, k - 1))] = [
+            (sa * a + 2 * sb * b + ta * c + 2 * tb * e, sa * b + sb * a + ta * e + tb * c)
+            for (a, b), (c, e) in zip(x, y)]
+    return rows, 2 if surd else 0
+
+
+@given(pair_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pair_determinant_matches_the_leibniz_oracle(case):
+    rows, d = case
+    expected = det_root2([[(Fraction(a), Fraction(b)) for a, b in row] for row in rows])
+    assert _det(rows, d) == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_pair_determinant_eliminates_only_beyond_4x4(monkeypatch, k):
+    """Up to 4 x 4 the determinant is expanded in closed form; a 5 x 5 one
+    takes one elimination, and so does the empty matrix, whose determinant
+    is 1."""
+    calls = []
+    real = slval.linalg._eliminate
+    monkeypatch.setattr(slval.linalg, "_eliminate",
+                        lambda rows, d: calls.append(rows) or real(rows, d))
+    rows = [[((i + 1) * (j + 2) % 7 - 3, (i - j) % 3) for j in range(k)] for i in range(k)]
+    expected = det_root2([[(Fraction(a), Fraction(b)) for a, b in row] for row in rows])
+    assert _det(rows, 2) == expected
+    assert len(calls) == (0 if 0 < k <= 4 else 1)
