@@ -552,10 +552,10 @@ def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
     cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
-    own = [h for h, _ in _facet_data(cut)]
+    own = {id(h) for h, _ in _facet_data(cut)}
     result = cut
     for halfspace, _ in _facet_data(by):
-        if any(halfspace is h for h in own):
+        if id(halfspace) in own:
             continue
         result = clip(result, halfspace)
         if result.is_empty:
@@ -563,26 +563,19 @@ def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
     return result
 
 
-def _in_hull_of(P: Polytope, Q: Polytope) -> bool:
-    """Whether P lies in aff Q, on integer pairs: every vertex X / L of P
-    meets every equality <W, x> = C of Q's frame as <W, X> = C L."""
-    ints, L, d = _integer_rows(P.vertices)
-    rows, _, e = _integer_rows([w.coords + (b,) for w, b in _frame(Q)[1]])
-    d = _merge_discriminants(d, e)
-    return all(_pair_dot(W, X, d) == (Ca * L, Cb * L) for *W, (Ca, Cb) in rows for X in ints)
-
-
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
     """Exact intersection; the affine hulls must be nested or equal.  They
-    are if either operand is full-dimensional; two flat ones are tested
-    on integer pairs."""
+    are if either operand is full-dimensional, so only two flat ones are
+    tested."""
     n = P.ambient_dim
     if Q.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(n)
-    if dim(P) < n and dim(Q) < n and not (_in_hull_of(P, Q) or _in_hull_of(Q, P)):
-        raise IncomparableHullsError("affine hulls are incomparable")
+    if dim(P) < n and dim(Q) < n:
+        p_in_q = all(in_affine_hull(Q, v) for v in P.vertices)
+        if not p_in_q and not all(in_affine_hull(P, v) for v in Q.vertices):
+            raise IncomparableHullsError("affine hulls are incomparable")
     return _intersect_unchecked(P, Q)
 
 

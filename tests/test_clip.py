@@ -1,7 +1,6 @@
 """The integer clip against its Scalar reference, the trusted face
-constructor, the integer nesting test of intersect, and the Scalar, leaf,
-constructor and hash counts of a cut, an intersection and the volume and
-cone terms."""
+constructor, and the Scalar, leaf, constructor and hash counts of a cut,
+an intersection and the volume and cone terms."""
 
 import random
 from fractions import Fraction
@@ -21,13 +20,11 @@ from slval.polytope import (
     Polytope,
     _facet_data,
     _frame,
-    _in_hull_of,
     clip,
     dim,
     facets,
     field_discriminant,
     from_points,
-    in_affine_hull,
     intersect,
 )
 from slval.triangulate import volume
@@ -238,19 +235,6 @@ def test_intersect_of_adjacent_slabs_hashes_no_halfspace(monkeypatch):
     assert hashed == []
     assert meet == clip(below, Halfspace(-H.normal, -H.offset))
     assert dim(meet) == 2
-
-
-@given(clip_case(), st.data())
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_integer_nesting_test_matches_the_scalar_one(case, data):
-    """`_in_hull_of` on integer pairs against `in_affine_hull` on Scalars,
-    for P, a facet or face of it, and a clip of either."""
-    P, H = case
-    Q = clip(P, H)
-    pool = [P] + ([Q] if not Q.is_empty else [])
-    pool += [F for R in list(pool) if dim(R) >= 1 for _, F in facets(R)]
-    A, B = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
-    assert _in_hull_of(A, B) == all(in_affine_hull(B, v) for v in A.vertices)
 
 
 def count_leaves(monkeypatch):
