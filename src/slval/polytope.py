@@ -6,7 +6,7 @@ first-class value.
 
 Derived data lives on the polytope that owns it, in slots filled once on
 first use and ignored by equality and hashing: the affine frame, the facet
-halfspaces with their incident vertices, and the facets as polytopes.  The
+halfspaces with their incident vertices, and the volume.  The
 frame is the pivot projection: the pivot columns of the reduced echelon
 form of the directions v - v0, which depend only on aff P and map it
 isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
@@ -18,16 +18,16 @@ subsets.  The pass, like the vertex order, runs on plain integers in
 Z[sqrt d] over one common denominator; Scalars are built only for its
 output, by `_canonical`.
 
-Only polytopes built from bare points run that pass.  A derived polytope
-of any dimension inherits its face data from its parent by exact
-arithmetic on the parent's frame and facet record: a facet of P (also
-when a clip leaves exactly that facet) derives its own on first use, from
-the ridges of P within it (Kaibel and Pfetsch, Comput. Geom. 23, 2002); a
-clip through P, a translate and an SL image are handed theirs when they
-are built.  A halfspace becomes a facet of a flat polytope in the form a
-fresh pass gives, cleared on the free columns by the frame's equalities.
-A point has no facets.  Frame and facet record are canonical, so every
-hand-over equals what a fresh pass on the same vertices derives.
+A polytope gets its frame and facets in one of two ways.  It runs that
+pass itself, on first use; or it is handed them when it is built, by
+`from_points` (the record of its one pass, renumbered), by a clip through
+its interior (the parent's frame, the parent's facets through their kept
+vertices and crossing points, and the cut restricted to the parent's
+affine hull, in the form a fresh pass gives) or by a translate (the
+parent's, offsets shifted).  Facets, faces a clip leaves and SL images are
+bare points, which run their own pass when asked.  A point has no facets.
+Frame and facet record are canonical, so every hand-over equals what a
+fresh pass on the same vertices derives.
 """
 
 from __future__ import annotations
@@ -36,18 +36,14 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exactnum import (ONE, ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
+from .exactnum import (ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
                        _surd_sign, as_scalar)
 from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _kernel,
-                     _over, _pair_dot, _primitive, _rationalized, _reduced_echelon)
+                     _over, _pair_dot, _primitive, _rationalized)
 
 
 class EmptyPolytopeError(ValueError):
     """Operation needs a nonempty polytope."""
-
-
-class IncomparableHullsError(ValueError):
-    """Neither affine hull contains the other."""
 
 
 class Halfspace:
@@ -89,14 +85,12 @@ class Polytope:
 
     Build through from_points unless the points are already known to be
     the extreme points; the constructor only sorts and deduplicates.  The
-    underscored slots hold derived data, None until first use; `_parent`
-    is set on a facet of another polytope, to (that polytope's frame, its
-    facet record, the facet's index), from which the facet derives its own,
-    and `_volume` holds the pivot volume that `triangulate` sums over the
-    pulling cells it reads off the facet record; no face's volume is kept.
+    underscored slots hold derived data, None until first use; `_volume`
+    holds the pivot volume that `triangulate` sums over the pulling cells
+    it reads off the facet record; no face's volume is kept.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_faces", "_parent", "_volume")
+    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_volume")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -249,17 +243,13 @@ def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], .
     only on aff P.
     """
     if P._frame is None:
-        if P._parent is not None:
-            frame = _facet_frame(*P._parent)
-        else:
-            (base, *rest), L, d = _integer_rows(P.vertices)
-            form, pivots, _, D = _eliminate(
-                [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(v, base)] for v in rest], d)
-            kernel = _kernel(form, pivots, D, P.ambient_dim)
-            offsets = _over([_pair_dot(x, base, d) for x in kernel], (D[0] * L, D[1] * L), d)
-            normals = [Vector._of(tuple(_over(x, D, d))) for x in kernel]
-            frame = (tuple(pivots), tuple(zip(normals, offsets)))
-        object.__setattr__(P, "_frame", frame)
+        (base, *rest), L, d = _integer_rows(P.vertices)
+        form, pivots, _, D = _eliminate(
+            [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(v, base)] for v in rest], d)
+        kernel = _kernel(form, pivots, D, P.ambient_dim)
+        offsets = _over([_pair_dot(x, base, d) for x in kernel], (D[0] * L, D[1] * L), d)
+        normals = [Vector._of(tuple(_over(x, D, d))) for x in kernel]
+        object.__setattr__(P, "_frame", (tuple(pivots), tuple(zip(normals, offsets))))
     return P._frame
 
 
@@ -269,19 +259,13 @@ def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
 
     One double-description pass on the pivot coordinates, filled once; a
     normal lifts to R^n with zeros off the pivot columns, which agrees with
-    it on aff P and keeps its offset.  A facet of another polytope, of any
-    dimension, reads its facets off that polytope's instead.
+    it on aff P and keeps its offset.
     """
     if P._facets is None:
-        frame = _frame(P)
-        pivots = frame[0]
-        if not pivots:
-            items = ()
-        elif P._parent is not None:
-            items = _facet_ridges(frame, *P._parent[1:])
-        else:
+        pivots = _frame(P)[0]
+        items = []
+        if pivots:
             coords = [[v[c] for c in pivots] for v in P.vertices]
-            items = []
             for incident, (w, c) in _supporting(coords, len(pivots)).items():
                 lift = [ZERO] * P.ambient_dim
                 for col, x in zip(pivots, w):
@@ -303,50 +287,6 @@ def _restricted(frame, w: Vector, c: Scalar) -> Halfspace:
             w, c = w - e.scale(f), c - b * f
     (row,), _, d = _integer_rows([w.coords + (c,)])
     return Halfspace(*_canonical(row, d))
-
-
-def _facet_frame(frame, data, index: int):
-    """Frame of facet `index` of a polytope with this frame and facet record.
-
-    The facet's normal has its last nonzero entry on a pivot column j of
-    the polytope, so the facet's pivots are the polytope's without j.  Its
-    equalities are the polytope's, each cleared on column j by the facet's
-    own equality scaled to 1 there, plus that equality: one per free
-    column, 1 there and 0 on the other free columns, which is the echelon
-    kernel of the facet.
-    """
-    pivots, equalities = frame
-    h = data[index][0]
-    j = max(col for col, x in enumerate(h.normal) if not x.is_zero())
-    w, c = (h.normal, h.offset) if h.normal[j].sign() > 0 else (-h.normal, -h.offset)
-    free = [col for col in range(len(w)) if col not in pivots]
-    rows = {j: (w, c)}
-    for col, (e, b) in zip(free, equalities):
-        f = e[j]
-        rows[col] = (e, b) if f.is_zero() else (e - w.scale(f), b - c * f)
-    return tuple(col for col in pivots if col != j), tuple(rows[col] for col in sorted(rows))
-
-
-def _facet_ridges(own_frame, data, index: int):
-    """Facet items of facet F = `index` of a polytope with this facet
-    record, in F's own frame and vertex order.
-
-    The facets of F are the inclusion-maximal sets F ∩ G over the other
-    facets G; each lies in the hyperplane of G, restricted to aff F.
-    """
-    k = len(own_frame[0])
-    incident = data[index][1]
-    meets: dict[frozenset[int], Halfspace] = {}
-    for g, (h, other) in enumerate(data):
-        common = incident & other
-        if g != index and len(common) >= k and common not in meets:
-            meets[common] = h
-    renumber = {old: new for new, old in enumerate(sorted(incident))}
-    return [
-        (_restricted(own_frame, h.normal, h.offset), frozenset(renumber[i] for i in common))
-        for common, h in meets.items()
-        if not any(common < larger for larger in meets)
-    ]
 
 
 def _fill_facets(P: Polytope, items) -> None:
@@ -397,17 +337,11 @@ def dim(P: Polytope) -> int:
 def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
     """All (dim-1)-faces as polytopes with their supporting halfspaces.
 
-    Each facet is set to derive its own face data from P's.
+    Each facet is built by index from P's vertices and runs its own pass
+    when asked for face data.
     """
-    if P._faces is None:
-        frame, data = _frame(P), _facet_data(P)
-        faces = []
-        for index, (h, incident) in enumerate(data):
-            F = Polytope._of(P.ambient_dim, tuple(P.vertices[i] for i in sorted(incident)))
-            object.__setattr__(F, "_parent", (frame, data, index))
-            faces.append((h, F))
-        object.__setattr__(P, "_faces", tuple(faces))
-    return P._faces
+    return tuple((h, Polytope._of(P.ambient_dim, tuple(P.vertices[i] for i in sorted(incident))))
+                 for h, incident in _facet_data(P))
 
 
 # -- membership ----------------------------------------------------------
@@ -442,12 +376,11 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     through both are exactly the pair (Kaibel and Pfetsch 2002); no facet
     of a segment passes through both its vertices, so all are left.
 
-    A cut that leaves exactly a facet of P returns that facet, and one that
-    leaves a smaller face returns its bare points.  A cut with a vertex
-    strictly inside H has the affine hull of P, so it is handed P's frame
-    and its facets: those of P with a vertex strictly inside H, through
-    their kept vertices and their crossing points, and H restricted to aff
-    P, through the kept vertices on it and every crossing point.
+    A cut that leaves a face of P returns its bare points.  A cut with a
+    vertex strictly inside H has the affine hull of P, so it is handed P's
+    frame and its facets: those of P with a vertex strictly inside H,
+    through their kept vertices and their crossing points, and H restricted
+    to aff P, through the kept vertices on it and every crossing point.
 
     Signs and crossings are read on integer pairs: with vertices X_i / L and
     H as <W, x> <= C over its own denominator, vertex i has the sign of
@@ -472,13 +405,9 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     kept = [i for i, s in enumerate(signs) if s <= 0]
     if not kept:
         return Polytope.empty(n)
-    data = _facet_data(P)
     if all(signs[i] == 0 for i in kept):
-        face = frozenset(kept)
-        for index, (_, incident) in enumerate(data):
-            if incident == face:
-                return facets(P)[index][1]
         return Polytope._of(n, tuple(P.vertices[i] for i in kept))
+    data = _facet_data(P)
     everything = frozenset(range(len(signs)))
     crossing = []
     through: list[list[int]] = []
@@ -540,85 +469,49 @@ def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
     return tuple(F for halfspace, F in facets(P) if halfspace.offset.sign() < 0)
 
 
-def _intersect_unchecked(P: Polytope, Q: Polytope) -> Polytope:
-    """P and Q, whose affine hulls are nested, cut one by the other.
-
-    The operand of lower dimension lies in the other's affine hull, where
-    the other's lifted facet halfspaces define it.  A clip by one of the
-    cut operand's own facet halfspaces returns it, so those are skipped:
-    the ones the operands share as the same object, as two clips of one
-    polytope share its facets, found by identity without hashing.
-    """
-    if P.is_empty or Q.is_empty:
-        return Polytope.empty(P.ambient_dim)
-    cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
-    own = {id(h) for h, _ in _facet_data(cut)}
-    result = cut
-    for halfspace, _ in _facet_data(by):
-        if id(halfspace) in own:
-            continue
-        result = clip(result, halfspace)
-        if result.is_empty:
-            return result
-    return result
-
-
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Exact intersection; the affine hulls must be nested or equal.  They
-    are if either operand is full-dimensional, so only two flat ones are
-    tested."""
+    """Exact intersection of any two polytopes in one space.
+
+    The operand of lower dimension (P on a tie) is cut by both sides of
+    each equality pinning the other's affine hull, which leaves its part in
+    that hull, and then by the other's facet halfspaces.  A clip by one of
+    the cut operand's own facet halfspaces returns it, so those are
+    skipped: the ones the operands share as the same object, as two clips
+    of one polytope share its facets, found by identity without hashing.
+    """
     n = P.ambient_dim
     if Q.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(n)
-    if dim(P) < n and dim(Q) < n:
-        p_in_q = all(in_affine_hull(Q, v) for v in P.vertices)
-        if not p_in_q and not all(in_affine_hull(P, v) for v in Q.vertices):
-            raise IncomparableHullsError("affine hulls are incomparable")
-    return _intersect_unchecked(P, Q)
+    cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
+    own = {id(h) for h, _ in _facet_data(cut)}
+    halfspaces = [H for w, b in _frame(by)[1] for H in (Halfspace(w, b), Halfspace(-w, -b))]
+    halfspaces += [h for h, _ in _facet_data(by) if id(h) not in own]
+    result = cut
+    for halfspace in halfspaces:
+        result = clip(result, halfspace)
+        if result.is_empty:
+            break
+    return result
 
 
 def transform(A: Matrix, P: Polytope) -> Polytope:
     """Image under an invertible linear map; extreme points stay extreme.
 
-    The image is handed P's facets, derived first if need be: a normal w
-    maps to A^-T w, restricted to the image's own frame, and the incident
-    indices follow the vertices through the new sort.  A full-dimensional
-    image is handed its frame too: every column is a pivot, and there are
-    no equalities.
+    A is invertible iff one `_eliminate` of its integer rows pivots on
+    every column; the image runs its own pass when asked for face data.
     """
-    if A.nrows != P.ambient_dim:
+    n = P.ambient_dim
+    if A.nrows != n:
         raise ValueError("transform needs an n x n matrix for a polytope in R^n")
-    inverse_t = _inverse_transpose(A)
-    if P.is_empty:
-        return P
-    images = [A @ v for v in P.vertices]
-    Q = Polytope(P.ambient_dim, images)
-    if len(_frame(P)[0]) == P.ambient_dim:
-        object.__setattr__(Q, "_frame", _frame(P))
-    frame = _frame(Q)
-    position = {v: q for q, v in enumerate(Q.vertices)}
-    moved = [position[v] for v in images]
-    _fill_facets(Q, [
-        (_restricted(frame, inverse_t @ h.normal, h.offset), frozenset(moved[i] for i in incident))
-        for h, incident in _facet_data(P)
-    ])
-    return Q
-
-
-def _inverse_transpose(A: Matrix) -> Matrix:
-    """A^-T, from the reduced echelon form of [A^T | I]; A is invertible iff
-    the pivots are the first n columns."""
-    n = A.nrows
-    if n != A.ncols:
+    if A.ncols != n:
         raise ValueError("transform needs a square matrix")
-    rows = [list(A.column(i)) + [ONE if r == i else ZERO for r in range(n)] for i in range(n)]
-    reduced, pivots = _reduced_echelon(rows)
-    rank = sum(c < n for c in pivots)
+    rows, _, d = _integer_rows(A.rows)
+    rank = len(_eliminate(rows, d)[1])
     if rank < n:
         raise SingularMatrixError(rank)
-    return Matrix(row[n:] for row in reduced)
+    return Polytope(n, [A @ v for v in P.vertices])
 
 
 def translate(P: Polytope, t: Vector) -> Polytope:

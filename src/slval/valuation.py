@@ -39,7 +39,6 @@ from .exactnum import (
     cauchy_eval,
 )
 from .polytope import (
-    IncomparableHullsError,
     Polytope,
     _facet_data,
     dim,
@@ -141,10 +140,7 @@ def evaluate_union(V: ClassifiedValuation, parts: list[Polytope]) -> Scalar:
             continue
         stack.append((key, meet, j + 1))
         key += (j,)
-        try:
-            piece = parts[j] if meet is None else intersect(meet, parts[j])
-        except IncomparableHullsError as exc:
-            raise ValueError(f"intersection over parts {key} is not supported: {exc}") from None
+        piece = parts[j] if meet is None else intersect(meet, parts[j])
         if piece.is_empty:
             continue
         terms += 1

@@ -240,7 +240,7 @@ def inclusion_exclusion(parts, meet, value):
 
 def reference_clip(P, H):
     """P cut down to the halfspace H, with Scalar excesses and crossings."""
-    from slval.polytope import Polytope, _facet_data, _fill_facets, _frame, _restricted, facets
+    from slval.polytope import Polytope, _facet_data, _fill_facets, _frame, _restricted
 
     n = P.ambient_dim
     if P.is_empty:
@@ -252,13 +252,9 @@ def reference_clip(P, H):
     kept = [i for i, s in enumerate(signs) if s <= 0]
     if not kept:
         return Polytope.empty(n)
-    data = _facet_data(P)
     if all(signs[i] == 0 for i in kept):
-        face = frozenset(kept)
-        for index, (_, incident) in enumerate(data):
-            if incident == face:
-                return facets(P)[index][1]
         return Polytope(n, [P.vertices[i] for i in kept])
+    data = _facet_data(P)
     everything = frozenset(range(len(signs)))
     crossing = []
     through = []

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from slval.exactnum import ZERO, Scalar
 from slval.linalg import Matrix, Vector, det, matrix_rank
-from slval.polytope import EmptyPolytopeError, Polytope, _intersect_unchecked, dim, facets
+from slval.polytope import EmptyPolytopeError, Polytope, dim, facets, intersect
 
 
 def affine_rank(points: Sequence[Vector]) -> int:
@@ -163,6 +163,6 @@ def verify_complex(T: Triangulation):
         pa, pb = a.as_polytope(), b.as_polytope()
         common = set(pa.vertices) & set(pb.vertices)
         expected = Polytope(pa.ambient_dim, common)
-        if _intersect_unchecked(pa, pb) != expected:
+        if intersect(pa, pb) != expected:
             return (a, b)
     return True

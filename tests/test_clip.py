@@ -125,7 +125,9 @@ def test_faces_built_by_index_are_canonical(case):
         return
     data = _facet_data(P)
     for (h, _), (_, F) in zip(data, facets(P)):
-        assert clip(P, Halfspace(-h.normal, -h.offset)) is F
+        face = clip(P, Halfspace(-h.normal, -h.offset))
+        assert face == F
+        assert_canonical(face)
     # <w + w', x> <= c + c' holds on P with equality exactly on the face
     # where facets (w, c) and (w', c') meet: a vertex, an edge or a ridge
     for (h, inc), (g, other) in combinations(data, 2):
@@ -266,16 +268,17 @@ def pulling_cells(P):
 
 def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
     """The volume and cone terms read the pulling cells off facet bitmasks:
-    no facet's frame or facet record is derived, each cell takes one pair
-    determinant, and 122 Scalars are built for the three polytopes, most of
-    them by the hull passes.  Terms that recursed on each facet's own record
-    derived 107 facet frames and 32 facet records, restricted 144
-    halfspaces and built 1,778 Scalars."""
+    each polytope runs its own hull pass and no facet runs one, no
+    halfspace is restricted, each cell takes one pair determinant, and 122
+    Scalars are built for the three polytopes, most of them by the hull
+    passes.  Terms that recursed on each facet's own record derived 107
+    facet frames and 32 facet records, restricted 144 halfspaces and built
+    1,778 Scalars."""
     cells = sum(pulling_cells(P) for P in guard_polytopes())
     fresh = [Polytope(P.ambient_dim, P.vertices) for P in guard_polytopes()]
     volume.cache_clear()
     derived = []
-    for name in ("_facet_frame", "_facet_ridges", "_restricted"):
+    for name in ("_supporting", "_restricted"):
         real = getattr(slval.polytope, name)
         monkeypatch.setattr(slval.polytope, name,
                             lambda *args, name=name, real=real: derived.append(name) or real(*args))
@@ -290,6 +293,6 @@ def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
     monkeypatch.setattr(Scalar, "_make", classmethod(counting))
     for P in fresh:
         basis_vector(P)
-    assert derived == []
+    assert derived == ["_supporting"] * len(fresh)
     assert len(leaves) == cells
     assert len(made) <= 122

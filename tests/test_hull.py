@@ -2,9 +2,10 @@
 
 The oracle in `oracles.py` tests the hyperplane through every k-subset of
 the points in plain Fractions, so it shares no code with `polytope`.
-Derived polytopes (facets, clips, translates, SL images) inherit their
-face data instead of running the pass; their tests compare with a fresh
-pass on the same vertices and count the passes run.
+Clips through the interior and translates are handed their face data
+instead of running the pass; facets, faces a clip leaves and SL images run
+their own.  The tests compare each with a fresh pass on the same vertices
+and count the passes run.
 """
 
 import random
@@ -75,7 +76,7 @@ def assert_matches_oracle(points, k):
 
 
 def assert_handover_matches_fresh(P):
-    """The frame and facets handed to P, by from_points or by transform,
+    """The frame and facets of P, handed over by from_points or derived,
     equal what a fresh polytope on the same vertices derives for itself."""
     fresh = Polytope(P.ambient_dim, P.vertices)
     assert fresh._frame is None and fresh._facets is None
@@ -191,11 +192,12 @@ def count_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_sl_images_are_handed_their_frame(monkeypatch, n):
-    """transform eliminates once, on [A^T | I]: the image of a
-    full-dimensional polytope is handed its frame, so only the image of a
-    flat one, here in the hyperplane x_1 = x_2 + 1, derives its own.  Both
-    images hold the frame and facets of a fresh pass."""
+def test_sl_images_eliminate_once_and_run_their_own_pass(monkeypatch, n):
+    """transform eliminates once, on A's integer rows, to refuse a singular
+    A, and builds bare points.  The image of a full-dimensional polytope
+    and that of a flat one, here in the hyperplane x_1 = x_2 + 1, then
+    derive their frame by one elimination and their facets by one pass,
+    which seeds its rays by one more, as a fresh polytope does."""
     rng = random.Random(600 + n)
     full = from_points(as_scalars(symmetric_cloud(rng, n, 2 * n + 4)))
     lifted = [(p[1] + 1,) + p[1:] for p in symmetric_cloud(rng, n, 2 * n + 4)]
@@ -203,13 +205,17 @@ def test_sl_images_are_handed_their_frame(monkeypatch, n):
     assert polytope.dim(full) == n and polytope.dim(flat) == n - 1
     A = random_sl_matrix(n, n, 3 * n)
     calls = count_eliminations(monkeypatch)
-    for P, eliminations in ((full, 1), (flat, 2)):
+    passes = count_passes(monkeypatch)
+    for P, k in ((full, n), (flat, n - 1)):
         calls.clear()
+        passes.clear()
         image = transform(A, P)
-        assert len(calls) == eliminations
-        assert (image._frame is P._frame) == (P is full)
+        assert calls == [n] and passes == []
+        assert image._frame is None and image._facets is None
+        _facet_data(image)
+        assert len(calls) == 3 and passes == [k]
+        assert polytope.dim(image) == k
         assert_handover_matches_fresh(image)
-    assert polytope.dim(image) == n - 1
 
 
 def test_transform_rejects_a_singular_matrix():
@@ -423,22 +429,25 @@ def test_derived_face_data_equals_a_fresh_pass(case):
 
 
 def test_derived_polytopes_are_handed_their_facets():
-    """Clips through the interior, a translate and an SL image come with
-    their facets; the cut that leaves a facet returns that facet.
+    """Clips through the interior and a translate come with their facets;
+    the cut that leaves a facet and an SL image are bare points.
 
     The cut x + y + z <= 1 passes through three vertices of the cube, and
     each of the facets x = 1, y = 1 and z = 1 meets it in one vertex only,
     which makes no facet of the cut."""
     cube = from_points([Vector(p) for p in product(range(2), repeat=3)])
     derived = [clip(cube, Halfspace(Vector([1, 1, 1]), c)) for c in (Fraction(3, 2), 1)]
-    derived += [translate(cube, Vector([1, 0, -1])), transform(random_sl_matrix(5, 3, 4), cube)]
+    derived.append(translate(cube, Vector([1, 0, -1])))
     for Q in derived:
         assert Q._facets is not None
         assert _facet_data(Q) == _facet_data(Polytope(3, Q.vertices))
     assert len(_facet_data(derived[1])) == 4
     top = clip(cube, Halfspace(Vector([0, 0, -1]), -1))
-    assert top._parent is not None and top._facets is None
+    image = transform(random_sl_matrix(5, 3, 4), cube)
+    for Q in (top, image):
+        assert Q._frame is None and Q._facets is None
     assert top == from_points([Vector([x, y, 1]) for x in range(2) for y in range(2)])
+    assert image == from_points(image.vertices)
 
 
 def count_passes(monkeypatch):
@@ -453,11 +462,9 @@ def count_passes(monkeypatch):
     return calls
 
 
-def test_derived_polytopes_run_no_hull_pass(monkeypatch):
-    """Only from_points runs a double-description pass.  A slab split of a
-    polytope over Q(sqrt 2) checked by inclusion-exclusion, and the volume
-    of the unit 4-cube, whose faces are cubes at every depth, run none."""
-    calls = count_passes(monkeypatch)
+def surd_slabs():
+    """A polytope in R^3 over Q(sqrt 2) and its three slabs between two
+    parallel cuts."""
     rng = random.Random(8)
     while True:
         points = [Vector([Scalar(rng.randint(-3, 3)) + ROOT2 * rng.randint(-2, 2)
@@ -469,12 +476,27 @@ def test_derived_polytopes_run_no_hull_pass(monkeypatch):
     values = [u.dot(v) for v in P.vertices]
     low, high = min(values), max(values)
     c1, c2 = low + (high - low) * Fraction(1, 4), low + (high - low) * Fraction(5, 8)
-    calls.clear()
     slabs = [clip(P, Halfspace(u, c1)),
              clip(clip(P, Halfspace(-u, -c1)), Halfspace(u, c2)),
              clip(P, Halfspace(-u, -c2))]
-    V = ClassifiedValuation(Scalar(1), Scalar(2), Scalar(4), psi=RationalPart(), phi=Linear(5))
-    assert evaluate_union(V, slabs) == evaluate(V, P)
+    return P, slabs
+
+
+SLAB_VALUATION = ClassifiedValuation(Scalar(1), Scalar(2), Scalar(4), psi=RationalPart(),
+                                     phi=Linear(5))
+
+
+def test_derived_polytopes_run_no_hull_pass(monkeypatch):
+    """Only from_points runs a double-description pass.  Slabs cut from a
+    polytope over Q(sqrt 2), valued one by one, and the volume of the unit
+    4-cube, whose faces are cubes at every depth, run none: the volume reads
+    only the cube's own record, from the one pass of its from_points."""
+    calls = count_passes(monkeypatch)
+    _, slabs = surd_slabs()
+    calls.clear()
+    for slab in slabs:
+        assert slab._facets is not None
+        evaluate(SLAB_VALUATION, slab)
     assert calls == []
 
     cube = from_points([Vector(p) for p in product(range(2), repeat=4)])
@@ -483,30 +505,43 @@ def test_derived_polytopes_run_no_hull_pass(monkeypatch):
     assert calls == [4]
 
 
+def test_slab_union_runs_one_pass_per_planar_meet(monkeypatch):
+    """Checked by inclusion-exclusion, the slab split runs one pass for
+    each of the two planar meets of adjacent slabs, which are faces that a
+    clip leaves; the meet of the outer slabs is empty."""
+    calls = count_passes(monkeypatch)
+    P, slabs = surd_slabs()
+    calls.clear()
+    assert evaluate_union(SLAB_VALUATION, slabs) == evaluate(SLAB_VALUATION, P)
+    assert calls == [2, 2]
+
+
 def test_flat_and_low_dimensional_derivations_run_no_hull_pass(monkeypatch):
-    """A clip of a flat square in R^3, its SL image, a clip of a segment and
-    a translate of a facet not yet derived are handed their face data, so
-    only from_points runs a pass.  The cut x + y + z <= 4 is x + y <= 3 on
-    the square's plane z = 1, and the cut x + 2y <= 3 is x <= 1 on the
-    segment's line y = x: a cut is restricted to the affine hull before it
-    becomes a facet."""
+    """Clips of a flat square in R^3 and of a segment, and a translate of a
+    facet, are handed their face data, so only from_points and the facet's
+    own pass run one.  The cut x + y + z <= 4 is x + y <= 3 on the square's
+    plane z = 1, and the cut x + 2y <= 3 is x <= 1 on the segment's line
+    y = x: a cut is restricted to the affine hull before it becomes a
+    facet."""
     calls = count_passes(monkeypatch)
     square = from_points([Vector([x, y, 1]) for x in (0, 2) for y in (0, 2)])
     segment = from_points([Vector([0, 0]), Vector([2, 2])])
     cube = from_points([Vector(p) for p in product(range(2), repeat=3)])
+    facet = facets(cube)[0][1]
     calls.clear()
-    cut = clip(square, Halfspace(Vector([1, 1, 0]), 3))
+    _facet_data(facet)
+    assert calls == [2]
+    calls.clear()
     derived = [
-        cut,
+        clip(square, Halfspace(Vector([1, 1, 0]), 3)),
         clip(square, Halfspace(Vector([1, 1, 1]), 4)),
-        transform(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), cut),
         clip(segment, Halfspace(Vector([1, 2]), 3)),
-        translate(facets(cube)[0][1], Vector([Fraction(1, 2), 0, 3])),
+        translate(facet, Vector([Fraction(1, 2), 0, 3])),
     ]
     records = [_facet_data(Q) for Q in derived]
     assert calls == []
     assert derived[0] == derived[1] and len(records[0]) == 5
-    assert derived[3] == from_points([Vector([0, 0]), Vector([1, 1])])
+    assert derived[2] == from_points([Vector([0, 0]), Vector([1, 1])])
     for Q, record in zip(derived, records):
         assert Q == from_points(Q.vertices)
         assert record == _facet_data(Polytope(Q.ambient_dim, Q.vertices))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,6 @@ from slval.linalg import Matrix, Vector, random_sl_matrix
 from slval.polytope import (
     EmptyPolytopeError,
     Halfspace,
-    IncomparableHullsError,
     Polytope,
     clip,
     cone_hull,
@@ -247,11 +247,54 @@ def test_intersect_segment_with_square():
     assert intersect(seg, sq) == intersect(sq, seg)
 
 
-def test_intersect_incomparable_hulls():
+def test_intersect_crossing_segments_in_the_plane():
+    """Neither line contains the other segment: the diagonals of the unit
+    square meet in its centre, and the segment on x + y = 3 misses the
+    first diagonal, whose line it crosses at (3/2, 3/2)."""
     a = P2((0, 0), (1, 1))
     b = P2((1, 0), (0, 1))
-    with pytest.raises(IncomparableHullsError):
-        intersect(a, b)
+    centre = P2((Fraction(1, 2), Fraction(1, 2)))
+    assert intersect(a, b) == centre and intersect(b, a) == centre
+    far = P2((3, 0), (2, 1))
+    assert intersect(a, far).is_empty and intersect(far, a).is_empty
+
+
+def test_intersect_crossing_triangles_in_space():
+    """conv(0, 2e1, 2e2) lies in z = 0 and conv(-e3, e3, (1, 1, 1)) in
+    x = y, so neither plane contains the other triangle.  On x = y the
+    first is the segment from 0 to (1, 1, 0); on z = 0 the second is the
+    segment from 0 to (1/2, 1/2, 0), which its edge from -e3 to (1, 1, 1)
+    ends.  The meet is the shorter one."""
+    a = from_points([V(0, 0, 0), V(2, 0, 0), V(0, 2, 0)])
+    b = from_points([V(0, 0, -1), V(0, 0, 1), V(1, 1, 1)])
+    half = Fraction(1, 2)
+    expected = Polytope(3, [V(0, 0, 0), V(half, half, 0)])
+    assert intersect(a, b) == expected and intersect(b, a) == expected
+
+
+@st.composite
+def low_dimensional_pairs(draw):
+    """Two hulls of 1 to n + 1 integer points in [-2, 2]^n, n = 2 or 3, so
+    that both are often flat and their affine hulls often cross."""
+    n = draw(st.sampled_from([2, 3]))
+    coord = st.integers(-2, 2)
+    parts = [draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=n + 1, unique=True))
+             for _ in range(2)]
+    return n, [from_points([Vector(p) for p in part]) for part in parts]
+
+
+@given(low_dimensional_pairs())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_intersect_is_membership_in_both(case):
+    """A grid point with coordinates in (1/2) Z lies in the intersection
+    iff it lies in both operands, whatever their affine hulls."""
+    n, (a, b) = case
+    meet = intersect(a, b)
+    assert meet == intersect(b, a)
+    step = [Fraction(i, 2) for i in range(-4, 5)]
+    for x in product(step, repeat=n):
+        x = Vector(x)
+        assert contains(meet, x) == (contains(a, x) and contains(b, x))
 
 
 def test_transform_by_shear():

@@ -199,11 +199,20 @@ def test_evaluate_union_rejects_too_many_parts(monkeypatch):
     assert len(calls) <= 4096
 
 
-def test_evaluate_union_reports_offending_tuple():
-    v = ClassifiedValuation.linear(1, 0, 0, 0, 0)
+def test_evaluate_union_of_crossing_segments():
+    """[(0,0),(1,1)] and [(1,0),(0,1)] lie on different lines and meet in
+    (1/2, 1/2).  By hand, as (euler, relint, volume, origin, cone): the
+    first holds 0 at an end, (1, 0, 0, 1, 0); the second, off 0, cones it
+    to the triangle conv(0, e1, e2), (1, 0, 0, 0, 1/2); the point is
+    (1, 0, 0, 0, 0).  The union's basis sum is (1, 0, 0, 1, 1/2)."""
     crossing = [P((0, 0), (1, 1)), P((1, 0), (0, 1))]
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        evaluate_union(v, crossing)
+    expected = (1, 0, 0, 1, Fraction(1, 2))
+    for i, value in enumerate(expected):
+        unit = ClassifiedValuation.linear(*(int(j == i) for j in range(5)))
+        assert evaluate_union(unit, crossing) == value
+    v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
+    assert evaluate_union(v, crossing) == Fraction(15, 2)
+    assert evaluate_union(v, crossing[::-1]) == Fraction(15, 2)
 
 
 UNION_VALUATIONS = (
