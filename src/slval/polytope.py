@@ -5,18 +5,19 @@ structural equality is geometric equality.  The empty polytope is a
 first-class value.
 
 Derived data lives on the polytope that owns it, in slots filled once on
-first use and ignored by equality and hashing: the affine frame, the facet
-halfspaces with their incident vertices, and the volume.  The
-frame is the pivot projection: the pivot columns of the reduced echelon
+first use and ignored by equality and hashing: the affine frame with the
+facet halfspaces and their incident vertices, in one slot, and the volume.
+The frame is the pivot projection: the pivot columns of the reduced echelon
 form of the directions v - v0, which depend only on aff P and map it
-isomorphically onto R^k, plus the equalities that pin aff P.  Facets come
-from an exact double-description pass (Motzkin, Raiffa, Thompson and
-Thrall 1953; Fukuda and Prodon 1996) on the pivot coordinates: points are
+isomorphically onto R^k, plus the equalities that pin aff P.  Both come
+from one exact double-description pass (Motzkin, Raiffa, Thompson and
+Thrall 1953; Fukuda and Prodon 1996) in ambient coordinates, whose one
+elimination seeds the rays and yields the frame equalities: points are
 inserted far first, degenerate input needs no perturbation, and the cost
 grows with the number of facets rather than with the number of point
 subsets.  The pass, like the vertex order, runs on plain integers in
 Z[sqrt d] over one common denominator; Scalars are built only for its
-output, by `_canonical`.
+output.
 
 A polytope gets its frame and facets in one of two ways.  It runs that
 pass itself, on first use; or it is handed them when it is built, by
@@ -36,10 +37,10 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .exactnum import (ZERO, Scalar, _check_discriminant, _integer_rows, _merge_discriminants,
-                       _surd_sign, as_scalar)
-from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _kernel,
-                     _over, _pair_dot, _primitive, _rationalized)
+from .exactnum import (Scalar, _check_discriminant, _integer_rows, _merge_discriminants, _surd_sign,
+                       as_scalar)
+from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _over,
+                     _pair_dot, _primitive, _rationalized)
 
 
 class EmptyPolytopeError(ValueError):
@@ -90,7 +91,7 @@ class Polytope:
     it reads off the facet record; no face's volume is kept.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_frame", "_facets", "_volume")
+    __slots__ = ("ambient_dim", "vertices", "_hull", "_volume")
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -166,39 +167,49 @@ def _canonical(row: list[tuple[int, int]], d: int) -> tuple[Vector, Scalar]:
     return Vector._of(tuple(w)), c
 
 
-def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
-    """Facet halfspaces of a rank-k point configuration, in its own coordinates.
+def _supporting(points: Sequence[Sequence[Scalar]]) -> tuple[tuple, dict]:
+    """Frame and facets of points in R^n: (frame, {incident index
+    frozenset: (w, c)}), the frame as `_frame` gives it, and per facet
+    <w, x> <= c, valid on every point and tight exactly on the incident
+    ones, w zero off the pivot columns and +-1 on its last nonzero one.
+    A point has no facets.
 
-    Returns {incident index frozenset: (normal w, offset c)} with
-    <w, x> <= c valid on every point, equality exactly on the incident
-    points, and the last nonzero coordinate of w equal to +-1.
-
-    Double description in Z[sqrt d]: the points are scaled by one common
-    denominator L and read as integer pairs x' = (L x, -1).  Each facet is
-    a ray (r, Z) of the cone of valid inequalities: r = (w', c') a
-    gcd-reduced integer vector with <r, x'> <= 0 on every point, Z the
-    bitmask of tight points inserted so far.  Points are inserted far
-    first, by decreasing sum of A^2 + d B^2 over their pairs, ties by
-    index, which keeps the intermediate rays few (Avis, Bremner and Seidel
-    1997); the facets do not depend on the order.  One `_eliminate` of
-    [X | I], X having the x' as columns in that order, seeds the rays: its
-    pivot columns pick the first affinely independent points, and its row
-    i right of X is tight on each of them but the i-th, where it takes the
-    common pivot D, whose sign orients it; on X's columns, row i holds its
-    excess at every point, so points strictly inside the seed simplex are
-    skipped.  Each later point drops the rays it violates, and combines
-    each violated ray with every adjacent satisfied one into a ray tight
-    at the point.  Two rays are adjacent iff their common tight set has at
-    least k - 1 points and lies in no third ray's tight set.  `_canonical`
-    builds the output Scalars from (L w', c').
+    Double description in Z[sqrt d]: the points, over one common
+    denominator L, are read as integer pairs x' = (L x, -1), coordinates
+    reversed.  Each facet is a ray (r, Z): r a gcd-reduced integer vector
+    with <r, x'> <= 0 on every point, Z the bitmask of tight points
+    inserted so far.  Points are inserted far first, by decreasing sum of
+    A^2 + d B^2 over their pairs, ties by index, which keeps the
+    intermediate rays few (Avis, Bremner and Seidel 1997).  One
+    `_eliminate` of [X | I], the x' as X's columns in that order, seeds
+    all.  Its k + 1 rows that pivot on X pick the first affinely
+    independent points, k = dim; right of X, row i is tight on each of them
+    but the i-th, where the common pivot D orients it, and on X it holds
+    its excess at every point, so points inside that simplex are skipped.
+    Its other rows pivot in I, on the free columns: the greedy basis of the
+    dual in the reverse order is the complement of the forward one.  Each
+    is D on its own free column, 0 on the others (the seed rays are 0 on
+    all), and reads <w, L x> = c on every point: the frame equality is
+    <w / D, x> = c / (D L).  Each later
+    point drops the rays it violates, and combines each violated ray with
+    every adjacent satisfied one into a ray tight at the point.  Two rays
+    are adjacent iff their common tight set has at least k - 1 points and
+    lies in no third ray's tight set.
     """
-    ints, L, d = _integer_rows(coords)
-    pts = [row + [(-1, 0)] for row in ints]
-    m = len(pts)
+    ints, L, d = _integer_rows(points)
+    n, m = len(ints[0]), len(ints)
+    pts = [row[::-1] + [(-1, 0)] for row in ints]
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
-    unit = [[(int(r == c), 0) for r in range(k + 1)] for c in range(k + 1)]
+    unit = [[(int(r == c), 0) for r in range(n + 1)] for c in range(n + 1)]
     form, pivots, _, D = _eliminate([list(row) for row in zip(*[pts[i] for i in order], *unit)], d)
-    simplex = [order[c] for c in pivots]
+    k = sum(c < m for c in pivots) - 1
+    free = {m + n - 1 - c for c in pivots[k + 1:]}
+    equalities = form[:k:-1]
+    offsets = _over([row[-1] for row in equalities], (D[0] * L, D[1] * L), d)
+    normals = [Vector._of(tuple(_over(row[-2:m - 1:-1], D, d))) for row in equalities]
+    frame = (tuple(c for c in range(n) if c not in free), tuple(zip(normals, offsets)))
+    form = form[:k + 1] if k else []
+    simplex = [order[c] for c in pivots[:len(form)]]
     flip = -1 if _surd_sign(*D, d) > 0 else 1
     rays: list[tuple[list[tuple[int, int]], int]] = [
         (_primitive([(flip * a, flip * b) for a, b in row[m:]]),
@@ -230,49 +241,29 @@ def _supporting(coords: Sequence[Sequence[Scalar]], k: int) -> dict:
                 # ev > 0 > es: the positive combination tight at point i
                 kept.append((_combine(rs, ev, rv, es, d), common | bit))
         rays = kept
-    return {frozenset(i for i in range(m) if z >> i & 1):
-            _canonical([(L * a, L * b) for a, b in r[:k]] + [r[k]], d) for r, z in rays}
+    return frame, {frozenset(i for i in range(m) if z >> i & 1):
+                   _canonical([(L * a, L * b) for a, b in r[n - 1::-1]] + [r[n]], d) for r, z in rays}
+
+
+def _hull(P: Polytope) -> tuple[tuple, tuple[tuple[Halfspace, frozenset[int]], ...]]:
+    """(`_frame`, `_facet_data`), from one pass unless P was handed them."""
+    if P._hull is None:
+        frame, found = _supporting(P.vertices)
+        _fill_hull(P, frame, [(Halfspace(w, c), incident) for incident, (w, c) in found.items()])
+    return P._hull
 
 
 def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], ...]]:
-    """Pivot columns of aff P and the equalities <w, x> = b pinning it.
-
-    Both are read off the `_eliminate` form of the integer differences
-    v - v0 over one common denominator L: w is a kernel vector x / D, and
-    b = <x, L v0> / (D L).  A reduced echelon form is unique, so both depend
-    only on aff P.
-    """
-    if P._frame is None:
-        (base, *rest), L, d = _integer_rows(P.vertices)
-        form, pivots, _, D = _eliminate(
-            [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(v, base)] for v in rest], d)
-        kernel = _kernel(form, pivots, D, P.ambient_dim)
-        offsets = _over([_pair_dot(x, base, d) for x in kernel], (D[0] * L, D[1] * L), d)
-        normals = [Vector._of(tuple(_over(x, D, d))) for x in kernel]
-        object.__setattr__(P, "_frame", (tuple(pivots), tuple(zip(normals, offsets))))
-    return P._frame
+    """Pivot columns of the reduced echelon form of the directions v - v0,
+    and per free column the equality <w, x> = b pinning aff P with w 1 there
+    and 0 on the other free columns.  Both depend only on aff P."""
+    return _hull(P)[0]
 
 
 def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
     """Supporting halfspace and incident vertex index set of every facet,
-    sorted by incident indices; a point has none.
-
-    One double-description pass on the pivot coordinates, filled once; a
-    normal lifts to R^n with zeros off the pivot columns, which agrees with
-    it on aff P and keeps its offset.
-    """
-    if P._facets is None:
-        pivots = _frame(P)[0]
-        items = []
-        if pivots:
-            coords = [[v[c] for c in pivots] for v in P.vertices]
-            for incident, (w, c) in _supporting(coords, len(pivots)).items():
-                lift = [ZERO] * P.ambient_dim
-                for col, x in zip(pivots, w):
-                    lift[col] = x
-                items.append((Halfspace(Vector._of(tuple(lift)), c), incident))
-        _fill_facets(P, items)
-    return P._facets
+    sorted by incident indices; a point has none."""
+    return _hull(P)[1]
 
 
 def _restricted(frame, w: Vector, c: Scalar) -> Halfspace:
@@ -289,8 +280,8 @@ def _restricted(frame, w: Vector, c: Scalar) -> Halfspace:
     return Halfspace(*_canonical(row, d))
 
 
-def _fill_facets(P: Polytope, items) -> None:
-    object.__setattr__(P, "_facets", tuple(sorted(items, key=lambda item: sorted(item[1]))))
+def _fill_hull(P: Polytope, frame, items) -> None:
+    object.__setattr__(P, "_hull", (frame, tuple(sorted(items, key=lambda item: sorted(item[1])))))
 
 
 def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
@@ -312,7 +303,7 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
     raw = Polytope(n, pts)
-    data = _facet_data(raw)
+    frame, data = _hull(raw)
     through: list[list[frozenset[int]]] = [[] for _ in raw.vertices]
     for _, incident in data:
         for i in incident:
@@ -323,8 +314,7 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
         return raw
     P = Polytope._of(n, tuple(raw.vertices[i] for i in keep))
     renumber = {old: new for new, old in enumerate(keep)}
-    object.__setattr__(P, "_frame", raw._frame)
-    _fill_facets(P, [(h, frozenset(renumber[i] for i in inc if i in renumber)) for h, inc in data])
+    _fill_hull(P, frame, [(h, frozenset(renumber[i] for i in inc if i in renumber)) for h, inc in data])
     return P
 
 
@@ -407,7 +397,7 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
         return Polytope.empty(n)
     if all(signs[i] == 0 for i in kept):
         return Polytope._of(n, tuple(P.vertices[i] for i in kept))
-    data = _facet_data(P)
+    frame, data = _hull(P)
     everything = frozenset(range(len(signs)))
     crossing = []
     through: list[list[int]] = []
@@ -442,9 +432,8 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
         if any(signs[i] < 0 for i in incident)
     ]
     cut = [at[i] for i in kept if signs[i] == 0]
-    items.append((_restricted(_frame(P), H.normal, H.offset), frozenset(cut + new)))
-    object.__setattr__(Q, "_frame", _frame(P))
-    _fill_facets(Q, items)
+    items.append((_restricted(frame, H.normal, H.offset), frozenset(cut + new)))
+    _fill_hull(Q, frame, items)
     return Q
 
 
@@ -523,10 +512,9 @@ def translate(P: Polytope, t: Vector) -> Polytope:
     if P.is_empty:
         return P
     Q = Polytope(P.ambient_dim, [v + t for v in P.vertices])
-    pivots, equalities = _frame(P)
-    object.__setattr__(Q, "_frame", (pivots, tuple((w, b + w.dot(t)) for w, b in equalities)))
-    object.__setattr__(Q, "_facets", tuple((Halfspace(h.normal, h.offset + h.normal.dot(t)), incident)
-                                           for h, incident in _facet_data(P)))
+    (pivots, equalities), data = _hull(P)
+    _fill_hull(Q, (pivots, tuple((w, b + w.dot(t)) for w, b in equalities)),
+               [(Halfspace(h.normal, h.offset + h.normal.dot(t)), incident) for h, incident in data])
     return Q
 
 
@@ -546,6 +534,8 @@ def from_json(obj: dict) -> Polytope:
         n, d, raw = obj["ambient_dim"], obj["field_d"], obj["vertices"]
         if type(n) is not int or type(d) is not int:
             raise ValueError("ambient_dim and field_d must be JSON integers")
+        if type(raw) is not list or any(type(row) is not list for row in raw):
+            raise ValueError("vertices must be a JSON list of JSON lists")
         d = _check_discriminant(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad polytope object: {exc}") from None

@@ -4,7 +4,10 @@ Everything here works on tuples of Fractions and never touches the package
 under test, so derived constants in the test suite come from a second,
 unrelated computation.  The plane helpers use a monotone chain; the
 facet oracle for any dimension is the brute-force scan over all k-subsets
-of the points, with its own Gaussian elimination.  `rref_root2` is a
+of the points, with its own Gaussian elimination, and the frame oracle,
+`reference_frame`, is the reduced echelon form of the differences
+v - v0.  `reference_intersect` meets two hulls by solving every n-subset
+of the hyperplanes of both H-representations these give.  `rref_root2` is a
 Gauss-Jordan over Q(sqrt 2) on Fraction pairs, the oracle of the
 fraction-free elimination in `linalg`, and `det_root2` is the Leibniz
 determinant over Q(sqrt 2), which eliminates nothing.
@@ -162,13 +165,30 @@ def det_root2(rows):
     return total
 
 
+def reference_frame(points):
+    """(pivots, equalities) of the affine hull of rational points: the pivot
+    columns of the reduced echelon form of the differences v - v0, and per
+    free column f the equality (w, b), <w, x> = b on the hull, with w in the
+    kernel of the differences, 1 on f and 0 on the other free columns."""
+    base = [Fraction(x) for x in points[0]]
+    deltas = [[Fraction(x) - b for x, b in zip(p, base)] for p in points[1:]]
+    reduced, pivots = _rref(deltas) if deltas else ([], [])
+    equalities = []
+    for f in range(len(base)):
+        if f in pivots:
+            continue
+        w = [Fraction(int(c == f)) for c in range(len(base))]
+        for r, c in enumerate(pivots):
+            w[c] = -reduced[r][f]
+        equalities.append((tuple(w), sum(a * b for a, b in zip(w, base))))
+    return tuple(pivots), equalities
+
+
 def affine_frame(points):
     """Rank k of the points and their images under an injective affine map
     of their affine hull onto Q^k (projection to the pivot coordinates of
     the difference vectors)."""
-    base = points[0]
-    deltas = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    _, pivots = _rref(deltas) if deltas else ([], [])
+    pivots, _ = reference_frame(points)
     return len(pivots), [tuple(Fraction(p[c]) for c in pivots) for p in points]
 
 
@@ -177,11 +197,11 @@ def facets_by_subsets(coords, k):
     points in Q^k, found by testing the hyperplane through every k-subset.
 
     <w, x> <= c holds on every point; w is scaled positively so that its
-    last nonzero coordinate is +-1.
+    last nonzero coordinate is +-1.  A point (k = 0) has none.
     """
     pts = [tuple(Fraction(x) for x in p) for p in coords]
     found = {}
-    for subset in combinations(range(len(pts)), k):
+    for subset in combinations(range(len(pts)), k) if k else ():
         first = pts[subset[0]]
         rows = [[x - f for x, f in zip(pts[i], first)] for i in subset[1:]]
         reduced, pivots = _rref(rows) if rows else ([], [])
@@ -222,6 +242,42 @@ def extreme_indices(points):
     return out
 
 
+def halfspaces(points):
+    """The H-representation of the hull of rational points in Q^n, as
+    (w, c) meaning <w, x> <= c: each frame equality of `reference_frame`
+    both ways, and each facet of the subset scan on the pivot coordinates,
+    lifted to Q^n with zeros off the pivot columns."""
+    n = len(points[0])
+    pivots, equalities = reference_frame(points)
+    coords = [tuple(Fraction(p[c]) for c in pivots) for p in points]
+    out = [h for w, b in equalities for h in ((w, b), (tuple(-a for a in w), -b))]
+    for w, c in facets_by_subsets(coords, len(pivots)).values():
+        lift = [Fraction(0)] * n
+        for col, a in zip(pivots, w):
+            lift[col] = a
+        out.append((tuple(lift), c))
+    return out
+
+
+def reference_intersect(p, q):
+    """Vertices of conv(p) meet conv(q) for rational point lists p and q in
+    Q^n, as a set of Fraction tuples: the feasible solutions of every
+    nonsingular n x n system drawn from both H-representations, cut down
+    to the extreme ones."""
+    n = len(p[0])
+    rows = halfspaces(p) + halfspaces(q)
+    found = set()
+    for subset in combinations(range(len(rows)), n):
+        reduced, pivots = _rref([list(rows[i][0]) + [rows[i][1]] for i in subset])
+        if pivots != list(range(n)):
+            continue
+        x = tuple(row[n] for row in reduced)
+        if all(sum(a * b for a, b in zip(w, x)) <= c for w, c in rows):
+            found.add(x)
+    points = sorted(found)
+    return {points[i] for i in extreme_indices(points)} if points else set()
+
+
 def inclusion_exclusion(parts, meet, value):
     """Value of the union of parts: the sum over every nonempty index subset
     I of (-1)^(|I|+1) times the value of the meet of the parts in I, taken
@@ -240,7 +296,7 @@ def inclusion_exclusion(parts, meet, value):
 
 def reference_clip(P, H):
     """P cut down to the halfspace H, with Scalar excesses and crossings."""
-    from slval.polytope import Polytope, _facet_data, _fill_facets, _frame, _restricted
+    from slval.polytope import Polytope, _facet_data, _fill_hull, _frame, _restricted
 
     n = P.ambient_dim
     if P.is_empty:
@@ -282,8 +338,7 @@ def reference_clip(P, H):
     ]
     cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
     items.append((_restricted(_frame(P), H.normal, H.offset), frozenset(cut + new)))
-    object.__setattr__(Q, "_frame", _frame(P))
-    _fill_facets(Q, items)
+    _fill_hull(Q, _frame(P), items)
     return Q
 
 

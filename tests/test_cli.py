@@ -69,12 +69,22 @@ class TestValuate:
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_wrong_shape_exits_2(self, tmp_path, capsys):
-        code = main([
-            "valuate",
-            "--in", write_json(tmp_path / "p.json", {"vertices": "nope"}),
-            "--valuation", write_json(tmp_path / "v.json", linear_valuation()),
-        ])
-        assert code == 2
+        """Vertices must be a JSON list of JSON lists: strings as rows, a
+        string as the list and an object as the list are refused, not read
+        as points character by character or key by key."""
+        for polytope in (
+            {"vertices": "nope"},
+            {"ambient_dim": 2, "field_d": 0, "vertices": ["12", "30", "03"]},
+            {"ambient_dim": 1, "field_d": 0, "vertices": "123"},
+            {"ambient_dim": 2, "field_d": 0, "vertices": {"12": 0, "30": 0, "03": 0}},
+        ):
+            code = main([
+                "valuate",
+                "--in", write_json(tmp_path / "p.json", polytope),
+                "--valuation", write_json(tmp_path / "v.json", linear_valuation()),
+            ])
+            assert code == 2
+            assert "not a polytope file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("term", ["psi", "phi"])
     def test_non_object_cauchy_solution_exits_2(self, term, tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""Differential tests of the double-description hull against the k-subset scan.
+"""Differential tests of the double-description hull against Fraction oracles.
 
-The oracle in `oracles.py` tests the hyperplane through every k-subset of
-the points in plain Fractions, so it shares no code with `polytope`.
-Clips through the interior and translates are handed their face data
-instead of running the pass; facets, faces a clip leaves and SL images run
-their own.  The tests compare each with a fresh pass on the same vertices
-and count the passes run.
+The oracles in `oracles.py` share no code with `polytope`: the facets
+come from testing the hyperplane through every k-subset of the points, and
+the frame from the reduced echelon form of the differences v - v0.  The
+pass yields both from one elimination.  Clips through the interior and
+translates are handed their face data instead of running the pass;
+facets, faces a clip leaves and SL images run their own.  The tests
+compare each with a fresh pass on the same vertices and count the passes
+run and the eliminations.
 """
 
 import random
@@ -34,7 +36,7 @@ from slval.polytope import (
 from slval.triangulate import volume
 from slval.valuation import ClassifiedValuation, evaluate, evaluate_union
 
-from oracles import affine_frame, extreme_indices, facets_by_subsets
+from oracles import affine_frame, extreme_indices, facets_by_subsets, reference_frame
 
 ROOT2 = Scalar.sqrt_of(2)
 
@@ -71,7 +73,7 @@ def grid_sample(rng, k, m):
 
 def assert_matches_oracle(points, k):
     assert affine_frame(points)[0] == k
-    assert as_fractions(_supporting(as_scalars(points), k)) == facets_by_subsets(points, k)
+    assert as_fractions(_supporting(as_scalars(points))[1]) == facets_by_subsets(points, k)
     assert_handover_matches_fresh(from_points(as_scalars(points)))
 
 
@@ -79,7 +81,7 @@ def assert_handover_matches_fresh(P):
     """The frame and facets of P, handed over by from_points or derived,
     equal what a fresh polytope on the same vertices derives for itself."""
     fresh = Polytope(P.ambient_dim, P.vertices)
-    assert fresh._frame is None and fresh._facets is None
+    assert fresh._hull is None
     assert _facet_data(P) == _facet_data(fresh)
     assert _frame(P) == _frame(fresh)
     return P
@@ -113,6 +115,29 @@ def test_unit_grids_with_non_simplicial_facets(k):
     facets = facets_by_subsets(points, k)
     assert any(len(incident) > k for incident in facets)
     assert_matches_oracle(points, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frame_matches_the_reference(n):
+    """The frame the pass reads off the identity block of its elimination
+    is the pivot columns of the reduced echelon form of v - v0 and the
+    kernel equalities that are 1 on their free column, at every rank
+    k <= n, single points included."""
+    rng = random.Random(700 + n)
+    ranks = set()
+    for k in range(n + 1):
+        for _ in range(8):
+            embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            low = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+                   for _ in range(k + 3 if k else 1)]
+            points = [tuple(sum((e * x for e, x in zip(row, p)), s) for row, s in zip(embed, shift))
+                      for p in low]
+            pivots, equalities = _frame(Polytope(n, map(Vector, points)))
+            assert (pivots, [(tuple(x.a for x in w), b.a) for w, b in equalities]) == \
+                reference_frame(points)
+            ranks.add(len(pivots))
+    assert ranks == set(range(n + 1))
 
 
 def assert_tight_exactly_on(vectors, w, c, incident):
@@ -166,7 +191,7 @@ def test_surd_clouds_keep_incidence(k):
             continue
         image = [[sum((shear[i][j] * x[j] for j in range(k)), Scalar(0)) for i in range(k)]
                  for x in points]
-        supporting = _supporting(image, k)
+        supporting = _supporting(image)[1]
         assert set(supporting) == set(facets_by_subsets(points, k))
         vectors = [Vector(p) for p in image]
         for incident, (w, c) in supporting.items():
@@ -196,8 +221,9 @@ def test_sl_images_eliminate_once_and_run_their_own_pass(monkeypatch, n):
     """transform eliminates once, on A's integer rows, to refuse a singular
     A, and builds bare points.  The image of a full-dimensional polytope
     and that of a flat one, here in the hyperplane x_1 = x_2 + 1, then
-    derive their frame by one elimination and their facets by one pass,
-    which seeds its rays by one more, as a fresh polytope does."""
+    derive their frame and facets by one pass, which eliminates once, on
+    the n + 1 rows of its homogenized coordinates, as a fresh polytope
+    does."""
     rng = random.Random(600 + n)
     full = from_points(as_scalars(symmetric_cloud(rng, n, 2 * n + 4)))
     lifted = [(p[1] + 1,) + p[1:] for p in symmetric_cloud(rng, n, 2 * n + 4)]
@@ -211,9 +237,9 @@ def test_sl_images_eliminate_once_and_run_their_own_pass(monkeypatch, n):
         passes.clear()
         image = transform(A, P)
         assert calls == [n] and passes == []
-        assert image._frame is None and image._facets is None
+        assert image._hull is None
         _facet_data(image)
-        assert len(calls) == 3 and passes == [k]
+        assert calls == [n, n + 1] and passes == [k]
         assert polytope.dim(image) == k
         assert_handover_matches_fresh(image)
 
@@ -229,8 +255,8 @@ def test_transform_rejects_a_singular_matrix():
 
 def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
     """A 40-point cloud in R^3 has C(40, 3) = 9880 point triples; the hull
-    eliminates twice: once for the frame, and once on [X | I], which picks
-    the starting simplex and yields the facets of that simplex."""
+    eliminates once, on [X | I], which yields the frame, picks the starting
+    simplex and yields the facets of that simplex."""
     calls = []
     real = polytope._eliminate
 
@@ -243,7 +269,7 @@ def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
     assert len(points) == 40
     P = from_points(as_scalars(points))
     assert len(P.vertices) > 3
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_far_first_insertion_combines_few_rays(monkeypatch):
@@ -286,21 +312,18 @@ def shuffled_point_sets(draw):
 def test_hull_does_not_depend_on_input_order(case):
     """from_points on a shuffle of its input gives the same vertices and
     facet record.  The constructor sorts the points before the pass, so
-    the pass is also run on shuffled coordinates directly: the insertion
-    order, seed simplex included, changes with the shuffle through the
-    ties of the far-first key, and the facets must not."""
+    the pass is also run on shuffled points directly: the insertion order,
+    seed simplex included, changes with the shuffle through the ties of the
+    far-first key, and neither the frame nor the facets may."""
     points, shuffled = case
     P, Q = from_points(points), from_points(shuffled)
     assert Q.vertices == P.vertices
     assert _facet_data(Q) == _facet_data(P)
-    raw = Polytope(P.ambient_dim, [Vector(p) for p in points])
-    pivots = _frame(raw)[0]
-    if pivots:
-        coords = [[v[c] for c in pivots] for v in raw.vertices]
-        order = [raw.vertices.index(Vector(p)) for p in dict.fromkeys(map(tuple, shuffled))]
-        moved = _supporting([coords[i] for i in order], len(pivots))
-        assert {frozenset(order[j] for j in incident): h for incident, h in moved.items()} == \
-            _supporting(coords, len(pivots))
+    raw = Polytope(P.ambient_dim, [Vector(p) for p in points]).vertices
+    order = [raw.index(Vector(p)) for p in dict.fromkeys(map(tuple, shuffled))]
+    frame, moved = _supporting([raw[i] for i in order])
+    assert (frame, {frozenset(order[j] for j in incident): h for incident, h in moved.items()}) == \
+        _supporting(raw)
 
 
 @pytest.mark.parametrize("n, m", [(3, 40), (4, 20)])
@@ -325,14 +348,7 @@ def test_hull_pass_builds_scalars_only_for_its_output(monkeypatch, n, m):
 def test_one_hull_pass_serves_every_query(monkeypatch):
     """from_points hands its result the facets its own pass found, so no
     query on the result runs a second pass."""
-    calls = []
-    real = polytope._supporting
-
-    def counting(coords, k):
-        calls.append(k)
-        return real(coords, k)
-
-    monkeypatch.setattr(polytope, "_supporting", counting)
+    calls = count_passes(monkeypatch)
     points = symmetric_cloud(random.Random(3), 3, 40, bound=20)
     P = from_points(as_scalars(points))
     zero = Vector.zero(3)
@@ -439,24 +455,26 @@ def test_derived_polytopes_are_handed_their_facets():
     derived = [clip(cube, Halfspace(Vector([1, 1, 1]), c)) for c in (Fraction(3, 2), 1)]
     derived.append(translate(cube, Vector([1, 0, -1])))
     for Q in derived:
-        assert Q._facets is not None
+        assert Q._hull is not None
         assert _facet_data(Q) == _facet_data(Polytope(3, Q.vertices))
     assert len(_facet_data(derived[1])) == 4
     top = clip(cube, Halfspace(Vector([0, 0, -1]), -1))
     image = transform(random_sl_matrix(5, 3, 4), cube)
     for Q in (top, image):
-        assert Q._frame is None and Q._facets is None
+        assert Q._hull is None
     assert top == from_points([Vector([x, y, 1]) for x in range(2) for y in range(2)])
     assert image == from_points(image.vertices)
 
 
 def count_passes(monkeypatch):
+    """The dimension of the points of every pass run from now on."""
     calls = []
     real = polytope._supporting
 
-    def counting(coords, k):
-        calls.append(k)
-        return real(coords, k)
+    def counting(points):
+        frame, found = real(points)
+        calls.append(len(frame[0]))
+        return frame, found
 
     monkeypatch.setattr(polytope, "_supporting", counting)
     return calls
@@ -495,7 +513,7 @@ def test_derived_polytopes_run_no_hull_pass(monkeypatch):
     _, slabs = surd_slabs()
     calls.clear()
     for slab in slabs:
-        assert slab._facets is not None
+        assert slab._hull is not None
         evaluate(SLAB_VALUATION, slab)
     assert calls == []
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -29,7 +30,7 @@ from slval.polytope import (
     visible_facets,
 )
 
-from oracles import hull2d, in_hull2d
+from oracles import hull2d, in_hull2d, reference_intersect
 
 
 def P2(*pairs):
@@ -270,6 +271,44 @@ def test_intersect_crossing_triangles_in_space():
     half = Fraction(1, 2)
     expected = Polytope(3, [V(0, 0, 0), V(half, half, 0)])
     assert intersect(a, b) == expected and intersect(b, a) == expected
+
+
+def vertex_set(P):
+    return {tuple(x.a for x in v) for v in P.vertices}
+
+
+def test_intersect_matches_the_reference_on_crossing_pieces():
+    """The crossing segments and triangles above, against the meet of the
+    two H-representations in Fractions."""
+    pairs = [
+        ([(0, 0), (1, 1)], [(1, 0), (0, 1)]),
+        ([(0, 0), (1, 1)], [(3, 0), (2, 1)]),
+        ([(0, 0, 0), (2, 0, 0), (0, 2, 0)], [(0, 0, -1), (0, 0, 1), (1, 1, 1)]),
+    ]
+    met = []
+    for p, q in pairs:
+        expected = reference_intersect(p, q)
+        for a, b in ((p, q), (q, p)):
+            meet = intersect(from_points(map(Vector, a)), from_points(map(Vector, b)))
+            assert vertex_set(meet) == expected
+        met.append(len(expected))
+    assert met == [1, 0, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intersect_matches_the_reference_on_seeded_pairs(n):
+    """Hulls of 1 to n + 2 points of the half-integer grid on [-1, 1]^n,
+    so that both are often flat and their affine hulls often cross; the
+    meets take every dimension."""
+    rng = random.Random(800 + n)
+    meets = []
+    for _ in range(40):
+        p, q = ([tuple(Fraction(rng.randint(-2, 2), 2) for _ in range(n))
+                 for _ in range(rng.randint(1, n + 2))] for _ in range(2))
+        meet = intersect(from_points(map(Vector, p)), from_points(map(Vector, q)))
+        assert vertex_set(meet) == reference_intersect(p, q)
+        meets.append(dim(meet) if not meet.is_empty else -1)
+    assert set(meets) == set(range(-1, n + 1))
 
 
 @st.composite
