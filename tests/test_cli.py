@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -363,3 +364,104 @@ class TestDemoUsc:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# argv cases on which the one-parser path of `main` must act exactly as the
+# full parser: help, usage errors, option forms and clean parses
+PARSER_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["valuate", "-h"],
+    ["fit", "-h"],
+    ["verify", "-h"],
+    ["demo-usc", "--help"],
+    ["verify", "--he"],
+    ["frobnicate"],
+    ["val"],
+    ["-x", "valuate"],
+    ["valuate"],
+    ["valuate", "--in", "x"],
+    ["valuate", "--in", "-h"],
+    ["valuate", "--in", "p.json", "--valuation", "v.json", "--format", "xml"],
+    ["valuate", "--in", "p.json", "--valuation", "v.json"],
+    ["valuate", "--val", "v.json", "--in=p.json", "--format", "json"],
+    ["fit"],
+    ["fit", "--valuation", "v.json", "--oracle-cmd", "cat"],
+    ["fit", "--valuation", "v.json"],
+    ["fit", "--oracle-cmd", "cat", "--n", "3", "--fo", "text", "--field-d", "0"],
+    ["verify", "--n", "5"],
+    ["verify", "--n", "two"],
+    ["verify", "--n"],
+    ["verify", "--cases", "0"],
+    ["verify", "--field-d", "4"],
+    ["verify", "--seed", "-3", "--n=3"],
+    ["verify", "--n", "3", "--cases", "8", "--seed", "3", "--inject-broken",
+     "--format", "text"],
+    ["verify", "--n", "2", "extra"],
+    ["verify", "--bogus"],
+    ["verify", "--", "--n", "2"],
+    ["verify", "--cases", "0", "extra"],
+    ["demo-usc"],
+    ["demo-usc", "--c0p", "-1", "--d0", "-2"],
+    ["demo-usc", "--c0p", "-1/2"],
+    ["demo-usc", "--steps", "3", "--", "--format"],
+]
+HANDLERS = ("_cmd_valuate", "_cmd_fit", "_cmd_verify", "_cmd_demo_usc")
+
+
+def _recording_handlers(monkeypatch):
+    """Replace every command handler by one that records its Namespace."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    for name in HANDLERS:
+        monkeypatch.setattr(cli, name, record)
+    return seen
+
+
+def _outcome(call, capsys):
+    try:
+        result = call()
+        code = None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    out, err = capsys.readouterr()
+    return result, code, out, err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_parses_as_the_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = _recording_handlers(monkeypatch)
+        returned, code, out, err = _outcome(lambda: main(list(argv)), capsys)
+        full, full_code, full_out, full_err = _outcome(
+            lambda: cli.build_parser().parse_args(list(argv)), capsys)
+        assert (code, out, err) == (full_code, full_out, full_err)
+        if full_code is None:
+            assert returned == 0 and seen == [full]  # func included
+        else:
+            assert seen == []
+
+    @pytest.mark.parametrize("argv", [
+        ["valuate", "--in", "p.json", "--valuation", "v.json"],
+        ["fit", "--valuation", "v.json"],
+        ["verify", "--n", "3"],
+        ["demo-usc"],
+    ], ids=lambda argv: argv[0])
+    def test_a_clean_command_builds_one_parser(self, argv, monkeypatch):
+        _recording_handlers(monkeypatch)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(argv) == 0
+        assert built == [f"slval {argv[0]}"]
