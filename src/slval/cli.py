@@ -22,7 +22,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from .exactnum import Scalar, ScalarParseError, _check_discriminant
+from .exactnum import FieldMismatchError, Scalar, ScalarParseError, _check_discriminant
 from .harness import (
     fit_classification,
     fit_validation_polytopes,
@@ -181,7 +181,10 @@ def _load_valuation(path: str):
 def _cmd_valuate(args: argparse.Namespace) -> int:
     poly = _load_polytope(args.polytope_path)
     val = _load_valuation(args.valuation)
-    result = evaluate(val, poly)
+    try:
+        result = evaluate(val, poly)
+    except FieldMismatchError as exc:
+        raise UsageError(f"{args.valuation} and {args.polytope_path} lie in different fields: {exc}")
     if args.format == "json":
         print(json.dumps({"value": str(result)}, sort_keys=True))
     else:
@@ -226,8 +229,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         polys += fit_validation_polytopes(args.n, args.seed, args.cases, args.field_d)
         table = _oracle_table(args.oracle_cmd, polys)
         blackbox = table.__getitem__
-    report = fit_classification(blackbox, args.n, seed=args.seed,
-                                validation_count=args.cases, field_d=args.field_d)
+    try:
+        report = fit_classification(blackbox, args.n, seed=args.seed,
+                                    validation_count=args.cases, field_d=args.field_d)
+    except FieldMismatchError as exc:
+        if args.valuation is None:
+            raise
+        raise UsageError(f"{args.valuation} and --field-d {args.field_d} lie in different fields: {exc}")
     exact = report.residual_max.is_zero()
     if args.format == "json":
         print(json.dumps({

@@ -1,41 +1,42 @@
 """Canonical V-representation polytopes with exact predicates.
 
-A polytope is stored as its extreme points, deduplicated and sorted, so
+A polytope stores its extreme points, deduplicated and sorted, as one
+canonical integer pair matrix: rows of pairs (A, B), meaning A + B*sqrt(d),
+over the least common denominator L > 0, with d = 0 when every B is 0, so
 structural equality is geometric equality.  The empty polytope is a
-first-class value.
+first-class value.  Vectors, Scalars and Halfspaces are built only at the
+boundary, by `vertices`, `facets`, `visible_facets`, `to_json` and `repr`.
 
 Derived data lives on the polytope that owns it, in slots filled once on
-first use and ignored by equality and hashing: the affine frame with the
-facet halfspaces and their incident vertices, in one slot, and the volume.
-The frame is the pivot projection: the pivot columns of the reduced echelon
-form of the directions v - v0, which depend only on aff P and map it
-isomorphically onto R^k, plus the equalities that pin aff P.  Both come
-from one exact double-description pass (Motzkin, Raiffa, Thompson and
-Thrall 1953; Fukuda and Prodon 1996) in ambient coordinates, whose one
-elimination seeds the rays and yields the frame equalities: points are
-inserted far first, degenerate input needs no perturbation, and the cost
-grows with the number of facets rather than with the number of point
-subsets.  The pass, like the vertex order, runs on plain integers in
-Z[sqrt d] over one common denominator; Scalars are built only for its
-output.
+first use and ignored by equality and hashing: the volume, and the hull
+record, which is the affine frame with the facets and their incident vertex
+bitmasks.  The frame is the pivot projection: the pivot columns of the
+reduced echelon form of the directions v - v0, which depend only on aff P
+and map it isomorphically onto R^k, plus the equalities that pin aff P.
+Equalities and facets are canonical integer pair rows (W, C): a facet
+<W, x> <= C primitive and scaled by a positive element of Z[sqrt d] to be
+rational on W's last nonzero entry, an equality <W, x> = C primitive and
+positive rational on its own free column.  Both come from one exact
+double-description pass (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+and Prodon 1996) in ambient coordinates, whose one elimination seeds the
+rays and yields the frame equalities; its cost grows with the number of
+facets rather than with the number of point subsets.
 
-A polytope gets its frame and facets in one of two ways.  It runs that
-pass itself, on first use; or it is handed them when it is built, by
-`from_points` (the record of its one pass, renumbered), by a clip through
-its interior (the parent's frame, the parent's facets through their kept
-vertices and crossing points, and the cut restricted to the parent's
-affine hull, in the form a fresh pass gives) or by a translate (the
+A polytope runs that pass itself, on first use, or is handed the record
+when it is built: by `from_points` and `cone_hull` (the record of their one
+pass, renumbered), by a clip through its interior (the parent's frame, the
+parent's facets through their kept vertices and crossing points, and the
+cut restricted to the parent's affine hull) or by a translate (the
 parent's, offsets shifted).  Facets, faces a clip leaves and SL images are
-bare points, which run their own pass when asked.  A point has no facets.
-Frame and facet record are canonical, so every hand-over equals what a
-fresh pass on the same vertices derives.
+bare points.  A point has no facets.  The record is canonical, so every
+hand-over equals what a fresh pass on the same vertices derives.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import lcm
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from math import gcd, lcm
+from typing import Iterable
 
 from .exactnum import (Scalar, _check_discriminant, _integer_rows, _merge_discriminants, _surd_sign,
                        as_scalar)
@@ -64,9 +65,6 @@ class Halfspace:
     def __setattr__(self, name, value):
         raise AttributeError("Halfspace is immutable")
 
-    def excess(self, x: Vector) -> Scalar:
-        return self.normal.dot(x) - self.offset
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Halfspace)
@@ -85,16 +83,19 @@ class Polytope:
     """Convex hull of finitely many points, in canonical vertex form.
 
     Build through from_points unless the points are already known to be
-    the extreme points; the constructor only sorts and deduplicates.  The
-    underscored slots hold derived data, None until first use; `_volume`
-    holds the pivot volume that `triangulate` sums over the pulling cells
-    it reads off the facet record; no face's volume is kept.
+    the extreme points; the constructor only sorts and deduplicates.
+    `_rows`, `_L` and `_d` are the canonical integer pair matrix of the
+    vertices; `vertices` builds their Vectors on each call.  The other
+    underscored slots hold derived data, None until first use: `_hull` the
+    frame and facet record in integer pair rows, `_volume` the pivot volume
+    (A + B sqrt d) / q as the integers (A, B, q), which `triangulate` sums
+    over the pulling cells it reads off the facet record; no face's volume
+    is kept.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_hull", "_volume")
+    __slots__ = ("ambient_dim", "_rows", "_L", "_d", "_hull", "_volume")
 
     ambient_dim: int
-    vertices: tuple[Vector, ...]
 
     def __init__(self, ambient_dim: int, vertices: Iterable[Vector] = ()) -> None:
         if ambient_dim < 1:
@@ -103,22 +104,23 @@ class Polytope:
         if any(len(v) != ambient_dim for v in vertices):
             raise ValueError("vertex dimension does not match ambient_dim")
         # over one common L > 0, pairs (A, B) order as `Vector.sort_key`
-        unique = dict(zip(map(tuple, _integer_rows([v.coords for v in vertices])[0]), vertices))
-        self._fill(ambient_dim, tuple(unique[key] for key in sorted(unique)))
+        ints, L, d = _integer_rows([v.coords for v in vertices])
+        self._fill(ambient_dim, tuple(sorted({tuple(row) for row in ints})), L, d)
 
-    def _fill(self, ambient_dim: int, vertices: tuple[Vector, ...]) -> None:
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "vertices", vertices)
-        for slot in Polytope.__slots__[2:]:
-            object.__setattr__(self, slot, None)
+    def _fill(self, ambient_dim: int, rows: tuple, L: int, d: int) -> None:
+        for slot, value in zip(Polytope.__slots__, (ambient_dim, rows, L, d, None, None)):
+            object.__setattr__(self, slot, value)
 
     @classmethod
-    def _of(cls, ambient_dim: int, vertices: tuple[Vector, ...]) -> Polytope:
-        """Trusted constructor for vertices known to be canonical, such as a
-        subsequence of a canonical vertex tuple: no dedupe, sort or field
-        check."""
+    def _of(cls, ambient_dim: int, rows: tuple, L: int, d: int) -> Polytope:
+        """Trusted constructor for sorted distinct row tuples over a common
+        denominator L > 0, such as a subsequence of a canonical matrix: no
+        dedupe or sort; one gcd makes L least, and d is 0 if every B is."""
+        g = gcd(L, *chain.from_iterable(chain.from_iterable(rows)))
+        if g > 1:
+            rows = tuple(tuple((a // g, b // g) for a, b in row) for row in rows)
         self = object.__new__(cls)
-        self._fill(ambient_dim, vertices)
+        self._fill(ambient_dim, rows, L // g, d if any(b for row in rows for _, b in row) else 0)
         return self
 
     def __setattr__(self, name, value):
@@ -129,18 +131,20 @@ class Polytope:
         return cls(ambient_dim, ())
 
     @property
+    def vertices(self) -> tuple[Vector, ...]:
+        L, d = self._L, self._d
+        return tuple(Vector._of(tuple(Scalar._make(a, b, L, d) for a, b in row)) for row in self._rows)
+
+    @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self._rows
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polytope)
-            and self.ambient_dim == other.ambient_dim
-            and self.vertices == other.vertices
-        )
+        return isinstance(other, Polytope) and (self.ambient_dim, self._L, self._d, self._rows) == (
+            other.ambient_dim, other._L, other._d, other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.vertices))
+        return hash((self.ambient_dim, self._L, self._rows))
 
     def __repr__(self) -> str:
         body = ", ".join(repr(list(map(str, v))) for v in self.vertices)
@@ -148,7 +152,7 @@ class Polytope:
 
 
 def field_discriminant(P: Polytope) -> int:
-    return _integer_rows([v.coords for v in P.vertices])[2]
+    return P._d
 
 
 def origin(n: int) -> Vector:
@@ -158,30 +162,38 @@ def origin(n: int) -> Vector:
 # -- derived data ----------------------------------------------------------
 
 
-def _canonical(row: list[tuple[int, int]], d: int) -> tuple[Vector, Scalar]:
-    """(w, c) from the integer pair row (W, C) of <W, x> <= C, divided by
-    |last nonzero entry of W| so that entry becomes +-1: one `_over`."""
-    A, B = next(x for x in reversed(row[:-1]) if x != (0, 0))
-    s = _surd_sign(A, B, d)
-    *w, c = _over(row, (s * A, s * B), d)
-    return Vector._of(tuple(w)), c
+def _last(row) -> int:
+    """Column of the last nonzero normal entry of the row (W, C)."""
+    return next(c for c in range(len(row) - 2, -1, -1) if row[c] != (0, 0))
 
 
-def _supporting(points: Sequence[Sequence[Scalar]]) -> tuple[tuple, dict]:
-    """Frame and facets of points in R^n: (frame, {incident index
-    frozenset: (w, c)}), the frame as `_frame` gives it, and per facet
-    <w, x> <= c, valid on every point and tight exactly on the incident
-    ones, w zero off the pivot columns and +-1 on its last nonzero one.
-    A point has no facets.
+def _canonical(row, d: int, col: int | None = None) -> tuple:
+    """The row times the positive element of Z[sqrt d] that makes its entry
+    on col (by default its last nonzero normal entry) rational, made
+    primitive: s(A - B sqrt d) for that entry A + B sqrt d, s the sign that
+    makes it positive."""
+    A, B = row[_last(row) if col is None else col]
+    if B:
+        s = _surd_sign(A, B, d) * (1 if A * A > d * B * B else -1)
+        A, B = s * A, -s * B
+        row = [(a * A + d * b * B, a * B + b * A) for a, b in row]
+    return tuple(_primitive(row))
 
-    Double description in Z[sqrt d]: the points, over one common
-    denominator L, are read as integer pairs x' = (L x, -1), coordinates
-    reversed.  Each facet is a ray (r, Z): r a gcd-reduced integer vector
-    with <r, x'> <= 0 on every point, Z the bitmask of tight points
-    inserted so far.  Points are inserted far first, by decreasing sum of
-    A^2 + d B^2 over their pairs, ties by index, which keeps the
-    intermediate rays few (Avis, Bremner and Seidel 1997).  One
-    `_eliminate` of [X | I], the x' as X's columns in that order, seeds
+
+def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
+    """Frame and facets of the points X / L in R^n, given as integer pair
+    rows X: (frame, {incident point bitmask: facet row}), the frame as
+    `_frame` gives it, and per facet the canonical row (W, C) of
+    <W, x> <= C, valid on every point and tight exactly on the incident
+    ones, W zero off the pivot columns.  A point has no facets.
+
+    Double description in Z[sqrt d]: the points are read as integer pairs
+    x' = (X, -1), coordinates reversed.  Each facet is a ray (r, Z): r a
+    gcd-reduced integer vector with <r, x'> <= 0 on every point, Z the
+    bitmask of tight points inserted so far.  Points are inserted far
+    first, by decreasing sum of A^2 + d B^2 over their pairs, ties by index,
+    which keeps the intermediate rays few (Avis, Bremner and Seidel 1997).
+    One `_eliminate` of [X | I], the x' as X's columns in that order, seeds
     all.  Its k + 1 rows that pivot on X pick the first affinely
     independent points, k = dim; right of X, row i is tight on each of them
     but the i-th, where the common pivot D orients it, and on X it holds
@@ -189,28 +201,27 @@ def _supporting(points: Sequence[Sequence[Scalar]]) -> tuple[tuple, dict]:
     Its other rows pivot in I, on the free columns: the greedy basis of the
     dual in the reverse order is the complement of the forward one.  Each
     is D on its own free column, 0 on the others (the seed rays are 0 on
-    all), and reads <w, L x> = c on every point: the frame equality is
-    <w / D, x> = c / (D L).  Each later
-    point drops the rays it violates, and combines each violated ray with
-    every adjacent satisfied one into a ray tight at the point.  Two rays
-    are adjacent iff their common tight set has at least k - 1 points and
-    lies in no third ray's tight set.
+    all), and reads <w, X> = c on every point: the frame equality is
+    <L w, x> = c.  Each later point drops the rays it violates, and
+    combines each violated ray with every adjacent satisfied one into a ray
+    tight at the point.  Two rays are adjacent iff their common tight set
+    has at least k - 1 points and lies in no third ray's tight set.
     """
-    ints, L, d = _integer_rows(points)
     n, m = len(ints[0]), len(ints)
-    pts = [row[::-1] + [(-1, 0)] for row in ints]
+    pts = [(*row[::-1], (-1, 0)) for row in ints]
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
     unit = [[(int(r == c), 0) for r in range(n + 1)] for c in range(n + 1)]
     form, pivots, _, D = _eliminate([list(row) for row in zip(*[pts[i] for i in order], *unit)], d)
     k = sum(c < m for c in pivots) - 1
-    free = {m + n - 1 - c for c in pivots[k + 1:]}
-    equalities = form[:k:-1]
-    offsets = _over([row[-1] for row in equalities], (D[0] * L, D[1] * L), d)
-    normals = [Vector._of(tuple(_over(row[-2:m - 1:-1], D, d))) for row in equalities]
-    frame = (tuple(c for c in range(n) if c not in free), tuple(zip(normals, offsets)))
+    free = sorted(m + n - 1 - c for c in pivots[k + 1:])
+    # a row r on x' is the row (L r reversed, r_n) on x, here times s
+    on_x = lambda r, s: [(s * L * a, s * L * b) for a, b in r[n - 1::-1]] + [(s * r[n][0], s * r[n][1])]
+    # -flip, the sign of D, makes each equality positive on its free column
+    flip = -1 if _surd_sign(*D, d) > 0 else 1
+    equalities = tuple(_canonical(on_x(row[m:], -flip), d, col) for row, col in zip(form[:k:-1], free))
+    frame = (tuple(c for c in range(n) if c not in free), equalities)
     form = form[:k + 1] if k else []
     simplex = [order[c] for c in pivots[:len(form)]]
-    flip = -1 if _surd_sign(*D, d) > 0 else 1
     rays: list[tuple[list[tuple[int, int]], int]] = [
         (_primitive([(flip * a, flip * b) for a, b in row[m:]]),
          sum(1 << j for j in simplex if j != i))
@@ -241,56 +252,88 @@ def _supporting(points: Sequence[Sequence[Scalar]]) -> tuple[tuple, dict]:
                 # ev > 0 > es: the positive combination tight at point i
                 kept.append((_combine(rs, ev, rv, es, d), common | bit))
         rays = kept
-    return frame, {frozenset(i for i in range(m) if z >> i & 1):
-                   _canonical([(L * a, L * b) for a, b in r[n - 1::-1]] + [r[n]], d) for r, z in rays}
+    return frame, {z: _canonical(on_x(r, 1), d) for r, z in rays}
 
 
-def _hull(P: Polytope) -> tuple[tuple, tuple[tuple[Halfspace, frozenset[int]], ...]]:
+def _hull(P: Polytope) -> tuple[tuple, tuple[tuple[tuple, int], ...]]:
     """(`_frame`, `_facet_data`), from one pass unless P was handed them."""
     if P._hull is None:
-        frame, found = _supporting(P.vertices)
-        _fill_hull(P, frame, [(Halfspace(w, c), incident) for incident, (w, c) in found.items()])
+        frame, found = _supporting(P._rows, P._L, P._d)
+        _fill_hull(P, frame, [(row, z) for z, row in found.items()])
     return P._hull
 
 
-def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple[Vector, Scalar], ...]]:
+def _frame(P: Polytope) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """Pivot columns of the reduced echelon form of the directions v - v0,
-    and per free column the equality <w, x> = b pinning aff P with w 1 there
-    and 0 on the other free columns.  Both depend only on aff P."""
+    and per free column, in increasing order, the canonical row of the
+    equality pinning aff P that is nonzero there and 0 on the other free
+    columns.  Both depend only on aff P."""
     return _hull(P)[0]
 
 
-def _facet_data(P: Polytope) -> tuple[tuple[Halfspace, frozenset[int]], ...]:
-    """Supporting halfspace and incident vertex index set of every facet,
-    sorted by incident indices; a point has none."""
+def _facet_data(P: Polytope) -> tuple[tuple[tuple, int], ...]:
+    """Canonical row and incident vertex bitmask of every facet, sorted by
+    incident indices; a point has none."""
     return _hull(P)[1]
 
 
-def _restricted(frame, w: Vector, c: Scalar) -> Halfspace:
-    """The halfspace <w, x> <= c on the affine hull with this frame, in the
-    form a fresh pass gives: w cleared on each free column by the frame
-    equality that is 1 there, then canonical."""
+def _offset_signs(P: Polytope) -> list[tuple[int, int]]:
+    """Per facet, in `_facet_data` order, the sign of its offset, which is
+    that of its slack at the origin, and its incident vertex bitmask."""
+    return [(_surd_sign(*row[-1], P._d), z) for row, z in _facet_data(P)]
+
+
+def _restricted(frame, row, d: int) -> tuple:
+    """The halfspace row (W, C) on the affine hull with this frame, in the
+    form a fresh pass gives: W cleared on each free column by the frame
+    equality that is nonzero there, then canonical."""
     pivots, equalities = frame
-    free = [col for col in range(len(w)) if col not in pivots]
-    for col, (e, b) in zip(free, equalities):
-        f = w[col]
-        if not f.is_zero():
-            w, c = w - e.scale(f), c - b * f
-    (row,), _, d = _integer_rows([w.coords + (c,)])
-    return Halfspace(*_canonical(row, d))
+    free = [col for col in range(len(row) - 1) if col not in pivots]
+    for col, e in zip(free, equalities):
+        f = row[col]
+        if f != (0, 0):
+            row = _cross(row, e[col], e, f, d)
+    return _canonical(row, d)
+
+
+def _indices(z: int) -> list[int]:
+    """The set bits of z, in increasing order."""
+    return [i for i in range(z.bit_length()) if z >> i & 1]
 
 
 def _fill_hull(P: Polytope, frame, items) -> None:
-    object.__setattr__(P, "_hull", (frame, tuple(sorted(items, key=lambda item: sorted(item[1])))))
+    object.__setattr__(P, "_hull", (frame, tuple(sorted(items, key=lambda item: _indices(item[1])))))
+
+
+def _face(P: Polytope, z: int) -> Polytope:
+    """The bare polytope on P's vertices in the bitmask z."""
+    return Polytope._of(P.ambient_dim, tuple(P._rows[i] for i in _indices(z)), P._L, P._d)
+
+
+def _extreme(raw: Polytope) -> Polytope:
+    """The hull of raw's points, handed the record of raw's pass, renumbered:
+    a point is extreme iff it is the only point on every facet through it."""
+    frame, data = _hull(raw)
+    m = len(raw._rows)
+    meet = [(1 << m) - 1] * m
+    for _, z in data:
+        for i in _indices(z):
+            meet[i] &= z
+    keep = [i for i in range(m) if meet[i] == 1 << i]
+    if len(keep) == m:
+        return raw
+    P = _face(raw, sum(1 << i for i in keep))
+    _fill_hull(P, frame, [(h, sum(1 << new for new, old in enumerate(keep) if z >> old & 1))
+                          for h, z in data])
+    return P
 
 
 def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     """Canonical hull: keeps exactly the extreme points of the input.
 
     One double-description pass over the distinct points settles every
-    point: a point is extreme iff it is the only point on every facet
-    through it.  The result is handed that pass's frame and facets,
-    renumbered; both are canonical, so they equal what it would derive.
+    point.  The result is handed that pass's frame and facets, renumbered;
+    both are canonical, so they equal what it would derive.
     """
     pts = [p if isinstance(p, Vector) else Vector(p) for p in points]
     if not pts:
@@ -302,20 +345,7 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
         raise ValueError("points do not match the requested ambient_dim")
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
-    raw = Polytope(n, pts)
-    frame, data = _hull(raw)
-    through: list[list[frozenset[int]]] = [[] for _ in raw.vertices]
-    for _, incident in data:
-        for i in incident:
-            through[i].append(incident)
-    everything = frozenset(range(len(raw.vertices)))
-    keep = [i for i, sets in enumerate(through) if len(everything.intersection(*sets)) == 1]
-    if len(keep) == len(raw.vertices):
-        return raw
-    P = Polytope._of(n, tuple(raw.vertices[i] for i in keep))
-    renumber = {old: new for new, old in enumerate(keep)}
-    _fill_hull(P, frame, [(h, frozenset(renumber[i] for i in inc if i in renumber)) for h, inc in data])
-    return P
+    return _extreme(Polytope(n, pts))
 
 
 def dim(P: Polytope) -> int:
@@ -328,37 +358,57 @@ def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
     """All (dim-1)-faces as polytopes with their supporting halfspaces.
 
     Each facet is built by index from P's vertices and runs its own pass
-    when asked for face data.
+    when asked for face data.  Its halfspace is its row divided by the
+    absolute value of the row's last nonzero normal entry, which is rational.
     """
-    return tuple((h, Polytope._of(P.ambient_dim, tuple(P.vertices[i] for i in sorted(incident))))
-                 for h, incident in _facet_data(P))
+    out = []
+    for row, z in _facet_data(P):
+        *w, c = _over(row, (abs(row[_last(row)][0]), 0), P._d)
+        out.append((Halfspace(Vector._of(tuple(w)), c), _face(P, z)))
+    return tuple(out)
 
 
 # -- membership ----------------------------------------------------------
 
 
-def in_affine_hull(P: Polytope, x: Vector) -> bool:
+def _meets(P: Polytope, x: Vector, facets: bool) -> bool:
+    """x lies in aff P, and if facets is set, in P: on integer pairs."""
     if P.is_empty:
         return False
     if len(x) != P.ambient_dim:
         raise ValueError("point dimension does not match the polytope")
-    return all(w.dot(x) == b for w, b in _frame(P)[1])
+    (X,), L, e = _integer_rows([x.coords])
+    # <(W, C), (X, -L)> = <W, X> - C L has the sign of <W, x> - C
+    X, d = (*X, (-L, 0)), _merge_discriminants(P._d, e)
+    return all(_pair_dot(row, X, d) == (0, 0) for row in _frame(P)[1]) and (
+        not facets or all(_surd_sign(*_pair_dot(row, X, d), d) <= 0 for row, _ in _facet_data(P)))
+
+
+def in_affine_hull(P: Polytope, x: Vector) -> bool:
+    return _meets(P, x, False)
 
 
 def contains(P: Polytope, x: Vector) -> bool:
-    if not in_affine_hull(P, x):
-        return False
-    return all(h.excess(x).sign() <= 0 for h, _ in _facet_data(P))
+    return _meets(P, x, True)
 
 
 def relint_contains_origin(P: Polytope) -> bool:
     if not in_affine_hull(P, origin(P.ambient_dim)):
         return False
-    return all(h.offset.sign() > 0 for h, _ in _facet_data(P))
+    return all(s > 0 for s, _ in _offset_signs(P))
 
 
 def clip(P: Polytope, H: Halfspace) -> Polytope:
-    """P cut down to the halfspace, canonicalized.
+    """P cut down to the halfspace: `_clip` on the integer pair row of H."""
+    if len(H.normal) != P.ambient_dim:
+        raise ValueError("halfspace dimension does not match the polytope")
+    (row,), _, e = _integer_rows([H.normal.coords + (H.offset,)])
+    return _clip(P, row, e)
+
+
+def _clip(P: Polytope, row, e: int) -> Polytope:
+    """P cut down to the halfspace <W, x> <= C of the integer pair row
+    (W, C) in Z[sqrt e].
 
     Kept vertices stay extreme, and a straddling edge meets the cut
     hyperplane in a single new vertex, so the result needs no pruning.  A
@@ -367,28 +417,22 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     of a segment passes through both its vertices, so all are left.
 
     A cut that leaves a face of P returns its bare points.  A cut with a
-    vertex strictly inside H has the affine hull of P, so it is handed P's
-    frame and its facets: those of P with a vertex strictly inside H,
-    through their kept vertices and their crossing points, and H restricted
+    vertex strictly inside has the affine hull of P, so it is handed P's
+    frame and its facets: those of P with a vertex strictly inside, through
+    their kept vertices and their crossing points, and the cut restricted
     to aff P, through the kept vertices on it and every crossing point.
 
-    Signs and crossings are read on integer pairs: with vertices X_i / L and
-    H as <W, x> <= C over its own denominator, vertex i has the sign of
-    E_i = <W, X_i> - C L, and edge ij meets the cut at
-    (E_i X_j - E_j X_i) / (L (E_i - E_j)), rationalized.  One sort of the
-    kept and crossing rows over one common denominator orders Q's vertices
-    as `Vector.sort_key` does; a crossing lies inside an edge, so none
-    repeats a vertex, and the facet record reads positions off that sort.
+    With vertices X_i / L, vertex i has the sign of E_i = <W, X_i> - C L,
+    and edge ij meets the cut at (E_i X_j - E_j X_i) / (L (E_i - E_j)),
+    rationalized.  One sort of the kept and crossing rows over one common
+    denominator M orders Q's vertices; a crossing lies inside an edge, so
+    none repeats a vertex, and the facet record reads positions off that
+    sort.  One gcd then reduces M to the least common denominator.
     """
     n = P.ambient_dim
-    if len(H.normal) != n:
-        raise ValueError("halfspace dimension does not match the polytope")
-    if P.is_empty:
-        return P
-    ints, L, d = _integer_rows(P.vertices)
-    ((*W, (Ca, Cb)),), _, e = _integer_rows([H.normal.coords + (H.offset,)])
-    d = _merge_discriminants(d, e)
-    excesses = [(A - Ca * L, B - Cb * L) for A, B in (_pair_dot(W, X, d) for X in ints)]
+    ints, L = P._rows, P._L
+    d = _merge_discriminants(P._d, e)
+    excesses = [_pair_dot(row, (*X, (-L, 0)), d) for X in ints]
     signs = [_surd_sign(A, B, d) for A, B in excesses]
     if all(s <= 0 for s in signs):
         return P
@@ -396,16 +440,20 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
     if not kept:
         return Polytope.empty(n)
     if all(signs[i] == 0 for i in kept):
-        return Polytope._of(n, tuple(P.vertices[i] for i in kept))
+        return _face(P, sum(1 << i for i in kept))
     frame, data = _hull(P)
-    everything = frozenset(range(len(signs)))
+    everything = (1 << len(signs)) - 1
     crossing = []
     through: list[list[int]] = []
     for i, j in combinations(range(len(signs)), 2):
         if signs[i] * signs[j] >= 0:
             continue
-        shared = [g for g, (_, inc) in enumerate(data) if i in inc and j in inc]
-        if len(everything.intersection(*(data[g][1] for g in shared))) != 2:
+        pair = 1 << i | 1 << j
+        shared = [g for g, (_, z) in enumerate(data) if z & pair == pair]
+        meet = everything
+        for g in shared:
+            meet &= data[g][1]
+        if meet != pair:
             continue
         through.append(shared)
         (Ai, Bi), (Aj, Bj) = excesses[i], excesses[j]
@@ -413,36 +461,34 @@ def clip(P: Polytope, H: Halfspace) -> Polytope:
                              (L * (Ai - Aj), L * (Bi - Bj)), d)
         crossing.append((x, q) if q > 0 else ([(-a, -b) for a, b in x], -q))
     M = lcm(L, *(q for _, q in crossing))
-    rows = [[(a * (M // L), b * (M // L)) for a, b in ints[i]] for i in kept]
-    rows += [[(a * (M // q), b * (M // q)) for a, b in x] for x, q in crossing]
+    rows = [tuple((a * (M // L), b * (M // L)) for a, b in ints[i]) for i in kept]
+    rows += [tuple((a * (M // q), b * (M // q)) for a, b in x) for x, q in crossing]
     order = sorted(range(len(rows)), key=rows.__getitem__)
-    points = [P.vertices[i] for i in kept]
-    points += [Vector._of(tuple(_over(x, (q, 0), d))) for x, q in crossing]
-    Q = Polytope._of(n, tuple(points[t] for t in order))
+    Q = Polytope._of(n, tuple(rows[t] for t in order), M, d)
     position = sorted(range(len(order)), key=order.__getitem__)
-    at = dict(zip(kept, position))
-    new = position[len(kept):]
-    on: list[list[int]] = [[] for _ in data]
-    for q, shared in zip(new, through):
+    # the bit of each kept vertex and crossing point in Q, by P index or edge
+    bit = [1 << q for q in position]
+    at = dict(zip(kept, bit))
+    on = [0] * len(data)
+    for b, shared in zip(bit[len(kept):], through):
         for g in shared:
-            on[g].append(q)
-    items = [
-        (h, frozenset([at[i] for i in incident if signs[i] <= 0] + on[g]))
-        for g, (h, incident) in enumerate(data)
-        if any(signs[i] < 0 for i in incident)
-    ]
-    cut = [at[i] for i in kept if signs[i] == 0]
-    items.append((_restricted(frame, H.normal, H.offset), frozenset(cut + new)))
+            on[g] |= b
+    inside = sum(1 << i for i, s in enumerate(signs) if s < 0)
+    items = [(h, sum(at[i] for i in kept if z >> i & 1) | on[g])
+             for g, (h, z) in enumerate(data) if z & inside]
+    cut = sum(at[i] for i in kept if signs[i] == 0) | sum(bit[len(kept):])
+    items.append((_restricted(frame, row, d), cut))
     _fill_hull(Q, frame, items)
     return Q
 
 
 def cone_hull(P: Polytope) -> Polytope:
-    """Hull of the polytope together with the origin."""
-    zero = origin(P.ambient_dim)
-    if contains(P, zero):
+    """Hull of the polytope together with the origin: one pass on P's rows
+    and a zero row."""
+    if contains(P, origin(P.ambient_dim)):
         return P
-    return from_points(list(P.vertices) + [zero], P.ambient_dim)
+    rows = tuple(sorted(P._rows + (((0, 0),) * P.ambient_dim,)))
+    return _extreme(Polytope._of(P.ambient_dim, rows, P._L, P._d))
 
 
 def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
@@ -455,18 +501,18 @@ def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
         raise ValueError("visible facets need a full-dimensional polytope")
     if contains(P, origin(n)):
         raise ValueError("visible facets need 0 outside the polytope")
-    return tuple(F for halfspace, F in facets(P) if halfspace.offset.sign() < 0)
+    return tuple(_face(P, z) for s, z in _offset_signs(P) if s < 0)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
     """Exact intersection of any two polytopes in one space.
 
-    The operand of lower dimension (P on a tie) is cut by both sides of
+    The operand of lower dimension (P on a tie) is clipped by both sides of
     each equality pinning the other's affine hull, which leaves its part in
-    that hull, and then by the other's facet halfspaces.  A clip by one of
-    the cut operand's own facet halfspaces returns it, so those are
-    skipped: the ones the operands share as the same object, as two clips
-    of one polytope share its facets, found by identity without hashing.
+    that hull, and then by the other's facet rows.  A clip by one of the
+    cut operand's own facets returns it, so those are skipped: the ones the
+    operands share as the same row object, as two clips of one polytope
+    share its facets, found by identity without hashing.
     """
     n = P.ambient_dim
     if Q.ambient_dim != n:
@@ -474,12 +520,12 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
     if P.is_empty or Q.is_empty:
         return Polytope.empty(n)
     cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
-    own = {id(h) for h, _ in _facet_data(cut)}
-    halfspaces = [H for w, b in _frame(by)[1] for H in (Halfspace(w, b), Halfspace(-w, -b))]
-    halfspaces += [h for h, _ in _facet_data(by) if id(h) not in own]
+    own = {id(row) for row, _ in _facet_data(cut)}
+    rows = [side for e in _frame(by)[1] for side in (e, tuple((-a, -b) for a, b in e))]
+    rows += [row for row, _ in _facet_data(by) if id(row) not in own]
     result = cut
-    for halfspace in halfspaces:
-        result = clip(result, halfspace)
+    for row in rows:
+        result = _clip(result, row, by._d)
         if result.is_empty:
             break
     return result
@@ -489,32 +535,47 @@ def transform(A: Matrix, P: Polytope) -> Polytope:
     """Image under an invertible linear map; extreme points stay extreme.
 
     A is invertible iff one `_eliminate` of its integer rows pivots on
-    every column; the image runs its own pass when asked for face data.
+    every column.  The image rows are A's integer rows times P's, over the
+    product of their denominators, sorted; it runs its own pass when asked
+    for face data.
     """
     n = P.ambient_dim
     if A.nrows != n:
         raise ValueError("transform needs an n x n matrix for a polytope in R^n")
     if A.ncols != n:
         raise ValueError("transform needs a square matrix")
-    rows, _, d = _integer_rows(A.rows)
-    rank = len(_eliminate(rows, d)[1])
+    rows, LA, e = _integer_rows(A.rows)
+    rank = len(_eliminate(rows, e)[1])
     if rank < n:
         raise SingularMatrixError(rank)
-    return Polytope(n, [A @ v for v in P.vertices])
+    d = _merge_discriminants(P._d, e)
+    image = sorted(tuple(_pair_dot(a, X, d) for a in rows) for X in P._rows)
+    return Polytope._of(n, tuple(image), LA * P._L, d)
 
 
 def translate(P: Polytope, t: Vector) -> Polytope:
     """P + t.  A translation keeps the vertex order, so P's frame and facets,
-    derived first if need be, carry over with their offsets shifted by
-    <w, t>."""
+    derived first if need be, carry over: with t = T / Lt, the row (W, C)
+    becomes (Lt W, Lt C + <W, T>), made primitive, which is canonical."""
     if len(t) != P.ambient_dim:
         raise ValueError("translation dimension does not match the polytope")
     if P.is_empty:
         return P
-    Q = Polytope(P.ambient_dim, [v + t for v in P.vertices])
+    (T,), Lt, e = _integer_rows([t.coords])
+    d = _merge_discriminants(P._d, e)
+    L = P._L
+    Q = Polytope._of(P.ambient_dim, tuple(tuple((a * Lt + ta * L, b * Lt + tb * L)
+                                                for (a, b), (ta, tb) in zip(X, T)) for X in P._rows),
+                     L * Lt, d)
+
+    def shifted(row):
+        A, B = _pair_dot(row, T, d)
+        Ca, Cb = row[-1]
+        return tuple(_primitive([(a * Lt, b * Lt) for a, b in row[:-1]] + [(Ca * Lt + A, Cb * Lt + B)]))
+
     (pivots, equalities), data = _hull(P)
-    _fill_hull(Q, (pivots, tuple((w, b + w.dot(t)) for w, b in equalities)),
-               [(Halfspace(h.normal, h.offset + h.normal.dot(t)), incident) for h, incident in data])
+    _fill_hull(Q, (pivots, tuple(map(shifted, equalities))),
+               [(shifted(row), z) for row, z in data])
     return Q
 
 

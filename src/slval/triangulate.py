@@ -12,12 +12,12 @@ incidences of P's facet record, derives no face's frame or record, and
 keeps its faces for one call.
 
 With k = dim P, a cell's volume is |D| / (L^k k!), D the integer pair
-determinant of X_i - X_0, its vertices' pivot coordinates read as pairs
-X_i over one common denominator L; the |D| are summed on integers and one
-Scalar is built at the end, which P keeps in its `_volume` slot.  The
-pyramid from 0 over an (n-1)-face F with 0 off aff F is the union of the
-cones from 0 over F's cells, |det X| / (L^n n!) each, X the cell's
-vertices in ambient coordinates.
+determinant of X_i - X_0, X_i / L its vertices' pivot coordinates, read
+straight off the columns of P's canonical integer pair matrix.  The |D|
+are summed on integers; P keeps the sum and its denominator in its
+`_volume` slot, and one Scalar is built from them.  The pyramid from 0 over
+an (n-1)-face F with 0 off aff F is the union of the cones from 0 over F's
+cells, |det X| / (L^n n!) each, X the cell's rows of that matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import ZERO, Scalar, _integer_rows, _surd_sign
+from .exactnum import ZERO, Scalar, _surd_sign
 from .linalg import _det
 from .polytope import Polytope, _facet_data, _frame, dim, in_affine_hull, origin
 
@@ -45,16 +45,18 @@ def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
     return memo[face]
 
 
-def _cell_sum(P: Polytope, rows, faces, k: int, from_origin: bool) -> Scalar:
-    """Sum of |det X| over the cells of the k-faces `faces` of P (incident
-    index sets), over L^m m!: X the cell's rows of `rows` = (pairs, L, d) if
-    from_origin, else their differences from its first; m the columns."""
-    points, L, d = rows
-    masks = [sum(1 << i for i in incident) for _, incident in _facet_data(P)]
+def _cell_sum(P: Polytope, points, faces, k: int, from_origin: bool) -> tuple[int, int, int]:
+    """Sum of |det X| over the cells of the k-faces `faces` of P (vertex
+    bitmasks), as its pair (A, B) and L^m m!, L the denominator of P's rows:
+    X the cell's rows of `points` (P's integer pair rows, or their pivot
+    columns) if from_origin, else their differences from its first; m the
+    columns."""
+    d = P._d
+    masks = [z for _, z in _facet_data(P)]
     memo: dict = {}
     A = B = 0
     for face in faces:
-        for cell in _cells(masks, sum(1 << i for i in face), k, memo):
+        for cell in _cells(masks, face, k, memo):
             x0, *rest = X = [x for i, x in enumerate(points) if cell >> i & 1]
             if not from_origin:
                 X = [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(x, x0)] for x in rest]
@@ -62,17 +64,17 @@ def _cell_sum(P: Polytope, rows, faces, k: int, from_origin: bool) -> Scalar:
             s = _surd_sign(a, b, d)
             A, B = A + s * a, B + s * b
     m = len(points[0])
-    return Scalar._make(A, B, L ** m * factorial(m), d)
+    return A, B, P._L ** m * factorial(m)
 
 
 def _pivot_volume(P: Polytope) -> Scalar:
-    """vol_k P in P's pivot coordinates, k = dim P, filled once."""
+    """vol_k P in P's pivot coordinates, k = dim P; P keeps its integer
+    triple, filled once."""
     if P._volume is None:
         pivots = _frame(P)[0]
-        rows = _integer_rows([[v[c] for c in pivots] for v in P.vertices])
-        vol = _cell_sum(P, rows, [range(len(P.vertices))], len(pivots), False)
-        object.__setattr__(P, "_volume", vol)
-    return P._volume
+        rows = [[row[c] for c in pivots] for row in P._rows]
+        object.__setattr__(P, "_volume", _cell_sum(P, rows, [(1 << len(rows)) - 1], len(pivots), False))
+    return Scalar._make(*P._volume, P._d)
 
 
 # the cache stays only because perfbench/tracing.py reads cache_info() by name
@@ -86,11 +88,11 @@ def volume(P: Polytope) -> Scalar:
 
 def apex_volume(P: Polytope, faces=None) -> Scalar:
     """Volume of the union of conv(F ∪ {0}) over the (n-1)-faces F of P
-    given as incident index sets, each with 0 off aff F; without `faces`,
+    given as vertex bitmasks, each with 0 off aff F; without `faces`,
     over P itself, which must then have dim n - 1 with 0 off aff P."""
     n = P.ambient_dim
     if faces is None:
         if dim(P) != n - 1 or in_affine_hull(P, origin(n)):
             raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {P!r}")
-        faces = [range(len(P.vertices))]
-    return _cell_sum(P, _integer_rows(P.vertices), faces, n - 1, True)
+        faces = [(1 << len(P._rows)) - 1]
+    return Scalar._make(*_cell_sum(P, P._rows, faces, n - 1, True), P._d)

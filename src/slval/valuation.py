@@ -20,8 +20,8 @@ indicators, and the cone term is vol P plus the pyramids from 0 over the
 facets whose offset is negative (the visible-facet part of Lawrence's
 signed-cone decomposition, Math. Comp. 1991).  A flat P with 0 off its
 affine hull is one such pyramid; other flat P give 0.  `apex_volume` sums
-the pyramids over the pulling cells of those facets, given as incident index
-sets: no second hull and no facet polytope is built.
+the pyramids over the pulling cells of those facets, given as incident vertex
+bitmasks: no second hull and no facet polytope is built.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .exactnum import (
 )
 from .polytope import (
     Polytope,
-    _facet_data,
+    _offset_signs,
     dim,
     in_affine_hull,
     intersect,
@@ -66,12 +66,11 @@ def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     n, k = P.ambient_dim, dim(P)
     vol = volume(P)
     on_hull = in_affine_hull(P, origin(n))
-    data = _facet_data(P) if on_hull else ()
-    signs = [h.offset.sign() for h, _ in data]
-    relint = on_hull and all(s > 0 for s in signs)
-    inside = on_hull and all(s >= 0 for s in signs)
+    signs = _offset_signs(P) if on_hull else ()
+    relint = on_hull and all(s > 0 for s, _ in signs)
+    inside = on_hull and all(s >= 0 for s, _ in signs)
     if k == n:
-        visible = [incident for s, (_, incident) in zip(signs, data) if s < 0]
+        visible = [z for s, z in signs if s < 0]
         cone = vol + apex_volume(P, visible) if visible else vol
     elif k == n - 1 and not on_hull:
         cone = apex_volume(P)

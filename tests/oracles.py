@@ -296,12 +296,14 @@ def inclusion_exclusion(parts, meet, value):
 
 def reference_clip(P, H):
     """P cut down to the halfspace H, with Scalar excesses and crossings."""
-    from slval.polytope import Polytope, _facet_data, _fill_hull, _frame, _restricted
+    from slval.exactnum import _integer_rows, _merge_discriminants
+    from slval.polytope import (Polytope, _facet_data, _fill_hull, _frame, _restricted,
+                                field_discriminant)
 
     n = P.ambient_dim
     if P.is_empty:
         return P
-    excesses = [H.excess(v) for v in P.vertices]
+    excesses = [H.normal.dot(v) - H.offset for v in P.vertices]
     signs = [e.sign() for e in excesses]
     if all(s <= 0 for s in signs):
         return P
@@ -310,7 +312,9 @@ def reference_clip(P, H):
         return Polytope.empty(n)
     if all(signs[i] == 0 for i in kept):
         return Polytope(n, [P.vertices[i] for i in kept])
-    data = _facet_data(P)
+    # incident vertex bitmasks of the record as index sets, and back
+    data = [(h, {i for i in range(z.bit_length()) if z >> i & 1}) for h, z in _facet_data(P)]
+    mask = lambda indices: sum(1 << q for q in set(indices))
     everything = frozenset(range(len(signs)))
     crossing = []
     through = []
@@ -332,12 +336,14 @@ def reference_clip(P, H):
         for g in shared:
             on[g].append(q)
     items = [
-        (h, frozenset([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
+        (h, mask([position[P.vertices[i]] for i in incident if signs[i] <= 0] + on[g]))
         for g, (h, incident) in enumerate(data)
         if any(signs[i] < 0 for i in incident)
     ]
     cut = [position[P.vertices[i]] for i in kept if signs[i] == 0]
-    items.append((_restricted(_frame(P), H.normal, H.offset), frozenset(cut + new)))
+    (row,), _, e = _integer_rows([H.normal.coords + (H.offset,)])
+    d = _merge_discriminants(field_discriminant(P), e)
+    items.append((_restricted(_frame(P), row, d), mask(cut + new)))
     _fill_hull(Q, _frame(P), items)
     return Q
 
@@ -361,8 +367,8 @@ def pyramid_volume(P):
         return abs(det(edges)) / factorial(k), 1
     a = P.vertices[0]
     total, leaves = 0, 0
-    for (h, incident), (_, F) in zip(_facet_data(P), facets(P)):
-        if 0 not in incident:
+    for (_, z), (h, F) in zip(_facet_data(P), facets(P)):
+        if not z & 1:
             vol, count = pyramid_volume(F)
             total = total + (h.offset - h.normal.dot(a)) * vol
             leaves += count

@@ -170,6 +170,26 @@ class TestValuate:
         assert capsys.readouterr().out == ""
 
 
+SURD_TRIANGLE = {"ambient_dim": 2, "field_d": 2,
+                 "vertices": [["0", "0"], ["1+1*sqrt(2)", "0"], ["1", "2-1*sqrt(2)"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["valuate", "--in", "{p}", "--valuation", "{v}"],
+    ["fit", "--valuation", "{v}", "--cases", "5"],
+], ids=["valuate", "fit"])
+def test_valuation_in_another_field_exits_2(argv, tmp_path, capsys):
+    """A valuation over Q(sqrt 3) meets the triangle over Q(sqrt 2), or fit's
+    validation simplices of the default --field-d 2: a malformed input, not
+    a traceback."""
+    paths = {"p": write_json(tmp_path / "p.json", SURD_TRIANGLE),
+             "v": write_json(tmp_path / "v.json", linear_valuation("1", "2", "1+1*sqrt(3)", "4", "5"))}
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "cannot mix sqrt(3) with sqrt(2)" in err
+
+
 class TestFit:
     def test_self_test_round_trip(self, tmp_path, capsys):
         ref = linear_valuation("1", "2", "3", "4", "5")

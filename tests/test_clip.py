@@ -31,6 +31,7 @@ from slval.triangulate import volume
 from slval.valuation import basis_vector
 
 from oracles import pyramid_volume, reference_clip
+from records import scalar_facet_data
 
 ROOT2 = Scalar.sqrt_of(2)
 
@@ -56,7 +57,7 @@ def clip_case(draw):
     P = hull(raw, surd)
     kind = draw(st.sampled_from(["generic", "vertex", "face", "facet", "miss"]))
     if kind == "facet" and dim(P) >= 1 and _facet_data(P):
-        h, _ = draw(st.sampled_from(_facet_data(P)))
+        h, _ = draw(st.sampled_from(scalar_facet_data(P)))
         return P, Halfspace(-h.normal, -h.offset)
     normal = [Scalar(draw(st.integers(-2, 2))) for _ in range(n)]
     if surd and draw(st.booleans()):
@@ -123,7 +124,7 @@ def test_faces_built_by_index_are_canonical(case):
     assert_faces_canonical(P)
     if dim(P) == 0:
         return
-    data = _facet_data(P)
+    data = scalar_facet_data(P)
     for (h, _), (_, F) in zip(data, facets(P)):
         face = clip(P, Halfspace(-h.normal, -h.offset))
         assert face == F
@@ -168,11 +169,11 @@ def surd_polytope():
 
 
 def test_clip_and_volume_build_few_scalars(monkeypatch):
-    """Signs, crossings and volume cells run on integer pairs: Scalars are
-    built for the crossing points and the new facet, and one for the
-    volume, 38 in all.  The Scalar clip and leaves built 721 for this cut
-    and volume, and a pyramid recursion in Scalars over the integer clip
-    476."""
+    """Signs, crossings, the new facet and the volume cells run on integer
+    pairs: one Scalar is built, the volume.  The Scalar clip and leaves
+    built 721 for this cut and volume, a pyramid recursion in Scalars over
+    the integer clip 476, and the integer clip that built Scalar crossing
+    points and facets 38."""
     P = surd_polytope()
     values = sorted(Vector([1, -2, 1]).dot(v) for v in P.vertices)
     H = Halfspace(Vector([1, -2, 1]), (values[0] + values[-1]) / 2)
@@ -186,7 +187,7 @@ def test_clip_and_volume_build_few_scalars(monkeypatch):
     monkeypatch.setattr(Scalar, "_make", classmethod(counting))
     Q = clip(P, H)
     vol = volume.__wrapped__(Q)
-    assert len(calls) <= 38
+    assert len(calls) <= 1
     assert vol > 0
 
 
@@ -269,11 +270,12 @@ def pulling_cells(P):
 def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
     """The volume and cone terms read the pulling cells off facet bitmasks:
     each polytope runs its own hull pass and no facet runs one, no
-    halfspace is restricted, each cell takes one pair determinant, and 122
-    Scalars are built for the three polytopes, most of them by the hull
-    passes.  Terms that recursed on each facet's own record derived 107
-    facet frames and 32 facet records, restricted 144 halfspaces and built
-    1,778 Scalars."""
+    halfspace is restricted, each cell takes one pair determinant, and 10
+    Scalars are built for the three polytopes, by the volume and cone
+    terms; hull passes that built their records in Scalars made it 122.
+    Terms that recursed on each facet's own record derived 107 facet frames
+    and 32 facet records, restricted 144 halfspaces and built 1,778
+    Scalars."""
     cells = sum(pulling_cells(P) for P in guard_polytopes())
     fresh = [Polytope(P.ambient_dim, P.vertices) for P in guard_polytopes()]
     volume.cache_clear()
@@ -295,4 +297,4 @@ def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
         basis_vector(P)
     assert derived == ["_supporting"] * len(fresh)
     assert len(leaves) == cells
-    assert len(made) <= 122
+    assert len(made) <= 10

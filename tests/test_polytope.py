@@ -117,8 +117,9 @@ def test_facets_of_unit_square():
     assert len(facets(sq)) == 4
     for halfspace, edge in facets(sq):
         assert len(edge.vertices) == 2
-        assert all(halfspace.excess(v).sign() <= 0 for v in sq.vertices)
-        assert all(halfspace.excess(v).is_zero() for v in edge.vertices)
+        excess = lambda v: halfspace.normal.dot(v) - halfspace.offset
+        assert all(excess(v).sign() <= 0 for v in sq.vertices)
+        assert all(excess(v).is_zero() for v in edge.vertices)
 
 
 def _matches(halfspace, normal, offset):
@@ -382,6 +383,72 @@ def test_vertex_order_is_the_sort_key_order(case):
     points."""
     n, points = case
     assert Polytope(n, points).vertices == tuple(sorted(set(points), key=Vector.sort_key))
+
+
+ROOT2 = Scalar.sqrt_of(2)
+
+
+@st.composite
+def built_polytopes(draw):
+    """Polytopes in R^2 or R^3 from every constructor: from_points over Q or
+    Q(sqrt 2); a chain of 20 clips by halfspaces over Q(sqrt 2), each at a
+    vertex of the last nonempty result, through it or missing it, so that
+    some leave faces, some nothing and some all, with denominators that
+    compound along the chain; then that result's facets, a translate, an SL
+    image and the meet of the first and the last clip."""
+    n = draw(st.sampled_from([2, 3]))
+    surd = draw(st.booleans())
+    raw = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=n + 4,
+                        unique=True))
+    P = from_points([Vector(Scalar(x) + (ROOT2 * x * i if surd else 0) for i, x in enumerate(p))
+                     for p in raw])
+    built = [P]
+    share = st.sampled_from([Fraction(-1, 4), Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                             Fraction(5, 7), Fraction(1)])
+    Q = P
+    for _ in range(20):
+        u = Vector([Scalar(draw(st.integers(-2, 2))) + ROOT2 * draw(st.integers(-1, 1))
+                    for _ in range(n)])
+        if u.is_zero():
+            continue
+        values = [u.dot(v) for v in Q.vertices]
+        low, high = min(values), max(values)
+        built.append(clip(Q, Halfspace(u, low + (high - low) * draw(share))))
+        # an empty cut ends no chain: the next cut is made on Q again
+        Q = Q if built[-1].is_empty else built[-1]
+    meet = intersect(built[1], built[-1]) if len(built) > 2 else P
+    if dim(Q) >= 1:
+        built += [F for _, F in facets(Q)]
+    t = Vector(draw(st.tuples(*[st.fractions(-2, 2, max_denominator=4)] * n)))
+    return built + [translate(Q, t), transform(random_sl_matrix(draw(st.integers(0, 99)), n, 4), Q),
+                    meet]
+
+
+def assert_stored_canonically(P):
+    """P's rows are the integer pairs of its public vertices over their
+    least common denominator, strictly increasing, and its d is their
+    field."""
+    ints, L, d = exactnum._integer_rows([v.coords for v in P.vertices])
+    assert P._rows == tuple(map(tuple, ints))
+    assert (P._L, P._d) == (L, d)
+    assert all(a < b for a, b in zip(P._rows, P._rows[1:]))
+
+
+@given(built_polytopes())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_constructor_stores_canonical_rows(built):
+    """The rows each constructor stores are canonical, so equality and
+    hashing on the rows agree with comparing vertex tuples; a fresh
+    polytope on the same vertices is equal and hashes alike."""
+    for P in built:
+        assert_stored_canonically(P)
+        fresh = Polytope(P.ambient_dim, P.vertices)
+        assert fresh == P and hash(fresh) == hash(P)
+    for P in built:
+        for Q in built:
+            same = (P.ambient_dim, P.vertices) == (Q.ambient_dim, Q.vertices)
+            assert (P == Q) == same
+            assert not same or hash(P) == hash(Q)
 
 
 def test_mixed_fields_raise_field_mismatch():

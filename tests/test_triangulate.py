@@ -12,7 +12,6 @@ from slval.linalg import Vector, _det, random_sl_matrix
 from slval.polytope import (
     Halfspace,
     Polytope,
-    _facet_data,
     clip,
     cone_hull,
     dim,
@@ -26,6 +25,7 @@ from slval.valuation import basis_vector
 
 from oracles import pyramid_volume, shoelace_area
 from pulling import Simplex, Triangulation, triangulate, verify_complex
+from records import scalar_facet_data
 
 
 def P(*tuples):
@@ -272,10 +272,11 @@ def test_volume_routes_agree(case):
             assert _with_leaves(_pivot_volume, Polytope(n, p.vertices)) == pyramid_volume(p)
             cone = basis_vector(p)[4]
             assert cone == volume(cone_hull(p))
-            visible = [(inc, F) for (h, inc), (_, F) in zip(_facet_data(p), facets(p))
+            visible = [(inc, F) for (h, inc), (_, F) in zip(scalar_facet_data(p), facets(p))
                        if h.offset.sign() < 0]
             if dim(p) == n and visible:
-                value, leaves = _with_leaves(lambda q: apex_volume(q, [i for i, _ in visible]),
+                masks = [sum(1 << i for i in inc) for inc, _ in visible]
+                value, leaves = _with_leaves(lambda q: apex_volume(q, masks),
                                              Polytope(n, p.vertices))
                 assert volume(p) + value == cone
                 assert leaves == sum(pyramid_volume(F)[1] for _, F in visible)
