@@ -3,13 +3,13 @@
 Subcommands: valuate (apply a stored classified valuation to one polytope),
 fit (recover coefficients from a stored valuation or an external oracle),
 verify (run the seeded check suite), demo-usc (semicontinuity tables).
-A call that names a subcommand builds only that subcommand's parser; the
-full parser, with every subcommand, is built for anything else.
+The parser is built once, at import, and parses every call of `main`.
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
 parse error, 3 external oracle failure.  Scalars cross the boundary as
 exact strings, never as floats.  An oracle command that has not answered
-within ORACLE_TIMEOUT_S seconds is killed and counts as an oracle failure.
+within ORACLE_TIMEOUT_S seconds is killed and counts as an oracle failure,
+as do oracle values in another quadratic field than --field-d's.
 """
 
 from __future__ import annotations
@@ -76,82 +76,54 @@ def _discriminant(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _valuate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--in", dest="polytope_path", required=True, metavar="FILE")
-    parser.add_argument("--valuation", required=True, metavar="FILE")
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.set_defaults(func=_cmd_valuate)
-
-
-def _fit_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=_dimension, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", type=_positive, default=100,
-                        help="validation polytopes for the residual")
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--valuation", metavar="FILE",
-                        help="self-test against a stored valuation")
-    source.add_argument("--oracle-cmd", metavar="CMD",
-                        help="external command fed polytope JSON lines on stdin; "
-                             f"killed after {ORACLE_TIMEOUT_S} s")
-    parser.add_argument("--field-d", type=_discriminant, default=2,
-                        help="discriminant of the surd validation simplices, 0 to skip them")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.set_defaults(func=_cmd_fit)
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=_dimension, default=2)
-    parser.add_argument("--field-d", type=_discriminant, default=2,
-                        help="discriminant for the surd checks, 0 to skip them")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", type=_positive, default=20)
-    parser.add_argument("--inject-broken", action="store_true",
-                        help="add a deliberately broken plugin to exercise witnesses")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.set_defaults(func=_cmd_verify)
-
-
-def _demo_usc_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c0p", default="1", metavar="SCALAR")
-    parser.add_argument("--d0", default="0", metavar="SCALAR")
-    parser.add_argument("--steps", type=_positive, default=4)
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.set_defaults(func=_cmd_demo_usc)
-
-
-#: subcommand -> (its line in the top-level help, what adds its arguments)
-_COMMANDS = {
-    "valuate": ("evaluate a stored valuation on a polytope file", _valuate_arguments),
-    "fit": ("recover the five coefficients of a valuation", _fit_arguments),
-    "verify": ("run the seeded check suite", _verify_arguments),
-    "demo-usc": ("semicontinuity tables for the origin terms", _demo_usc_arguments),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slval",
         description="exact shear-invariant valuations on rational polytopes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+
+    valuate = sub.add_parser("valuate", help="evaluate a stored valuation on a polytope file")
+    valuate.add_argument("--in", dest="polytope_path", required=True, metavar="FILE")
+    valuate.add_argument("--valuation", required=True, metavar="FILE")
+    valuate.add_argument("--format", choices=("json", "text"), default="text")
+    valuate.set_defaults(func=_cmd_valuate)
+
+    fit = sub.add_parser("fit", help="recover the five coefficients of a valuation")
+    fit.add_argument("--n", type=_dimension, default=2)
+    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--cases", type=_positive, default=100,
+                     help="validation polytopes for the residual")
+    source = fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--valuation", metavar="FILE",
+                        help="self-test against a stored valuation")
+    source.add_argument("--oracle-cmd", metavar="CMD",
+                        help="external command fed polytope JSON lines on stdin; "
+                             f"killed after {ORACLE_TIMEOUT_S} s")
+    fit.add_argument("--field-d", type=_discriminant, default=2,
+                     help="discriminant of the surd validation simplices, 0 to skip them")
+    fit.add_argument("--format", choices=("json", "text"), default="json")
+    fit.set_defaults(func=_cmd_fit)
+
+    verify = sub.add_parser("verify", help="run the seeded check suite")
+    verify.add_argument("--n", type=_dimension, default=2)
+    verify.add_argument("--field-d", type=_discriminant, default=2,
+                        help="discriminant for the surd checks, 0 to skip them")
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--cases", type=_positive, default=20)
+    verify.add_argument("--inject-broken", action="store_true",
+                        help="add a deliberately broken plugin to exercise witnesses")
+    verify.add_argument("--format", choices=("json", "text"), default="json")
+    verify.set_defaults(func=_cmd_verify)
+
+    demo = sub.add_parser("demo-usc", help="semicontinuity tables for the origin terms")
+    demo.add_argument("--c0p", default="1", metavar="SCALAR")
+    demo.add_argument("--d0", default="0", metavar="SCALAR")
+    demo.add_argument("--steps", type=_positive, default=4)
+    demo.add_argument("--format", choices=("json", "text"), default="text")
+    demo.set_defaults(func=_cmd_demo_usc)
+
     return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the parser of the
-    subcommand argv names (under the same prog, so help and errors read the
-    same); the full parser takes every other argv and any leftover argument."""
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"slval {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
 
 
 def _load_json(path: str) -> dict:
@@ -233,9 +205,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         report = fit_classification(blackbox, args.n, seed=args.seed,
                                     validation_count=args.cases, field_d=args.field_d)
     except FieldMismatchError as exc:
+        mismatch = f"--field-d {args.field_d} lie in different fields: {exc}"
         if args.valuation is None:
-            raise
-        raise UsageError(f"{args.valuation} and --field-d {args.field_d} lie in different fields: {exc}")
+            raise OracleError(f"oracle values and {mismatch}")
+        raise UsageError(f"{args.valuation} and {mismatch}")
     exact = report.residual_max.is_zero()
     if args.format == "json":
         print(json.dumps({
@@ -308,8 +281,12 @@ def _cmd_demo_usc(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the one parser of the process; parsing keeps no state from call to call
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -277,10 +277,17 @@ def _facet_data(P: Polytope) -> tuple[tuple[tuple, int], ...]:
     return _hull(P)[1]
 
 
-def _offset_signs(P: Polytope) -> list[tuple[int, int]]:
-    """Per facet, in `_facet_data` order, the sign of its offset, which is
-    that of its slack at the origin, and its incident vertex bitmask."""
-    return [(_surd_sign(*row[-1], P._d), z) for row, z in _facet_data(P)]
+def _origin_signs(P: Polytope) -> list[tuple[int, int]] | None:
+    """Where the origin lies, read off the hull record: None if P is empty
+    or 0 is off aff P, which is when some frame equality has an offset C !=
+    0; else per facet, in `_facet_data` order, the sign of its offset, which
+    is that of its slack at the origin, and its incident vertex bitmask."""
+    if P.is_empty:
+        return None
+    (_, equalities), data = _hull(P)
+    if any(row[-1] != (0, 0) for row in equalities):
+        return None
+    return [(_surd_sign(*row[-1], P._d), z) for row, z in data]
 
 
 def _restricted(frame, row, d: int) -> tuple:
@@ -393,9 +400,8 @@ def contains(P: Polytope, x: Vector) -> bool:
 
 
 def relint_contains_origin(P: Polytope) -> bool:
-    if not in_affine_hull(P, origin(P.ambient_dim)):
-        return False
-    return all(s > 0 for s, _ in _offset_signs(P))
+    signs = _origin_signs(P)
+    return signs is not None and all(s > 0 for s, _ in signs)
 
 
 def clip(P: Polytope, H: Halfspace) -> Polytope:
@@ -485,7 +491,8 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
 def cone_hull(P: Polytope) -> Polytope:
     """Hull of the polytope together with the origin: one pass on P's rows
     and a zero row."""
-    if contains(P, origin(P.ambient_dim)):
+    signs = _origin_signs(P)
+    if signs is not None and all(s >= 0 for s, _ in signs):
         return P
     rows = tuple(sorted(P._rows + (((0, 0),) * P.ambient_dim,)))
     return _extreme(Polytope._of(P.ambient_dim, rows, P._L, P._d))
@@ -499,9 +506,10 @@ def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
     n = P.ambient_dim
     if P.is_empty or dim(P) != n:
         raise ValueError("visible facets need a full-dimensional polytope")
-    if contains(P, origin(n)):
+    signs = _origin_signs(P)
+    if all(s >= 0 for s, _ in signs):
         raise ValueError("visible facets need 0 outside the polytope")
-    return tuple(_face(P, z) for s, z in _offset_signs(P) if s < 0)
+    return tuple(_face(P, z) for s, z in signs if s < 0)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:

@@ -27,7 +27,7 @@ from math import factorial
 
 from .exactnum import ZERO, Scalar, _surd_sign
 from .linalg import _det
-from .polytope import Polytope, _facet_data, _frame, dim, in_affine_hull, origin
+from .polytope import Polytope, _facet_data, _frame, _origin_signs, dim
 
 
 def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
@@ -92,7 +92,7 @@ def apex_volume(P: Polytope, faces=None) -> Scalar:
     over P itself, which must then have dim n - 1 with 0 off aff P."""
     n = P.ambient_dim
     if faces is None:
-        if dim(P) != n - 1 or in_affine_hull(P, origin(n)):
+        if dim(P) != n - 1 or _origin_signs(P) is not None:
             raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {P!r}")
         faces = [(1 << len(P._rows)) - 1]
     return Scalar._make(*_cell_sum(P, P._rows, faces, n - 1, True), P._d)

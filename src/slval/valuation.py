@@ -14,10 +14,10 @@ additive in volume and cone_volume, and `_apply` is the only place that
 makes it: `evaluate_union` sums the signed basis vectors of the nonempty
 intersections and reads the sum once.
 
-`basis_vector` computes all five in one pass: one affine-hull test of the
-origin and one reading of the signs of P's facet offsets settle both
-indicators, and the cone term is vol P plus the pyramids from 0 over the
-facets whose offset is negative (the visible-facet part of Lawrence's
+`basis_vector` computes all five in one pass: one reading of the offsets
+of P's frame equalities and facets settles both indicators, and the cone
+term is vol P plus the pyramids from 0 over the facets whose offset is
+negative (the visible-facet part of Lawrence's
 signed-cone decomposition, Math. Comp. 1991).  A flat P with 0 off its
 affine hull is one such pyramid; other flat P give 0.  `apex_volume` sums
 the pyramids over the pulling cells of those facets, given as incident vertex
@@ -38,14 +38,7 @@ from .exactnum import (
     as_scalar,
     cauchy_eval,
 )
-from .polytope import (
-    Polytope,
-    _offset_signs,
-    dim,
-    in_affine_hull,
-    intersect,
-    origin,
-)
+from .polytope import Polytope, _origin_signs, dim, intersect
 from .triangulate import apex_volume, volume
 
 #: cap on the nonempty intersections an inclusion-exclusion visits (2^12 - 1)
@@ -65,8 +58,8 @@ def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
         return (ZERO,) * 5
     n, k = P.ambient_dim, dim(P)
     vol = volume(P)
-    on_hull = in_affine_hull(P, origin(n))
-    signs = _offset_signs(P) if on_hull else ()
+    signs = _origin_signs(P)
+    on_hull = signs is not None
     relint = on_hull and all(s > 0 for s, _ in signs)
     inside = on_hull and all(s >= 0 for s, _ in signs)
     if k == n:

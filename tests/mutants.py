@@ -1,0 +1,176 @@
+"""Mutant catalogue: each entry breaks `src/` on purpose in one place and
+names the tests that must catch it.
+
+    python tests/mutants.py [NAME ...]
+
+For each entry, or each one named, the runner copies `src/`, `tests/`,
+`perfbench/` and `pyproject.toml` to a temporary directory, applies the entry's `old -> new`
+replacement to its file, which must match exactly once, and runs the
+entry's test node ids there, so that they import the mutated copy.  An
+entry passes only when pytest exits 1, meaning that tests failed.  Exit 0
+means that the mutant survived; 2 to 5 mean an interrupted run, an internal
+or usage error, or no tests collected, none of which is a kill.  The runner
+prints one line per entry and exits 1 if any entry did not pass.
+
+pytest does not collect this file: its name does not start with `test_`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/slval
+    old: str
+    new: str
+    kills: tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+CATALOGUE = (
+    Mutant(
+        "origin-first-equality-only", "polytope.py",
+        "    if any(row[-1] != (0, 0) for row in equalities):\n",
+        "    if any(row[-1] != (0, 0) for row in equalities[:1]):\n",
+        ("tests/test_polytope.py::test_origin_signs_agree_with_membership",),
+    ),
+    Mutant(
+        "main-drops-leftovers", "cli.py",
+        "    args = _PARSER.parse_args(argv)\n",
+        "    args, _ = _PARSER.parse_known_args(argv)\n",
+        ("tests/test_cli.py::TestParser::test_main_parses_as_the_full_parser"
+         "[demo-usc --steps 3 -- --format]",),
+    ),
+    Mutant(
+        "fit-reraises-oracle-field-mismatch", "cli.py",
+        '            raise OracleError(f"oracle values and {mismatch}")\n',
+        "            raise\n",
+        ("tests/test_cli.py::TestFit::test_oracle_in_another_field_exits_3",),
+    ),
+    Mutant(
+        "eliminate-drops-swap-sign", "linalg.py",
+        "            sign = -sign\n",
+        "            sign = sign\n",
+        # only determinants beyond 4 x 4, which have no closed form, read it
+        ("tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign",),
+    ),
+    Mutant(
+        "intersect-one-side-of-each-equality", "polytope.py",
+        "for side in (e, tuple((-a, -b) for a, b in e))]",
+        "for side in (e,)]",
+        ("tests/test_polytope.py::test_intersect_crossing_segments_in_the_plane",
+         "tests/test_polytope.py::test_intersect_crossing_triangles_in_space"),
+    ),
+    Mutant(
+        "clip-keeps-unreduced-denominator", "polytope.py",
+        "    Q = Polytope._of(n, tuple(rows[t] for t in order), M, d)\n",
+        "    Q = object.__new__(Polytope)\n"
+        "    Q._fill(n, tuple(rows[t] for t in order), M, d)\n",
+        ("tests/test_hull.py::test_flat_and_low_dimensional_derivations_run_no_hull_pass",
+         "tests/test_polytope.py::test_every_constructor_stores_canonical_rows"),
+    ),
+    Mutant(
+        "random-sl-matrix-adds-j-into-i", "linalg.py",
+        "            row[j] += lam * row[i]\n",
+        "            row[i] += lam * row[j]\n",
+        ("tests/test_linalg.py::test_random_sl_matrix_is_the_product_of_its_shears",),
+    ),
+    Mutant(
+        "canonical-drops-the-conjugate-sign", "polytope.py",
+        "        s = _surd_sign(A, B, d) * (1 if A * A > d * B * B else -1)\n",
+        "        s = _surd_sign(A, B, d)\n",
+        ("tests/test_hull.py::test_surd_clouds_keep_incidence",),
+    ),
+    Mutant(
+        "relint-admits-the-boundary", "valuation.py",
+        "    relint = on_hull and all(s > 0 for s, _ in signs)\n",
+        "    relint = on_hull and all(s >= 0 for s, _ in signs)\n",
+        ("tests/test_valuation.py::test_relint_sign",),
+    ),
+    Mutant(
+        "apply-reads-the-volume-as-cone", "valuation.py",
+        "        + cauchy_eval(V.phi, cone)\n",
+        "        + cauchy_eval(V.phi, vol)\n",
+        ("tests/test_valuation.py::test_evaluate_union_of_crossing_segments",),
+    ),
+    Mutant(
+        "union-flips-the-sign", "valuation.py",
+        "t + x if len(key) % 2 else t - x",
+        "t - x if len(key) % 2 else t + x",
+        ("tests/test_valuation.py::test_evaluate_union_single",),
+    ),
+    Mutant(
+        "union-stops-at-pairs", "valuation.py",
+        "        if j == len(parts):\n",
+        "        if j == len(parts) or len(key) == 2:\n",
+        ("tests/test_valuation.py::test_evaluate_union_matches_all_subsets",),
+    ),
+    Mutant(
+        "pulling-cones-through-the-apex", "triangulate.py",
+        "if not g & apex and not any(",
+        "if not any(",
+        ("tests/test_triangulate.py::test_volume_of_unit_square_and_cube",),
+    ),
+    Mutant(
+        # equivalent below dimension 5, where the vertex count alone decides
+        "pulling-keeps-non-maximal-meets", "triangulate.py",
+        "if not g & apex and not any(g & h == g != h for h in meets)",
+        "if not g & apex",
+        ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[int, float]:
+    """Pytest's exit code on the entry's node ids against a mutated copy,
+    and the seconds it took."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        target = os.path.join(tmp, "src", "slval", mutant.path)
+        with open(target) as fh:
+            text = fh.read()
+        found = text.count(mutant.old)
+        if found != 1:
+            raise SystemExit(f"{mutant.name}: the old text matches {found} times in {mutant.path}")
+        with open(target, "w") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONPATH", None)
+        start = time.perf_counter()
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.kills],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+        return code, time.perf_counter() - start
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in CATALOGUE}
+    if unknown:
+        raise SystemExit(f"no such mutant: {', '.join(sorted(unknown))}")
+    failed = 0
+    for mutant in CATALOGUE:
+        if names and mutant.name not in names:
+            continue
+        code, seconds = run(mutant)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"not a kill (pytest exit {code})")
+        failed += code != 1
+        print(f"{mutant.name}: {verdict} in {seconds:.1f} s", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

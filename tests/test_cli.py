@@ -288,6 +288,22 @@ class TestFit:
         assert code == 3
         assert "zero denominator" in capsys.readouterr().err
 
+    def test_oracle_in_another_field_exits_3(self, tmp_path, capsys):
+        """Oracle values over Q(sqrt 3) meet the validation simplices of the
+        default --field-d 2: the oracle failed, which is no traceback."""
+        oracle = tmp_path / "oracle.py"
+        oracle.write_text(
+            "import sys\n"
+            "for k, line in enumerate(l for l in sys.stdin if l.strip()):\n"
+            "    print(f'{k}+1*sqrt(3)')\n"
+        )
+        code = main([
+            "fit", "--oracle-cmd", f"{sys.executable} {oracle}", "--cases", "5",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("oracle error: ") and "cannot mix sqrt(3) with sqrt(2)" in err
+
     def test_non_valuation_blackbox_exits_1(self, tmp_path, capsys):
         # answers depend on nothing but line parity, so no classified
         # valuation can reproduce them and the residual must show it
@@ -386,8 +402,8 @@ class TestDemoUsc:
         assert err.value.code == 2
 
 
-# argv cases on which the one-parser path of `main` must act exactly as the
-# full parser: help, usage errors, option forms and clean parses
+# argv cases on which `main` must act exactly as a freshly built full parser:
+# help, usage errors, option forms and clean parses
 PARSER_CASES = [
     [],
     ["-h"],
@@ -427,19 +443,21 @@ PARSER_CASES = [
     ["demo-usc", "--c0p", "-1/2"],
     ["demo-usc", "--steps", "3", "--", "--format"],
 ]
-HANDLERS = ("_cmd_valuate", "_cmd_fit", "_cmd_verify", "_cmd_demo_usc")
 
 
-def _recording_handlers(monkeypatch):
-    """Replace every command handler by one that records its Namespace."""
+def _recording_parses(monkeypatch):
+    """Record each Namespace the parser of `main` returns, and hand `main` a
+    copy whose handler returns 0 at once.  The handlers are bound when the
+    parser is built, so the recorded `func` is the real one."""
     seen = []
+    parse = cli._PARSER.parse_args
 
-    def record(args):
+    def record(argv):
+        args = parse(argv)
         seen.append(args)
-        return 0
+        return argparse.Namespace(**dict(vars(args), func=lambda _: 0))
 
-    for name in HANDLERS:
-        monkeypatch.setattr(cli, name, record)
+    monkeypatch.setattr(cli._PARSER, "parse_args", record)
     return seen
 
 
@@ -453,28 +471,47 @@ def _outcome(call, capsys):
     return result, code, out, err
 
 
+def _assert_parses_as_a_fresh_parser(argv, seen, capsys):
+    """`main(argv)` gives the exit code, stdout, stderr and Namespace, func
+    included, of `parse_args` on a freshly built full parser."""
+    seen.clear()
+    returned, code, out, err = _outcome(lambda: main(list(argv)), capsys)
+    fresh, fresh_code, fresh_out, fresh_err = _outcome(
+        lambda: cli.build_parser().parse_args(list(argv)), capsys)
+    assert (code, out, err) == (fresh_code, fresh_out, fresh_err)
+    if fresh_code is None:
+        assert returned == 0 and seen == [fresh]
+    else:
+        assert seen == []
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
     def test_main_parses_as_the_full_parser(self, argv, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
-        seen = _recording_handlers(monkeypatch)
-        returned, code, out, err = _outcome(lambda: main(list(argv)), capsys)
-        full, full_code, full_out, full_err = _outcome(
-            lambda: cli.build_parser().parse_args(list(argv)), capsys)
-        assert (code, out, err) == (full_code, full_out, full_err)
-        if full_code is None:
-            assert returned == 0 and seen == [full]  # func included
-        else:
-            assert seen == []
+        _assert_parses_as_a_fresh_parser(argv, _recording_parses(monkeypatch), capsys)
 
-    @pytest.mark.parametrize("argv", [
-        ["valuate", "--in", "p.json", "--valuation", "v.json"],
-        ["fit", "--valuation", "v.json"],
-        ["verify", "--n", "3"],
-        ["demo-usc"],
-    ], ids=lambda argv: argv[0])
-    def test_a_clean_command_builds_one_parser(self, argv, monkeypatch):
-        _recording_handlers(monkeypatch)
+    def test_one_parser_carries_nothing_between_calls(self, monkeypatch, capsys):
+        """Every case through the one parser of `main`, forward and then in
+        reverse, so that each follows another call the second time."""
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = _recording_parses(monkeypatch)
+        for argv in PARSER_CASES + PARSER_CASES[::-1]:
+            _assert_parses_as_a_fresh_parser(argv, seen, capsys)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["valuate", "--in", "{p}", "--valuation", "{v}"], 0),
+        (["fit", "--valuation", "{v}", "--cases", "1", "--field-d", "0"], 0),
+        (["verify", "--cases", "1", "--field-d", "0"], 0),
+        (["demo-usc", "--steps", "1"], 0),
+        (["-h"], 0),
+        (["verify", "--n", "2", "extra"], 2),
+    ], ids=["valuate", "fit", "verify", "demo-usc", "help", "leftover"])
+    def test_main_builds_no_parser(self, argv, code, tmp_path, monkeypatch, capsys):
+        """The parser is built at import: a call of `main` runs its handler,
+        prints help or exits on a usage error without building another."""
+        paths = {"p": write_json(tmp_path / "p.json", TRIANGLE),
+                 "v": write_json(tmp_path / "v.json", linear_valuation("1", "2", "3", "4", "5"))}
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -483,5 +520,7 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        assert main(argv) == 0
-        assert built == [f"slval {argv[0]}"]
+        returned, exit_code, _, _ = _outcome(
+            lambda: main([arg.format(**paths) for arg in argv]), capsys)
+        assert built == []
+        assert (returned if exit_code is None else exit_code) == code

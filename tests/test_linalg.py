@@ -280,6 +280,19 @@ def test_pair_determinant_matches_the_leibniz_oracle(case):
     assert _det(rows, d) == expected
 
 
+@pytest.mark.parametrize("k", [5, 6])
+def test_pair_determinant_beyond_4x4_keeps_the_swap_sign(k):
+    """Beyond 4 x 4 the sign comes from `_eliminate`'s row swaps: the
+    identity with rows 0 and 1 swapped has determinant -1, and a matrix
+    over Q(sqrt 2) that is zero on its first entry needs one swap too."""
+    swap = [[(int(c == (r ^ 1 if r < 2 else r)), 0) for c in range(k)] for r in range(k)]
+    assert _det(swap, 0) == (-1, 0)
+    rows = [[((i + 1) * (j + 2) % 7 - 3, (i - j) % 3) for j in range(k)] for i in range(k)]
+    rows[0][0] = (0, 0)
+    expected = det_root2([[(Fraction(a), Fraction(b)) for a, b in row] for row in rows])
+    assert expected != (0, 0) and _det(rows, 2) == expected
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_pair_determinant_eliminates_only_beyond_4x4(monkeypatch, k):
     """Up to 4 x 4 the determinant is expanded in closed form; a 5 x 5 one

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import slval.polytope
 from slval import exactnum
 from slval.exactnum import FieldMismatchError, Scalar
+from slval.harness import FAMILIES, gen_polytope
 from slval.linalg import Matrix, Vector, random_sl_matrix
 from slval.polytope import (
     EmptyPolytopeError,
@@ -29,6 +31,8 @@ from slval.polytope import (
     translate,
     visible_facets,
 )
+from slval.triangulate import apex_volume, volume
+from slval.valuation import basis_vector
 
 from oracles import hull2d, in_hull2d, reference_intersect
 
@@ -578,3 +582,111 @@ def test_intersect_of_nested_hulls(pair):
     assert all(contains(P, v) and contains(Q, v) for v in meet.vertices)
     for A, B in ((P, Q), (Q, P)):
         assert all(contains(meet, v) for v in A.vertices if contains(B, v))
+
+
+# -- the origin read off the hull record -----------------------------------
+
+
+def flat_off_origin():
+    """A segment and a point in R^3 whose first frame equality, x0 = 0,
+    passes through the origin and whose last, x2 = 1, does not."""
+    pieces = [from_points([V(0, 0, 1), V(0, 1, 1)]), from_points([V(0, 0, 1)])]
+    for P in pieces:
+        equalities = slval.polytope._frame(P)[1]
+        assert equalities[0][-1] == (0, 0) and equalities[-1][-1] != (0, 0)
+    return pieces
+
+
+def origin_pieces(n):
+    """Hulls of every generator family in R^n, over Q and sheared over
+    Q(sqrt 2), moved so that 0 is a vertex or inside; their clips by
+    hyperplanes through 0, through a vertex, through the middle and past
+    them, which leave pieces, faces and nothing; and their facets."""
+    rng = random.Random(700 + n)
+    hulls = []
+    for seed in range(2):
+        for family in FAMILIES:
+            P = gen_polytope(seed, n, max_vertices=n + 3, family=family)
+            surd = from_points([Vector([c + ROOT2 * i * c for i, c in enumerate(v)])
+                                for v in P.vertices])
+            hulls += [P, surd, translate(surd, -surd.vertices[0]),
+                      translate(P, -P.vertices[-1]), translate(P, -P.vertices[0] - P.vertices[-1])]
+    pieces = list(hulls)
+    for P in hulls:
+        u = Vector([rng.randint(-2, 2) + ROOT2 * rng.randint(-1, 1) for _ in range(n)])
+        if u.is_zero():
+            continue
+        values = sorted(u.dot(v) for v in P.vertices)
+        for c in (Scalar(0), values[0], (values[0] + values[-1]) / 2, values[-1], values[0] - 1):
+            pieces.append(clip(P, Halfspace(u, c)))
+        if not P.is_empty and dim(P) >= 1:
+            pieces += [F for _, F in facets(P)][:4]
+    return pieces + (flat_off_origin() if n == 3 else [])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_origin_signs_agree_with_membership(n):
+    """Where the record places the origin, and the five readers of it,
+    against `in_affine_hull` and `contains` at 0 and the public facets."""
+    zero = Vector.zero(n)
+    seen = set()
+    for P in origin_pieces(n):
+        signs = slval.polytope._origin_signs(P)
+        on_hull = in_affine_hull(P, zero)
+        inside = contains(P, zero)
+        assert (signs is not None) == on_hull
+        assert (on_hull and all(s >= 0 for s, _ in signs)) == inside
+        relint = on_hull and all(h.offset > 0 for h, _ in facets(P))
+        assert relint_contains_origin(P) == relint
+        b = basis_vector(P)
+        assert (b[1] != 0, b[3] != 0) == (relint, inside)
+        if not P.is_empty:
+            assert (cone_hull(P) is P) == inside
+        full = not P.is_empty and dim(P) == n
+        if full and not inside:
+            visible = {F for h, F in facets(P) if h.offset < 0}
+            assert set(visible_facets(P)) == visible
+        elif full:
+            with pytest.raises(ValueError):
+                visible_facets(P)
+        if not P.is_empty and dim(P) == n - 1:
+            if on_hull:
+                with pytest.raises(ValueError):
+                    apex_volume(P)
+            else:
+                assert apex_volume(P) == volume(cone_hull(P))
+        if not P.is_empty:
+            seen.add((dim(P) == n, on_hull, inside, relint))
+    # 0 lies off aff P, in it outside P, on the relative boundary and in the
+    # relative interior, of full-dimensional and of flat pieces
+    assert seen >= {(True, True, False, False), (True, True, True, False), (True, True, True, True),
+                    (False, False, False, False), (False, True, False, False),
+                    (False, True, True, False), (False, True, True, True)}
+
+
+def test_origin_readers_convert_no_point(monkeypatch):
+    """Once P's record is filled, `basis_vector`, `relint_contains_origin`,
+    `cone_hull`, `visible_facets` and `apex_volume` read the origin off it
+    and convert no point to integer rows; testing it through
+    `in_affine_hull` or `contains` built and converted a zero Vector in
+    each."""
+    zero = Vector.zero(3)
+    pieces = [(P, dim(P), in_affine_hull(P, zero), contains(P, zero))
+              for P in origin_pieces(3) if not P.is_empty]
+    calls = []
+    real = slval.polytope._integer_rows
+    monkeypatch.setattr(slval.polytope, "_integer_rows",
+                        lambda rows: calls.append(rows) or real(rows))
+    readers = set()
+    for P, k, on_hull, inside in pieces:
+        basis_vector(P)
+        relint_contains_origin(P)
+        cone_hull(P)
+        if k == 3 and not inside:
+            visible_facets(P)
+            readers.add("visible_facets")
+        if k == 2 and not on_hull:
+            apex_volume(P)
+            readers.add("apex_volume")
+    assert calls == []
+    assert readers == {"visible_facets", "apex_volume"}
