@@ -38,6 +38,8 @@ from .valuation import BASIS_NAMES, ClassifiedValuation, basis_vector, evaluate
 
 _MAX_VERTICES = 12
 _RETRIES = 60
+#: the split mode tried when a mode cannot split R; the others have none
+_FALLBACK = {"degenerate": "generic", "slab": "inclusion"}
 
 FAMILIES = ("generic", "contains_origin", "origin_in_relint", "avoids_origin", "lower_dim")
 
@@ -165,6 +167,33 @@ def _make_case(R: Polytope, u: Vector, c_left: Scalar, c_right: Scalar) -> Split
     )
 
 
+def _offsets(mode: str, rng: random.Random, R: Polytope, u: Vector) -> tuple[Scalar, Scalar] | None:
+    """Offsets (c_left, c_right) of a split of R in this mode along u, or
+    None if u gives none; draws from rng after u."""
+    values = _split_values(R, u)
+    if mode == "degenerate":
+        signs, offsets = [x.sign() for x in values], (ZERO, ZERO)
+    elif mode == "generic":
+        c = u.dot(_interior_point(rng, R))
+        signs, offsets = [(x - c).sign() for x in values], (c, -c)
+    else:
+        low, high = min(values), max(values)
+        if mode == "slab":
+            if low.sign() >= 0 or high.sign() <= 0:
+                return None  # origin in relint R makes this rare retry noise
+            c_left = high * Fraction(rng.randint(1, 7), 8)
+            right_reach = -low * Fraction(rng.randint(1, 7), 8)
+            # half the slab draws pin the right boundary at the origin so
+            # exactly one side keeps 0 in its relative interior
+            return c_left, right_reach if rng.random() < Fraction(1, 2) else ZERO
+        # inclusion: left is all of R, right a proper cap
+        if low == high:
+            return None
+        cut = low + (high - low) * Fraction(rng.randint(1, 7), 8)
+        signs, offsets = [(x - cut).sign() for x in values], (high, -cut)
+    return offsets if any(s > 0 for s in signs) and any(s < 0 for s in signs) else None
+
+
 def gen_split(seed: int, R: Polytope) -> SplitCase:
     """Deterministic split of R; the seed selects the subfamily.
 
@@ -172,70 +201,24 @@ def gen_split(seed: int, R: Polytope) -> SplitCase:
     origin split (the fixed 25% degenerate rate), 5-10 a generic classic
     split, 11-15 an overlapping slab (which needs 0 in relint R), and
     16-19 the inclusion pair left = R.  Unsatisfiable subfamilies fall
-    back deterministically to a satisfiable one.
+    back deterministically to a satisfiable one: degenerate to generic
+    when no hyperplane through 0 cuts R, slab to inclusion.
     """
     if R.is_empty or dim(R) < 1:
         raise ValueError("splits need dim(R) >= 1")
     rng = random.Random(_sub_seed(seed, 17))
     residue = seed % 20
-    if residue < 5:
-        mode = "degenerate"
-    elif residue < 11:
-        mode = "generic"
-    elif residue < 16:
-        mode = "slab"
-    else:
-        mode = "inclusion"
+    mode = ("degenerate" if residue < 5 else "generic" if residue < 11
+            else "slab" if residue < 16 else "inclusion")
     if mode == "slab" and not relint_contains_origin(R):
-        mode = "inclusion"
-
-    if mode == "degenerate":
+        mode = _FALLBACK[mode]
+    while mode:
         for _ in range(_RETRIES):
             u = _random_normal(rng, R.ambient_dim)
-            signs = [x.sign() for x in _split_values(R, u)]
-            if any(s > 0 for s in signs) and any(s < 0 for s in signs):
-                return _make_case(R, u, ZERO, ZERO)
-        mode = "generic"  # no hyperplane through 0 cuts R
-
-    if mode == "generic":
-        for _ in range(_RETRIES):
-            u = _random_normal(rng, R.ambient_dim)
-            point = _interior_point(rng, R)
-            c = u.dot(point)
-            signs = [(x - c).sign() for x in _split_values(R, u)]
-            if any(s > 0 for s in signs) and any(s < 0 for s in signs):
-                return _make_case(R, u, c, -c)
-        raise RuntimeError(f"no proper split of {R!r} found for seed {seed}")
-
-    if mode == "slab":
-        for _ in range(_RETRIES):
-            u = _random_normal(rng, R.ambient_dim)
-            values = _split_values(R, u)
-            low = min(values)
-            high = max(values)
-            if low.sign() >= 0 or high.sign() <= 0:
-                continue  # origin in relint R makes this rare retry noise
-            c_left = high * Fraction(rng.randint(1, 7), 8)
-            right_reach = -low * Fraction(rng.randint(1, 7), 8)
-            # half the slab draws pin the right boundary at the origin so
-            # exactly one side keeps 0 in its relative interior
-            c_right = right_reach if rng.random() < Fraction(1, 2) else ZERO
-            return _make_case(R, u, c_left, c_right)
-        mode = "inclusion"
-
-    # inclusion: left is all of R, right a proper cap
-    for _ in range(_RETRIES):
-        u = _random_normal(rng, R.ambient_dim)
-        values = _split_values(R, u)
-        low = min(values)
-        high = max(values)
-        if low == high:
-            continue
-        cut = low + (high - low) * Fraction(rng.randint(1, 7), 8)
-        signs = [(x - cut).sign() for x in values]
-        if not any(s > 0 for s in signs) or not any(s < 0 for s in signs):
-            continue
-        return _make_case(R, u, high, -cut)
+            offsets = _offsets(mode, rng, R, u)
+            if offsets is not None:
+                return _make_case(R, u, *offsets)
+        mode = _FALLBACK.get(mode)
     raise RuntimeError(f"no proper split of {R!r} found for seed {seed}")
 
 

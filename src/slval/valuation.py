@@ -115,32 +115,28 @@ def evaluate_union(V: ClassifiedValuation, parts: list[Polytope]) -> Scalar:
     """Inclusion-exclusion value of a finite union, all terms exact.
 
     The terms are the nonempty intersections of the parts, the nerve of the
-    cover (Naiman and Wynn, Ann. Statist. 1992).  They are visited depth
-    first in index order, and only a nonempty one is extended by a later
-    part.  Their basis vectors are summed with sign (-1)^(|I|+1) and V is
-    applied once to the sum, whose volume and cone entries are the union's
-    own.  More than MAX_UNION_TERMS nonempty terms raise ValueError.
+    cover (Naiman and Wynn, Ann. Statist. 1992), read by the recursion
+    U(A_1..A_m) = sum over k of b(A_k) - U(A_1 & A_k, ..., A_{k-1} & A_k)
+    on the nonempty meets: each once, and a meet of the parts in I formed
+    only when two of its |I| - 1 part meets are nonempty.  Their basis
+    vectors go into one total with sign (-1)^(|I|+1), and V is applied once
+    to it, whose volume and cone entries are the union's own.  More than
+    MAX_UNION_TERMS nonempty terms raise ValueError.
     """
-    parts = tuple(parts)
     total = (ZERO,) * 5
     terms = 0
-    # (index tuple, its intersection, next part to try); () is the whole space
-    stack = [((), None, 0)]
-    while stack:
-        key, meet, j = stack.pop()
-        if j == len(parts):
-            continue
-        stack.append((key, meet, j + 1))
-        key += (j,)
-        piece = parts[j] if meet is None else intersect(meet, parts[j])
-        if piece.is_empty:
-            continue
-        terms += 1
-        if terms > MAX_UNION_TERMS:
-            raise ValueError(f"more than {MAX_UNION_TERMS} nonempty intersections")
-        b = basis_vector(piece)
-        total = tuple(t + x if len(key) % 2 else t - x for t, x in zip(total, b))
-        stack.append((key, piece, j + 1))
+
+    def add(pieces: list[Polytope], odd: bool) -> None:
+        nonlocal total, terms
+        for k, piece in enumerate(pieces):
+            terms += 1
+            if terms > MAX_UNION_TERMS:
+                raise ValueError(f"more than {MAX_UNION_TERMS} nonempty intersections")
+            total = tuple(t + x if odd else t - x for t, x in zip(total, basis_vector(piece)))
+            meets = [intersect(Q, piece) for Q in pieces[:k]]
+            add([M for M in meets if not M.is_empty], not odd)
+
+    add([P for P in parts if not P.is_empty], True)
     return _apply(V, total)
 
 

@@ -65,6 +65,13 @@ CATALOGUE = (
         ("tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign",),
     ),
     Mutant(
+        "eliminate-never-divides", "linalg.py",
+        "                rows[i] = [(a // n, b // n) for a, b in x] if n != 1 else x\n",
+        "                rows[i] = x\n",
+        ("tests/test_linalg.py::test_solve_unique",
+         "tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign"),
+    ),
+    Mutant(
         "intersect-one-side-of-each-equality", "polytope.py",
         "for side in (e, tuple((-a, -b) for a, b in e))]",
         "for side in (e,)]",
@@ -105,15 +112,27 @@ CATALOGUE = (
     ),
     Mutant(
         "union-flips-the-sign", "valuation.py",
-        "t + x if len(key) % 2 else t - x",
-        "t - x if len(key) % 2 else t + x",
+        "t + x if odd else t - x",
+        "t - x if odd else t + x",
         ("tests/test_valuation.py::test_evaluate_union_single",),
     ),
     Mutant(
         "union-stops-at-pairs", "valuation.py",
-        "        if j == len(parts):\n",
-        "        if j == len(parts) or len(key) == 2:\n",
-        ("tests/test_valuation.py::test_evaluate_union_matches_all_subsets",),
+        "            meets = [intersect(Q, piece) for Q in pieces[:k]]\n",
+        "            meets = [intersect(Q, piece) for Q in pieces[:k] if odd]\n",
+        ("tests/test_valuation.py::test_evaluate_union_rejects_too_many_parts",),
+    ),
+    Mutant(
+        "union-stops-at-the-first-empty-meet", "valuation.py",
+        "add([M for M in meets if not M.is_empty], not odd)",
+        "add(meets[:next((i for i, M in enumerate(meets) if M.is_empty), k)], not odd)",
+        ("tests/test_valuation.py::test_evaluate_union_accepts_a_long_chain",),
+    ),
+    Mutant(
+        "union-keeps-the-level-sign", "valuation.py",
+        "if not M.is_empty], not odd)",
+        "if not M.is_empty], odd)",
+        ("tests/test_valuation.py::test_evaluate_union_euler_over_diagonal",),
     ),
     Mutant(
         "pulling-cones-through-the-apex", "triangulate.py",
@@ -127,6 +146,25 @@ CATALOGUE = (
         "if not g & apex and not any(g & h == g != h for h in meets)",
         "if not g & apex",
         ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
+    ),
+    Mutant(
+        "supporting-skips-the-third-ray-test", "polytope.py",
+        "                if any(z & common == common for z in masks if z != zv and z != zs):\n",
+        "                if False:\n",
+        ("tests/test_hull.py::test_five_cube_combines_only_adjacent_rays",
+         "tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays"),
+    ),
+    Mutant(
+        "frame-keeps-the-coordinate-rows-in-forward-order", "polytope.py",
+        "zip(form[:k:-1], free)",
+        "zip(form[k + 1:], free)",
+        ("tests/test_hull.py::test_frame_matches_the_reference",),
+    ),
+    Mutant(
+        "split-slab-falls-back-to-generic", "harness.py",
+        '_FALLBACK = {"degenerate": "generic", "slab": "inclusion"}',
+        '_FALLBACK = {"degenerate": "generic", "slab": "generic"}',
+        ("tests/test_harness.py::TestGenSplit::test_split_grid_digest",),
     ),
 )
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from slval.polytope import (
     dim,
     from_points,
     relint_contains_origin,
+    to_json,
 )
 from slval.harness import (
     FAMILIES,
@@ -133,6 +136,31 @@ class TestGenSplit:
         case = gen_split(0, seg)
         assert classify_split(case) == "dimension-drop"
         assert dim(case.whole) == dim(case.meet) + 1
+
+    def test_split_grid_digest(self):
+        """Seeds 0-39, two of each residue, on every family at n = 1..4 and
+        on three polytopes that force the fallbacks or carry surds: a segment
+        from 0 that no line through 0 cuts, a square that avoids 0 and a
+        triangle over Q(sqrt 2).  The digest of the four polytopes and both
+        halfspaces was recorded when each mode drew and tested its normals
+        in its own loop, so it pins every rng draw and offset."""
+        root2 = Scalar.sqrt_of(2)
+        polys = [gen_polytope(n, n, family=f) for n in range(1, 5) for f in FAMILIES] + [
+            P((0, 0), (1, 2)),
+            P((1, 1), (3, 1), (1, 2), (3, 2)),
+            from_points([Vector((-1, 0)), Vector((root2, 0)), Vector((0, 1 + root2))]),
+        ]
+        digest = hashlib.sha256()
+        for R in polys:
+            if dim(R) < 1:
+                continue
+            for seed in range(40):
+                case = gen_split(seed, R)
+                four = [to_json(Q) for Q in (case.whole, case.left, case.right, case.meet)]
+                halves = [repr(case.hyperplane), repr(case.opposite)]
+                digest.update(json.dumps(four + halves).encode())
+        assert digest.hexdigest() == (
+            "b26083ad239a188b4d44966646f156334b397d71f4fab9e1c6e2aa85a6e6c807")
 
 
 class TestIdentityCheck:

@@ -124,6 +124,30 @@ def test_unit_grids_with_non_simplicial_facets(k):
     assert_matches_oracle(points, k)
 
 
+def test_five_cube_combines_only_adjacent_rays():
+    """{+-1}^5 has the 10 facets x_i = +-1.  Two rays whose common tight set
+    has at least k - 1 = 4 points but lies in a third ray's are not
+    adjacent; combined anyway, they give 20."""
+    points = list(product((-1, 1), repeat=5))
+    found = run_pass(as_scalars(points))
+    expected = {frozenset(j for j, p in enumerate(points) if p[i] == s)
+                for i in range(5) for s in (-1, 1)}
+    assert set(found) == expected
+
+
+def test_boundary_points_in_r4_combine_only_adjacent_rays():
+    """13 distinct points of {-2, 0, 2}^4, one of them, (-2, 0, 0, 2), on
+    the boundary but not a vertex: 22 facets, where combining every pair of
+    rays with at least 3 common tight points gives 23.  So up to n = 4 that
+    count alone does not make two rays adjacent once points lie on the
+    boundary."""
+    rng = random.Random(4)
+    draws = [tuple(rng.choice((-2, 0, 2)) for _ in range(4)) for _ in range(14)]
+    points = list(dict.fromkeys(draws))
+    assert len(points) == 13 and len(facets_by_subsets(points, 4)) == 22
+    assert_matches_oracle(points, 4)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_frame_matches_the_reference(n):
     """The frame the pass reads off the identity block of its elimination

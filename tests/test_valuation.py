@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -181,22 +182,63 @@ def test_evaluate_union_accepts_a_long_chain():
     assert evaluate_union(ClassifiedValuation.linear(1, 0, 0, 0, 0), parts) == Scalar(1)
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(slval.valuation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(slval.valuation, name, counted)
+    return calls
+
+
 def test_evaluate_union_rejects_too_many_parts(monkeypatch):
     """13 parts through one point have 2^13 - 1 = 8191 nonempty
-    intersections; the cap stops the walk before the 4096th is read."""
-    calls = []
-    real = slval.valuation.basis_vector
-
-    def counted(Q):
-        calls.append(Q)
-        return real(Q)
-
-    monkeypatch.setattr(slval.valuation, "basis_vector", counted)
+    intersections; the cap stops the recursion before the 4096th is read."""
+    calls = _counting(monkeypatch, "basis_vector")
     v = ClassifiedValuation.linear(1, 0, 0, 0, 0)
     parts = [P((0, 0), (i + 1, 0), (0, 1)) for i in range(13)]
     with pytest.raises(ValueError, match="4095"):
         evaluate_union(v, parts)
     assert len(calls) <= 4096
+
+
+def test_evaluate_union_meets_only_nonempty_meets(monkeypatch):
+    """Three consecutive slabs of a square: S1 & S3 is empty, so
+    (S1 & S2) & S3 is never formed.  3 meets and 5 nonempty terms."""
+    meets = _counting(monkeypatch, "intersect")
+    reads = _counting(monkeypatch, "basis_vector")
+    slabs = [P((i, 0), (i + 1, 0), (i, 3), (i + 1, 3)) for i in range(3)]
+    v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
+    assert evaluate_union(v, slabs) == Scalar(77)
+    assert (len(meets), len(reads)) == (3, 5)
+
+
+def test_evaluate_union_depth_does_not_grow_with_disjoint_parts(monkeypatch):
+    """Pairwise disjoint parts nest no deeper for 30 parts than for 3:
+    the recursion goes one level down per index set, not per part."""
+    depths = []
+    real = slval.valuation.basis_vector
+
+    def recorded(Q):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        depths.append(depth)
+        return real(Q)
+
+    monkeypatch.setattr(slval.valuation, "basis_vector", recorded)
+    v = ClassifiedValuation.linear(0, 0, 1, 0, 0)
+    deepest = []
+    for m in (3, 30):
+        depths.clear()
+        parts = [P((2 * i, 0), (2 * i + 1, 0), (2 * i, 1)) for i in range(m)]
+        assert evaluate_union(v, parts) == Fraction(m, 2)
+        assert len(depths) == m
+        deepest.append(max(depths))
+    assert deepest[0] == deepest[1]
 
 
 def test_evaluate_union_of_crossing_segments():
@@ -256,7 +298,7 @@ def union_family(seed, n, count, dense, d):
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_evaluate_union_matches_all_subsets(n, dense, d):
-    """The nerve walk against the plain 2^m inclusion-exclusion, which
+    """The recursion against the plain 2^m inclusion-exclusion, which
     evaluates every index subset on its own."""
     count = (5 if n == 3 else 7) if dense else 10
     for seed in range(2):
