@@ -23,13 +23,7 @@ import sys
 from fractions import Fraction
 
 from .exactnum import FieldMismatchError, Scalar, ScalarParseError, _check_discriminant
-from .harness import (
-    fit_classification,
-    fit_validation_polytopes,
-    probe_polytopes,
-    run_suite,
-    usc_sequences,
-)
+from .harness import fit_classification, run_suite, usc_sequences
 from .polytope import Polytope
 from .polytope import from_json as polytope_from_json
 from .polytope import to_json as polytope_to_json
@@ -164,7 +158,7 @@ def _cmd_valuate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_table(cmd: str, polys: list[Polytope]) -> dict[Polytope, Scalar]:
+def _oracle_values(cmd: str, polys: list[Polytope]) -> list[Scalar]:
     payload = "".join(json.dumps(polytope_to_json(P), sort_keys=True) + "\n" for P in polys)
     try:
         proc = subprocess.run(
@@ -183,26 +177,23 @@ def _oracle_table(cmd: str, polys: list[Polytope]) -> dict[Polytope, Scalar]:
         raise OracleError(
             f"oracle answered {len(lines)} of {len(polys)} polytopes"
         )
-    table = {}
-    for poly, line in zip(polys, lines):
+    values = []
+    for line in lines:
         try:
-            table[poly] = Scalar.parse(line.strip())
+            values.append(Scalar.parse(line.strip()))
         except ScalarParseError as exc:
             raise OracleError(f"unreadable oracle value {line.strip()!r}: {exc}")
-    return table
+    return values
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     if args.valuation is not None:
         val = _load_valuation(args.valuation)
-        blackbox = functools.partial(evaluate, val)
+        values_of = lambda polys: [evaluate(val, P) for P in polys]
     else:
-        polys = list(probe_polytopes(args.n))
-        polys += fit_validation_polytopes(args.n, args.seed, args.cases, args.field_d)
-        table = _oracle_table(args.oracle_cmd, polys)
-        blackbox = table.__getitem__
+        values_of = functools.partial(_oracle_values, args.oracle_cmd)
     try:
-        report = fit_classification(blackbox, args.n, seed=args.seed,
+        report = fit_classification(values_of, args.n, seed=args.seed,
                                     validation_count=args.cases, field_d=args.field_d)
     except FieldMismatchError as exc:
         mismatch = f"--field-d {args.field_d} lie in different fields: {exc}"

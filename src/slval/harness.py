@@ -309,11 +309,6 @@ def probe_polytopes(n: int) -> tuple[Polytope, ...]:
     )
 
 
-def probe_matrix(n: int) -> Matrix:
-    probes = probe_polytopes(n)
-    return Matrix([basis_vector(P) for P in probes])
-
-
 def surd_simplices(n: int, d: int, count: int = 5) -> list[Polytope]:
     """The simplices [0, (i+1)*sqrt(d)*e1, e2, ..., en], i < count: irrational volumes."""
     surd = Scalar.sqrt_of(d)
@@ -333,27 +328,32 @@ def fit_validation_polytopes(n: int, seed: int = 0, count: int = 100,
     return polys + (surd_simplices(n, field_d) if field_d else [])
 
 
-def fit_classification(blackbox, n: int, seed: int = 0, validation_count: int = 100,
+def fit_classification(values_of, n: int, seed: int = 0, validation_count: int = 100,
                        field_d: int = 0) -> FitReport:
-    """Recover the five coefficients of a valuation from probe values.
+    """Recover the five coefficients of a valuation from its values.
 
-    The probes pin the coefficient vector through an exact 5x5 solve; the
-    validation set then measures the worst deviation of the fitted model.
-    A blackbox of the classified form with linear psi and phi gives 0, and a
-    nonzero residual rules that form out.  A RationalPart plugin agrees with
-    Linear(1) on rational volumes; the surd simplices of a nonzero field_d,
-    whose volumes are irrational, tell the two apart.
+    `values_of` maps the five probes followed by the validation polytopes
+    to their values, in order, in one call; each value is read by its
+    position, so a polytope that occurs twice is asked twice and both
+    answers count.  The probe values pin the coefficients through an exact
+    5x5 solve, and the validation values measure the worst deviation of the
+    fitted model: 0 for the classified form with linear psi and phi,
+    nonzero otherwise.  A RationalPart plugin agrees with Linear(1) on
+    rational volumes; the surd simplices of a nonzero field_d, whose
+    volumes are irrational, tell the two apart.
     """
-    matrix = probe_matrix(n)
-    values = tuple(blackbox(P) for P in probe_polytopes(n))
-    coefficients = tuple(solve(matrix, Vector(values)))
+    probes = probe_polytopes(n)
+    validation = fit_validation_polytopes(n, seed, validation_count, field_d)
+    values = values_of([*probes, *validation])
+    probe_values = tuple(values[:5])
+    coefficients = tuple(solve(Matrix([basis_vector(P) for P in probes]), Vector(probe_values)))
     model = ClassifiedValuation.linear(*coefficients)
     residual = ZERO
-    for P in fit_validation_polytopes(n, seed, validation_count, field_d):
-        gap = abs(blackbox(P) - evaluate(model, P))
+    for P, value in zip(validation, values[5:]):
+        gap = abs(value - evaluate(model, P))
         if gap > residual:
             residual = gap
-    return FitReport(coefficients=coefficients, probe_values=values, residual_max=residual)
+    return FitReport(coefficients=coefficients, probe_values=probe_values, residual_max=residual)
 
 
 # -- semicontinuity sequences --------------------------------------------
@@ -468,8 +468,8 @@ def run_suite(
                          family="avoids_origin")
         yield _line("cone_decomposition", i, check_cone_decomposition(P))
 
-    report = fit_classification(lambda P: evaluate(reference, P), n, seed=seed,
-                                validation_count=25)
+    report = fit_classification(lambda polys: [evaluate(reference, P) for P in polys], n,
+                                seed=seed, validation_count=25)
     expected = (Scalar(1), Scalar(2), Scalar(3), Scalar(4), Scalar(5))
     fit_pass = report.coefficients == expected and report.residual_max.is_zero()
     yield _line("fit_roundtrip", 0, fit_pass or {

@@ -166,6 +166,18 @@ CATALOGUE = (
         '_FALLBACK = {"degenerate": "generic", "slab": "generic"}',
         ("tests/test_harness.py::TestGenSplit::test_split_grid_digest",),
     ),
+    Mutant(
+        "oracle-answers-read-in-reverse", "cli.py",
+        "    for line in lines:\n",
+        "    for line in reversed(lines):\n",
+        ("tests/test_cli.py::TestFit::test_oracle_answers_are_read_in_order",),
+    ),
+    Mutant(
+        "fit-residual-off-by-one", "harness.py",
+        "zip(validation, values[5:])",
+        "zip(validation, values[4:])",
+        ("tests/test_harness.py::TestFit::test_round_trip_full",),
+    ),
 )
 
 

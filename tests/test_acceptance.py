@@ -22,7 +22,7 @@ from slval.harness import (
     fit_classification,
     gen_polytope,
     gen_split,
-    probe_matrix,
+    probe_polytopes,
     usc_sequences,
 )
 from slval.linalg import Matrix, Vector, det, random_sl_matrix
@@ -142,13 +142,13 @@ def test_fit_round_trip_bulk(capsys):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(5)]
         reference = ClassifiedValuation.linear(*coeffs)
         n = 2 if t < 10 else 3
-        report = fit_classification(lambda P: evaluate(reference, P), n,
+        report = fit_classification(lambda polys: [evaluate(reference, P) for P in polys], n,
                                     seed=t, validation_count=100)
         if list(report.coefficients) != [Scalar(c) for c in coeffs]:
             bad.append(("coefficients", t))
         if not report.residual_max.is_zero():
             bad.append(("residual", t))
-    dets = {n: det(probe_matrix(n)) for n in (2, 3)}
+    dets = {n: det(Matrix([basis_vector(P) for P in probe_polytopes(n)])) for n in (2, 3)}
     elapsed = time.monotonic() - started
     ok = not bad and not any(v.is_zero() for v in dets.values()) and elapsed < 120
     _verdict(

@@ -1,11 +1,14 @@
 import argparse
 import json
+import os
 import sys
 import time
+from collections import Counter
 
 import pytest
 
-from slval import cli
+import slval
+from slval import cli, harness
 from slval.cli import main
 from slval.exactnum import MAX_DISCRIMINANT
 
@@ -29,6 +32,26 @@ ORIGIN_POINT = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0"]]}
 VERTICAL_SEGMENT = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "-1"], ["0", "1"]]}
 TRIANGLE = {"ambient_dim": 2, "field_d": 0, "vertices": [["0", "0"], ["1", "0"], ["0", "5"]]}
 SEGMENT = {"ambient_dim": 1, "field_d": 0, "vertices": [["0"], ["5"]]}
+
+
+def exact_oracle(tmp_path, monkeypatch, tail=""):
+    """Command of an oracle that evaluates the valuation (1, 2, 3, 4, 5) on
+    each line with the slval under test; `tail` may change the list
+    `values` before it is printed."""
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(slval.__file__)))
+    val = write_json(tmp_path / "v.json", linear_valuation("1", "2", "3", "4", "5"))
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text(
+        "import json, sys\n"
+        "from slval.polytope import from_json\n"
+        "from slval.valuation import evaluate, from_json as valuation_from_json\n"
+        f"val = valuation_from_json(json.load(open({val!r})))\n"
+        "lines = [l for l in sys.stdin if l.strip()]\n"
+        "values = [evaluate(val, from_json(json.loads(l))) for l in lines]\n"
+        + tail
+        + "print('\\n'.join(map(str, values)))\n"
+    )
+    return f"{sys.executable} {oracle}"
 
 
 class TestValuate:
@@ -319,6 +342,50 @@ class TestFit:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["residual_max"] != "0"
+
+    def test_oracle_answers_are_read_in_order(self, tmp_path, monkeypatch, capsys):
+        # every answer differs by polytope, so an answer read at another
+        # position than its polytope's breaks the fit
+        cmd = exact_oracle(tmp_path, monkeypatch)
+        code = main(["fit", "--oracle-cmd", cmd, "--cases", "10"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["coefficients"] == ["1", "2", "3", "4", "5"]
+        assert report["residual_max"] == "0"
+
+    def test_oracle_answering_one_polytope_two_ways_exits_1(self, tmp_path, monkeypatch, capsys):
+        """At n = 2, seed 0 the probe {0} is also a validation polytope; an
+        oracle that answers its first copy off by one is not a valuation,
+        and the answer to each copy counts."""
+        cmd = exact_oracle(tmp_path, monkeypatch, tail=(
+            "repeat = next(i for i, l in enumerate(lines) if l in lines[:i])\n"
+            "values[lines.index(lines[repeat])] += 1\n"
+        ))
+        code = main(["fit", "--oracle-cmd", cmd])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["residual_max"] != "0"
+
+    def test_one_enumeration_per_fit(self, tmp_path, monkeypatch, capsys):
+        """A fit builds the probes once and draws each validation polytope
+        once, with an oracle as with a stored valuation."""
+        calls = Counter()
+        for name in ("gen_polytope", "probe_polytopes"):
+            fn = getattr(harness, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            # every binding of the function in slval, not only the harness's
+            for module in (harness, cli):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        cmd = exact_oracle(tmp_path, monkeypatch)
+        assert main(["fit", "--oracle-cmd", cmd, "--cases", "5"]) == 0
+        assert calls == {"gen_polytope": 5, "probe_polytopes": 1}
+        calls.clear()
+        assert main(["fit", "--valuation", str(tmp_path / "v.json"), "--cases", "5"]) == 0
+        assert calls == {"gen_polytope": 5, "probe_polytopes": 1}
 
 
 class TestVerify:

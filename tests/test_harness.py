@@ -27,7 +27,6 @@ from slval.harness import (
     fit_classification,
     gen_polytope,
     gen_split,
-    probe_matrix,
     probe_polytopes,
     run_suite,
     usc_sequences,
@@ -204,6 +203,14 @@ class TestSlInvariance:
             check_sl_invariance(volume, SQUARE_AROUND_0, Matrix([[2, 0], [0, 1]]))
 
 
+def probe_matrix(n):
+    return Matrix([basis_vector(P) for P in probe_polytopes(n)])
+
+
+def values_of(val):
+    return lambda polys: [val(P) for P in polys]
+
+
 class TestFit:
     def test_probe_matrix_n2_values(self):
         rows = probe_matrix(2).rows
@@ -227,18 +234,18 @@ class TestFit:
 
     def test_round_trip_simple(self):
         blackbox = ClassifiedValuation.linear(2, 0, 3, 0, 0)
-        report = fit_classification(lambda p: evaluate(blackbox, p), 2, validation_count=30)
+        report = fit_classification(values_of(lambda p: evaluate(blackbox, p)), 2, validation_count=30)
         assert report.coefficients == tuple(Scalar(c) for c in (2, 0, 3, 0, 0))
         assert report.residual_max == Scalar(0)
 
     def test_round_trip_full(self):
         blackbox = ClassifiedValuation.linear(1, 2, 3, 4, 5)
-        report = fit_classification(lambda p: evaluate(blackbox, p), 2, validation_count=30)
+        report = fit_classification(values_of(lambda p: evaluate(blackbox, p)), 2, validation_count=30)
         assert report.coefficients == tuple(Scalar(c) for c in (1, 2, 3, 4, 5))
         assert report.residual_max == Scalar(0)
 
     def test_residual_detects_non_valuation(self):
-        report = fit_classification(lambda p: Scalar(dim(p)), 2, validation_count=30)
+        report = fit_classification(values_of(lambda p: Scalar(dim(p))), 2, validation_count=30)
         assert report.residual_max != Scalar(0)
 
 
