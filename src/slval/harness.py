@@ -25,13 +25,13 @@ from .polytope import (
     cone_hull,
     contains,
     dim,
+    facets,
     from_points,
     in_affine_hull,
     origin,
     relint_contains_origin,
     transform,
     translate,
-    visible_facets,
 )
 from .triangulate import volume
 from .valuation import BASIS_NAMES, ClassifiedValuation, basis_vector, evaluate
@@ -265,8 +265,11 @@ def check_sl_invariance(val, P: Polytope, A: Matrix):
 
 
 def check_cone_decomposition(P: Polytope):
-    """Hull-with-origin volume (the oracle) against visible-facet cones and the
-    cone term of basis_vector."""
+    """Hull-with-origin volume (the oracle) against the cone term of
+    basis_vector and, when P is full-dimensional, against P's volume plus
+    the cones over its visible facets, those of negative offset.  Both
+    oracle routes read only `cone_hull` and `facets`, not the origin signs
+    that basis_vector reads."""
     n = P.ambient_dim
     if P.is_empty:
         raise ValueError("cone decomposition needs a nonempty polytope")
@@ -275,9 +278,7 @@ def check_cone_decomposition(P: Polytope):
     k = dim(P)
     if k == n:
         total = volume(cone_hull(P))
-        parts = volume(P)
-        for facet in visible_facets(P):
-            parts = parts + volume(cone_hull(facet))
+        parts = sum((volume(cone_hull(F)) for h, F in facets(P) if h.offset < 0), volume(P))
         value = basis_vector(P)[4]
         if total == parts == value:
             return True

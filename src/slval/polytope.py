@@ -5,7 +5,7 @@ canonical integer pair matrix: rows of pairs (A, B), meaning A + B*sqrt(d),
 over the least common denominator L > 0, with d = 0 when every B is 0, so
 structural equality is geometric equality.  The empty polytope is a
 first-class value.  Vectors, Scalars and Halfspaces are built only at the
-boundary, by `vertices`, `facets`, `visible_facets`, `to_json` and `repr`.
+boundary, by `vertices`, `facets`, `to_json` and `repr`.
 
 Derived data lives on the polytope that owns it, in slots filled once on
 first use and ignored by equality and hashing: the volume, and the hull
@@ -490,26 +490,10 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
 
 def cone_hull(P: Polytope) -> Polytope:
     """Hull of the polytope together with the origin: one pass on P's rows
-    and a zero row."""
-    signs = _origin_signs(P)
-    if signs is not None and all(s >= 0 for s, _ in signs):
-        return P
-    rows = tuple(sorted(P._rows + (((0, 0),) * P.ambient_dim,)))
-    return _extreme(Polytope._of(P.ambient_dim, rows, P._L, P._d))
-
-
-def visible_facets(P: Polytope) -> tuple[Polytope, ...]:
-    """Facets whose supporting inequality fails strictly at the origin.
-
-    A facet lying on a hyperplane through the origin is not visible.
-    """
+    and a zero row, which a set keeps single when 0 is already a vertex."""
     n = P.ambient_dim
-    if P.is_empty or dim(P) != n:
-        raise ValueError("visible facets need a full-dimensional polytope")
-    signs = _origin_signs(P)
-    if all(s >= 0 for s, _ in signs):
-        raise ValueError("visible facets need 0 outside the polytope")
-    return tuple(_face(P, z) for s, z in signs if s < 0)
+    rows = tuple(sorted({*P._rows, ((0, 0),) * n}))
+    return _extreme(Polytope._of(n, rows, P._L, P._d))
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:

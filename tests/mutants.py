@@ -4,13 +4,19 @@ names the tests that must catch it.
     python tests/mutants.py [NAME ...]
 
 For each entry, or each one named, the runner copies `src/`, `tests/`,
-`perfbench/` and `pyproject.toml` to a temporary directory, applies the entry's `old -> new`
-replacement to its file, which must match exactly once, and runs the
-entry's test node ids there, so that they import the mutated copy.  An
-entry passes only when pytest exits 1, meaning that tests failed.  Exit 0
-means that the mutant survived; 2 to 5 mean an interrupted run, an internal
-or usage error, or no tests collected, none of which is a kill.  The runner
-prints one line per entry and exits 1 if any entry did not pass.
+`perfbench/`, `pyproject.toml`, `README.md` and `BENCHMARK.json` to a
+temporary directory, applies the entry's `old -> new` replacement to its
+file, which must match exactly once, and runs the entry's test node ids
+there, so that they import the mutated copy.  An entry passes only when
+pytest exits 1, meaning that tests failed.  Exit 0 means that the mutant
+survived; 2 to 5 mean an interrupted run, an internal or usage error, or no
+tests collected, none of which is a kill.  The runner prints one line per
+entry and exits 1 if any entry did not pass.
+
+Before any entry runs, the union of the selected entries' node ids runs
+once on an unmutated copy.  If that run does not exit 0, a failure in the
+copy would pass for a kill, so the runner names the failing node ids and
+exits 1 without running the entries.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -178,17 +184,60 @@ CATALOGUE = (
         "zip(validation, values[4:])",
         ("tests/test_harness.py::TestFit::test_round_trip_full",),
     ),
+    Mutant(
+        # a repeated zero row makes `_extreme` drop the vertex 0
+        "cone-hull-keeps-a-second-origin-row", "polytope.py",
+        "    rows = tuple(sorted({*P._rows, ((0, 0),) * n}))\n",
+        "    rows = tuple(sorted(P._rows + (((0, 0),) * n,)))\n",
+        ("tests/test_polytope.py::test_cone_hull_cases",
+         "tests/test_polytope.py::test_origin_signs_agree_with_membership",
+         "tests/test_triangulate.py::test_volume_routes_agree"),
+    ),
+    Mutant(
+        "cone-check-reads-positive-offsets", "harness.py",
+        "if h.offset < 0", "if h.offset > 0",
+        ("tests/test_harness.py::TestConeDecomposition::test_square_worked_example",),
+    ),
 )
+
+
+def _copy(tmp: str) -> None:
+    """The parts of the repo the tests read, copied into tmp."""
+    for part in ("src", "tests", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("pyproject.toml", "README.md", "BENCHMARK.json"):
+        shutil.copy(os.path.join(ROOT, name), tmp)
+
+
+def _pytest(tmp: str, ids, *flags: str) -> subprocess.CompletedProcess:
+    """Pytest on the node ids in the copy at tmp, importing that copy."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, *ids],
+        cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+
+
+def baseline(ids) -> list[str]:
+    """The node ids that do not pass on an unmutated copy: the FAILED and
+    ERROR lines of pytest's summary, or its whole output if it names none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(tmp)
+        result = _pytest(tmp, ids, "-rfE")
+    if result.returncode == 0:
+        return []
+    named = [line.split()[1] for line in result.stdout.splitlines()
+             if line.startswith(("FAILED ", "ERROR "))]
+    return named or [result.stdout.strip()]
 
 
 def run(mutant: Mutant) -> tuple[int, float]:
     """Pytest's exit code on the entry's node ids against a mutated copy,
     and the seconds it took."""
     with tempfile.TemporaryDirectory() as tmp:
-        for part in ("src", "tests", "perfbench"):
-            shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        _copy(tmp)
         target = os.path.join(tmp, "src", "slval", mutant.path)
         with open(target) as fh:
             text = fh.read()
@@ -197,13 +246,8 @@ def run(mutant: Mutant) -> tuple[int, float]:
             raise SystemExit(f"{mutant.name}: the old text matches {found} times in {mutant.path}")
         with open(target, "w") as fh:
             fh.write(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        env.pop("PYTHONPATH", None)
         start = time.perf_counter()
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.kills],
-            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+        code = _pytest(tmp, mutant.kills, "-x").returncode
         return code, time.perf_counter() - start
 
 
@@ -211,10 +255,13 @@ def main(names: list[str]) -> int:
     unknown = set(names) - {m.name for m in CATALOGUE}
     if unknown:
         raise SystemExit(f"no such mutant: {', '.join(sorted(unknown))}")
+    selected = [m for m in CATALOGUE if not names or m.name in names]
+    failing = baseline(sorted({i for m in selected for i in m.kills}))
+    if failing:
+        print("the unmutated copy does not pass:", *failing, sep="\n  ", flush=True)
+        return 1
     failed = 0
-    for mutant in CATALOGUE:
-        if names and mutant.name not in names:
-            continue
+    for mutant in selected:
         code, seconds = run(mutant)
         verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"not a kill (pytest exit {code})")
         failed += code != 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from slval.exactnum import Scalar
 from slval.linalg import Vector
-from slval.polytope import Halfspace, _facet_data, _frame
+from slval.polytope import Halfspace, _facet_data, _frame, facets
 
 
 def indices(z):
@@ -65,3 +65,10 @@ def scalar_frame(P):
 def scalar_facet_data(P):
     """((Halfspace, incident frozenset), ...) of P's facets, in record order."""
     return tuple((Halfspace(*facet(row, P._d)), indices(z)) for row, z in _facet_data(P))
+
+
+def visible_facets(P):
+    """The facets of P whose offset is negative, so that their inequality
+    fails strictly at the origin: the facets whose cones the cone check's
+    decomposed route adds to P's volume."""
+    return tuple(F for h, F in facets(P) if h.offset < 0)

@@ -33,7 +33,6 @@ from slval.polytope import (
     from_points,
     origin,
     transform,
-    visible_facets,
 )
 from slval.triangulate import volume
 from slval.valuation import (
@@ -46,6 +45,7 @@ from slval.valuation import (
 
 from oracles import shoelace_area
 from pulling import Simplex, triangulate, verify_complex
+from records import visible_facets
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:

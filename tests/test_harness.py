@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import slval.polytope
 from slval.exactnum import Scalar
 from slval.linalg import Matrix, Vector, det, random_sl_matrix
 from slval.polytope import (
@@ -13,6 +14,7 @@ from slval.polytope import (
     cone_hull,
     contains,
     dim,
+    facets,
     from_points,
     relint_contains_origin,
     to_json,
@@ -276,6 +278,56 @@ class TestConeDecomposition:
         monkeypatch.setattr("slval.harness.cone_hull", lambda Q: Q)
         outcome = check_cone_decomposition(seg)
         assert outcome == {"hull_volume": Scalar(0), "cone_volume": Scalar(Fraction(1, 2))}
+
+    def test_full_branch_can_fail_on_the_hull_route(self, monkeypatch):
+        # a hull route that forgets the origin gives vol(P) on both oracle
+        # routes, and the cone term must disagree with them
+        sq = P((1, 1), (2, 1), (1, 2), (2, 2))
+        monkeypatch.setattr("slval.harness.cone_hull", lambda Q: Q)
+        outcome = check_cone_decomposition(sq)
+        assert outcome == {"hull_volume": Scalar(1), "decomposed": Scalar(1), "cone_volume": Scalar(2)}
+
+    def test_full_branch_can_fail_on_the_decomposed_route(self, monkeypatch):
+        # a decomposition that misses one visible facet must be caught
+        sq = P((1, 1), (2, 1), (1, 2), (2, 2))
+
+        def one_visible_facet_fewer(Q):
+            found = list(facets(Q))
+            found.remove(next(item for item in found if item[0].offset < 0))
+            return tuple(found)
+
+        monkeypatch.setattr("slval.harness.facets", one_visible_facet_fewer)
+        outcome = check_cone_decomposition(sq)
+        assert set(outcome) == {"hull_volume", "decomposed", "cone_volume"}
+        assert outcome["decomposed"] == Scalar(Fraction(3, 2))
+        assert outcome["hull_volume"] == outcome["cone_volume"] == Scalar(2)
+
+    @pytest.mark.parametrize("n, seed", [(2, 3), (3, 1), (4, 2)])
+    def test_one_hull_pass_per_cone(self, monkeypatch, n, seed):
+        """On a P whose record is filled, the check runs one hull pass for
+        cone_hull(P) and one for each of the v visible facets' cones, and
+        none to place the origin in a facet."""
+        Q = gen_polytope(seed, n, family="avoids_origin")
+        assert dim(Q) == n
+        v = sum(h.offset < 0 for h, _ in facets(Q))
+        assert 0 < v < len(facets(Q))
+        passes = []
+        real = slval.polytope._supporting
+        monkeypatch.setattr(slval.polytope, "_supporting",
+                            lambda *args: passes.append(args) or real(*args))
+        assert check_cone_decomposition(Q) is True
+        assert len(passes) == 1 + v
+
+    def test_oracle_reads_no_origin_sign(self, monkeypatch):
+        """Neither oracle route reads the origin signs that basis_vector's
+        cone term reads through its own binding in slval.valuation."""
+        def refuse(Q):
+            raise AssertionError("the oracle read the origin signs")
+
+        monkeypatch.setattr(slval.polytope, "_origin_signs", refuse)
+        for Q in (P((1, 1), (2, 1), (1, 2), (2, 2)), P((1, 0), (0, 1)),
+                  gen_polytope(1, 3, family="avoids_origin")):
+            assert check_cone_decomposition(Q) is True
 
     def test_flat_branch_needs_origin_off_hull(self):
         with pytest.raises(ValueError):

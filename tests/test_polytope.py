@@ -29,12 +29,12 @@ from slval.polytope import (
     to_json,
     transform,
     translate,
-    visible_facets,
 )
 from slval.triangulate import apex_volume, volume
 from slval.valuation import basis_vector
 
 from oracles import hull2d, in_hull2d, reference_intersect
+from records import scalar_facet_data, visible_facets
 
 
 def P2(*pairs):
@@ -204,8 +204,15 @@ def test_straddling_clip_cuts_only_edges():
 def test_cone_hull_cases():
     assert cone_hull(P2((1, 0), (0, 1))) == P2((0, 0), (1, 0), (0, 1))
     sq = P2((0, 0), (1, 0), (0, 1), (1, 1))
-    assert cone_hull(sq) is sq
+    assert cone_hull(sq) == sq
     assert cone_hull(P2((1, 0))) == P2((0, 0), (1, 0))
+    # 0 a vertex, on an edge and inside: one pass on P's rows and one zero
+    # row keeps exactly P's vertices
+    for P in (P2((0, 0), (1, 0), (0, 1)), P2((-1, 0), (1, 0), (0, 1)),
+              P2((-1, -1), (1, -1), (0, 1))):
+        hull = cone_hull(P)
+        assert hull == P and hull.vertices == P.vertices
+        assert scalar_facet_data(hull) == scalar_facet_data(P)
 
 
 def test_visible_facets_of_triangle():
@@ -224,13 +231,6 @@ def test_visible_facets_through_origin_edge_excluded():
     sq = P2((2, 0), (3, 0), (2, 1), (3, 1))
     vis = visible_facets(sq)
     assert vis == (P2((2, 0), (2, 1)),)
-
-
-def test_visible_facets_errors():
-    with pytest.raises(ValueError):
-        visible_facets(P2((0, 0), (1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        visible_facets(P2((1, 0), (2, 0)))
 
 
 def test_intersect_overlapping_squares():
@@ -626,8 +626,9 @@ def origin_pieces(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_origin_signs_agree_with_membership(n):
-    """Where the record places the origin, and the five readers of it,
-    against `in_affine_hull` and `contains` at 0 and the public facets."""
+    """Where the record places the origin, and the three readers of it,
+    against `in_affine_hull` and `contains` at 0 and the public facets;
+    `cone_hull`, which reads no origin sign, against `contains` too."""
     zero = Vector.zero(n)
     seen = set()
     for P in origin_pieces(n):
@@ -640,15 +641,11 @@ def test_origin_signs_agree_with_membership(n):
         assert relint_contains_origin(P) == relint
         b = basis_vector(P)
         assert (b[1] != 0, b[3] != 0) == (relint, inside)
+        if on_hull:
+            # each facet's sign is that of its public offset, in the same order
+            assert [s for s, _ in signs] == [(h.offset > 0) - (h.offset < 0) for h, _ in facets(P)]
         if not P.is_empty:
-            assert (cone_hull(P) is P) == inside
-        full = not P.is_empty and dim(P) == n
-        if full and not inside:
-            visible = {F for h, F in facets(P) if h.offset < 0}
-            assert set(visible_facets(P)) == visible
-        elif full:
-            with pytest.raises(ValueError):
-                visible_facets(P)
+            assert (cone_hull(P) == P) == inside
         if not P.is_empty and dim(P) == n - 1:
             if on_hull:
                 with pytest.raises(ValueError):
@@ -665,28 +662,24 @@ def test_origin_signs_agree_with_membership(n):
 
 
 def test_origin_readers_convert_no_point(monkeypatch):
-    """Once P's record is filled, `basis_vector`, `relint_contains_origin`,
-    `cone_hull`, `visible_facets` and `apex_volume` read the origin off it
-    and convert no point to integer rows; testing it through
-    `in_affine_hull` or `contains` built and converted a zero Vector in
-    each."""
+    """Once P's record is filled, `basis_vector`, `relint_contains_origin`
+    and `apex_volume` read the origin off it and convert no point to
+    integer rows; testing it through `in_affine_hull` or `contains` built
+    and converted a zero Vector in each.  `cone_hull` converts none either:
+    it adds a zero row to P's rows."""
     zero = Vector.zero(3)
-    pieces = [(P, dim(P), in_affine_hull(P, zero), contains(P, zero))
-              for P in origin_pieces(3) if not P.is_empty]
+    pieces = [(P, dim(P), in_affine_hull(P, zero)) for P in origin_pieces(3) if not P.is_empty]
     calls = []
     real = slval.polytope._integer_rows
     monkeypatch.setattr(slval.polytope, "_integer_rows",
                         lambda rows: calls.append(rows) or real(rows))
     readers = set()
-    for P, k, on_hull, inside in pieces:
+    for P, k, on_hull in pieces:
         basis_vector(P)
         relint_contains_origin(P)
         cone_hull(P)
-        if k == 3 and not inside:
-            visible_facets(P)
-            readers.add("visible_facets")
         if k == 2 and not on_hull:
             apex_volume(P)
             readers.add("apex_volume")
     assert calls == []
-    assert readers == {"visible_facets", "apex_volume"}
+    assert readers == {"apex_volume"}

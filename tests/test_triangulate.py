@@ -18,14 +18,13 @@ from slval.polytope import (
     facets,
     from_points,
     transform,
-    visible_facets,
 )
 from slval.triangulate import _pivot_volume, apex_volume, volume
 from slval.valuation import basis_vector
 
 from oracles import pyramid_volume, shoelace_area
 from pulling import Simplex, Triangulation, triangulate, verify_complex
-from records import scalar_facet_data
+from records import scalar_facet_data, visible_facets
 
 
 def P(*tuples):
