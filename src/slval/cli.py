@@ -20,10 +20,9 @@ import json
 import shlex
 import subprocess
 import sys
-from fractions import Fraction
 
 from .exactnum import FieldMismatchError, Scalar, ScalarParseError, _check_discriminant
-from .harness import fit_classification, run_suite, usc_sequences
+from .harness import _scalarize, fit_classification, run_suite, usc_sequences
 from .polytope import Polytope
 from .polytope import from_json as polytope_from_json
 from .polytope import to_json as polytope_to_json
@@ -237,27 +236,16 @@ def _cmd_demo_usc(args: argparse.Namespace) -> int:
         d0 = Scalar.parse(args.d0)
     except ScalarParseError as exc:
         raise UsageError(str(exc))
-    scales = [Scalar(Fraction(1, 2**k)) for k in range(args.steps)]
-    report = usc_sequences(c0p, d0, scales)
+    (report,) = usc_sequences([(c0p, d0)], args.steps)
     verdict = (
         "not upper semicontinuous"
         if report["violation"]
         else "upper semicontinuous along tested sequences"
     )
     if args.format == "json":
-        payload = {
-            "c0p": str(c0p),
-            "d0": str(d0),
-            "scales": [str(s) for s in scales],
-            "verdict": verdict,
-        }
-        for key in ("sequence1", "sequence2"):
-            payload[key] = {
-                "values": [str(v) for v in report[key]["values"]],
-                "limit_value": str(report[key]["limit_value"]),
-                "violation": report[key]["violation"],
-            }
-        print(json.dumps(payload, sort_keys=True))
+        payload = {"c0p": c0p, "d0": d0, "verdict": verdict,
+                   **{key: report[key] for key in ("scales", "sequence1", "sequence2")}}
+        print(json.dumps(_scalarize(payload), sort_keys=True))
     else:
         tables = (
             ("shrinking segments [-s*e1, s*e1], limit {0}", "sequence1"),
@@ -265,7 +253,7 @@ def _cmd_demo_usc(args: argparse.Namespace) -> int:
         )
         for title, key in tables:
             print(title)
-            for s, v in zip(scales, report[key]["values"]):
+            for s, v in zip(report["scales"], report[key]["values"]):
                 print(f"  s = {str(s):<6} value = {v}")
             print(f"  limit value = {report[key]['limit_value']}")
         print(f"verdict: {verdict}")

@@ -354,13 +354,17 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
     return [Vector._of(tuple(_over(x, D, d))) for x in _kernel(form, pivots, D, ncols)]
 
 
-def random_sl_matrix(seed: int, n: int, steps: int, bound: int = 5) -> Matrix:
+#: the shear factors of `random_sl_matrix` are drawn from [-5, 5]
+_SHEAR_BOUND = 5
+
+
+def random_sl_matrix(seed: int, n: int, steps: int) -> Matrix:
     """Deterministic product of integer shear matrices; determinant is 1.
 
     Right-multiplying by the shear I + lam * e_i e_j^T adds lam times
     column i to column j, so the product is built on ints."""
-    if n < 1 or steps < 0 or bound < 1:
-        raise ValueError("need n >= 1, steps >= 0, bound >= 1")
+    if n < 1 or steps < 0:
+        raise ValueError("need n >= 1, steps >= 0")
     rng = random.Random(seed)
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for _ in range(steps if n > 1 else 0):
@@ -368,7 +372,7 @@ def random_sl_matrix(seed: int, n: int, steps: int, bound: int = 5) -> Matrix:
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        lam = rng.randint(-bound, bound)
+        lam = rng.randint(-_SHEAR_BOUND, _SHEAR_BOUND)
         for row in rows:
             row[j] += lam * row[i]
     return Matrix(rows)

@@ -198,6 +198,18 @@ CATALOGUE = (
         "if h.offset < 0", "if h.offset > 0",
         ("tests/test_harness.py::TestConeDecomposition::test_square_worked_example",),
     ),
+    Mutant(
+        "suite-reads-the-usc-reports-in-reverse", "harness.py",
+        "    usc_bad, usc_good = usc_sequences(",
+        "    usc_good, usc_bad = usc_sequences(",
+        ("tests/test_harness.py::TestSuite::test_default_suite_passes",),
+    ),
+    Mutant(
+        "usc-scales-start-at-one-half", "harness.py",
+        "for k in range(steps))\n",
+        "for k in range(1, steps + 1))\n",
+        ("tests/test_cli.py::TestDemoUsc::test_json_report",),
+    ),
 )
 
 

@@ -266,9 +266,7 @@ def test_union_additivity(capsys):
 
 
 def test_semicontinuity_gap(capsys):
-    scales = [Scalar(Fraction(1, 2**k)) for k in range(5)]
-    broken = usc_sequences(ONE, ZERO, scales)
-    clean = usc_sequences(ZERO, ONE, scales)
+    broken, clean = usc_sequences([(ONE, ZERO), (ZERO, ONE)], steps=5)
     ok = (
         broken["sequence1"]["values"] == [Scalar(-1)] * 5
         and broken["sequence1"]["limit_value"] == ONE

@@ -335,10 +335,14 @@ class TestConeDecomposition:
 
 
 class TestUscSequences:
-    scales = [Scalar(Fraction(1, 2**k)) for k in range(4)]
+    @staticmethod
+    def report(c0p, d0, steps=4):
+        (report,) = usc_sequences([(Scalar(c0p), Scalar(d0))], steps)
+        return report
 
     def test_nonzero_c0p_violates(self):
-        report = usc_sequences(Scalar(1), Scalar(0), self.scales)
+        report = self.report(1, 0)
+        assert report["scales"] == tuple(Scalar(Fraction(1, 2**k)) for k in range(4))
         assert [v == Scalar(-1) for v in report["sequence1"]["values"]] == [True] * 4
         assert report["sequence1"]["limit_value"] == Scalar(1)
         assert not report["sequence1"]["violation"]
@@ -348,35 +352,57 @@ class TestUscSequences:
         assert report["violation"]
 
     def test_negative_c0p_violates_on_first_sequence(self):
-        report = usc_sequences(Scalar(-1), Scalar(0), self.scales)
+        report = self.report(-1, 0)
         assert report["sequence1"]["violation"]
         assert not report["sequence2"]["violation"]
 
     def test_origin_indicator_alone_is_fine(self):
-        report = usc_sequences(Scalar(0), Scalar(1), self.scales)
+        report = self.report(0, 1)
         assert not report["violation"]
         assert report["sequence1"]["values"] == [Scalar(1)] * 4
 
     def test_zero_functional(self):
-        assert not usc_sequences(Scalar(0), Scalar(0), self.scales)["violation"]
+        assert not self.report(0, 0)["violation"]
 
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            usc_sequences(Scalar(1), Scalar(0), [])
-        with pytest.raises(ValueError):
-            usc_sequences(Scalar(1), Scalar(0), [Scalar(1), Scalar(1)])
-        with pytest.raises(ValueError):
-            usc_sequences(Scalar(1), Scalar(0), [Scalar(-1)])
+    def test_one_report_per_pair_from_one_build(self, monkeypatch):
+        """The ten polytopes of four steps are built once and read for
+        every pair, in the order given."""
+        pairs = ((1, 0), (0, 1), (-1, 0), (0, 0))
+        passes = []
+        real = slval.polytope._supporting
+        monkeypatch.setattr(slval.polytope, "_supporting",
+                            lambda *args: passes.append(args) or real(*args))
+        reports = usc_sequences([(Scalar(c0p), Scalar(d0)) for c0p, d0 in pairs], 4)
+        assert len(passes) == 10
+        assert reports == [self.report(c0p, d0) for c0p, d0 in pairs]
 
-    def test_float_scale_is_a_type_error(self):
+    def test_step_count_below_one_is_a_value_error(self):
+        for steps in (0, -1):
+            with pytest.raises(ValueError):
+                usc_sequences([(Scalar(1), Scalar(0))], steps)
+
+    def test_float_step_count_is_a_type_error(self):
         with pytest.raises(TypeError):
-            usc_sequences(Scalar(1), Scalar(1), [0.5])
+            usc_sequences([(Scalar(1), Scalar(1))], 2.0)
 
 
 class TestSuite:
     def test_default_suite_passes(self):
         lines = list(run_suite(2, seed=1, cases=8))
         assert lines and all(line["pass"] for line in lines)
+
+    def test_semicontinuity_lines_build_the_sequences_once(self, monkeypatch):
+        """Between the fit line and the last semicontinuity line the suite
+        runs one hull pass per sequence polytope: four segments, four
+        rhombi and two limits, read for both functionals."""
+        passes = []
+        real = slval.polytope._supporting
+        monkeypatch.setattr(slval.polytope, "_supporting",
+                            lambda *args: passes.append(args) or real(*args))
+        at = {}
+        for line in run_suite(2, seed=0, cases=1):
+            at[line["check"]] = len(passes)
+        assert at["usc_origin_indicator"] - at["fit_roundtrip"] == 10
 
     def test_suite_is_deterministic(self):
         a = list(run_suite(2, seed=3, cases=6))
