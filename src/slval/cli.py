@@ -236,7 +236,10 @@ def _cmd_demo_usc(args: argparse.Namespace) -> int:
         d0 = Scalar.parse(args.d0)
     except ScalarParseError as exc:
         raise UsageError(str(exc))
-    (report,) = usc_sequences([(c0p, d0)], args.steps)
+    try:
+        (report,) = usc_sequences([(c0p, d0)], args.steps)
+    except FieldMismatchError as exc:
+        raise UsageError(f"--c0p and --d0 lie in different fields: {exc}")
     verdict = (
         "not upper semicontinuous"
         if report["violation"]

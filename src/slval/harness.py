@@ -34,7 +34,7 @@ from .polytope import (
     translate,
 )
 from .triangulate import volume
-from .valuation import BASIS_NAMES, ClassifiedValuation, basis_vector, evaluate
+from .valuation import BASIS_NAMES, ClassifiedValuation, _apply, basis_vector, evaluate
 
 _MAX_VERTICES = 12
 _RETRIES = 60
@@ -58,11 +58,6 @@ class SplitCase:
     meet: Polytope
     hyperplane: Halfspace
     opposite: Halfspace
-
-    @property
-    def is_classic(self) -> bool:
-        """Left and right meet only in the shared cutting hyperplane."""
-        return (self.hyperplane.offset + self.opposite.offset).is_zero()
 
 
 @dataclass(frozen=True)
@@ -240,18 +235,16 @@ def classify_split(case: SplitCase) -> str:
 # -- checks --------------------------------------------------------------
 
 
-def check_valuation_identity(val, case: SplitCase):
-    """Exact left + right = whole + meet test; witness has all four values."""
-    lhs = val(case.left) + val(case.right)
-    rhs = val(case.whole) + val(case.meet)
-    if lhs == rhs:
+def _identity(left, right, whole, meet):
+    """True if left + right = whole + meet, else the four values compared."""
+    if left + right == whole + meet:
         return True
-    return {
-        "left": val(case.left),
-        "right": val(case.right),
-        "whole": val(case.whole),
-        "meet": val(case.meet),
-    }
+    return {"left": left, "right": right, "whole": whole, "meet": meet}
+
+
+def check_valuation_identity(val, case: SplitCase):
+    """Exact split identity of val, which is called once per polytope."""
+    return _identity(*(val(Q) for Q in (case.left, case.right, case.whole, case.meet)))
 
 
 def check_sl_invariance(val, P: Polytope, A: Matrix):
@@ -366,7 +359,7 @@ def usc_sequences(functionals, steps: int) -> list[dict]:
 
     The pair names the classified valuation
     c0p * relint_sign + d0 * origin_indicator.  The polytopes are built
-    once and read for every pair.
+    once, their basis vectors read once, and every pair applied to those.
     Upper semicontinuity along a sequence needs value <= limit value.
     """
     scales = tuple(Scalar(Fraction(1, 2**k)) for k in range(steps))
@@ -374,20 +367,22 @@ def usc_sequences(functionals, steps: int) -> list[dict]:
         raise ValueError("need steps >= 1")
     e1 = Vector.basis(2, 0)
     e2 = Vector.basis(2, 1)
+
+    def read(*points: Vector):
+        return basis_vector(from_points(list(points), 2))
+
     sequences = (
-        ("sequence1", [from_points([e1.scale(-s), e1.scale(s)], 2) for s in scales],
-         from_points([origin(2)], 2)),
-        ("sequence2", [from_points([e1.scale(-s), e1.scale(s), -e2, e2], 2) for s in scales],
-         from_points([-e2, e2], 2)),
+        ("sequence1", [read(e1.scale(-s), e1.scale(s)) for s in scales], read(origin(2))),
+        ("sequence2", [read(e1.scale(-s), e1.scale(s), -e2, e2) for s in scales], read(-e2, e2)),
     )
 
     reports = []
     for c0p, d0 in functionals:
         functional = ClassifiedValuation(ZERO, c0p, d0, Linear(ZERO), Linear(ZERO))
         report: dict = {"scales": scales}
-        for name, polys, limit in sequences:
-            values = [evaluate(functional, P) for P in polys]
-            limit_value = evaluate(functional, limit)
+        for name, terms, limit in sequences:
+            values = [_apply(functional, b) for b in terms]
+            limit_value = _apply(functional, limit)
             report[name] = {
                 "values": values,
                 "limit_value": limit_value,
@@ -439,10 +434,8 @@ def run_suite(
         R = gen_polytope(_sub_seed(seed, 100 + i), n, max_vertices=6, coord_bound=3, family=family)
         case = gen_split(_sub_seed(seed, 200 + i) * 20 + i % 20, R)
         sides = [basis_vector(Q) for Q in (case.left, case.right, case.whole, case.meet)]
-        witnesses = {}
-        for name, (left, right, whole, meet) in zip(BASIS_NAMES, zip(*sides)):
-            if left + right != whole + meet:
-                witnesses[name] = {"left": left, "right": right, "whole": whole, "meet": meet}
+        outcomes = zip(BASIS_NAMES, map(_identity, *sides))
+        witnesses = {name: outcome for name, outcome in outcomes if outcome is not True}
         yield _line("valuation_identity", i, witnesses or True, label=classify_split(case))
 
     for i in range(cases):

@@ -205,6 +205,19 @@ CATALOGUE = (
         ("tests/test_harness.py::TestSuite::test_default_suite_passes",),
     ),
     Mutant(
+        "suite-keeps-no-identity-witness", "harness.py",
+        "for name, outcome in outcomes if outcome is not True}",
+        "for name, outcome in outcomes if False}",
+        ("tests/test_harness.py::TestSuite::test_identity_line_names_the_broken_column",),
+    ),
+    Mutant(
+        "identity-always-holds", "harness.py",
+        "    if left + right == whole + meet:\n",
+        "    if True:\n",
+        ("tests/test_harness.py::TestIdentityCheck::test_broken_functional_yields_witness",
+         "tests/test_harness.py::TestSuite::test_broken_plugin_reports_witness"),
+    ),
+    Mutant(
         "usc-scales-start-at-one-half", "harness.py",
         "for k in range(steps))\n",
         "for k in range(1, steps + 1))\n",

@@ -46,6 +46,7 @@ from slval.valuation import (
 from oracles import shoelace_area
 from pulling import Simplex, triangulate, verify_complex
 from records import visible_facets
+from splits import through_origin
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:
@@ -75,7 +76,7 @@ def test_split_identity_bulk(capsys):
             R = gen_polytope(_sub_seed(11 + n, 100 + i), n, max_vertices=6,
                              coord_bound=3, family=_split_family(11 + n, i))
             case = gen_split(_sub_seed(11 + n, 500 + i) * 20 + i % 20, R)
-            through[n] += case.is_classic and case.hyperplane.offset.is_zero()
+            through[n] += through_origin(case)
             for j, name in enumerate(BASIS_NAMES):
                 if check_valuation_identity(lambda Q: basis_vector(Q)[j], case) is not True:
                     bad.append((n, i, name))

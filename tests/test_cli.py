@@ -463,6 +463,14 @@ class TestDemoUsc:
         code = main(["demo-usc", "--c0p", "one"])
         assert code == 2
 
+    def test_coefficients_from_two_fields_exit_2(self, capsys):
+        code = main(["demo-usc", "--c0p", "1+1*sqrt(2)", "--d0", "1+1*sqrt(3)"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --c0p and --d0 lie in different fields: "
+                                "cannot mix sqrt(2) with sqrt(3)\n")
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

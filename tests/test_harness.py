@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import slval.harness
 import slval.polytope
+import slval.valuation
 from slval.exactnum import Scalar
 from slval.linalg import Matrix, Vector, det, random_sl_matrix
 from slval.polytope import (
@@ -37,6 +39,7 @@ from slval.triangulate import volume
 from slval.valuation import ClassifiedValuation, basis_vector, evaluate
 
 from oracles import shoelace_area
+from splits import is_classic, through_origin
 
 
 def P(*tuples):
@@ -44,11 +47,6 @@ def P(*tuples):
 
 
 SQUARE_AROUND_0 = P((-2, -1), (2, -1), (-2, 1), (2, 1))
-
-
-def through_origin(case):
-    """Left and right meet in one hyperplane, and it passes through 0."""
-    return case.is_classic and case.hyperplane.offset.is_zero()
 
 
 class TestGenPolytope:
@@ -107,7 +105,7 @@ class TestGenSplit:
             if seed % 20 < 5:
                 case = gen_split(seed, SQUARE_AROUND_0)
                 assert through_origin(case)
-                assert case.is_classic
+                assert is_classic(case)
 
     def test_segment_split_through_origin(self):
         seg = P((-1, 0), (1, 0))
@@ -190,6 +188,22 @@ class TestIdentityCheck:
         witness = check_valuation_identity(lambda p: Scalar(dim(p)), case)
         assert witness is not True
         assert witness["left"] + witness["right"] != witness["whole"] + witness["meet"]
+
+    def test_witness_holds_the_values_compared(self):
+        """val is called once per polytope, and the witness holds the answers
+        of those four calls, even from a functional that answers each call
+        differently."""
+        calls = []
+
+        def drifting(Q):
+            calls.append(Q)
+            return Scalar(len(calls))
+
+        case = gen_split(0, SQUARE_AROUND_0)
+        witness = check_valuation_identity(drifting, case)
+        assert calls == [case.left, case.right, case.whole, case.meet]
+        assert witness == {"left": Scalar(1), "right": Scalar(2),
+                           "whole": Scalar(3), "meet": Scalar(4)}
 
 
 class TestSlInvariance:
@@ -376,6 +390,16 @@ class TestUscSequences:
         assert len(passes) == 10
         assert reports == [self.report(c0p, d0) for c0p, d0 in pairs]
 
+    def test_one_basis_read_per_polytope(self, monkeypatch):
+        """Two pairs at four steps read the basis vector of each of the ten
+        polytopes once."""
+        reads = []
+        counted = lambda Q: reads.append(Q) or basis_vector(Q)
+        monkeypatch.setattr(slval.harness, "basis_vector", counted)
+        monkeypatch.setattr(slval.valuation, "basis_vector", counted)
+        usc_sequences([(Scalar(1), Scalar(0)), (Scalar(0), Scalar(1))], 4)
+        assert len(reads) == 10
+
     def test_step_count_below_one_is_a_value_error(self):
         for steps in (0, -1):
             with pytest.raises(ValueError):
@@ -403,6 +427,26 @@ class TestSuite:
         for line in run_suite(2, seed=0, cases=1):
             at[line["check"]] = len(passes)
         assert at["usc_origin_indicator"] - at["fit_roundtrip"] == 10
+
+    def test_identity_line_names_the_broken_column(self, monkeypatch):
+        """A volume entry raised by dim Q breaks the identity on case 0, a
+        classic split whose meet has one dimension less than the other three
+        polytopes; the witness names the volume column alone, with the four
+        values compared."""
+        reads = []
+
+        def raised(Q):
+            b = basis_vector(Q)
+            reads.append(b[:2] + (b[2] + Scalar(dim(Q)),) + b[3:])
+            return reads[-1]
+
+        monkeypatch.setattr(slval.harness, "basis_vector", raised)
+        line = next(run_suite(2, seed=0, cases=1))
+        assert line["check"] == "valuation_identity"
+        assert not line["pass"]
+        left, right, whole, meet = (str(b[2]) for b in reads)
+        assert line["witness"] == {
+            "volume": {"left": left, "right": right, "whole": whole, "meet": meet}}
 
     def test_suite_is_deterministic(self):
         a = list(run_suite(2, seed=3, cases=6))
