@@ -378,7 +378,7 @@ class RationalPart(CauchySolution):
     __slots__ = ()
 
     def value_at(self, x: Scalar) -> Scalar:
-        return Scalar(x.a)
+        return Scalar._make(x._qa, 0, x._q, 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPart)

@@ -26,10 +26,12 @@ A polytope runs that pass itself, on first use, or is handed the record
 when it is built: by `from_points` and `cone_hull` (the record of their one
 pass, renumbered), by a clip through its interior (the parent's frame, the
 parent's facets through their kept vertices and crossing points, and the
-cut restricted to the parent's affine hull) or by a translate (the
-parent's, offsets shifted).  Facets, faces a clip leaves and SL images are
-bare points.  A point has no facets.  The record is canonical, so every
-hand-over equals what a fresh pass on the same vertices derives.
+cut restricted to the parent's affine hull), by a clip that leaves a facet
+(the parent's frame and the facet row, and per ridge in it the other facet
+through it, restricted) or by a translate (the parent's, offsets shifted).
+`facets`, smaller faces and SL images are bare points.  A point has no
+facets.  The record is canonical, so every hand-over equals what a fresh
+pass on the same vertices derives.
 """
 
 from __future__ import annotations
@@ -317,6 +319,14 @@ def _face(P: Polytope, z: int) -> Polytope:
     return Polytope._of(P.ambient_dim, tuple(P._rows[i] for i in _indices(z)), P._L, P._d)
 
 
+def _ridges(face: int, masks, k: int) -> dict[int, int]:
+    """The facets of the k-face `face` of a polytope with facet bitmasks
+    `masks`, each with the index of a facet through it: the maximal proper
+    meets of face with masks that have at least k vertices."""
+    meets = {r: g for g, m in enumerate(masks) if (r := face & m) != face and r.bit_count() >= k}
+    return {r: g for r, g in meets.items() if not any(r & s == r != s for s in meets)}
+
+
 def _extreme(raw: Polytope) -> Polytope:
     """The hull of raw's points, handed the record of raw's pass, renumbered:
     a point is extreme iff it is the only point on every facet through it."""
@@ -422,11 +432,15 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
     through both are exactly the pair (Kaibel and Pfetsch 2002); no facet
     of a segment passes through both its vertices, so all are left.
 
-    A cut that leaves a face of P returns its bare points.  A cut with a
-    vertex strictly inside has the affine hull of P, so it is handed P's
-    frame and its facets: those of P with a vertex strictly inside, through
-    their kept vertices and their crossing points, and the cut restricted
-    to aff P, through the kept vertices on it and every crossing point.
+    A cut that leaves a face of P returns its points, and hands a facet of
+    P its record: the facet row, positive and rational on its last nonzero
+    entry c, pins the new free column c, where it clears each old equality,
+    made primitive; the facet's facets are the ridges of P in it, each the
+    row of the one other facet through it, restricted.  A cut with a vertex
+    strictly inside has the affine hull of P, so it is handed P's frame and
+    its facets: those of P with a vertex strictly inside, through their
+    kept vertices and their crossing points, and the cut restricted to
+    aff P, through the kept vertices on it and every crossing point.
 
     With vertices X_i / L, vertex i has the sign of E_i = <W, X_i> - C L,
     and edge ij meets the cut at (E_i X_j - E_j X_i) / (L (E_i - E_j)),
@@ -446,7 +460,24 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
     if not kept:
         return Polytope.empty(n)
     if all(signs[i] == 0 for i in kept):
-        return _face(P, sum(1 << i for i in kept))
+        z = sum(1 << i for i in kept)
+        F = _face(P, z)
+        (pivots, equalities), data = _hull(P)
+        masks = [m for _, m in data]
+        if z in masks:
+            h = data[masks.index(z)][0]
+            c = _last(h)
+            h = h if h[c][0] > 0 else tuple((-a, -b) for a, b in h)
+            free = [col for col in range(n) if col not in pivots]
+            rows = {col: e if e[c] == (0, 0) else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))
+                    for col, e in zip(free, equalities)}
+            rows[c] = h
+            frame = (tuple(p for p in pivots if p != c), tuple(rows[col] for col in sorted(rows)))
+            ridges = _ridges(z, masks, len(pivots) - 1) if len(pivots) > 1 else {}
+            _fill_hull(F, frame, [(_restricted(frame, data[g][0], P._d),
+                                   sum(1 << new for new, i in enumerate(kept) if r >> i & 1))
+                                  for r, g in ridges.items()])
+        return F
     frame, data = _hull(P)
     everything = (1 << len(signs)) - 1
     crossing = []

@@ -27,20 +27,18 @@ from math import factorial
 
 from .exactnum import ZERO, Scalar, _surd_sign
 from .linalg import _det
-from .polytope import Polytope, _facet_data, _frame, _origin_signs, dim
+from .polytope import Polytope, _facet_data, _frame, _origin_signs, _ridges, dim
 
 
 def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
     """Cells of the pulling triangulation of the k-face `face`, as vertex
-    bitmasks; `masks` are the polytope's facet bitmasks.  A facet of the
-    face has at least k vertices, and one through the apex is skipped."""
+    bitmasks; `masks` are the polytope's facet bitmasks.  The face's facets
+    are its `_ridges`, and those through the apex are skipped."""
     if face.bit_count() == k + 1:
         return [face]
     if face not in memo:
         apex = face & -face
-        meets = {g for g in (face & m for m in masks) if g != face and g.bit_count() >= k}
-        memo[face] = [cell | apex for g in meets
-                      if not g & apex and not any(g & h == g != h for h in meets)
+        memo[face] = [cell | apex for g in _ridges(face, masks, k) if not g & apex
                       for cell in _cells(masks, g, k - 1, memo)]
     return memo[face]
 

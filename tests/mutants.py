@@ -142,16 +142,29 @@ CATALOGUE = (
     ),
     Mutant(
         "pulling-cones-through-the-apex", "triangulate.py",
-        "if not g & apex and not any(",
-        "if not any(",
+        "for g in _ridges(face, masks, k) if not g & apex\n",
+        "for g in _ridges(face, masks, k)\n",
         ("tests/test_triangulate.py::test_volume_of_unit_square_and_cube",),
     ),
     Mutant(
         # equivalent below dimension 5, where the vertex count alone decides
-        "pulling-keeps-non-maximal-meets", "triangulate.py",
-        "if not g & apex and not any(g & h == g != h for h in meets)",
-        "if not g & apex",
+        "pulling-keeps-non-maximal-meets", "polytope.py",
+        " if not any(r & s == r != s for s in meets)}",
+        "}",
         ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
+    ),
+    Mutant(
+        "facet-handover-skips-the-clearing", "polytope.py",
+        "rows = {col: e if e[c] == (0, 0) else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",
+        "rows = {col: e if True else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",
+        ("tests/test_hull.py::test_facet_handover_clears_the_later_equalities",),
+    ),
+    Mutant(
+        "facet-handover-keeps-the-parent-numbering", "polytope.py",
+        "sum(1 << new for new, i in enumerate(kept) if r >> i & 1))\n",
+        "r)\n",
+        ("tests/test_hull.py::test_facet_handover_over_q_sqrt2",
+         "tests/test_hull.py::test_facet_handovers_equal_fresh_passes"),
     ),
     Mutant(
         "supporting-skips-the-third-ray-test", "polytope.py",

@@ -3,11 +3,11 @@
 The oracles in `oracles.py` share no code with `polytope`: the facets
 come from testing the hyperplane through every k-subset of the points, and
 the frame from the reduced echelon form of the differences v - v0.  The
-pass yields both from one elimination.  Clips through the interior and
-translates are handed their face data instead of running the pass;
-facets, faces a clip leaves and SL images run their own.  The tests
-compare each with a fresh pass on the same vertices and count the passes
-run and the eliminations.
+pass yields both from one elimination.  Clips through the interior, clips
+that leave a facet and translates are handed their face data instead of
+running the pass; facets, smaller faces a clip leaves and SL images run
+their own.  The tests compare each with a fresh pass on the same vertices
+and count the passes run and the eliminations.
 """
 
 import random
@@ -26,6 +26,7 @@ from slval.polytope import (
     Polytope,
     _facet_data,
     _frame,
+    _hull,
     _supporting,
     clip,
     facets,
@@ -477,8 +478,9 @@ def test_derived_face_data_equals_a_fresh_pass(case):
 
 
 def test_derived_polytopes_are_handed_their_facets():
-    """Clips through the interior and a translate come with their facets;
-    the cut that leaves a facet and an SL image are bare points.
+    """Clips through the interior, a translate and the cut that leaves a
+    facet come with their facets; an SL image and the faces that `facets`
+    builds are bare points.
 
     The cut x + y + z <= 1 passes through three vertices of the cube, and
     each of the facets x = 1, y = 1 and z = 1 meets it in one vertex only,
@@ -486,16 +488,76 @@ def test_derived_polytopes_are_handed_their_facets():
     cube = from_points([Vector(p) for p in product(range(2), repeat=3)])
     derived = [clip(cube, Halfspace(Vector([1, 1, 1]), c)) for c in (Fraction(3, 2), 1)]
     derived.append(translate(cube, Vector([1, 0, -1])))
+    top = clip(cube, Halfspace(Vector([0, 0, -1]), -1))
+    derived.append(top)
     for Q in derived:
         assert Q._hull is not None
-        assert _facet_data(Q) == _facet_data(Polytope(3, Q.vertices))
+        assert _hull(Q) == _hull(Polytope(3, Q.vertices))
     assert len(_facet_data(derived[1])) == 4
-    top = clip(cube, Halfspace(Vector([0, 0, -1]), -1))
-    image = transform(random_sl_matrix(5, 3, 4), cube)
-    for Q in (top, image):
-        assert Q._hull is None
     assert top == from_points([Vector([x, y, 1]) for x in range(2) for y in range(2)])
+    assert len(_facet_data(top)) == 4
+    image = transform(random_sl_matrix(5, 3, 4), cube)
     assert image == from_points(image.vertices)
+    for Q in (image, *(F for _, F in facets(cube))):
+        assert Q._hull is None
+
+
+def assert_facets_handed_fresh_records(P):
+    """Each facet of P, left by the clip to its reversed halfspace, is
+    handed its record, and that record equals a fresh pass on a bare
+    copy."""
+    clipped = [clip(P, Halfspace(-H.normal, -H.offset)) for H, _ in facets(P)]
+    assert clipped == [F for _, F in facets(P)]
+    for F in clipped:
+        assert F._hull is not None
+        assert _hull(F) == _hull(Polytope._of(F.ambient_dim, F._rows, F._L, F._d))
+    return clipped
+
+
+def test_facet_handover_clears_the_later_equalities():
+    """The square [0, 1]^2 lifted to the plane z = x + y in R^3: its frame
+    equality -x - y + z = 0 is nonzero on the last column of every facet
+    row (x or y), so each handed facet clears it there.  The facet y = 1
+    keeps z = x + 1, 0 on the new free column y."""
+    P = from_points([Vector([x, y, x + y]) for x in range(2) for y in range(2)])
+    (equality,) = _frame(P)[1]
+    assert all(equality[polytope._last(row)] != (0, 0) for row, _ in _facet_data(P))
+    clipped = assert_facets_handed_fresh_records(P)
+    edge = from_points([Vector([0, 1, 1]), Vector([1, 1, 2])])
+    (F,) = [F for F in clipped if F == edge]
+    assert _frame(F) == ((0,), (((0, 0), (1, 0), (0, 0), (1, 0)), ((-1, 0), (0, 0), (1, 0), (1, 0))))
+
+
+def test_facet_handover_of_a_segment_is_a_point():
+    segment = from_points([Vector([0, 0]), Vector([2, 2])])
+    for F in assert_facets_handed_fresh_records(segment):
+        assert len(F.vertices) == 1 and _facet_data(F) == ()
+
+
+def test_facet_handover_over_q_sqrt2():
+    """A 3-polytope over Q(sqrt 2) whose facets are polygons with surd
+    edge rows."""
+    P, _ = surd_slabs(3)
+    clipped = assert_facets_handed_fresh_records(P)
+    assert any(b for F in clipped for row, _ in _facet_data(F) for _, b in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_facet_handovers_equal_fresh_passes(n):
+    """Every facet of seeded hulls in R^n, full-dimensional, flat (in the
+    hyperplane x_n = x_1 - 2 x_2 + 1, or x_2 = x_1 + 1 in R^2) or sheared
+    over Q(sqrt 2)."""
+    rng = random.Random(800 + n)
+    checked = 0
+    for kind in ("cloud", "flat", "surd") * 4:
+        raw = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 4)]
+        points = as_scalars(raw)
+        if kind == "flat" and n > 1:
+            points = [p[:-1] + [p[0] - 2 * p[1] + 1 if n > 2 else p[0] + 1] for p in points]
+        elif kind == "surd":
+            points = [[x + ROOT2 * y for x, y in zip(p, p[1:] + [Scalar(0)])] for p in points]
+        checked += len(assert_facets_handed_fresh_records(from_points(points)))
+    assert checked > 0
 
 
 def count_passes(monkeypatch):
@@ -512,17 +574,17 @@ def count_passes(monkeypatch):
     return calls
 
 
-def surd_slabs():
-    """A polytope in R^3 over Q(sqrt 2) and its three slabs between two
+def surd_slabs(n=3):
+    """A polytope in R^n over Q(sqrt 2) and its three slabs between two
     parallel cuts."""
     rng = random.Random(8)
     while True:
         points = [Vector([Scalar(rng.randint(-3, 3)) + ROOT2 * rng.randint(-2, 2)
-                          for _ in range(3)]) for _ in range(6)]
+                          for _ in range(n)]) for _ in range(6)]
         P = from_points(points)
-        if polytope.dim(P) == 3:
+        if polytope.dim(P) == n:
             break
-    u = Vector([1, -2, 1])
+    u = Vector([1, -2, 1][:n])
     values = [u.dot(v) for v in P.vertices]
     low, high = min(values), max(values)
     c1, c2 = low + (high - low) * Fraction(1, 4), low + (high - low) * Fraction(5, 8)
@@ -555,15 +617,17 @@ def test_derived_polytopes_run_no_hull_pass(monkeypatch):
     assert calls == [4]
 
 
-def test_slab_union_runs_one_pass_per_planar_meet(monkeypatch):
-    """Checked by inclusion-exclusion, the slab split runs one pass for
-    each of the two planar meets of adjacent slabs, which are faces that a
-    clip leaves; the meet of the outer slabs is empty."""
+def test_slab_union_runs_no_hull_pass(monkeypatch):
+    """Checked by inclusion-exclusion, the slab splits in R^2 and R^3 run no
+    pass: the meets of adjacent slabs, segments and polygons, are facets
+    that a clip leaves and is handed; the meet of the outer slabs is
+    empty."""
     calls = count_passes(monkeypatch)
-    P, slabs = surd_slabs()
-    calls.clear()
-    assert evaluate_union(SLAB_VALUATION, slabs) == evaluate(SLAB_VALUATION, P)
-    assert calls == [2, 2]
+    for n in (2, 3):
+        P, slabs = surd_slabs(n)
+        calls.clear()
+        assert evaluate_union(SLAB_VALUATION, slabs) == evaluate(SLAB_VALUATION, P)
+        assert calls == []
 
 
 def test_flat_and_low_dimensional_derivations_run_no_hull_pass(monkeypatch):
