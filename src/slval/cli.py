@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import shlex
-import subprocess
 import sys
 
 from .exactnum import FieldMismatchError, Scalar, ScalarParseError, _check_discriminant
@@ -158,6 +156,8 @@ def _cmd_valuate(args: argparse.Namespace) -> int:
 
 
 def _oracle_values(cmd: str, polys: list[Polytope]) -> list[Scalar]:
+    import shlex
+    import subprocess
     payload = "".join(json.dumps(polytope_to_json(P), sort_keys=True) + "\n" for P in polys)
     try:
         proc = subprocess.run(

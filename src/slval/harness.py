@@ -13,8 +13,8 @@ actually occur.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar
 from .linalg import Matrix, Vector, det, random_sl_matrix, solve
@@ -44,12 +44,12 @@ _FALLBACK = {"degenerate": "generic", "slab": "inclusion"}
 FAMILIES = ("generic", "contains_origin", "origin_in_relint", "avoids_origin", "lower_dim")
 
 
-def _sub_seed(seed: int, tag: int) -> int:
-    return seed * 1_000_003 + tag
+def _sub_seed(seed: int, tag: int, case: int = 0) -> int:
+    # case >= 100 of the family at `tag` moves to tag * 1000 + case, off the other families
+    return seed * 1_000_003 + (tag + case if case < 100 else tag * 1000 + case)
 
 
-@dataclass(frozen=True)
-class SplitCase:
+class SplitCase(NamedTuple):
     """Covering pair left/right of whole, cut out by opposite halfspaces."""
 
     whole: Polytope
@@ -60,8 +60,7 @@ class SplitCase:
     opposite: Halfspace
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     coefficients: tuple[Scalar, Scalar, Scalar, Scalar, Scalar]
     probe_values: tuple[Scalar, Scalar, Scalar, Scalar, Scalar]
     residual_max: Scalar
@@ -431,8 +430,8 @@ def run_suite(
 
     for i in range(cases):
         family = ("origin_in_relint", "contains_origin", "generic", "avoids_origin")[i % 4]
-        R = gen_polytope(_sub_seed(seed, 100 + i), n, max_vertices=6, coord_bound=3, family=family)
-        case = gen_split(_sub_seed(seed, 200 + i) * 20 + i % 20, R)
+        R = gen_polytope(_sub_seed(seed, 100, i), n, max_vertices=6, coord_bound=3, family=family)
+        case = gen_split(_sub_seed(seed, 200, i) * 20 + i % 20, R)
         sides = [basis_vector(Q) for Q in (case.left, case.right, case.whole, case.meet)]
         outcomes = zip(BASIS_NAMES, map(_identity, *sides))
         witnesses = {name: outcome for name, outcome in outcomes if outcome is not True}
@@ -440,8 +439,8 @@ def run_suite(
 
     for i in range(cases):
         family = FAMILIES[i % len(FAMILIES)]
-        P = gen_polytope(_sub_seed(seed, 300 + i), n, max_vertices=6, coord_bound=3, family=family)
-        A = random_sl_matrix(_sub_seed(seed, 400 + i), n, steps=6)
+        P = gen_polytope(_sub_seed(seed, 300, i), n, max_vertices=6, coord_bound=3, family=family)
+        A = random_sl_matrix(_sub_seed(seed, 400, i), n, steps=6)
         outcome = check_sl_invariance(lambda Q: evaluate(reference, Q), P, A)
         yield _line("sl_invariance", i, outcome)
 
@@ -450,12 +449,12 @@ def run_suite(
             c0=ZERO, c0p=ZERO, d0=ZERO, psi=RationalPart(), phi=Linear(ZERO)
         )
         for i, box in enumerate(surd_simplices(n, field_d, min(cases, 5))):
-            A = random_sl_matrix(_sub_seed(seed, 600 + i), n, steps=4)
+            A = random_sl_matrix(_sub_seed(seed, 600, i), n, steps=4)
             outcome = check_sl_invariance(lambda Q: evaluate(surd_val, Q), box, A)
             yield _line("sl_invariance_rational_part", i, outcome)
 
     for i in range(cases):
-        P = gen_polytope(_sub_seed(seed, 700 + i), n, max_vertices=6, coord_bound=3,
+        P = gen_polytope(_sub_seed(seed, 700, i), n, max_vertices=6, coord_bound=3,
                          family="avoids_origin")
         yield _line("cone_decomposition", i, check_cone_decomposition(P))
 

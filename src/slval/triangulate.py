@@ -75,8 +75,9 @@ def _pivot_volume(P: Polytope) -> Scalar:
     return Scalar._make(*P._volume, P._d)
 
 
-# the cache stays only because perfbench/tracing.py reads cache_info() by name
-@lru_cache(maxsize=None)
+# size 0 stores and hashes nothing (P's `_volume` slot keeps its volume); the wrapper
+# stays only for the cache_info() perfbench/tracing.py reads, until the tracer changes
+@lru_cache(maxsize=0)
 def volume(P: Polytope) -> Scalar:
     """Lebesgue volume in the ambient dimension; 0 below full dimension."""
     if P.is_empty or dim(P) < P.ambient_dim:

@@ -26,7 +26,7 @@ bitmasks: no second hull and no facet polytope is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import (
     ONE,
@@ -73,8 +73,7 @@ def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     return ONE, sign if relint else ZERO, vol, ONE if inside else ZERO, cone
 
 
-@dataclass(frozen=True)
-class ClassifiedValuation:
+class ClassifiedValuation(NamedTuple):
     c0: Scalar
     c0p: Scalar
     d0: Scalar

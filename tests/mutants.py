@@ -224,6 +224,26 @@ CATALOGUE = (
         ("tests/test_harness.py::TestSuite::test_identity_line_names_the_broken_column",),
     ),
     Mutant(
+        "suite-seeds-cases-past-100-on-other-families", "harness.py",
+        "(tag + case if case < 100 else tag * 1000 + case)",
+        "(tag + case)",
+        ("tests/test_harness.py::TestSuite::test_no_two_cases_draw_one_polytope",),
+    ),
+    Mutant(
+        "volume-cache-keeps-polytopes", "triangulate.py",
+        "@lru_cache(maxsize=0)\n",
+        "@lru_cache(maxsize=None)\n",
+        ("tests/test_footprint.py::test_slab_unions_keep_no_polytope",
+         "tests/test_footprint.py::test_verify_leaves_the_volume_cache_empty",
+         "tests/test_exact_only.py::test_source_adds_no_cache[triangulate.py]"),
+    ),
+    Mutant(
+        "cli-imports-subprocess-at-load", "cli.py",
+        "import json\nimport sys\n",
+        "import json\nimport subprocess\nimport sys\n",
+        ("tests/test_footprint.py::test_importing_the_cli_loads_no_oracle_or_introspection_module",),
+    ),
+    Mutant(
         "identity-always-holds", "harness.py",
         "    if left + right == whole + meet:\n",
         "    if True:\n",

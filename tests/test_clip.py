@@ -278,7 +278,6 @@ def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
     Scalars."""
     cells = sum(pulling_cells(P) for P in guard_polytopes())
     fresh = [Polytope(P.ambient_dim, P.vertices) for P in guard_polytopes()]
-    volume.cache_clear()
     derived = []
     for name in ("_supporting", "_restricted"):
         real = getattr(slval.polytope, name)

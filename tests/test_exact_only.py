@@ -1,9 +1,11 @@
 """The package computes exactly: no module under src/slval holds a float
 literal, calls float, or reads anything of math beyond its integer
-functions gcd, lcm and factorial.  Nor does it add a module-level cache:
-derived data lives on the polytope that owns it, and the one
-`functools.lru_cache` left, on `triangulate.volume`, stays only because
-perfbench/tracing.py reads its `cache_info()`."""
+functions gcd, lcm and factorial.  Nor does it keep a module-level cache:
+derived data lives on the polytope that owns it.  The one
+`functools.lru_cache` left, on `triangulate.volume`, has maxsize=0, so it
+stores nothing; it stays only because perfbench/tracing.py reads its
+`cache_info()`.  Any other size, a bare `lru_cache` or `functools.cache`
+fails the check."""
 
 import ast
 from pathlib import Path
@@ -33,12 +35,19 @@ def inexact_uses(tree: ast.AST) -> list[str]:
 
 CACHES = {"lru_cache", "cache"}
 #: the module-level caches allowed, by file: the functions they decorate
-ALLOWED_CACHES = {"triangulate.py": ["volume"]}
+ALLOWED_CACHES = {"triangulate.py": ["volume (maxsize=0)"]}
+
+
+def _stores_nothing(call: ast.Call) -> bool:
+    """Whether the call is lru_cache(0) or lru_cache(maxsize=0)."""
+    sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    return len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and sizes[0].value == 0
 
 
 def cache_uses(tree: ast.AST) -> list[str]:
     """Each use of functools.lru_cache or functools.cache: the name of the
-    function it decorates, or else its line."""
+    function it decorates, or else its line, marked "(maxsize=0)" when it
+    is called with size 0."""
     names = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "functools"
              for alias in node.names if alias.name in CACHES}
@@ -48,12 +57,15 @@ def cache_uses(tree: ast.AST) -> list[str]:
     decorating = {id(sub): node.name for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   for decorator in node.decorator_list for sub in ast.walk(decorator)}
+    empty = {id(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _stores_nothing(node)}
     found = []
     for node in ast.walk(tree):
         if ((isinstance(node, ast.Name) and node.id in names)
                 or (isinstance(node, ast.Attribute) and node.attr in CACHES
                     and isinstance(node.value, ast.Name) and node.value.id in modules)):
-            found.append(decorating.get(id(node), f"line {node.lineno}"))
+            use = decorating.get(id(node), f"line {node.lineno}")
+            found.append(f"{use} (maxsize=0)" if id(node) in empty else use)
     return sorted(found)
 
 
@@ -96,6 +108,23 @@ def test_source_adds_no_cache(path):
 ])
 def test_the_cache_check_can_fail(snippet, found):
     assert cache_uses(ast.parse(snippet)) == found
+
+
+@pytest.mark.parametrize("decorator, found", [
+    ("@lru_cache(maxsize=0)", ["volume (maxsize=0)"]),
+    ("@functools.lru_cache(0)", ["volume (maxsize=0)"]),
+    ("@lru_cache(maxsize=None)", ["volume"]),
+    ("@lru_cache(maxsize=128)", ["volume"]),
+    ("@lru_cache(None)", ["volume"]),
+    ("@lru_cache", ["volume"]),
+    ("@lru_cache()", ["volume"]),
+    ("@cache", ["volume"]),
+])
+def test_only_a_size_0_volume_cache_is_allowed(decorator, found):
+    """Each stored cache on `volume` reads as plain "volume", which is not
+    the allowed "volume (maxsize=0)"."""
+    imports = "import functools\nfrom functools import cache, lru_cache\n"
+    assert cache_uses(ast.parse(f"{imports}{decorator}\ndef volume(P):\n    return P")) == found
 
 
 def test_other_functools_passes():

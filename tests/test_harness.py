@@ -448,6 +448,23 @@ class TestSuite:
         assert line["witness"] == {
             "volume": {"left": left, "right": right, "whole": whole, "meet": meet}}
 
+    def test_no_two_cases_draw_one_polytope(self, monkeypatch):
+        """Every polytope a 300-case suite draws, the fit's validation
+        polytopes among them, has its own (seed, family): from case 100 on,
+        each check family seeds on a range of its own, where identity case
+        201 and sl case 1 once drew one polytope."""
+        drawn = []
+        real = slval.harness.gen_polytope
+
+        def recording(seed, n, *args, family="generic", **kwargs):
+            drawn.append((seed, family))
+            return real(seed, n, *args, family=family, **kwargs)
+
+        monkeypatch.setattr(slval.harness, "gen_polytope", recording)
+        assert all(line["pass"] for line in run_suite(2, seed=0, cases=300))
+        assert len(drawn) == 3 * 300 + 25
+        assert len(set(drawn)) == len(drawn)
+
     def test_suite_is_deterministic(self):
         a = list(run_suite(2, seed=3, cases=6))
         b = list(run_suite(2, seed=3, cases=6))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slval import linalg, polytope
-from slval.exactnum import Linear, RationalPart, Scalar, _integer_rows
+from slval.exactnum import Scalar, _integer_rows
 from slval.linalg import Matrix, Vector, random_sl_matrix
 from slval.polytope import (
     Halfspace,
@@ -35,10 +35,11 @@ from slval.polytope import (
     translate,
 )
 from slval.triangulate import volume
-from slval.valuation import ClassifiedValuation, evaluate, evaluate_union
+from slval.valuation import evaluate, evaluate_union
 
 from oracles import affine_frame, extreme_indices, facets_by_subsets, reference_frame
 from records import indices, scalar_facet_data, scalar_frame, supporting
+from splits import SLAB_VALUATION, surd_slabs
 
 ROOT2 = Scalar.sqrt_of(2)
 
@@ -572,30 +573,6 @@ def count_passes(monkeypatch):
 
     monkeypatch.setattr(polytope, "_supporting", counting)
     return calls
-
-
-def surd_slabs(n=3):
-    """A polytope in R^n over Q(sqrt 2) and its three slabs between two
-    parallel cuts."""
-    rng = random.Random(8)
-    while True:
-        points = [Vector([Scalar(rng.randint(-3, 3)) + ROOT2 * rng.randint(-2, 2)
-                          for _ in range(n)]) for _ in range(6)]
-        P = from_points(points)
-        if polytope.dim(P) == n:
-            break
-    u = Vector([1, -2, 1][:n])
-    values = [u.dot(v) for v in P.vertices]
-    low, high = min(values), max(values)
-    c1, c2 = low + (high - low) * Fraction(1, 4), low + (high - low) * Fraction(5, 8)
-    slabs = [clip(P, Halfspace(u, c1)),
-             clip(clip(P, Halfspace(-u, -c1)), Halfspace(u, c2)),
-             clip(P, Halfspace(-u, -c2))]
-    return P, slabs
-
-
-SLAB_VALUATION = ClassifiedValuation(Scalar(1), Scalar(2), Scalar(4), psi=RationalPart(),
-                                     phi=Linear(5))
 
 
 def test_derived_polytopes_run_no_hull_pass(monkeypatch):
