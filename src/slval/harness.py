@@ -16,11 +16,13 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar
-from .linalg import Matrix, Vector, det, random_sl_matrix, solve
+from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar, _integer_rows, as_scalar
+from .linalg import (Matrix, SingularMatrixError, Vector, _eliminate, _over, _pair_dot, det,
+                     random_sl_matrix)
 from .polytope import (
     Halfspace,
     Polytope,
+    _translate,
     clip,
     cone_hull,
     contains,
@@ -31,9 +33,8 @@ from .polytope import (
     origin,
     relint_contains_origin,
     transform,
-    translate,
 )
-from .triangulate import volume
+from .triangulate import _basis, volume
 from .valuation import BASIS_NAMES, ClassifiedValuation, _apply, basis_vector, evaluate
 
 _MAX_VERTICES = 12
@@ -69,10 +70,6 @@ class FitReport(NamedTuple):
 # -- polytope generation -------------------------------------------------
 
 
-def _random_point(rng: random.Random, n: int, bound: int) -> Vector:
-    return Vector([rng.randint(-bound, bound) for _ in range(n)])
-
-
 def gen_polytope(
     seed: int,
     n: int,
@@ -80,7 +77,7 @@ def gen_polytope(
     coord_bound: int = 4,
     family: str = "generic",
 ) -> Polytope:
-    """Deterministic polytope from the requested family."""
+    """Deterministic polytope from the requested family, drawn in ints."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
@@ -90,17 +87,19 @@ def gen_polytope(
     if coord_bound < 1:
         raise ValueError("coord_bound must be >= 1")
     rng = random.Random(_sub_seed(seed, FAMILIES.index(family)))
+    point = lambda bound: tuple(rng.randint(-bound, bound) for _ in range(n))
     for _ in range(_RETRIES):
         count = rng.randint(min(n + 1, max_vertices), max_vertices)
         if family == "lower_dim":
             k = rng.randrange(n)
-            base = _random_point(rng, n, coord_bound)
-            dirs = [_random_point(rng, n, 2) for _ in range(k)]
+            base = point(coord_bound)
+            dirs = [point(2) for _ in range(k)]
             pts = []
             for _ in range(count):
                 p = base
                 for d in dirs:
-                    p = p + d.scale(rng.randint(-2, 2))
+                    t = rng.randint(-2, 2)
+                    p = tuple(x + t * y for x, y in zip(p, d))
                 pts.append(p)
             return from_points(pts, n)
         if family == "avoids_origin":
@@ -110,18 +109,19 @@ def gen_polytope(
             for _ in range(count):
                 coords = [rng.randint(-coord_bound, coord_bound) for _ in range(n)]
                 coords[axis] = sign * rng.randint(1, coord_bound + 1)
-                pts.append(Vector(coords))
+                pts.append(coords)
             poly = from_points(pts, n)
         elif family == "contains_origin":
-            pts = [_random_point(rng, n, coord_bound) for _ in range(count)]
-            poly = from_points(pts + [origin(n)], n)
+            pts = [point(coord_bound) for _ in range(count)]
+            poly = from_points(pts + [(0,) * n], n)
         else:
-            pts = [_random_point(rng, n, coord_bound) for _ in range(count)]
+            pts = [point(coord_bound) for _ in range(count)]
             poly = from_points(pts, n)
         if dim(poly) != n:
             continue
         if family == "origin_in_relint":
-            return translate(poly, -_interior_point(rng, poly))
+            X, q = _interior_point(rng, poly)
+            return _translate(poly, [(-a, -b) for a, b in X], q, poly._d)
         return poly
     raise RuntimeError(f"family {family!r} not satisfiable for seed {seed}")
 
@@ -129,29 +129,23 @@ def gen_polytope(
 # -- splits --------------------------------------------------------------
 
 
-def _interior_point(rng: random.Random, P: Polytope) -> Vector:
-    weights = [Fraction(rng.randint(1, 5)) for _ in P.vertices]
-    total = sum(weights)
-    point = Vector.zero(P.ambient_dim)
-    for w, v in zip(weights, P.vertices):
-        point = point + v.scale(Fraction(w, total))
-    return point
+def _interior_point(rng: random.Random, P: Polytope) -> tuple[list[tuple[int, int]], int]:
+    """A point of relint P as (X, q), meaning X / q: P's integer pair rows
+    weighted 1 to 5 and summed, over L times the total weight."""
+    weights = [(rng.randint(1, 5), 0) for _ in P._rows]
+    return [_pair_dot(weights, col, 0) for col in zip(*P._rows)], P._L * sum(w for w, _ in weights)
 
 
-def _random_normal(rng: random.Random, n: int) -> Vector:
+def _random_normal(rng: random.Random, n: int) -> tuple[int, ...]:
     while True:
-        v = Vector([rng.randint(-3, 3) for _ in range(n)])
-        if not v.is_zero():
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(v):
             return v
 
 
-def _split_values(R: Polytope, u: Vector) -> list[Scalar]:
-    return [u.dot(v) for v in R.vertices]
-
-
-def _make_case(R: Polytope, u: Vector, c_left: Scalar, c_right: Scalar) -> SplitCase:
-    left_half = Halfspace(u, c_left)
-    right_half = Halfspace(-u, c_right)
+def _make_case(R: Polytope, u: tuple[int, ...], c_left: Scalar, c_right: Scalar) -> SplitCase:
+    left_half = Halfspace(Vector(u), c_left)
+    right_half = Halfspace(-left_half.normal, c_right)
     left = clip(R, left_half)
     right = clip(R, right_half)
     meet = clip(left, right_half)
@@ -161,14 +155,15 @@ def _make_case(R: Polytope, u: Vector, c_left: Scalar, c_right: Scalar) -> Split
     )
 
 
-def _offsets(mode: str, rng: random.Random, R: Polytope, u: Vector) -> tuple[Scalar, Scalar] | None:
+def _offsets(mode: str, rng: random.Random, R: Polytope, u: tuple) -> tuple[Scalar, Scalar] | None:
     """Offsets (c_left, c_right) of a split of R in this mode along u, or
     None if u gives none; draws from rng after u."""
-    values = _split_values(R, u)
+    dot = lambda x, q: Scalar._make(*_pair_dot([(c, 0) for c in u], x, 0), q, R._d)  # <u, x / q>
+    values = [dot(X, R._L) for X in R._rows]
     if mode == "degenerate":
         signs, offsets = [x.sign() for x in values], (ZERO, ZERO)
     elif mode == "generic":
-        c = u.dot(_interior_point(rng, R))
+        c = dot(*_interior_point(rng, R))
         signs, offsets = [(x - c).sign() for x in values], (c, -c)
     else:
         low, high = min(values), max(values)
@@ -291,15 +286,11 @@ def check_cone_decomposition(P: Polytope):
 def probe_polytopes(n: int) -> tuple[Polytope, ...]:
     """The five fitting probes: origin, off-origin point, symmetric segment,
     standard simplex, and its unit translate."""
-    e1 = Vector.basis(n, 0)
-    simplex = from_points([origin(n)] + [Vector.basis(n, i) for i in range(n)], n)
-    return (
-        from_points([origin(n)], n),
-        from_points([e1], n),
-        from_points([-e1, e1], n),
-        simplex,
-        translate(simplex, e1),
-    )
+    zero, e = (0,) * n, [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    simplex = from_points([zero, *e], n)
+    return (from_points([zero], n), from_points([e[0]], n),
+            from_points([tuple(-x for x in e[0]), e[0]], n), simplex,
+            _translate(simplex, [(x, 0) for x in e[0]], 1, 0))
 
 
 def surd_simplices(n: int, d: int, count: int = 5) -> list[Polytope]:
@@ -339,7 +330,11 @@ def fit_classification(values_of, n: int, seed: int = 0, validation_count: int =
     validation = fit_validation_polytopes(n, seed, validation_count, field_d)
     values = values_of([*probes, *validation])
     probe_values = tuple(values[:5])
-    coefficients = tuple(solve(Matrix([basis_vector(P) for P in probes]), Vector(probe_values)))
+    rows, _, d = _integer_rows([(*basis_vector(P), as_scalar(v)) for P, v in zip(probes, probe_values)])
+    form, pivots, _, D = _eliminate(rows, d)
+    if pivots[:5] != [0, 1, 2, 3, 4]:
+        raise SingularMatrixError(sum(c < 5 for c in pivots))
+    coefficients = tuple(_over([row[5] for row in form], D, d))
     model = ClassifiedValuation.linear(*coefficients)
     residual = ZERO
     for P, value in zip(validation, values[5:]):
@@ -358,7 +353,7 @@ def usc_sequences(functionals, steps: int) -> list[dict]:
 
     The pair names the classified valuation
     c0p * relint_sign + d0 * origin_indicator.  The polytopes are built
-    once, their basis vectors read once, and every pair applied to those.
+    once, their integer bases read once, and every pair applied to those.
     Upper semicontinuity along a sequence needs value <= limit value.
     """
     scales = tuple(Scalar(Fraction(1, 2**k)) for k in range(steps))
@@ -368,7 +363,7 @@ def usc_sequences(functionals, steps: int) -> list[dict]:
     e2 = Vector.basis(2, 1)
 
     def read(*points: Vector):
-        return basis_vector(from_points(list(points), 2))
+        return _basis(from_points(list(points), 2))
 
     sequences = (
         ("sequence1", [read(e1.scale(-s), e1.scale(s)) for s in scales], read(origin(2))),
@@ -380,8 +375,8 @@ def usc_sequences(functionals, steps: int) -> list[dict]:
         functional = ClassifiedValuation(ZERO, c0p, d0, Linear(ZERO), Linear(ZERO))
         report: dict = {"scales": scales}
         for name, terms, limit in sequences:
-            values = [_apply(functional, b) for b in terms]
-            limit_value = _apply(functional, limit)
+            values = [_apply(functional, b, 0) for b in terms]
+            limit_value = _apply(functional, limit, 0)
             report[name] = {
                 "values": values,
                 "limit_value": limit_value,

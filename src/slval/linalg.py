@@ -248,10 +248,10 @@ def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
     pivot columns, the sign of the row swaps, and the common pivot D (1 if
     there is none).  A row is cleared on pivot column c by
     (row*p - pivot_row*f) / q, with p the pivot, f the row's entry on c and
-    q the previous pivot; every other row takes the same step.  Each entry
-    is then a minor of the input, so the division is exact.  Row i ends
-    with D, the determinant of the pivot minor, on its pivot column c_i
-    and zero on every other pivot column.
+    q the previous pivot, in one pass when all three are rational; every
+    other row takes the same step.  Each entry is then a minor of the input,
+    so the division is exact.  Row i ends with D, the determinant of the
+    pivot minor, on its pivot column c_i and zero on the other ones.
     """
     rows = list(rows)
     m = len(rows)
@@ -268,10 +268,15 @@ def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
             sign = -sign
         top = rows[r]
         p = top[c]
-        for i in range(m):
-            if i != r:
-                x, n = _rationalized(_cross(rows[i], p, top, rows[i][c], d), q, d)
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and (p[1] or f[1] or q[1]):
+                x, n = _rationalized(_cross(row, p, top, f, d), q, d)
                 rows[i] = [(a // n, b // n) for a, b in x] if n != 1 else x
+            elif i != r:
+                (pa, _), (fa, _), (qa, _) = p, f, q
+                rows[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)
+                           for (xa, xb), (ya, yb) in zip(row, top)]
         q = p
         pivots.append(c)
         if len(pivots) == m:
@@ -315,19 +320,6 @@ def matrix_rank(rows: Sequence[Sequence] | Matrix) -> int:
     data = rows.rows if isinstance(rows, Matrix) else [[as_scalar(x) for x in row] for row in rows]
     ints, _, d = _integer_rows(data)
     return len(_eliminate(ints, d)[1])
-
-
-def solve(matrix: Matrix, rhs: Vector) -> Vector:
-    """Unique solution of a square system; raises with the rank if singular."""
-    n = matrix.nrows
-    if n != matrix.ncols or len(rhs) != n:
-        raise ValueError("solve needs a square matrix and matching vector")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)]
-    reduced, pivots = _reduced_echelon(aug)
-    main_pivots = [c for c in pivots if c < n]
-    if len(main_pivots) < n:
-        raise SingularMatrixError(len(main_pivots))
-    return Vector._of(tuple(reduced[i][n] for i in range(n)))
 
 
 def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Scalar] | None:

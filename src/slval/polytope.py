@@ -8,11 +8,11 @@ first-class value.  Vectors, Scalars and Halfspaces are built only at the
 boundary, by `vertices`, `facets`, `to_json` and `repr`.
 
 Derived data lives on the polytope that owns it, in slots filled once on
-first use and ignored by equality and hashing: the volume, and the hull
-record, which is the affine frame with the facets and their incident vertex
-bitmasks.  The frame is the pivot projection: the pivot columns of the
-reduced echelon form of the directions v - v0, which depend only on aff P
-and map it isomorphically onto R^k, plus the equalities that pin aff P.
+first use and ignored by equality and hashing: the valuations' integer
+basis, and the hull record, which is the affine frame with the facets and
+their incident vertex bitmasks.  The frame is the pivot projection: the
+pivot columns of the reduced echelon form of the directions v - v0, which
+depend only on aff P and map it onto R^k, plus the equalities that pin it.
 Equalities and facets are canonical integer pair rows (W, C): a facet
 <W, x> <= C primitive and scaled by a positive element of Z[sqrt d] to be
 rational on W's last nonzero entry, an equality <W, x> = C primitive and
@@ -89,13 +89,12 @@ class Polytope:
     `_rows`, `_L` and `_d` are the canonical integer pair matrix of the
     vertices; `vertices` builds their Vectors on each call.  The other
     underscored slots hold derived data, None until first use: `_hull` the
-    frame and facet record in integer pair rows, `_volume` the pivot volume
-    (A + B sqrt d) / q as the integers (A, B, q), which `triangulate` sums
-    over the pulling cells it reads off the facet record; no face's volume
-    is kept.
+    frame and facet record in integer pair rows, `_basis` the five basis
+    values on integers that `triangulate._basis` reads off that record; no
+    face's values are kept.
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_L", "_d", "_hull", "_volume")
+    __slots__ = ("ambient_dim", "_rows", "_L", "_d", "_hull", "_basis")
 
     ambient_dim: int
 
@@ -118,11 +117,11 @@ class Polytope:
         """Trusted constructor for sorted distinct row tuples over a common
         denominator L > 0, such as a subsequence of a canonical matrix: no
         dedupe or sort; one gcd makes L least, and d is 0 if every B is."""
-        g = gcd(L, *chain.from_iterable(chain.from_iterable(rows)))
+        g = gcd(L, *chain.from_iterable(chain.from_iterable(rows))) if L > 1 else 1
         if g > 1:
             rows = tuple(tuple((a // g, b // g) for a, b in row) for row in rows)
         self = object.__new__(cls)
-        self._fill(ambient_dim, rows, L // g, d if any(b for row in rows for _, b in row) else 0)
+        self._fill(ambient_dim, rows, L // g, d if d and any(b for row in rows for _, b in row) else 0)
         return self
 
     def __setattr__(self, name, value):
@@ -307,7 +306,12 @@ def _restricted(frame, row, d: int) -> tuple:
 
 def _indices(z: int) -> list[int]:
     """The set bits of z, in increasing order."""
-    return [i for i in range(z.bit_length()) if z >> i & 1]
+    out = []
+    while z:
+        low = z & -z
+        out.append(low.bit_length() - 1)
+        z ^= low
+    return out
 
 
 def _fill_hull(P: Polytope, frame, items) -> None:
@@ -322,8 +326,11 @@ def _face(P: Polytope, z: int) -> Polytope:
 def _ridges(face: int, masks, k: int) -> dict[int, int]:
     """The facets of the k-face `face` of a polytope with facet bitmasks
     `masks`, each with the index of a facet through it: the maximal proper
-    meets of face with masks that have at least k vertices."""
+    meets of face with masks that have at least k vertices; below k = 4,
+    where no lower face has k vertices, every such meet."""
     meets = {r: g for g, m in enumerate(masks) if (r := face & m) != face and r.bit_count() >= k}
+    if k < 4:
+        return meets
     return {r: g for r, g in meets.items() if not any(r & s == r != s for s in meets)}
 
 
@@ -350,9 +357,12 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
 
     One double-description pass over the distinct points settles every
     point.  The result is handed that pass's frame and facets, renumbered;
-    both are canonical, so they equal what it would derive.
+    both are canonical, so they equal what it would derive.  Tuples or lists
+    of ints are taken as pair rows over L = 1, any other point as a Vector.
     """
-    pts = [p if isinstance(p, Vector) else Vector(p) for p in points]
+    pts = list(points)
+    exact = all(type(p) in (tuple, list) and all(type(c) is int for c in p) for p in pts)
+    pts = pts if exact else [p if isinstance(p, Vector) else Vector(p) for p in pts]
     if not pts:
         if ambient_dim is None:
             raise ValueError("empty point set needs an explicit ambient_dim")
@@ -362,6 +372,8 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
         raise ValueError("points do not match the requested ambient_dim")
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
+    if exact and n:
+        return _extreme(Polytope._of(n, tuple(sorted({tuple((c, 0) for c in p) for p in pts})), 1, 0))
     return _extreme(Polytope(n, pts))
 
 
@@ -577,14 +589,20 @@ def transform(A: Matrix, P: Polytope) -> Polytope:
 
 
 def translate(P: Polytope, t: Vector) -> Polytope:
-    """P + t.  A translation keeps the vertex order, so P's frame and facets,
-    derived first if need be, carry over: with t = T / Lt, the row (W, C)
-    becomes (Lt W, Lt C + <W, T>), made primitive, which is canonical."""
+    """P + t: `_translate` by the integer pair row of t."""
     if len(t) != P.ambient_dim:
         raise ValueError("translation dimension does not match the polytope")
     if P.is_empty:
         return P
     (T,), Lt, e = _integer_rows([t.coords])
+    return _translate(P, T, Lt, e)
+
+
+def _translate(P: Polytope, T, Lt: int, e: int) -> Polytope:
+    """P + T / Lt, T integer pairs in Z[sqrt e], Lt > 0.  A translation keeps
+    the vertex order, so P's frame and facets, derived first if need be, and
+    their order carry over: the row (W, C) becomes (Lt W, Lt C + <W, T>),
+    made primitive, which is canonical."""
     d = _merge_discriminants(P._d, e)
     L = P._L
     Q = Polytope._of(P.ambient_dim, tuple(tuple((a * Lt + ta * L, b * Lt + tb * L)
@@ -597,8 +615,8 @@ def translate(P: Polytope, t: Vector) -> Polytope:
         return tuple(_primitive([(a * Lt, b * Lt) for a, b in row[:-1]] + [(Ca * Lt + A, Cb * Lt + B)]))
 
     (pivots, equalities), data = _hull(P)
-    _fill_hull(Q, (pivots, tuple(map(shifted, equalities))),
-               [(shifted(row), z) for row, z in data])
+    object.__setattr__(Q, "_hull", ((pivots, tuple(map(shifted, equalities))),
+                                    tuple((shifted(row), z) for row, z in data)))
     return Q
 
 

@@ -11,13 +11,13 @@ that the vertex count alone decides).  The recursion thus reads only the
 incidences of P's facet record, derives no face's frame or record, and
 keeps its faces for one call.
 
-With k = dim P, a cell's volume is |D| / (L^k k!), D the integer pair
-determinant of X_i - X_0, X_i / L its vertices' pivot coordinates, read
-straight off the columns of P's canonical integer pair matrix.  The |D|
-are summed on integers; P keeps the sum and its denominator in its
-`_volume` slot, and one Scalar is built from them.  The pyramid from 0 over
-an (n-1)-face F with 0 off aff F is the union of the cones from 0 over F's
-cells, |det X| / (L^n n!) each, X the cell's rows of that matrix.
+A cell of a full-dimensional P has volume |D| / (L^n n!), D the integer
+pair determinant of X_i - X_0, X_i / L its vertices, the rows of P's
+canonical integer pair matrix.  The pyramid from 0 over an (n-1)-face F
+with 0 off aff F is the union of the cones from 0 over F's cells,
+|det X| / (L^n n!) each, X the cell's rows.  The |D| are summed on
+integers, and P keeps its five basis values on integers in its `_basis`
+slot.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import ZERO, Scalar, _surd_sign
+from .exactnum import Scalar, _surd_sign
 from .linalg import _det
-from .polytope import Polytope, _facet_data, _frame, _origin_signs, _ridges, dim
+from .polytope import Polytope, _facet_data, _indices, _origin_signs, _ridges, dim
 
 
 def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
@@ -46,16 +46,16 @@ def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
 def _cell_sum(P: Polytope, points, faces, k: int, from_origin: bool) -> tuple[int, int, int]:
     """Sum of |det X| over the cells of the k-faces `faces` of P (vertex
     bitmasks), as its pair (A, B) and L^m m!, L the denominator of P's rows:
-    X the cell's rows of `points` (P's integer pair rows, or their pivot
-    columns) if from_origin, else their differences from its first; m the
-    columns."""
+    X the cell's rows of `points` (P's integer pair rows, or a choice of
+    their columns) if from_origin, else their differences from its first; m
+    the columns."""
     d = P._d
     masks = [z for _, z in _facet_data(P)]
     memo: dict = {}
     A = B = 0
     for face in faces:
         for cell in _cells(masks, face, k, memo):
-            x0, *rest = X = [x for i, x in enumerate(points) if cell >> i & 1]
+            x0, *rest = X = [points[i] for i in _indices(cell)]
             if not from_origin:
                 X = [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(x, x0)] for x in rest]
             a, b = _det(X, d)
@@ -65,33 +65,28 @@ def _cell_sum(P: Polytope, points, faces, k: int, from_origin: bool) -> tuple[in
     return A, B, P._L ** m * factorial(m)
 
 
-def _pivot_volume(P: Polytope) -> Scalar:
-    """vol_k P in P's pivot coordinates, k = dim P; P keeps its integer
-    triple, filled once."""
-    if P._volume is None:
-        pivots = _frame(P)[0]
-        rows = [[row[c] for c in pivots] for row in P._rows]
-        object.__setattr__(P, "_volume", _cell_sum(P, rows, [(1 << len(rows)) - 1], len(pivots), False))
-    return Scalar._make(*P._volume, P._d)
+def _basis(P: Polytope) -> tuple:
+    """(euler, relint_sign, volume, origin_indicator, cone_volume) of P,
+    kept in its `_basis` slot: ints, and triples (A, B, q) meaning
+    (A + B sqrt d) / q.  0 is in relint P iff it is in aff P and every facet
+    offset is > 0, in P iff every offset is >= 0; the cone term is vol P
+    and the pyramids from 0 over the faces it sees, over one q."""
+    if P._basis is None and P._rows:
+        n, k, signs, full = P.ambient_dim, dim(P), _origin_signs(P), [(1 << len(P._rows)) - 1]
+        relint = (-1) ** k if signs is not None and all(s > 0 for s, _ in signs) else 0
+        inside = int(signs is not None and all(s >= 0 for s, _ in signs))
+        vol = cone = _cell_sum(P, P._rows, full, n, False) if k == n else (0, 0, 1)
+        seen = [z for s, z in signs if s < 0] if k == n else full if k == n - 1 and signs is None else []
+        if seen:
+            A, B, q = _cell_sum(P, P._rows, seen, n - 1, True)
+            cone = (vol[0] + A, vol[1] + B, q)
+        object.__setattr__(P, "_basis", (1, relint, vol, inside, cone))
+    return P._basis or (0, 0, (0, 0, 1), 0, (0, 0, 1))
 
 
-# size 0 stores and hashes nothing (P's `_volume` slot keeps its volume); the wrapper
+# size 0 stores and hashes nothing (P's `_basis` slot keeps its volume); the wrapper
 # stays only for the cache_info() perfbench/tracing.py reads, until the tracer changes
 @lru_cache(maxsize=0)
 def volume(P: Polytope) -> Scalar:
     """Lebesgue volume in the ambient dimension; 0 below full dimension."""
-    if P.is_empty or dim(P) < P.ambient_dim:
-        return ZERO
-    return _pivot_volume(P)
-
-
-def apex_volume(P: Polytope, faces=None) -> Scalar:
-    """Volume of the union of conv(F ∪ {0}) over the (n-1)-faces F of P
-    given as vertex bitmasks, each with 0 off aff F; without `faces`,
-    over P itself, which must then have dim n - 1 with 0 off aff P."""
-    n = P.ambient_dim
-    if faces is None:
-        if dim(P) != n - 1 or _origin_signs(P) is not None:
-            raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {P!r}")
-        faces = [(1 << len(P._rows)) - 1]
-    return Scalar._make(*_cell_sum(P, P._rows, faces, n - 1, True), P._d)
+    return Scalar._make(*_basis(P)[2], P._d)

@@ -14,18 +14,14 @@ additive in volume and cone_volume, and `_apply` is the only place that
 makes it: `evaluate_union` sums the signed basis vectors of the nonempty
 intersections and reads the sum once.
 
-`basis_vector` computes all five in one pass: one reading of the offsets
-of P's frame equalities and facets settles both indicators, and the cone
-term is vol P plus the pyramids from 0 over the facets whose offset is
-negative (the visible-facet part of Lawrence's
-signed-cone decomposition, Math. Comp. 1991).  A flat P with 0 off its
-affine hull is one such pyramid; other flat P give 0.  `apex_volume` sums
-the pyramids over the pulling cells of those facets, given as incident vertex
-bitmasks: no second hull and no facet polytope is built.
+`basis_vector` reads the five off the integer basis that
+`triangulate._basis` keeps on P, and a valuation reads that basis on
+integers: one Scalar per value.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .exactnum import (
@@ -35,42 +31,28 @@ from .exactnum import (
     Linear,
     RationalPart,
     Scalar,
+    _merge_discriminants,
+    _surd_sign,
     as_scalar,
     cauchy_eval,
 )
-from .polytope import Polytope, _origin_signs, dim, intersect
-from .triangulate import apex_volume, volume
+from .polytope import Polytope, intersect
+from .triangulate import _basis
 
 #: cap on the nonempty intersections an inclusion-exclusion visits (2^12 - 1)
 MAX_UNION_TERMS = 4095
 
 #: basis order fixed across fitting and reports
 BASIS_NAMES = ("euler_char", "relint_sign", "volume", "origin_indicator", "cone_volume")
+#: the Scalar of an indicator 0, 1 or -1, indexed by it
+_UNITS = (ZERO, ONE, -ONE)
 
 
 def basis_vector(P: Polytope) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
-    """(euler, relint_sign, volume, origin, cone) of P, in BASIS_NAMES order.
-
-    The origin lies in relint P iff it lies in aff P and every facet offset
-    is > 0, and in P iff every offset is >= 0.
-    """
-    if P.is_empty:
-        return (ZERO,) * 5
-    n, k = P.ambient_dim, dim(P)
-    vol = volume(P)
-    signs = _origin_signs(P)
-    on_hull = signs is not None
-    relint = on_hull and all(s > 0 for s, _ in signs)
-    inside = on_hull and all(s >= 0 for s, _ in signs)
-    if k == n:
-        visible = [z for s, z in signs if s < 0]
-        cone = vol + apex_volume(P, visible) if visible else vol
-    elif k == n - 1 and not on_hull:
-        cone = apex_volume(P)
-    else:
-        cone = ZERO
-    sign = ONE if k % 2 == 0 else -ONE
-    return ONE, sign if relint else ZERO, vol, ONE if inside else ZERO, cone
+    """(euler, relint_sign, volume, origin, cone) of P, in BASIS_NAMES order:
+    P's kept integer basis as Scalars."""
+    e, r, vol, o, cone = _basis(P)
+    return _UNITS[e], _UNITS[r], Scalar._make(*vol, P._d), _UNITS[o], Scalar._make(*cone, P._d)
 
 
 class ClassifiedValuation(NamedTuple):
@@ -92,22 +74,38 @@ class ClassifiedValuation(NamedTuple):
         )
 
 
-def _apply(V: ClassifiedValuation, b) -> Scalar:
-    """V read off a basis vector, or off a signed sum of basis vectors whose
-    volume and cone entries are >= 0: psi and phi are additive, so V of the
-    sum is the signed sum of the values."""
+def _apply(V: ClassifiedValuation, b, d: int) -> Scalar:
+    """V read off the integer basis of a polytope over Q(sqrt d), or off a
+    signed sum of them with volume and cone >= 0 (psi and phi are additive),
+    summed on integers in basis order with fields merged as `+` merges them;
+    only a psi or phi other than Linear reads a Scalar."""
     euler, relint, vol, inside, cone = b
-    return (
-        V.c0 * euler
-        + V.c0p * relint
-        + cauchy_eval(V.psi, vol)
-        + V.d0 * inside
-        + cauchy_eval(V.phi, cone)
-    )
+    A, B, q, e = 0, 0, 1, 0
+    for c, (xa, xb, r) in ((V.c0, (euler, 0, 1)), (V.c0p, (relint, 0, 1)), (V.psi, vol),
+                           (V.d0, (inside, 0, 1)), (V.phi, cone)):
+        if not (xa or xb):
+            continue
+        if type(c) is Linear and _surd_sign(xa, xb, d) >= 0:
+            c = c.coefficient
+        if type(c) is not Scalar:
+            c, xa, xb, r = cauchy_eval(c, Scalar._make(xa, xb, r, d)), 1, 0, 1
+        f = _merge_discriminants(c.d, d if xb else 0)
+        ta, tb, tq = c._qa * xa + f * c._qb * xb, c._qa * xb + c._qb * xa, c._q * r
+        if tb:
+            e = _merge_discriminants(e if B else 0, f)
+        A, B, q = A * tq + ta * q, B * tq + tb * q, q * tq
+    return Scalar._make(A, B, q, e)
 
 
 def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
-    return _apply(V, basis_vector(P))
+    return _apply(V, _basis(P), P._d)
+
+
+def _plus(x, y, s: int) -> tuple[int, int, int]:
+    """x + s y for volume triples (A, B, q), over the lcm of their q."""
+    (A, B, q), (a, b, r) = x, y
+    m = lcm(q, r)
+    return A * (m // q) + s * a * (m // r), B * (m // q) + s * b * (m // r), m
 
 
 def evaluate_union(V: ClassifiedValuation, parts: list[Polytope]) -> Scalar:
@@ -117,26 +115,28 @@ def evaluate_union(V: ClassifiedValuation, parts: list[Polytope]) -> Scalar:
     cover (Naiman and Wynn, Ann. Statist. 1992), read by the recursion
     U(A_1..A_m) = sum over k of b(A_k) - U(A_1 & A_k, ..., A_{k-1} & A_k)
     on the nonempty meets: each once, and a meet of the parts in I formed
-    only when two of its |I| - 1 part meets are nonempty.  Their basis
-    vectors go into one total with sign (-1)^(|I|+1), and V is applied once
-    to it, whose volume and cone entries are the union's own.  More than
-    MAX_UNION_TERMS nonempty terms raise ValueError.
+    only when two of its |I| - 1 part meets are nonempty.  Their integer
+    bases go into one total with sign (-1)^(|I|+1), volumes over a common
+    denominator; V reads it once.  Over MAX_UNION_TERMS terms raise ValueError.
     """
-    total = (ZERO,) * 5
-    terms = 0
+    total = (0, 0, (0, 0, 1), 0, (0, 0, 1))
+    terms = d = 0
 
     def add(pieces: list[Polytope], odd: bool) -> None:
-        nonlocal total, terms
+        nonlocal total, terms, d
+        s = 1 if odd else -1
         for k, piece in enumerate(pieces):
             terms += 1
             if terms > MAX_UNION_TERMS:
                 raise ValueError(f"more than {MAX_UNION_TERMS} nonempty intersections")
-            total = tuple(t + x if odd else t - x for t, x in zip(total, basis_vector(piece)))
+            d = _merge_discriminants(d, piece._d)
+            (e, r, vol, o, cone), (te, tr, tvol, to, tcone) = _basis(piece), total
+            total = te + s * e, tr + s * r, _plus(tvol, vol, s), to + s * o, _plus(tcone, cone, s)
             meets = [intersect(Q, piece) for Q in pieces[:k]]
             add([M for M in meets if not M.is_empty], not odd)
 
     add([P for P in parts if not P.is_empty], True)
-    return _apply(V, total)
+    return _apply(V, total, d)
 
 
 # -- serialization -------------------------------------------------------

@@ -71,11 +71,17 @@ CATALOGUE = (
         ("tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign",),
     ),
     Mutant(
-        "eliminate-never-divides", "linalg.py",
+        # the rational steps are fused; a surd pivot or entry takes this one
+        "eliminate-never-divides-over-a-surd-field", "linalg.py",
         "                rows[i] = [(a // n, b // n) for a, b in x] if n != 1 else x\n",
         "                rows[i] = x\n",
-        ("tests/test_linalg.py::test_solve_unique",
-         "tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign"),
+        ("tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign",),
+    ),
+    Mutant(
+        "eliminate-fused-step-never-divides", "linalg.py",
+        "rows[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)",
+        "rows[i] = [((xa * pa - ya * fa), (xb * pa - yb * fa))",
+        ("tests/test_linalg.py::test_solve_unique",),
     ),
     Mutant(
         "intersect-one-side-of-each-equality", "polytope.py",
@@ -105,22 +111,54 @@ CATALOGUE = (
         ("tests/test_hull.py::test_surd_clouds_keep_incidence",),
     ),
     Mutant(
-        "relint-admits-the-boundary", "valuation.py",
-        "    relint = on_hull and all(s > 0 for s, _ in signs)\n",
-        "    relint = on_hull and all(s >= 0 for s, _ in signs)\n",
+        "relint-admits-the-boundary", "triangulate.py",
+        "all(s > 0 for s, _ in signs)",
+        "all(s >= 0 for s, _ in signs)",
         ("tests/test_valuation.py::test_relint_sign",),
     ),
     Mutant(
         "apply-reads-the-volume-as-cone", "valuation.py",
-        "        + cauchy_eval(V.phi, cone)\n",
-        "        + cauchy_eval(V.phi, vol)\n",
+        "(V.phi, cone))",
+        "(V.phi, vol))",
         ("tests/test_valuation.py::test_evaluate_union_of_crossing_segments",),
     ),
     Mutant(
         "union-flips-the-sign", "valuation.py",
-        "t + x if odd else t - x",
-        "t - x if odd else t + x",
+        "s = 1 if odd else -1",
+        "s = -1 if odd else 1",
         ("tests/test_valuation.py::test_evaluate_union_single",),
+    ),
+    Mutant(
+        "union-skips-a-rescale-to-the-common-denominator", "valuation.py",
+        "+ s * a * (m // r),",
+        "+ s * a,",
+        ("tests/test_valuation.py::test_evaluate_union_builds_scalars_only_for_its_value",),
+    ),
+    Mutant(
+        "translate-hands-on-the-kept-basis", "polytope.py",
+        "    return Q\n\n\n# -- serialization",
+        "    object.__setattr__(Q, \"_basis\", P._basis)\n    return Q\n\n\n# -- serialization",
+        ("tests/test_integer_fit.py::test_kept_basis_is_the_scalar_route_basis[2]",),
+    ),
+    Mutant(
+        "interior-clip-hands-on-the-kept-basis", "polytope.py",
+        "    _fill_hull(Q, frame, items)\n",
+        "    _fill_hull(Q, frame, items)\n    object.__setattr__(Q, \"_basis\", P._basis)\n",
+        ("tests/test_integer_fit.py::test_kept_basis_is_the_scalar_route_basis[2]",),
+    ),
+    Mutant(
+        "interior-point-drops-a-vertex-weight", "harness.py",
+        "weights = [(rng.randint(1, 5), 0) for _ in P._rows]",
+        "weights = [(rng.randint(1, 5), 0) for _ in P._rows][:-1] + [(0, 0)]",
+        ("tests/test_integer_fit.py::test_integer_interior_point_is_the_scalar_one[2]",
+         "tests/test_integer_fit.py::test_integer_draws_give_the_scalar_route_polytopes[2]"),
+    ),
+    Mutant(
+        "fit-reads-the-wrong-column", "harness.py",
+        "[row[5] for row in form]",
+        "[row[4] for row in form]",
+        ("tests/test_integer_fit.py::test_fit_reports_the_scalar_route_report[2-linear-0]",
+         "tests/test_harness.py::TestFit::test_round_trip_full"),
     ),
     Mutant(
         "union-stops-at-pairs", "valuation.py",

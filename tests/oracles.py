@@ -14,19 +14,19 @@ determinant over Q(sqrt 2), which eliminates nothing.
 `inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
 cover; the meet and the value are the caller's.
 
-`reference_clip`, `pyramid_volume` and `reference_parse` are the
-exceptions.  The first is the differential oracle of the clip in
-`slval.polytope`, which reads signs and crossing points off integer pairs.
-It reads the package's facet record the same way, but takes every excess
-and crossing point in `Scalar` arithmetic and builds the polytopes it
-makes through the public constructor.  The second is the other volume
-route beside `slval.triangulate`, which sums pair determinants over the
-pulling cells it finds on facet bitmasks: it recurses over the facets as
-polytopes, each with its own frame and facet record, and sums heights
-times facet volumes in `Scalar`s.  The third is the oracle of
-`Scalar.parse`, which reads its integer triple straight off the text: it
-reads both coefficients as `Fraction`s and builds the value through the
-public `Scalar` constructor.
+`reference_clip`, `pyramid_volume`, `reference_parse` and the Scalar route
+of the fit at the end of the file are the exceptions.  The first is the
+differential oracle of the clip in `slval.polytope`, which reads signs and
+crossing points off integer pairs.  It reads the package's facet record the
+same way, but takes every excess and crossing point in `Scalar` arithmetic
+and builds the polytopes it makes through the public constructor.  The
+second is the other volume route beside `slval.triangulate`, which sums
+pair determinants over the pulling cells it finds on facet bitmasks: it
+recurses over the facets as polytopes, each with its own frame and facet
+record, and sums heights times facet volumes in `Scalar`s.  The third is
+the oracle of `Scalar.parse`, which reads its integer triple straight off
+the text: it reads both coefficients as `Fraction`s and builds the value
+through the public `Scalar` constructor.
 """
 
 import re
@@ -395,3 +395,156 @@ def reference_parse(text):
         raise ScalarParseError(f"zero denominator in scalar literal: {text!r}") from None
     except ValueError as exc:
         raise ScalarParseError(str(exc)) from None
+
+
+# -- the Scalar route of the fit ------------------------------------------
+#
+# The fit path of `slval` draws int tuples, keeps each polytope's basis on
+# integers and solves the probe system with one fraction-free elimination.
+# What follows is the route it replaced, in Vectors and Scalars: the same
+# rng draws turned into Vectors, an interior point weighted in Fractions,
+# the five basis values assembled in Scalars on every read, and the probe
+# system solved as a Matrix.  It builds on the package's public
+# constructors and its cell sums, like `reference_clip`.
+
+
+def solve(matrix, rhs):
+    """Unique solution of a square system of Scalars; raises with the rank
+    if singular: the reduced echelon form of the augmented rows."""
+    from slval.linalg import SingularMatrixError, Vector, _reduced_echelon
+
+    n = matrix.nrows
+    if n != matrix.ncols or len(rhs) != n:
+        raise ValueError("solve needs a square matrix and matching vector")
+    reduced, pivots = _reduced_echelon([list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)])
+    main_pivots = [c for c in pivots if c < n]
+    if len(main_pivots) < n:
+        raise SingularMatrixError(len(main_pivots))
+    return Vector._of(tuple(reduced[i][n] for i in range(n)))
+
+
+def scalar_interior_point(rng, P):
+    """A point of relint P as a Vector: the vertices weighted 1 to 5 by rng,
+    in Fractions."""
+    from slval.linalg import Vector
+
+    weights = [Fraction(rng.randint(1, 5)) for _ in P.vertices]
+    total = sum(weights)
+    point = Vector.zero(P.ambient_dim)
+    for w, v in zip(weights, P.vertices):
+        point = point + v.scale(Fraction(w, total))
+    return point
+
+
+def scalar_gen_polytope(seed, n, max_vertices=8, coord_bound=4, family="generic"):
+    """`slval.harness.gen_polytope` on Vectors, the same rng draws in the
+    same order, translated by a Vector for the origin_in_relint family."""
+    import random
+
+    from slval.harness import _RETRIES, FAMILIES, _sub_seed
+    from slval.linalg import Vector
+    from slval.polytope import dim, from_points, origin, translate
+
+    point = lambda rng, bound: Vector([rng.randint(-bound, bound) for _ in range(n)])
+    rng = random.Random(_sub_seed(seed, FAMILIES.index(family)))
+    for _ in range(_RETRIES):
+        count = rng.randint(min(n + 1, max_vertices), max_vertices)
+        if family == "lower_dim":
+            k = rng.randrange(n)
+            base = point(rng, coord_bound)
+            dirs = [point(rng, 2) for _ in range(k)]
+            pts = []
+            for _ in range(count):
+                p = base
+                for d in dirs:
+                    p = p + d.scale(rng.randint(-2, 2))
+                pts.append(p)
+            return from_points(pts, n)
+        if family == "avoids_origin":
+            axis = rng.randrange(n)
+            sign = rng.choice((-1, 1))
+            pts = []
+            for _ in range(count):
+                coords = [rng.randint(-coord_bound, coord_bound) for _ in range(n)]
+                coords[axis] = sign * rng.randint(1, coord_bound + 1)
+                pts.append(Vector(coords))
+            poly = from_points(pts, n)
+        elif family == "contains_origin":
+            poly = from_points([point(rng, coord_bound) for _ in range(count)] + [origin(n)], n)
+        else:
+            poly = from_points([point(rng, coord_bound) for _ in range(count)], n)
+        if dim(poly) != n:
+            continue
+        if family == "origin_in_relint":
+            return translate(poly, -scalar_interior_point(rng, poly))
+        return poly
+    raise RuntimeError(f"family {family!r} not satisfiable for seed {seed}")
+
+
+def scalar_basis_vector(P):
+    """(euler, relint_sign, volume, origin, cone) of P in Scalars, read
+    afresh from P's hull record and the cell sums of `slval.triangulate`
+    on every call, never from P's kept basis."""
+    from slval.exactnum import ONE, ZERO, Scalar
+    from slval.polytope import _origin_signs, dim
+    from slval.triangulate import _cell_sum
+
+    if P.is_empty:
+        return (ZERO,) * 5
+    n, k = P.ambient_dim, dim(P)
+    full = [(1 << len(P._rows)) - 1]
+    cells = lambda faces, m, apex: Scalar._make(*_cell_sum(P, P._rows, faces, m, apex), P._d)
+    vol = cells(full, n, False) if k == n else ZERO
+    signs = _origin_signs(P)
+    on_hull = signs is not None
+    relint = on_hull and all(s > 0 for s, _ in signs)
+    inside = on_hull and all(s >= 0 for s, _ in signs)
+    if k == n:
+        visible = [z for s, z in signs if s < 0]
+        cone = vol + cells(visible, n - 1, True) if visible else vol
+    elif k == n - 1 and not on_hull:
+        cone = cells(full, n - 1, True)
+    else:
+        cone = ZERO
+    sign = ONE if k % 2 == 0 else -ONE
+    return ONE, sign if relint else ZERO, vol, ONE if inside else ZERO, cone
+
+
+def scalar_apply(V, b):
+    """The classified valuation V on a basis vector b of Scalars, term by term."""
+    from slval.exactnum import cauchy_eval
+
+    euler, relint, vol, inside, cone = b
+    return (V.c0 * euler + V.c0p * relint + cauchy_eval(V.psi, vol)
+            + V.d0 * inside + cauchy_eval(V.phi, cone))
+
+
+def scalar_fit(values_of, n, seed=0, validation_count=100, field_d=0):
+    """`slval.harness.fit_classification` on the Scalar route: its probes
+    and validation polytopes from Vectors, the probe system solved as a
+    Matrix, and the residual read off `scalar_basis_vector`."""
+    from slval.exactnum import ZERO
+    from slval.harness import FAMILIES, FitReport, _sub_seed, surd_simplices
+    from slval.linalg import Matrix, Vector
+    from slval.polytope import from_points, origin, translate
+    from slval.valuation import ClassifiedValuation
+
+    e1 = Vector.basis(n, 0)
+    simplex = from_points([origin(n)] + [Vector.basis(n, i) for i in range(n)], n)
+    probes = (from_points([origin(n)], n), from_points([e1], n), from_points([-e1, e1], n),
+              simplex, translate(simplex, e1))
+    validation = [scalar_gen_polytope(_sub_seed(seed, 900 + i), n, max_vertices=6, coord_bound=3,
+                                      family=FAMILIES[i % len(FAMILIES)])
+                  for i in range(validation_count)]
+    validation += surd_simplices(n, field_d) if field_d else []
+    values = values_of([*probes, *validation])
+    probe_values = tuple(values[:5])
+    coefficients = tuple(solve(Matrix([scalar_basis_vector(P) for P in probes]),
+                               Vector(probe_values)))
+    model = ClassifiedValuation.linear(*coefficients)
+    residual = ZERO
+    for P, value in zip(validation, values[5:]):
+        gap = abs(value - scalar_apply(model, scalar_basis_vector(P)))
+        if gap > residual:
+            residual = gap
+    return FitReport(coefficients=coefficients, probe_values=probe_values, residual_max=residual)

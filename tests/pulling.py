@@ -166,3 +166,19 @@ def verify_complex(T: Triangulation):
         if intersect(pa, pb) != expected:
             return (a, b)
     return True
+
+
+def apex_volume(P, faces=None):
+    """Volume of the union of conv(F ∪ {0}) over the (n-1)-faces F of P
+    given as vertex bitmasks, each with 0 off aff F; without `faces`, over
+    P itself, which must then have dim n - 1 with 0 off aff P: the cone
+    cells that `slval.triangulate` sums for the cone term."""
+    from slval.polytope import _origin_signs
+    from slval.triangulate import _cell_sum
+
+    n = P.ambient_dim
+    if faces is None:
+        if dim(P) != n - 1 or _origin_signs(P) is not None:
+            raise ValueError(f"apex volume needs dim n-1 with 0 off the affine hull: {P!r}")
+        faces = [(1 << len(P._rows)) - 1]
+    return Scalar._make(*_cell_sum(P, P._rows, faces, n - 1, True), P._d)

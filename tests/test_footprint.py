@@ -3,8 +3,8 @@ op built once the op returns, and `import slval.cli` loads only the standard
 modules every command uses.
 
 `triangulate.volume` keeps its `lru_cache` wrapper at size 0, so it stores
-(and hashes) nothing; each polytope holds its own volume in its `_volume`
-slot, which goes with it.  The oracle subprocess modules load only when
+(and hashes) nothing; each polytope holds its own basis on integers, the
+volume among it, in its `_basis` slot, which goes with it.  The oracle subprocess modules load only when
 `fit --oracle-cmd` runs one."""
 
 import gc

@@ -391,12 +391,13 @@ class TestUscSequences:
         assert reports == [self.report(c0p, d0) for c0p, d0 in pairs]
 
     def test_one_basis_read_per_polytope(self, monkeypatch):
-        """Two pairs at four steps read the basis vector of each of the ten
+        """Two pairs at four steps read the integer basis of each of the ten
         polytopes once."""
         reads = []
-        counted = lambda Q: reads.append(Q) or basis_vector(Q)
-        monkeypatch.setattr(slval.harness, "basis_vector", counted)
-        monkeypatch.setattr(slval.valuation, "basis_vector", counted)
+        real = slval.harness._basis
+        counted = lambda Q: reads.append(Q) or real(Q)
+        monkeypatch.setattr(slval.harness, "_basis", counted)
+        monkeypatch.setattr(slval.valuation, "_basis", counted)
         usc_sequences([(Scalar(1), Scalar(0)), (Scalar(0), Scalar(1))], 4)
         assert len(reads) == 10
 

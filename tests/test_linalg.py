@@ -17,11 +17,10 @@ from slval.linalg import (
     kernel_basis,
     matrix_rank,
     random_sl_matrix,
-    solve,
     solve_any,
 )
 
-from oracles import det_root2, rref_root2
+from oracles import det_root2, rref_root2, solve
 from pulling import affine_rank
 
 

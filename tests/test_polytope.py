@@ -30,10 +30,11 @@ from slval.polytope import (
     transform,
     translate,
 )
-from slval.triangulate import apex_volume, volume
+from slval.triangulate import volume
 from slval.valuation import basis_vector
 
 from oracles import hull2d, in_hull2d, reference_intersect
+from pulling import apex_volume
 from records import scalar_facet_data, visible_facets
 
 
@@ -663,9 +664,9 @@ def test_origin_signs_agree_with_membership(n):
 
 def test_origin_readers_convert_no_point(monkeypatch):
     """Once P's record is filled, `basis_vector`, `relint_contains_origin`
-    and `apex_volume` read the origin off it and convert no point to
-    integer rows; testing it through `in_affine_hull` or `contains` built
-    and converted a zero Vector in each.  `cone_hull` converts none either:
+    and the cone cells that `pulling.apex_volume` sums read the origin off
+    it and convert no point to integer rows; testing it through
+    `in_affine_hull` or `contains` built and converted a zero Vector in each.  `cone_hull` converts none either:
     it adds a zero row to P's rows."""
     zero = Vector.zero(3)
     pieces = [(P, dim(P), in_affine_hull(P, zero)) for P in origin_pieces(3) if not P.is_empty]

@@ -16,19 +16,28 @@ from slval.polytope import (
     cone_hull,
     dim,
     facets,
+    _frame,
     from_points,
     transform,
 )
-from slval.triangulate import _pivot_volume, apex_volume, volume
+from slval.triangulate import _cell_sum, volume
 from slval.valuation import basis_vector
 
 from oracles import pyramid_volume, shoelace_area
-from pulling import Simplex, Triangulation, triangulate, verify_complex
+from pulling import Simplex, Triangulation, apex_volume, triangulate, verify_complex
 from records import scalar_facet_data, visible_facets
 
 
 def P(*tuples):
     return from_points([Vector(t) for t in tuples])
+
+
+def _pivot_volume(P):
+    """vol_k P in P's pivot coordinates, k = dim P: the cells of P summed on
+    the pivot columns of its integer pair rows."""
+    pivots = _frame(P)[0]
+    rows = [[row[c] for c in pivots] for row in P._rows]
+    return Scalar._make(*_cell_sum(P, rows, [(1 << len(rows)) - 1], len(pivots), False), P._d)
 
 
 def unit_cube(n):

@@ -37,6 +37,7 @@ from slval.valuation import (
 
 from oracles import inclusion_exclusion, shoelace_area
 from pulling import triangulate
+from splits import SLAB_VALUATION, surd_slabs
 
 
 def P(*tuples):
@@ -197,7 +198,7 @@ def _counting(monkeypatch, name):
 def test_evaluate_union_rejects_too_many_parts(monkeypatch):
     """13 parts through one point have 2^13 - 1 = 8191 nonempty
     intersections; the cap stops the recursion before the 4096th is read."""
-    calls = _counting(monkeypatch, "basis_vector")
+    calls = _counting(monkeypatch, "_basis")
     v = ClassifiedValuation.linear(1, 0, 0, 0, 0)
     parts = [P((0, 0), (i + 1, 0), (0, 1)) for i in range(13)]
     with pytest.raises(ValueError, match="4095"):
@@ -209,7 +210,7 @@ def test_evaluate_union_meets_only_nonempty_meets(monkeypatch):
     """Three consecutive slabs of a square: S1 & S3 is empty, so
     (S1 & S2) & S3 is never formed.  3 meets and 5 nonempty terms."""
     meets = _counting(monkeypatch, "intersect")
-    reads = _counting(monkeypatch, "basis_vector")
+    reads = _counting(monkeypatch, "_basis")
     slabs = [P((i, 0), (i + 1, 0), (i, 3), (i + 1, 3)) for i in range(3)]
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     assert evaluate_union(v, slabs) == Scalar(77)
@@ -220,7 +221,7 @@ def test_evaluate_union_depth_does_not_grow_with_disjoint_parts(monkeypatch):
     """Pairwise disjoint parts nest no deeper for 30 parts than for 3:
     the recursion goes one level down per index set, not per part."""
     depths = []
-    real = slval.valuation.basis_vector
+    real = slval.valuation._basis
 
     def recorded(Q):
         frame, depth = sys._getframe(), 0
@@ -229,7 +230,7 @@ def test_evaluate_union_depth_does_not_grow_with_disjoint_parts(monkeypatch):
         depths.append(depth)
         return real(Q)
 
-    monkeypatch.setattr(slval.valuation, "basis_vector", recorded)
+    monkeypatch.setattr(slval.valuation, "_basis", recorded)
     v = ClassifiedValuation.linear(0, 0, 1, 0, 0)
     deepest = []
     for m in (3, 30):
@@ -308,6 +309,25 @@ def test_evaluate_union_matches_all_subsets(n, dense, d):
         for V in UNION_VALUATIONS:
             expected = inclusion_exclusion(parts, meet, lambda Q: evaluate(V, Q))
             assert evaluate_union(V, parts) == expected
+
+
+def test_evaluate_union_builds_scalars_only_for_its_value(monkeypatch):
+    """The slab unions over Q(sqrt 2) sum integer bases over a common
+    denominator and build at most three Scalars per call, however many
+    terms they add: the volume entry RationalPart reads, its value and the
+    sum.  Summing Scalar basis vectors term by term built 45 to 48 per call
+    on these slabs."""
+    made = []
+    real = Scalar._make.__func__
+    monkeypatch.setattr(Scalar, "_make", classmethod(lambda cls, *args: made.append(args)
+                                                     or real(cls, *args)))
+    for n in (2, 3):
+        for seed in range(5):
+            P, slabs = surd_slabs(n, seed)
+            whole = evaluate(SLAB_VALUATION, P)
+            made.clear()
+            assert evaluate_union(SLAB_VALUATION, slabs) == whole
+            assert len(made) <= 3, (n, seed, len(made))
 
 
 def test_rational_part_valuation_on_surd_box():
