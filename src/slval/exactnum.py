@@ -82,6 +82,33 @@ def _integer_rows(rows) -> tuple[list[list[tuple[int, int]]], int, int]:
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?$")
 
 
+def _literal(text, field: int = 0) -> tuple[int, int, int, int]:
+    """`a` or `a+-b*sqrt(d)` as a canonical (A, B, q, d): int if str(int(text)) == text,
+    else by the grammar; a d equal to `field`, which the caller checked, is not rechecked."""
+    try:
+        if str(a := int(text)) == text:
+            return a, 0, 1, 0
+    except (TypeError, ValueError):
+        pass
+    m = _SCALAR_RE.match(text)
+    if m is None:
+        raise ScalarParseError(f"bad scalar literal: {text!r}")
+    an, aq, sign, bn, bq, d = m.groups()
+    try:
+        a, aq, b, bq, d = int(an), int(aq or 1), int(bn or 0), int(bq or 1), int(d or 0)
+        if not aq or not bq:
+            raise ValueError(f"zero denominator in scalar literal: {text!r}")
+        if d != field:
+            _check_discriminant(d)
+        if not d and b:
+            raise ValueError("irrational part requires a nonzero discriminant")
+    except ValueError as exc:
+        raise ScalarParseError(str(exc)) from None
+    A, B, q = a * bq, (-b if sign == "-" else b) * aq, aq * bq
+    g = gcd(A, B, q)
+    return A // g, B // g, q // g, d if B else 0
+
+
 class Scalar:
     """Immutable element of Q or Q(sqrt(d)), kept in canonical form.
 
@@ -310,23 +337,8 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str, field: int = 0) -> Scalar:
-        """`a`, `a+b*sqrt(d)` or `a-b*sqrt(d)`, read into one integer triple;
-        a d equal to `field`, which the caller has checked, is not rechecked."""
-        m = _SCALAR_RE.match(text)
-        if m is None:
-            raise ScalarParseError(f"bad scalar literal: {text!r}")
-        an, aq, sign, bn, bq, d = m.groups()
-        try:
-            a, aq, b, bq, d = int(an), int(aq or 1), int(bn or 0), int(bq or 1), int(d or 0)
-            if not aq or not bq:
-                raise ValueError(f"zero denominator in scalar literal: {text!r}")
-            if d != field:
-                _check_discriminant(d)
-            if not d and b:
-                raise ValueError("irrational part requires a nonzero discriminant")
-        except ValueError as exc:
-            raise ScalarParseError(str(exc)) from None
-        return cls._make(a * bq, (-b if sign == "-" else b) * aq, aq * bq, d)
+        """The Scalar of the literal that `_literal` reads, or ScalarParseError."""
+        return cls._make(*_literal(text, field))
 
 
 ZERO = Scalar(0)

@@ -303,12 +303,8 @@ def surd_simplices(n: int, d: int, count: int = 5) -> list[Polytope]:
 def fit_validation_polytopes(n: int, seed: int = 0, count: int = 100,
                              field_d: int = 0) -> list[Polytope]:
     """`count` seeded rational polytopes, then the surd simplices unless field_d is 0."""
-    polys = []
-    for i in range(count):
-        family = FAMILIES[i % len(FAMILIES)]
-        polys.append(
-            gen_polytope(_sub_seed(seed, 900 + i), n, max_vertices=6, coord_bound=3, family=family)
-        )
+    polys = [gen_polytope(_sub_seed(seed, 900 + i), n, max_vertices=6, coord_bound=3,
+                          family=FAMILIES[i % len(FAMILIES)]) for i in range(count)]
     return polys + (surd_simplices(n, field_d) if field_d else [])
 
 
@@ -324,8 +320,11 @@ def fit_classification(values_of, n: int, seed: int = 0, validation_count: int =
     fitted model: 0 for the classified form with linear psi and phi,
     nonzero otherwise.  A RationalPart plugin agrees with Linear(1) on
     rational volumes; the surd simplices of a nonzero field_d, whose
-    volumes are irrational, tell the two apart.
+    volumes are irrational, tell the two apart.  n must be >= 2: SL(1) is
+    trivial, and at n = 1 the probes' basis rows are dependent.
     """
+    if n < 2:
+        raise ValueError(f"the fit needs n >= 2, got {n}: the classification is of SL(n), n >= 2")
     probes = probe_polytopes(n)
     validation = fit_validation_polytopes(n, seed, validation_count, field_d)
     values = values_of([*probes, *validation])

@@ -40,8 +40,8 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Iterable
 
-from .exactnum import (Scalar, _check_discriminant, _integer_rows, _merge_discriminants, _surd_sign,
-                       as_scalar)
+from .exactnum import (Scalar, _check_discriminant, _integer_rows, _literal, _merge_discriminants,
+                       _surd_sign, as_scalar)
 from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _over,
                      _pair_dot, _primitive, _rationalized)
 
@@ -182,37 +182,39 @@ def _canonical(row, d: int, col: int | None = None) -> tuple:
 
 
 def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
-    """Frame and facets of the points X / L in R^n, given as integer pair
-    rows X: (frame, {incident point bitmask: facet row}), the frame as
+    """Frame and facets of the points X / L in R^n, given as distinct integer
+    pair rows X: (frame, {incident point bitmask: facet row}), the frame as
     `_frame` gives it, and per facet the canonical row (W, C) of
     <W, x> <= C, valid on every point and tight exactly on the incident
     ones, W zero off the pivot columns.  A point has no facets.
 
-    Double description in Z[sqrt d]: the points are read as integer pairs
-    x' = (X, -1), coordinates reversed.  Each facet is a ray (r, Z): r a
-    gcd-reduced integer vector with <r, x'> <= 0 on every point, Z the
-    bitmask of tight points inserted so far.  Points are inserted far
-    first, by decreasing sum of A^2 + d B^2 over their pairs, ties by index,
-    which keeps the intermediate rays few (Avis, Bremner and Seidel 1997).
-    One `_eliminate` of [X | I], the x' as X's columns in that order, seeds
-    all.  Its k + 1 rows that pivot on X pick the first affinely
-    independent points, k = dim; right of X, row i is tight on each of them
-    but the i-th, where the common pivot D orients it, and on X it holds
-    its excess at every point, so points inside that simplex are skipped.
-    Its other rows pivot in I, on the free columns: the greedy basis of the
-    dual in the reverse order is the complement of the forward one.  Each
-    is D on its own free column, 0 on the others (the seed rays are 0 on
-    all), and reads <w, X> = c on every point: the frame equality is
-    <L w, x> = c.  Each later point drops the rays it violates, and
-    combines each violated ray with every adjacent satisfied one into a ray
-    tight at the point.  Two rays are adjacent iff their common tight set
-    has at least k - 1 points and lies in no third ray's tight set.
+    Double description in Z[sqrt d] on x' = (X, -1), coordinates reversed.
+    Each facet is a ray (r, Z, E): r a gcd-reduced integer vector with
+    <r, x'> <= 0 on every point, Z the bitmask of tight points inserted so
+    far, E the excesses <r, x'> at the candidates not yet inserted, over
+    r's gcd.  Points go in far first, by decreasing sum of A^2 + d B^2 over
+    their pairs, ties by index, which keeps the intermediate rays few (Avis,
+    Bremner and Seidel 1997).  One `_eliminate` of [X | I], the x' as X's
+    columns in that order, seeds all.  Its k + 1 rows that pivot on X pick
+    the first affinely independent points, k = dim: right of X, row i is
+    tight on each of them but the i-th, where the common pivot D orients
+    it, and on X it holds its excess at every point, which gives the seed
+    rays' E and the candidates, the points neither in that simplex nor
+    strictly inside it.  Its other rows pivot in I, on the free columns (the
+    dual's reverse greedy basis complements the forward one); each is D on
+    its own free column, 0 on the others, and reads <w, X> = c on every
+    point: the frame equality is <L w, x> = c.  Each candidate, read off E,
+    drops the rays it violates and combines each with every adjacent
+    satisfied one into a ray tight at it, E alike.  Two rays are adjacent
+    iff their common tight set has at least k - 1 points and lies in no
+    third ray's; below k = 4 any k - 1 points are affinely independent, so
+    two facets through them meet in a ridge: the third-ray scan starts at 4.
     """
     n, m = len(ints[0]), len(ints)
-    pts = [(*row[::-1], (-1, 0)) for row in ints]
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
     unit = [[(int(r == c), 0) for r in range(n + 1)] for c in range(n + 1)]
-    form, pivots, _, D = _eliminate([list(row) for row in zip(*[pts[i] for i in order], *unit)], d)
+    pts = [(*ints[i][::-1], (-1, 0)) for i in order]
+    form, pivots, _, D = _eliminate([list(row) for row in zip(*pts, *unit)], d)
     k = sum(c < m for c in pivots) - 1
     free = sorted(m + n - 1 - c for c in pivots[k + 1:])
     # a row r on x' is the row (L r reversed, r_n) on x, here times s
@@ -222,38 +224,39 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     equalities = tuple(_canonical(on_x(row[m:], -flip), d, col) for row, col in zip(form[:k:-1], free))
     frame = (tuple(c for c in range(n) if c not in free), equalities)
     form = form[:k + 1] if k else []
-    simplex = [order[c] for c in pivots[:len(form)]]
-    rays: list[tuple[list[tuple[int, int]], int]] = [
-        (_primitive([(flip * a, flip * b) for a, b in row[m:]]),
-         sum(1 << j for j in simplex if j != i))
-        for row, i in zip(form, simplex)]
-    for c, i in enumerate(order):
-        if i in simplex or all(flip * _surd_sign(*row[c], d) < 0 for row in form):
-            continue
-        bit = 1 << i
+    simplex = pivots[:len(form)]
+    candidates = [c for c in range(m) if c not in simplex
+                  and not all(flip * _surd_sign(*row[c], d) < 0 for row in form)]
+    rays = []
+    for row, c in zip(form, simplex):
+        # the ray's gcd divides its X block; E lists the last candidate first
+        v = _primitive([(flip * a, flip * b) for a, b in row[m:] + [row[t] for t in candidates[::-1]]])
+        rays.append((v[:n + 1], sum(1 << order[j] for j in simplex if j != c), v[n + 1:]))
+    for c in candidates:
+        bit = 1 << order[c]
         violated, satisfied, kept = [], [], []
-        for r, z in rays:
-            excess = _pair_dot(r, pts[i], d)
-            s = _surd_sign(*excess, d)
+        for r, z, e in rays:
+            x = e.pop()
+            s = _surd_sign(*x, d) if d else x[0]
             if s > 0:
-                violated.append((r, z, excess))
+                violated.append((r, z, e, x))
             elif s < 0:
-                kept.append((r, z))
-                satisfied.append((r, z, excess))
+                kept.append((r, z, e))
+                satisfied.append((r, z, e, x))
             else:
-                kept.append((r, z | bit))
-        masks = [z for _, z in rays]
-        for rv, zv, ev in violated:
-            for rs, zs, es in satisfied:
+                kept.append((r, z | bit, e))
+        for rv, zv, ev, xv in violated:
+            for rs, zs, es, xs in satisfied:
                 common = zv & zs
                 if common.bit_count() < k - 1:
                     continue
-                if any(z & common == common for z in masks if z != zv and z != zs):
+                if k > 3 and any(z & common == common for _, z, _ in rays if z != zv and z != zs):
                     continue
-                # ev > 0 > es: the positive combination tight at point i
-                kept.append((_combine(rs, ev, rv, es, d), common | bit))
+                # xv > 0 > xs: the positive combination tight at the point
+                r, e = _combine(rs, xv, rv, xs, d, es, ev)
+                kept.append((r, common | bit, e))
         rays = kept
-    return frame, {z: _canonical(on_x(r, 1), d) for r, z in rays}
+    return frame, {z: _canonical(on_x(r, 1), d) for r, z, _ in rays}
 
 
 def _hull(P: Polytope) -> tuple[tuple, tuple[tuple[tuple, int], ...]]:
@@ -323,58 +326,61 @@ def _face(P: Polytope, z: int) -> Polytope:
     return Polytope._of(P.ambient_dim, tuple(P._rows[i] for i in _indices(z)), P._L, P._d)
 
 
-def _ridges(face: int, masks, k: int) -> dict[int, int]:
-    """The facets of the k-face `face` of a polytope with facet bitmasks
-    `masks`, each with the index of a facet through it: the maximal proper
-    meets of face with masks that have at least k vertices; below k = 4,
-    where no lower face has k vertices, every such meet."""
-    meets = {r: g for g, m in enumerate(masks) if (r := face & m) != face and r.bit_count() >= k}
+def _ridges(face: int, masks, k: int, avoid: int = 0) -> dict[int, int]:
+    """The facets of the k-face `face` that miss `avoid`, each with the index
+    of a facet of `masks` through it: the maximal proper meets with masks that
+    miss `avoid` and have >= k vertices (all, below k = 4: no lower face has k)."""
+    meets = {r: g for g, m in enumerate(masks)
+             if (r := face & m) != face and not r & avoid and r.bit_count() >= k}
     if k < 4:
         return meets
     return {r: g for r, g in meets.items() if not any(r & s == r != s for s in meets)}
 
 
 def _extreme(raw: Polytope) -> Polytope:
-    """The hull of raw's points, handed the record of raw's pass, renumbered:
-    a point is extreme iff it is the only point on every facet through it."""
-    frame, data = _hull(raw)
+    """The hull of raw's points, handed the record of one pass on them (raw only
+    if all are extreme): a point is extreme iff it is alone on every facet through it."""
+    frame, found = _supporting(raw._rows, raw._L, raw._d)
     m = len(raw._rows)
     meet = [(1 << m) - 1] * m
-    for _, z in data:
+    for z in found:
         for i in _indices(z):
             meet[i] &= z
     keep = [i for i in range(m) if meet[i] == 1 << i]
-    if len(keep) == m:
-        return raw
-    P = _face(raw, sum(1 << i for i in keep))
-    _fill_hull(P, frame, [(h, sum(1 << new for new, old in enumerate(keep) if z >> old & 1))
-                          for h, z in data])
-    return P
+    if len(keep) < m:
+        raw = _face(raw, sum(1 << i for i in keep))
+        found = {sum(1 << j for j, i in enumerate(keep) if z >> i & 1): h for z, h in found.items()}
+    _fill_hull(raw, frame, [(h, z) for z, h in found.items()])
+    return raw
+
+
+def _hull_of(rows: list, ambient_dim: int | None, L: int | None = None, d: int = 0) -> Polytope:
+    """`from_points` on pair rows over L in Z[sqrt d], or on Vectors if L is None."""
+    if not rows:
+        if ambient_dim is None:
+            raise ValueError("empty point set needs an explicit ambient_dim")
+        return Polytope.empty(ambient_dim)
+    n = len(rows[0])
+    if ambient_dim is not None and ambient_dim != n:
+        raise ValueError("points do not match the requested ambient_dim")
+    if any(len(p) != n for p in rows):
+        raise ValueError("points of mixed dimension")
+    if n < 1:
+        raise ValueError("ambient dimension must be >= 1")
+    return _extreme(Polytope(n, rows) if L is None else Polytope._of(n, tuple(sorted(set(rows))), L, d))
 
 
 def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     """Canonical hull: keeps exactly the extreme points of the input.
 
     One double-description pass over the distinct points settles every
-    point.  The result is handed that pass's frame and facets, renumbered;
-    both are canonical, so they equal what it would derive.  Tuples or lists
-    of ints are taken as pair rows over L = 1, any other point as a Vector.
+    point and hands the result its canonical frame and facets, renumbered.
+    Tuples or lists of ints are pair rows over L = 1, any other point a Vector.
     """
     pts = list(points)
-    exact = all(type(p) in (tuple, list) and all(type(c) is int for c in p) for p in pts)
-    pts = pts if exact else [p if isinstance(p, Vector) else Vector(p) for p in pts]
-    if not pts:
-        if ambient_dim is None:
-            raise ValueError("empty point set needs an explicit ambient_dim")
-        return Polytope.empty(ambient_dim)
-    n = len(pts[0])
-    if ambient_dim is not None and ambient_dim != n:
-        raise ValueError("points do not match the requested ambient_dim")
-    if any(len(p) != n for p in pts):
-        raise ValueError("points of mixed dimension")
-    if exact and n:
-        return _extreme(Polytope._of(n, tuple(sorted({tuple((c, 0) for c in p) for p in pts})), 1, 0))
-    return _extreme(Polytope(n, pts))
+    if all(type(p) in (tuple, list) and all(type(c) is int for c in p) for p in pts):
+        return _hull_of([tuple((c, 0) for c in p) for p in pts], ambient_dim, 1)
+    return _hull_of([p if isinstance(p, Vector) else Vector(p) for p in pts], ambient_dim)
 
 
 def dim(P: Polytope) -> int:
@@ -533,10 +539,8 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
 
 def cone_hull(P: Polytope) -> Polytope:
     """Hull of the polytope together with the origin: one pass on P's rows
-    and a zero row, which a set keeps single when 0 is already a vertex."""
-    n = P.ambient_dim
-    rows = tuple(sorted({*P._rows, ((0, 0),) * n}))
-    return _extreme(Polytope._of(n, rows, P._L, P._d))
+    and a zero row, which `_hull_of` keeps single when 0 is already a vertex."""
+    return _hull_of([*P._rows, ((0, 0),) * P.ambient_dim], P.ambient_dim, P._L, P._d)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
@@ -632,6 +636,8 @@ def to_json(P: Polytope) -> dict:
 
 
 def from_json(obj: dict) -> Polytope:
+    """The hull of a `to_json` object: each row read as `_literal` triples and
+    checked against the field, all over the lcm of their q, into `_hull_of`."""
     try:
         n, d, raw = obj["ambient_dim"], obj["field_d"], obj["vertices"]
         if type(n) is not int or type(d) is not int:
@@ -641,11 +647,11 @@ def from_json(obj: dict) -> Polytope:
         d = _check_discriminant(d)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad polytope object: {exc}") from None
-    points = []
+    rows = []
     for row in raw:
-        coords = [Scalar.parse(text, d) for text in row]
-        for c in coords:
-            if c.d not in (0, d):
-                raise ValueError(f"vertex scalar {c} outside declared field sqrt({d})")
-        points.append(Vector(coords))
-    return from_points(points, n)
+        rows.append([_literal(text, d) for text in row])
+        for c in rows[-1]:
+            if c[3] not in (0, d):
+                raise ValueError(f"vertex scalar {Scalar._make(*c)} outside declared field sqrt({d})")
+    L = lcm(*(q for row in rows for _, _, q, _ in row))
+    return _hull_of([tuple((a * (L // q), b * (L // q)) for a, b, q, _ in row) for row in rows], n, L, d)

@@ -33,12 +33,12 @@ from .polytope import Polytope, _facet_data, _indices, _origin_signs, _ridges, d
 def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
     """Cells of the pulling triangulation of the k-face `face`, as vertex
     bitmasks; `masks` are the polytope's facet bitmasks.  The face's facets
-    are its `_ridges`, and those through the apex are skipped."""
+    are its `_ridges` that miss the apex."""
     if face.bit_count() == k + 1:
         return [face]
     if face not in memo:
         apex = face & -face
-        memo[face] = [cell | apex for g in _ridges(face, masks, k) if not g & apex
+        memo[face] = [cell | apex for g in _ridges(face, masks, k, apex)
                       for cell in _cells(masks, g, k - 1, memo)]
     return memo[face]
 

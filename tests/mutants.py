@@ -180,7 +180,7 @@ CATALOGUE = (
     ),
     Mutant(
         "pulling-cones-through-the-apex", "triangulate.py",
-        "for g in _ridges(face, masks, k) if not g & apex\n",
+        "for g in _ridges(face, masks, k, apex)\n",
         "for g in _ridges(face, masks, k)\n",
         ("tests/test_triangulate.py::test_volume_of_unit_square_and_cube",),
     ),
@@ -206,10 +206,50 @@ CATALOGUE = (
     ),
     Mutant(
         "supporting-skips-the-third-ray-test", "polytope.py",
-        "                if any(z & common == common for z in masks if z != zv and z != zs):\n",
+        "                if k > 3 and any(z & common == common for _, z, _ in rays if z != zv and z != zs):\n",
         "                if False:\n",
         ("tests/test_hull.py::test_five_cube_combines_only_adjacent_rays",
          "tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays"),
+    ),
+    Mutant(
+        # at k = 4 three common tight points may be collinear: no ridge
+        "supporting-scans-for-a-third-ray-only-from-k-5", "polytope.py",
+        "if k > 3 and any(z & common == common",
+        "if k > 4 and any(z & common == common",
+        ("tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays",),
+    ),
+    Mutant(
+        "combine-leaves-the-excesses-undivided", "linalg.py",
+        "[(a // g, b // g) for a, b in xs]) if g > 1 else (x, xs)",
+        "xs) if g > 1 else (x, xs)",
+        ("tests/test_read_path.py::test_pass_matches_the_dot_product_pass[3-False]",),
+    ),
+    Mutant(
+        "supporting-drops-candidates-tight-on-a-seed-ray", "polytope.py",
+        "and not all(flip * _surd_sign(*row[c], d) < 0 for row in form)]",
+        "and not all(flip * _surd_sign(*row[c], d) <= 0 for row in form)]",
+        ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
+         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
+    ),
+    Mutant(
+        "supporting-skips-rays-tight-at-the-point", "polytope.py",
+        "            elif s < 0:\n                kept.append((r, z, e))\n",
+        "            elif s <= 0:\n                kept.append((r, z, e))\n",
+        ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
+         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
+    ),
+    Mutant(
+        "literal-shortcut-skips-the-round-trip", "exactnum.py",
+        "        if str(a := int(text)) == text:\n",
+        "        if (a := int(text)) is not None:\n",
+        ("tests/test_exactnum.py::test_parse_matches_the_fraction_reference",
+         "tests/test_read_path.py::test_json_reads_as_the_scalar_route"),
+    ),
+    Mutant(
+        "json-reads-every-row-before-the-field-check", "polytope.py",
+        "        rows.append([_literal(text, d) for text in row])\n",
+        "        rows.append([_literal(text, d) for text in row])\n    for row in rows:\n",
+        ("tests/test_read_path.py::test_json_reads_as_the_scalar_route",),
     ),
     Mutant(
         "frame-keeps-the-coordinate-rows-in-forward-order", "polytope.py",
@@ -236,10 +276,11 @@ CATALOGUE = (
         ("tests/test_harness.py::TestFit::test_round_trip_full",),
     ),
     Mutant(
-        # a repeated zero row makes `_extreme` drop the vertex 0
-        "cone-hull-keeps-a-second-origin-row", "polytope.py",
-        "    rows = tuple(sorted({*P._rows, ((0, 0),) * n}))\n",
-        "    rows = tuple(sorted(P._rows + (((0, 0),) * n,)))\n",
+        # a repeated row, such as cone_hull's zero row at a vertex 0, makes
+        # `_extreme` drop that vertex
+        "hull-keeps-a-repeated-row", "polytope.py",
+        "Polytope._of(n, tuple(sorted(set(rows))), L, d)",
+        "Polytope._of(n, tuple(sorted(rows)), L, d)",
         ("tests/test_polytope.py::test_cone_hull_cases",
          "tests/test_polytope.py::test_origin_signs_agree_with_membership",
          "tests/test_triangulate.py::test_volume_routes_agree"),

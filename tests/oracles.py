@@ -14,8 +14,9 @@ determinant over Q(sqrt 2), which eliminates nothing.
 `inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
 cover; the meet and the value are the caller's.
 
-`reference_clip`, `pyramid_volume`, `reference_parse` and the Scalar route
-of the fit at the end of the file are the exceptions.  The first is the
+`reference_clip`, `pyramid_volume`, `reference_parse`, the Scalar route
+of the fit and the former read path at the end of the file are the
+exceptions.  The first is the
 differential oracle of the clip in `slval.polytope`, which reads signs and
 crossing points off integer pairs.  It reads the package's facet record the
 same way, but takes every excess and crossing point in `Scalar` arithmetic
@@ -26,7 +27,11 @@ recurses over the facets as polytopes, each with its own frame and facet
 record, and sums heights times facet volumes in `Scalar`s.  The third is
 the oracle of `Scalar.parse`, which reads its integer triple straight off
 the text: it reads both coefficients as `Fraction`s and builds the value
-through the public `Scalar` constructor.
+through the public `Scalar` constructor.  The read path of `slval valuate`
+that `slval.polytope.from_json` replaced, `scalar_from_json`, and the hull
+pass that took every excess as a fresh dot product, `dot_supporting`, are
+the oracles of the integer read path and of the rays that carry their
+excesses.
 """
 
 import re
@@ -548,3 +553,91 @@ def scalar_fit(values_of, n, seed=0, validation_count=100, field_d=0):
         if gap > residual:
             residual = gap
     return FitReport(coefficients=coefficients, probe_values=probe_values, residual_max=residual)
+
+
+# -- the former read path -------------------------------------------------
+#
+# `slval.polytope.from_json` reads each literal into an integer triple and
+# puts the rows over their common denominator as integer pair rows, and the
+# hull pass reads each excess off a list its ray carries.  What follows is
+# what they replaced: a Scalar per literal, a Vector per row and
+# `from_points` on the Vectors; and a pass that takes the dot product of
+# every ray with every inserted point and scans every ray's tight set for
+# every adjacency, at any dimension.
+
+
+def scalar_from_json(obj):
+    """A polytope object read as Scalars, then Vectors, then `from_points`."""
+    from slval.exactnum import Scalar, _check_discriminant
+    from slval.linalg import Vector
+    from slval.polytope import from_points
+
+    try:
+        n, d, raw = obj["ambient_dim"], obj["field_d"], obj["vertices"]
+        if type(n) is not int or type(d) is not int:
+            raise ValueError("ambient_dim and field_d must be JSON integers")
+        if type(raw) is not list or any(type(row) is not list for row in raw):
+            raise ValueError("vertices must be a JSON list of JSON lists")
+        d = _check_discriminant(d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad polytope object: {exc}") from None
+    points = []
+    for row in raw:
+        coords = [Scalar.parse(text, d) for text in row]
+        for c in coords:
+            if c.d not in (0, d):
+                raise ValueError(f"vertex scalar {c} outside declared field sqrt({d})")
+        points.append(Vector(coords))
+    return from_points(points, n)
+
+
+def dot_supporting(ints, L, d):
+    """`slval.polytope._supporting` as it took each excess: <r, x'> by
+    `_pair_dot` for every ray at every point not inside the seed simplex,
+    and the third-ray scan for every adjacency."""
+    from slval.exactnum import _surd_sign
+    from slval.linalg import _cross, _eliminate, _pair_dot, _primitive
+    from slval.polytope import _canonical
+
+    n, m = len(ints[0]), len(ints)
+    pts = [(*row[::-1], (-1, 0)) for row in ints]
+    order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
+    unit = [[(int(r == c), 0) for r in range(n + 1)] for c in range(n + 1)]
+    form, pivots, _, D = _eliminate([list(row) for row in zip(*[pts[i] for i in order], *unit)], d)
+    k = sum(c < m for c in pivots) - 1
+    free = sorted(m + n - 1 - c for c in pivots[k + 1:])
+    on_x = lambda r, s: [(s * L * a, s * L * b) for a, b in r[n - 1::-1]] + [(s * r[n][0], s * r[n][1])]
+    flip = -1 if _surd_sign(*D, d) > 0 else 1
+    equalities = tuple(_canonical(on_x(row[m:], -flip), d, col) for row, col in zip(form[:k:-1], free))
+    frame = (tuple(c for c in range(n) if c not in free), equalities)
+    form = form[:k + 1] if k else []
+    simplex = [order[c] for c in pivots[:len(form)]]
+    rays = [(_primitive([(flip * a, flip * b) for a, b in row[m:]]),
+             sum(1 << j for j in simplex if j != i))
+            for row, i in zip(form, simplex)]
+    for c, i in enumerate(order):
+        if i in simplex or all(flip * _surd_sign(*row[c], d) < 0 for row in form):
+            continue
+        bit = 1 << i
+        violated, satisfied, kept = [], [], []
+        for r, z in rays:
+            excess = _pair_dot(r, pts[i], d)
+            s = _surd_sign(*excess, d)
+            if s > 0:
+                violated.append((r, z, excess))
+            elif s < 0:
+                kept.append((r, z))
+                satisfied.append((r, z, excess))
+            else:
+                kept.append((r, z | bit))
+        masks = [z for _, z in rays]
+        for rv, zv, ev in violated:
+            for rs, zs, es in satisfied:
+                common = zv & zs
+                if common.bit_count() < k - 1:
+                    continue
+                if any(z & common == common for z in masks if z != zv and z != zs):
+                    continue
+                kept.append((_primitive(_cross(rs, ev, rv, es, d)), common | bit))
+        rays = kept
+    return frame, {z: _canonical(on_x(r, 1), d) for r, z in rays}

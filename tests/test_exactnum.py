@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slval.exactnum import (
@@ -159,13 +159,42 @@ def parse_outcome(parse, text):
     return x, x.d, str(x)
 
 
+#: the texts at the edge of the integer shortcut, which reads a text by `int`
+#: only when `str` writes the int back as the same text: signs, zeros,
+#: blanks, underscores, non-ASCII digits, the digit limit of `int` and values
+#: that are not text at all
+SHORTCUT_EDGES = ["3", "-3", "0", "+3", "-0", "007", "-007", "4/2", " 3", "3 ", "\t3", "3\n", "3_0",
+                  "٣", "-٣", "1٣", "7" * 4300, "-" + "7" * 4300, "1" * 4301, "1" * 5000,
+                  "0x10", "1e3", "", 3, -3, True, None, 3.0, [1], b"3"]
+
+
+def with_shortcut_edges(test):
+    for text in SHORTCUT_EDGES:
+        test = example(text)(test)
+    return test
+
+
+@with_shortcut_edges
 @given(scalar_texts())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_parse_matches_the_fraction_reference(text):
-    """`parse` reads its integer triple straight off the text; the former
-    Fraction-based parse, kept as an oracle, gives the same value or
-    raises the same exception class."""
+    """`parse` reads its integer triple straight off the text, and an int
+    off a text that `str(int(text))` gives back; the former Fraction-based
+    parse, kept as an oracle, gives the same value or raises the same
+    exception class, on drawn texts and at the shortcut's edges."""
     assert parse_outcome(Scalar.parse, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", SHORTCUT_EDGES, ids=lambda t: repr(t)[:12])
+def test_parse_errors_at_the_shortcut_edges_read_as_the_reference(text):
+    """A text the integer shortcut passes on to the grammar fails with the
+    reference's message."""
+    try:
+        Scalar.parse(text)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as ref:
+            reference_parse(text)
+        assert str(ref.value) == str(exc)
 
 
 def test_str_is_canonical():

@@ -264,6 +264,16 @@ class TestFit:
         report = fit_classification(values_of(lambda p: Scalar(dim(p))), 2, validation_count=30)
         assert report.residual_max != Scalar(0)
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_fit_refuses_n_below_2_before_building_a_polytope(self, monkeypatch, n):
+        """SL(1) is trivial, and at n = 1 the probes' basis rows are
+        dependent: the fit names n >= 2 and runs no hull pass."""
+        passes = []
+        monkeypatch.setattr(slval.polytope, "_supporting", lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match="n >= 2"):
+            fit_classification(values_of(lambda p: Scalar(0)), n)
+        assert passes == []
+
 
 class TestConeDecomposition:
     def test_triangle_worked_example(self):

@@ -89,14 +89,19 @@ ORACLES = {
 @pytest.mark.parametrize("oracle", sorted(ORACLES))
 @pytest.mark.parametrize("n", DIMENSIONS)
 def test_fit_reports_the_scalar_route_report(n, oracle, field_d):
-    """Equal reports; at n = 1, where the basis vector of [-e1, e1] is twice
-    that of [0, e1] less that of {0}, both routes find the probes singular."""
+    """Equal reports.  At n = 1, where the basis vector of [-e1, e1] is twice
+    that of [0, e1] less that of {0}, the Scalar route finds the probes
+    singular, and the fit refuses n < 2 before it builds or asks for any
+    polytope."""
     values_of = lambda polys: [ORACLES[oracle](P) for P in polys]
     if n == 1:
-        for fit in (fit_classification, scalar_fit):
-            with pytest.raises(SingularMatrixError) as err:
-                fit(values_of, n, seed=n, validation_count=20, field_d=field_d)
-            assert err.value.rank == 4
+        with pytest.raises(SingularMatrixError) as err:
+            scalar_fit(values_of, n, seed=n, validation_count=20, field_d=field_d)
+        assert err.value.rank == 4
+        asked = []
+        with pytest.raises(ValueError, match="n >= 2") as err:
+            fit_classification(asked.append, n, seed=n, validation_count=20, field_d=field_d)
+        assert type(err.value) is ValueError and asked == []
         return
     report = fit_classification(values_of, n, seed=n, validation_count=20, field_d=field_d)
     assert report == scalar_fit(values_of, n, seed=n, validation_count=20, field_d=field_d)
