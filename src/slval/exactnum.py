@@ -263,9 +263,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self._qa == 0 and self._qb == 0
 
-    def is_rational(self) -> bool:
-        return self._qb == 0
-
     def sign(self) -> int:
         return _surd_sign(self._qa, self._qb, self.d)
 

@@ -87,6 +87,8 @@ def _apply(V: ClassifiedValuation, b, d: int) -> Scalar:
             continue
         if type(c) is Linear and _surd_sign(xa, xb, d) >= 0:
             c = c.coefficient
+        if type(c) is not Scalar and not isinstance(c, CauchySolution):
+            c = as_scalar(c)
         if type(c) is not Scalar:
             c, xa, xb, r = cauchy_eval(c, Scalar._make(xa, xb, r, d)), 1, 0, 1
         f = _merge_discriminants(c.d, d if xb else 0)

@@ -192,6 +192,28 @@ CATALOGUE = (
         ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
     ),
     Mutant(
+        # equal values: a facet through vertex 0 gives cells with a zero row
+        # of differences, so only the determinant count sees the extra cells
+        "walk-sends-every-facet-to-the-volume", "triangulate.py",
+        "to_volume, seen = not face & 1, s < 0\n",
+        "to_volume, seen = True, s < 0\n",
+        ("tests/test_triangulate.py::test_one_facet_walk_matches_the_two_walk_reference[2]",),
+    ),
+    Mutant(
+        # equal values: the cones from 0 over a facet through 0 are flat
+        "walk-sees-facets-through-the-origin", "triangulate.py",
+        "to_volume, seen = not face & 1, s < 0\n",
+        "to_volume, seen = not face & 1, s <= 0\n",
+        ("tests/test_triangulate.py::test_one_facet_walk_matches_the_two_walk_reference[3]",),
+    ),
+    Mutant(
+        "cone-omits-the-volume", "triangulate.py",
+        "cone = (A + a_seen, B + b_seen, q) if faces else vol\n",
+        "cone = (a_seen, b_seen, q) if faces else vol\n",
+        ("tests/test_valuation.py::test_cone_volume_of_triangle",
+         "tests/test_triangulate.py::test_one_facet_walk_matches_the_two_walk_reference[4]"),
+    ),
+    Mutant(
         "facet-handover-skips-the-clearing", "polytope.py",
         "rows = {col: e if e[c] == (0, 0) else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",
         "rows = {col: e if True else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",

@@ -488,31 +488,14 @@ def scalar_gen_polytope(seed, n, max_vertices=8, coord_bound=4, family="generic"
 
 def scalar_basis_vector(P):
     """(euler, relint_sign, volume, origin, cone) of P in Scalars, read
-    afresh from P's hull record and the cell sums of `slval.triangulate`
-    on every call, never from P's kept basis."""
-    from slval.exactnum import ONE, ZERO, Scalar
-    from slval.polytope import _origin_signs, dim
-    from slval.triangulate import _cell_sum
+    afresh from P's hull record by the two cell-sum walks of
+    `pulling.two_walk_basis` on every call, never from P's kept basis."""
+    from slval.exactnum import Scalar
+    from pulling import two_walk_basis
 
-    if P.is_empty:
-        return (ZERO,) * 5
-    n, k = P.ambient_dim, dim(P)
-    full = [(1 << len(P._rows)) - 1]
-    cells = lambda faces, m, apex: Scalar._make(*_cell_sum(P, P._rows, faces, m, apex), P._d)
-    vol = cells(full, n, False) if k == n else ZERO
-    signs = _origin_signs(P)
-    on_hull = signs is not None
-    relint = on_hull and all(s > 0 for s, _ in signs)
-    inside = on_hull and all(s >= 0 for s, _ in signs)
-    if k == n:
-        visible = [z for s, z in signs if s < 0]
-        cone = vol + cells(visible, n - 1, True) if visible else vol
-    elif k == n - 1 and not on_hull:
-        cone = cells(full, n - 1, True)
-    else:
-        cone = ZERO
-    sign = ONE if k % 2 == 0 else -ONE
-    return ONE, sign if relint else ZERO, vol, ONE if inside else ZERO, cone
+    euler, relint, vol, inside, cone = two_walk_basis(P)
+    return (Scalar(euler), Scalar(relint), Scalar._make(*vol, P._d), Scalar(inside),
+            Scalar._make(*cone, P._d))
 
 
 def scalar_apply(V, b):

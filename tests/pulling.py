@@ -12,6 +12,14 @@ route of the tests is the pyramid recursion in `oracles.py` instead.
 Unlike `oracles.py` this module builds on slval's polytopes: it reads the
 facets of `slval.polytope` and the exact determinant and rank of
 `slval.linalg`.
+
+`_cell_sum` sums the pulling cells of `slval.triangulate._cells` over a
+list of faces, coned from the first vertex or from the origin, each call
+with its own memo.  `two_walk_basis`, the reference of the one facet walk
+of `slval.triangulate._basis`, reads the volume and the cone part by two
+such sums, one from P's full vertex mask; it, `apex_volume`, the tests'
+pivot-coordinate volumes and `oracles.scalar_basis_vector` take their
+determinants here (`_det` of this module), not in `slval.triangulate`.
 """
 
 from __future__ import annotations
@@ -22,9 +30,11 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
-from slval.exactnum import ZERO, Scalar
-from slval.linalg import Matrix, Vector, det, matrix_rank
-from slval.polytope import EmptyPolytopeError, Polytope, dim, facets, intersect
+from slval.exactnum import ZERO, Scalar, _surd_sign
+from slval.linalg import Matrix, Vector, _det, det, matrix_rank
+from slval.polytope import (EmptyPolytopeError, Polytope, _facet_data, _indices, _origin_signs,
+                            dim, facets, intersect)
+from slval.triangulate import _cells
 
 
 def affine_rank(points: Sequence[Vector]) -> int:
@@ -168,14 +178,50 @@ def verify_complex(T: Triangulation):
     return True
 
 
+def _cell_sum(P: Polytope, points, faces, k: int, from_origin: bool) -> tuple[int, int, int]:
+    """Sum of |det X| over the cells of the k-faces `faces` of P (vertex
+    bitmasks), as its pair (A, B) and L^m m!, L the denominator of P's rows:
+    X the cell's rows of `points` (P's integer pair rows, or a choice of
+    their columns) if from_origin, else their differences from its first; m
+    the columns."""
+    d = P._d
+    masks = [z for _, z in _facet_data(P)]
+    memo: dict = {}
+    A = B = 0
+    for face in faces:
+        for cell in _cells(masks, face, k, memo):
+            x0, *rest = X = [points[i] for i in _indices(cell)]
+            if not from_origin:
+                X = [[(a - a0, b - b0) for (a, b), (a0, b0) in zip(x, x0)] for x in rest]
+            a, b = _det(X, d)
+            s = _surd_sign(a, b, d)
+            A, B = A + s * a, B + s * b
+    m = len(points[0])
+    return A, B, P._L ** m * factorial(m)
+
+
+def two_walk_basis(P: Polytope) -> tuple:
+    """The integer basis that `slval.triangulate._basis` keeps, read afresh
+    by two `_cell_sum` walks: the volume from P's full vertex mask, and the
+    cone part over the faces 0 sees."""
+    if P.is_empty:
+        return 0, 0, (0, 0, 1), 0, (0, 0, 1)
+    n, k, signs, full = P.ambient_dim, dim(P), _origin_signs(P), [(1 << len(P._rows)) - 1]
+    relint = (-1) ** k if signs is not None and all(s > 0 for s, _ in signs) else 0
+    inside = int(signs is not None and all(s >= 0 for s, _ in signs))
+    vol = cone = _cell_sum(P, P._rows, full, n, False) if k == n else (0, 0, 1)
+    seen = [z for s, z in signs if s < 0] if k == n else full if k == n - 1 and signs is None else []
+    if seen:
+        A, B, q = _cell_sum(P, P._rows, seen, n - 1, True)
+        cone = (vol[0] + A, vol[1] + B, q)
+    return 1, relint, vol, inside, cone
+
+
 def apex_volume(P, faces=None):
     """Volume of the union of conv(F ∪ {0}) over the (n-1)-faces F of P
     given as vertex bitmasks, each with 0 off aff F; without `faces`, over
     P itself, which must then have dim n - 1 with 0 off aff P: the cone
     cells that `slval.triangulate` sums for the cone term."""
-    from slval.polytope import _origin_signs
-    from slval.triangulate import _cell_sum
-
     n = P.ambient_dim
     if faces is None:
         if dim(P) != n - 1 or _origin_signs(P) is not None:

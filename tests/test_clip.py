@@ -241,6 +241,8 @@ def test_intersect_of_adjacent_slabs_hashes_no_halfspace(monkeypatch):
 
 
 def count_leaves(monkeypatch):
+    """The pair determinants `_basis` takes, in `slval.triangulate`: one per
+    pulling cell of the volume and of the cone part."""
     calls = []
 
     def counting(rows, d):

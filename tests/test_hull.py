@@ -57,7 +57,7 @@ def run_pass(points):
 def as_fractions(found):
     out = {}
     for incident, (w, c) in found.items():
-        assert all(x.is_rational() for x in w) and c.is_rational()
+        assert all(x.b == 0 for x in w) and c.b == 0
         out[incident] = (tuple(x.a for x in w), c.a)
     return out
 

@@ -160,7 +160,7 @@ def test_random_sl_matrix_entries_are_integers():
     m = random_sl_matrix(3, 2, 6)
     for row in m.rows:
         for x in row:
-            assert x.is_rational() and x.a.denominator == 1
+            assert x.b == 0 and x.a.denominator == 1
 
 
 small_ints = st.integers(min_value=-6, max_value=6)

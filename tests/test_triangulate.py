@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -17,14 +18,17 @@ from slval.polytope import (
     dim,
     facets,
     _frame,
+    _origin_signs,
     from_points,
     transform,
 )
-from slval.triangulate import _cell_sum, volume
+from slval.triangulate import _basis, volume
 from slval.valuation import basis_vector
 
 from oracles import pyramid_volume, shoelace_area
-from pulling import Simplex, Triangulation, apex_volume, triangulate, verify_complex
+import pulling
+from pulling import (Simplex, Triangulation, _cell_sum, apex_volume, triangulate, two_walk_basis,
+                     verify_complex)
 from records import scalar_facet_data, visible_facets
 
 
@@ -211,7 +215,10 @@ def test_volume_is_sl_invariant(raw, seed):
 
 def _with_leaves(fn, P):
     """fn(P) and the number of pair determinants it took, one per pulling
-    cell.  A polytope keeps its volume, so P must not have had one taken."""
+    cell, counted where each route takes them: `_basis` in
+    `slval.triangulate`, and the two-walk reference (`_pivot_volume`,
+    `apex_volume`) in `pulling`.  A polytope keeps its basis, so P must not
+    have had one taken."""
     calls = []
 
     def counting(rows, d):
@@ -219,7 +226,8 @@ def _with_leaves(fn, P):
         return _det(rows, d)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(slval.triangulate, "_det", counting)
+        for module in (slval.triangulate, pulling):
+            mp.setattr(module, "_det", counting)
         value = fn(P)
     return value, len(calls)
 
@@ -308,3 +316,82 @@ def test_volume_routes_agree_in_r5(surd):
     p = _over_root2(bipyramid) if surd else bipyramid
     assert _with_leaves(_pivot_volume, Polytope(5, p.vertices)) == pyramid_volume(p)
     assert basis_vector(p)[4] == volume(cone_hull(p))
+
+
+def _box(*sides):
+    """The product of the closed intervals `sides`, flat where a side is (a, a)."""
+    return from_points([Vector(c) for c in product(*sides)])
+
+
+def _placement(p):
+    """Where 0 lies against p: 'off' its affine hull, 'outside', 'inside' its
+    relative interior, in a facet's relative interior or at a vertex."""
+    signs = _origin_signs(p)
+    if signs is None:
+        return "off"
+    if any(s < 0 for s, _ in signs):
+        return "outside"
+    on = [z for s, z in signs if s == 0]
+    if not on:
+        return "inside"
+    meet = (1 << len(p._rows)) - 1
+    for z in on:
+        meet &= z
+    return "facet" if len(on) == 1 and meet.bit_count() > 1 else "vertex"
+
+
+def _walk_cases(n):
+    """Polytopes in R^n with 0 outside, inside, in a facet's relative
+    interior, at vertex 0 and at another vertex, flat pieces off 0 and
+    through it, a point, generated clouds and (at n = 5) the bipyramid over
+    a 4-cube, each also as its Q(sqrt 2) image."""
+    ones = [(0, 1)] * (n - 1)
+    cases = [_box(*[(1, 2)] * n), _box(*[(-1, 2)] * n), _box(*[(-1, 1)] * (n - 1), (0, 2)),
+             _box(*ones, (0, 1)), _box((-1, 0), *ones), _box(*ones, (1, 1)),
+             from_points([Vector.basis(n, i) for i in range(n)], n), _box(*ones, (0, 0)),
+             _box(*[(1, 1)] * n)]
+    if 2 <= n <= 4:
+        cases += [gen_polytope(seed, n, max_vertices=6, coord_bound=3, family=family)
+                  for family in FAMILIES for seed in range(3)]
+    if n == 5:
+        cube = [[(mask >> i & 1) * 2 - 1 for i in range(4)] + [1] for mask in range(16)]
+        for shift in (0, -1, -3):  # 0 at a vertex, inside, outside
+            cases.append(from_points([Vector(v[:4] + [v[4] + shift]) for v in
+                                      cube + [[0, 0, 0, 0, 0], [0, 0, 0, 0, 2]]]))
+    return [q for p in cases for q in (p, _over_root2(p))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_facet_walk_matches_the_two_walk_reference(n):
+    """`_basis` walks P's facet record once: the same integer basis as the
+    two `_cell_sum` walks of `pulling.two_walk_basis`, from exactly its
+    determinants, and no `_ridges` call on P's full vertex mask, whose facets
+    the record already holds, where the two walks rebuilt them as maximal
+    meets of it."""
+    placements = set()
+    walk_ridges = reference_ridges = 0
+    for p in _walk_cases(n):
+        placements.add(_placement(p))
+        full = (1 << len(p._rows)) - 1
+        ridged, counts = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            real_ridges = slval.triangulate._ridges
+            mp.setattr(slval.triangulate, "_ridges",
+                       lambda face, *rest: ridged.append(face) or real_ridges(face, *rest))
+            for module, route in ((slval.triangulate, _basis), (pulling, two_walk_basis)):
+                dets = []
+                mp.setattr(module, "_det", lambda rows, d, dets=dets: dets.append(rows) or _det(rows, d))
+                value = route(Polytope(n, p.vertices))
+                counts.append((value, len(dets), len(ridged)))
+        (basis, walk_dets, walk), (expected, reference_dets, both) = counts
+        assert basis == expected, p
+        assert walk_dets == reference_dets, p
+        if dim(p) == n:
+            assert full not in ridged[:walk], p
+        walk_ridges += walk
+        reference_ridges += both - walk
+    # at n = 1 a facet is a vertex
+    assert {"outside", "inside", "vertex", "off"} | ({"facet"} if n > 1 else set()) <= placements
+    assert walk_ridges <= reference_ridges
+    if n >= 3:
+        assert walk_ridges < reference_ridges

@@ -127,6 +127,35 @@ def test_linear_rejects_a_float_coefficient(position):
         ClassifiedValuation.linear(*coefficients)
 
 
+SIMPLEX_AT_ORIGIN = P((0, 0), (1, 0), (0, 1))
+ORIGIN_IN_RELINT = P((-1, -1), (2, 0), (0, 2))
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, Scalar])
+def test_plain_coefficients_evaluate_as_scalars(kind):
+    """A ClassifiedValuation built directly may carry int or Fraction
+    coefficients; evaluate and evaluate_union read them as Scalars."""
+    v = ClassifiedValuation(kind(1), kind(2), kind(3), Linear(4), Linear(5))
+    # euler 1, relint 0, volume 1/2, origin 1, cone 1/2
+    assert evaluate(v, SIMPLEX_AT_ORIGIN) == Scalar(Fraction(17, 2))
+    halves = [P((0, 0), (1, 0), (1, 1)), P((0, 0), (1, 1), (0, 1))]
+    assert evaluate_union(v, [SIMPLEX_AT_ORIGIN]) == Scalar(Fraction(17, 2))
+    assert evaluate_union(v, halves) == evaluate(v, UNIT_SQUARE) == Scalar(1 + 4 + 3 + 5)
+    # every term read: euler 1, relint 1, volume 4, origin 1, cone 4
+    assert evaluate(v, ORIGIN_IN_RELINT) == Scalar(1 + 2 + 16 + 3 + 20)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_float_coefficient_is_refused_by_evaluate(position):
+    coefficients = [1, 2, 3]
+    coefficients[position] = 0.5
+    v = ClassifiedValuation(*coefficients, Linear(4), Linear(5))
+    with pytest.raises(TypeError):
+        evaluate(v, ORIGIN_IN_RELINT)
+    with pytest.raises(TypeError):
+        evaluate_union(v, [ORIGIN_IN_RELINT])
+
+
 def test_evaluate_empty_is_zero():
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     assert evaluate(v, Polytope.empty(2)) == Scalar(0)
