@@ -40,24 +40,23 @@ class OracleError(Exception):
     pass
 
 
-def _positive(text: str) -> int:
+def _integer(text: str, ok, message: str) -> int:
+    """The option's int if `ok` accepts it; else argparse's usage error, `message`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    if not ok(value):
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _positive(text: str) -> int:
+    return _integer(text, lambda value: value >= 1, "must be at least 1")
 
 
 def _dimension(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 2 <= value <= 4:
-        raise argparse.ArgumentTypeError("supported dimensions are 2 to 4")
-    return value
+    return _integer(text, lambda value: 2 <= value <= 4, "supported dimensions are 2 to 4")
 
 
 def _discriminant(text: str) -> int:

@@ -6,12 +6,15 @@ stored as one integer triple (A + B*sqrt(d)) / Q in lowest terms, which
 keeps the arithmetic to one gcd per operation and makes sign tests pure
 integer comparisons.  The rational coefficients are exposed as
 ``fractions.Fraction`` values.  Mixing two distinct nonzero discriminants
-is an error: one run of the pipeline works in one field.
+is an error: one run of the pipeline works in one field.  Every binary
+operator takes its operand through one gate, `_gated`, which refuses floats,
+and the value types of the package share one guard, `Immutable`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 from numbers import Rational
 import re
@@ -109,7 +112,31 @@ def _literal(text, field: int = 0) -> tuple[int, int, int, int]:
     return A // g, B // g, q // g, d if B else 0
 
 
-class Scalar:
+class Immutable:
+    """Base of the exact value types: an instance is filled once, through
+    `object.__setattr__`, and any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _gated(op):
+    """The operand gate of a binary Scalar operator `op`, which sees Scalars
+    only: an int or other exact rational operand is made one, and any other,
+    a float above all, gets NotImplemented (TypeError, or identity for ==)."""
+
+    @wraps(op)
+    def gate(self, other):
+        if type(other) is not Scalar and (other := Scalar._coerce(other)) is NotImplemented:
+            return NotImplemented
+        return op(self, other)
+
+    return gate
+
+
+class Scalar(Immutable):
     """Immutable element of Q or Q(sqrt(d)), kept in canonical form.
 
     Canonical means: gcd(A, B, Q) = 1 with Q > 0, and ``d == 0`` whenever
@@ -136,9 +163,6 @@ class Scalar:
         object.__setattr__(self, "_qb", b.numerator * (q // b.denominator))
         object.__setattr__(self, "_q", q)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     @classmethod
     def _make(cls, qa: int, qb: int, q: int, d: int) -> Scalar:
@@ -181,11 +205,8 @@ class Scalar:
 
     # -- field arithmetic ------------------------------------------------
 
+    @_gated
     def __add__(self, other) -> Scalar:
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
         q1, q2 = self._q, other._q
         return Scalar._make(
@@ -200,11 +221,8 @@ class Scalar:
     def __neg__(self) -> Scalar:
         return Scalar._make(-self._qa, -self._qb, self._q, self.d)
 
+    @_gated
     def __sub__(self, other) -> Scalar:
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
         q1, q2 = self._q, other._q
         return Scalar._make(
@@ -214,17 +232,12 @@ class Scalar:
             d,
         )
 
+    @_gated
     def __rsub__(self, other) -> Scalar:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_gated
     def __mul__(self, other) -> Scalar:
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
         return Scalar._make(
             self._qa * other._qa + d * self._qb * other._qb,
@@ -242,17 +255,12 @@ class Scalar:
         norm = self._qa * self._qa - self.d * self._qb * self._qb
         return Scalar._make(self._q * self._qa, -self._q * self._qb, norm, self.d)
 
+    @_gated
     def __truediv__(self, other) -> Scalar:
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         return self * other.inverse()
 
+    @_gated
     def __rtruediv__(self, other) -> Scalar:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other * self.inverse()
 
     def __abs__(self) -> Scalar:
@@ -276,40 +284,25 @@ class Scalar:
             d,
         )
 
+    @_gated
     def __eq__(self, other) -> bool:
-        if type(other) is not Scalar:
-            other = Scalar._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return (
-            self._qa == other._qa
-            and self._qb == other._qb
-            and self._q == other._q
-            and self.d == other.d
-        )
+        return (self._qa == other._qa and self._qb == other._qb and self._q == other._q
+                and self.d == other.d)
 
+    @_gated
     def __lt__(self, other) -> bool:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._cmp_sign(other) < 0
 
+    @_gated
     def __le__(self, other) -> bool:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._cmp_sign(other) <= 0
 
+    @_gated
     def __gt__(self, other) -> bool:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._cmp_sign(other) > 0
 
+    @_gated
     def __ge__(self, other) -> bool:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._cmp_sign(other) >= 0
 
     def __hash__(self) -> int:
@@ -343,8 +336,7 @@ ONE = Scalar(1)
 
 
 def as_scalar(value) -> Scalar:
-    coerced = Scalar._coerce(value)
-    if coerced is NotImplemented:
+    if (coerced := Scalar._coerce(value)) is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
     return coerced
 
@@ -357,7 +349,9 @@ def as_scalar(value) -> Scalar:
 # what makes it a useful stress test downstream.
 
 
-class CauchySolution:
+class CauchySolution(Immutable):
+    __slots__ = ()
+
     def value_at(self, x: Scalar) -> Scalar:
         raise NotImplementedError
 

@@ -16,7 +16,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, ZERO, Scalar, _integer_rows, as_scalar
+from .exactnum import ONE, ZERO, Immutable, Scalar, _integer_rows, as_scalar
 
 
 class SingularMatrixError(ValueError):
@@ -25,7 +25,7 @@ class SingularMatrixError(ValueError):
         self.rank = rank
 
 
-class Vector:
+class Vector(Immutable):
     __slots__ = ("coords",)
 
     coords: tuple[Scalar, ...]
@@ -39,9 +39,6 @@ class Vector:
         self = object.__new__(cls)
         object.__setattr__(self, "coords", coords)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
 
     @classmethod
     def zero(cls, n: int) -> Vector:
@@ -100,7 +97,7 @@ class Vector:
         return "Vector([" + ", ".join(str(c) for c in self.coords) + "])"
 
 
-class Matrix:
+class Matrix(Immutable):
     __slots__ = ("rows",)
 
     rows: tuple[tuple[Scalar, ...], ...]
@@ -110,9 +107,6 @@ class Matrix:
         if converted and any(len(r) != len(converted[0]) for r in converted):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", converted)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @property
     def nrows(self) -> int:

@@ -40,8 +40,8 @@ from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Iterable
 
-from .exactnum import (Scalar, _check_discriminant, _integer_rows, _literal, _merge_discriminants,
-                       _surd_sign, as_scalar)
+from .exactnum import (Immutable, Scalar, _check_discriminant, _integer_rows, _literal,
+                       _merge_discriminants, _surd_sign, as_scalar)
 from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _over,
                      _pair_dot, _primitive, _rationalized)
 
@@ -50,7 +50,7 @@ class EmptyPolytopeError(ValueError):
     """Operation needs a nonempty polytope."""
 
 
-class Halfspace:
+class Halfspace(Immutable):
     """Closed halfspace {x : <normal, x> <= offset}."""
 
     __slots__ = ("normal", "offset")
@@ -63,9 +63,6 @@ class Halfspace:
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", as_scalar(offset))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Halfspace is immutable")
 
     def __eq__(self, other) -> bool:
         return (
@@ -81,7 +78,7 @@ class Halfspace:
         return f"Halfspace({self.normal!r}, {self.offset})"
 
 
-class Polytope:
+class Polytope(Immutable):
     """Convex hull of finitely many points, in canonical vertex form.
 
     Build through from_points unless the points are already known to be
@@ -123,9 +120,6 @@ class Polytope:
         self = object.__new__(cls)
         self._fill(ambient_dim, rows, L // g, d if d and any(b for row in rows for _, b in row) else 0)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polytope is immutable")
 
     @classmethod
     def empty(cls, ambient_dim: int) -> Polytope:
@@ -354,8 +348,8 @@ def _extreme(raw: Polytope) -> Polytope:
     return raw
 
 
-def _hull_of(rows: list, ambient_dim: int | None, L: int | None = None, d: int = 0) -> Polytope:
-    """`from_points` on pair rows over L in Z[sqrt d], or on Vectors if L is None."""
+def _hull_of(rows: list, ambient_dim: int | None, L: int, d: int) -> Polytope:
+    """`from_points` on pair rows over L in Z[sqrt d]."""
     if not rows:
         if ambient_dim is None:
             raise ValueError("empty point set needs an explicit ambient_dim")
@@ -367,7 +361,7 @@ def _hull_of(rows: list, ambient_dim: int | None, L: int | None = None, d: int =
         raise ValueError("points of mixed dimension")
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
-    return _extreme(Polytope(n, rows) if L is None else Polytope._of(n, tuple(sorted(set(rows))), L, d))
+    return _extreme(Polytope._of(n, tuple(sorted(set(rows))), L, d))
 
 
 def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
@@ -379,8 +373,9 @@ def from_points(points: Iterable, ambient_dim: int | None = None) -> Polytope:
     """
     pts = list(points)
     if all(type(p) in (tuple, list) and all(type(c) is int for c in p) for p in pts):
-        return _hull_of([tuple((c, 0) for c in p) for p in pts], ambient_dim, 1)
-    return _hull_of([p if isinstance(p, Vector) else Vector(p) for p in pts], ambient_dim)
+        return _hull_of([tuple((c, 0) for c in p) for p in pts], ambient_dim, 1, 0)
+    ints, L, d = _integer_rows([(p if isinstance(p, Vector) else Vector(p)).coords for p in pts])
+    return _hull_of([tuple(row) for row in ints], ambient_dim, L, d)
 
 
 def dim(P: Polytope) -> int:

@@ -75,20 +75,23 @@ class ClassifiedValuation(NamedTuple):
 
 
 def _apply(V: ClassifiedValuation, b, d: int) -> Scalar:
-    """V read off the integer basis of a polytope over Q(sqrt d), or off a
-    signed sum of them with volume and cone >= 0 (psi and phi are additive),
-    summed on integers in basis order with fields merged as `+` merges them;
-    only a psi or phi other than Linear reads a Scalar."""
+    """V read off the integer basis of a polytope over Q(sqrt d), or off a signed
+    sum of them with volume and cone >= 0 (psi and phi are additive), on
+    integers in basis order, fields merged as `+` merges them; only a psi or phi
+    other than Linear reads a Scalar.  A slot of the wrong kind raises TypeError."""
     euler, relint, vol, inside, cone = b
+    c0, c0p, d0, psi, phi = V
+    if not (type(c0) is Scalar and type(c0p) is Scalar and type(d0) is Scalar):
+        c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)
+    if not (isinstance(psi, CauchySolution) and isinstance(phi, CauchySolution)):
+        raise TypeError(f"psi and phi must be Cauchy solutions, got {psi!r} and {phi!r}")
     A, B, q, e = 0, 0, 1, 0
-    for c, (xa, xb, r) in ((V.c0, (euler, 0, 1)), (V.c0p, (relint, 0, 1)), (V.psi, vol),
-                           (V.d0, (inside, 0, 1)), (V.phi, cone)):
+    for c, (xa, xb, r) in ((c0, (euler, 0, 1)), (c0p, (relint, 0, 1)), (psi, vol),
+                           (d0, (inside, 0, 1)), (phi, cone)):
         if not (xa or xb):
             continue
         if type(c) is Linear and _surd_sign(xa, xb, d) >= 0:
             c = c.coefficient
-        if type(c) is not Scalar and not isinstance(c, CauchySolution):
-            c = as_scalar(c)
         if type(c) is not Scalar:
             c, xa, xb, r = cauchy_eval(c, Scalar._make(xa, xb, r, d)), 1, 0, 1
         f = _merge_discriminants(c.d, d if xb else 0)

@@ -118,8 +118,8 @@ CATALOGUE = (
     ),
     Mutant(
         "apply-reads-the-volume-as-cone", "valuation.py",
-        "(V.phi, cone))",
-        "(V.phi, vol))",
+        "(phi, cone))",
+        "(phi, vol))",
         ("tests/test_valuation.py::test_evaluate_union_of_crossing_segments",),
     ),
     Mutant(
@@ -356,6 +356,48 @@ CATALOGUE = (
         "for k in range(steps))\n",
         "for k in range(1, steps + 1))\n",
         ("tests/test_cli.py::TestDemoUsc::test_json_report",),
+    ),
+    Mutant(
+        # a float passes the gate uncoerced; the body fails on it with
+        # AttributeError instead of Python's TypeError
+        "gate-hands-a-float-to-the-operator", "exactnum.py",
+        "        if type(other) is not Scalar and (other := Scalar._coerce(other)) is NotImplemented:\n",
+        "        if type(other) not in (Scalar, float) and (other := Scalar._coerce(other)) is NotImplemented:\n",
+        ("tests/test_exactnum.py::test_the_gate_refuses_every_inexact_operand[0.5-__lt__]",
+         "tests/test_exactnum.py::test_a_float_operand_raises_type_error_on_either_side[x0-add]",
+         "tests/test_exactnum.py::test_a_float_is_never_equal"),
+    ),
+    Mutant(
+        "immutable-stores-the-value", "exactnum.py",
+        '        raise AttributeError(f"{type(self).__name__} is immutable")\n',
+        "        object.__setattr__(self, name, value)\n",
+        ("tests/test_exactnum.py::test_value_types_refuse_assignment[Scalar]",
+         "tests/test_exactnum.py::test_value_types_refuse_assignment[Linear]"),
+    ),
+    Mutant(
+        # an int psi then fails in cauchy_eval with AttributeError, and is
+        # never read on a polytope of volume 0
+        "apply-skips-the-slot-kind-check", "valuation.py",
+        "    if not (isinstance(psi, CauchySolution) and isinstance(phi, CauchySolution)):\n",
+        "    if False:\n",
+        ("tests/test_valuation.py::test_a_slot_of_the_wrong_kind_is_refused_on_every_polytope"
+         "[plain-psi-phi]",),
+    ),
+    Mutant(
+        # a Linear c0 is read as its coefficient, and a float c0p whose term
+        # is 0 is never read
+        "apply-reads-the-scalar-slots-unchecked", "valuation.py",
+        "        c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)\n",
+        "        pass\n",
+        ("tests/test_valuation.py::test_a_slot_of_the_wrong_kind_is_refused_on_every_polytope"
+         "[plugin-c0]",
+         "tests/test_valuation.py::test_a_float_coefficient_is_refused_where_its_term_is_zero"),
+    ),
+    Mutant(
+        "integer-option-skips-its-bound", "cli.py",
+        "    if not ok(value):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_integer_options_exit_2_with_their_message[verify-n-5]",),
     ),
 )
 

@@ -477,6 +477,26 @@ class TestDemoUsc:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--n", "x", "--valuation", "v.json"], "slval fit: error: argument --n: not an integer: 'x'"),
+    (["verify", "--cases", "1.5"], "slval verify: error: argument --cases: not an integer: '1.5'"),
+    (["verify", "--n", "5"], "slval verify: error: argument --n: supported dimensions are 2 to 4"),
+    (["fit", "--n", "1", "--valuation", "v.json"],
+     "slval fit: error: argument --n: supported dimensions are 2 to 4"),
+    (["verify", "--cases", "0"], "slval verify: error: argument --cases: must be at least 1"),
+    (["demo-usc", "--steps", "-1"], "slval demo-usc: error: argument --steps: must be at least 1"),
+], ids=["fit-n-x", "verify-cases-1.5", "verify-n-5", "fit-n-1", "verify-cases-0", "demo-usc-steps--1"])
+def test_integer_options_exit_2_with_their_message(argv, message, capsys):
+    """--n, --cases and --steps share one reader; its errors are argparse's
+    usage errors, and the last stderr line is byte for byte the message."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message
+
+
 # argv cases on which `main` must act exactly as a freshly built full parser:
 # help, usage errors, option forms and clean parses
 PARSER_CASES = [

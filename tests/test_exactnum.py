@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from slval.exactnum import (
     ScalarParseError,
     cauchy_eval,
 )
+from slval.linalg import Matrix, Vector
+from slval.polytope import Halfspace, from_points
 
 from oracles import reference_parse
 
@@ -195,6 +198,82 @@ def test_parse_errors_at_the_shortcut_edges_read_as_the_reference(text):
         with pytest.raises(type(exc)) as ref:
             reference_parse(text)
         assert str(ref.value) == str(exc)
+
+
+#: the binary operators behind the operand gate, by their Scalar.__dict__ names
+GATED = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__",
+         "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+#: the operators as Python applies them, with the Fraction reference of each
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@pytest.mark.parametrize("name", GATED)
+@pytest.mark.parametrize("other", [0.5, 1.0, complex(1, 0), "1", None, Linear(1)],
+                         ids=["0.5", "1.0", "complex", "text", "None", "Linear"])
+def test_the_gate_refuses_every_inexact_operand(name, other):
+    assert Scalar.__dict__[name](Scalar(1), other) is NotImplemented
+
+
+@pytest.mark.parametrize("op", BINARY)
+@pytest.mark.parametrize("x", [Scalar(1), Scalar(1, 1, 2)])
+def test_a_float_operand_raises_type_error_on_either_side(op, x):
+    with pytest.raises(TypeError):
+        op(x, 0.5)
+    with pytest.raises(TypeError):
+        op(0.5, x)
+
+
+def test_a_float_is_never_equal():
+    """== on a float falls back to identity: a float that equals the
+    Scalar's value numerically still compares unequal, on either side."""
+    assert (Scalar(1) == 0.5) is False
+    assert (Scalar(1) == 1.0) is False and (1.0 == Scalar(1)) is False
+    assert (Scalar(Fraction(1, 2)) != 0.5) is True and (0.5 != Scalar(Fraction(1, 2))) is True
+
+
+@pytest.mark.parametrize("op", BINARY + (operator.eq,))
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-2, 3), 2])
+@pytest.mark.parametrize("other", [3, -1, Fraction(1, 3), Fraction(3, 2)])
+def test_int_and_fraction_operands_work_on_either_side(op, value, other):
+    """Each operator agrees with Fraction arithmetic with the int or
+    Fraction operand on the right and on the left."""
+    x = Scalar(value)
+    for got, want in ((op(x, other), op(Fraction(value), other)),
+                      (op(other, x), op(other, Fraction(value)))):
+        assert got == want and type(got) is (bool if type(want) is bool else Scalar)
+
+
+def test_int_operands_keep_the_surd_part():
+    r = Scalar(1, 1, 2)
+    assert r + 2 == 2 + r == Scalar(3, 1, 2)
+    assert r - 2 == Scalar(-1, 1, 2) and 2 - r == Scalar(1, -1, 2)
+    assert r * 2 == 2 * r == Scalar(2, 2, 2)
+    assert r / 2 == Scalar(Fraction(1, 2), Fraction(1, 2), 2) and 1 / r == Scalar(-1, 1, 2)
+    assert 2 < r < 3 and 3 > r > 2 and r <= r >= r and r != 2
+
+
+IMMUTABLE = [
+    (Scalar(1), "_qa"),
+    (Vector([1, 2]), "coords"),
+    (Matrix([[1, 0], [0, 1]]), "rows"),
+    (Halfspace(Vector([1, 0]), 1), "offset"),
+    (from_points([(0, 0), (1, 0), (0, 1)]), "_rows"),
+    (Linear(3), "coefficient"),
+    (RationalPart(), "coefficient"),
+]
+
+
+@pytest.mark.parametrize("value, slot", IMMUTABLE, ids=[type(v).__name__ for v, _ in IMMUTABLE])
+def test_value_types_refuse_assignment(value, slot):
+    """An existing slot, a new name and a derived-data slot all refuse,
+    with the message naming the class; the value and its hash stay."""
+    before, hashed = repr(value), hash(value)
+    for name in (slot, "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, Scalar(4))
+    assert repr(value) == before and hash(value) == hashed
+    assert not hasattr(value, "__dict__")
 
 
 def test_str_is_canonical():

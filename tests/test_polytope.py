@@ -462,6 +462,23 @@ def test_mixed_fields_raise_field_mismatch():
         from_points([Vector([r2, Scalar(0)]), Vector([Scalar(0), r3])])
 
 
+def test_mixed_fields_are_found_before_mixed_lengths():
+    """Points other than int tuples are made pair rows, which merges their
+    fields, before the hull checks their lengths."""
+    r2, r3 = Scalar.sqrt_of(2), Scalar.sqrt_of(3)
+    with pytest.raises(FieldMismatchError):
+        from_points([Vector([r2, Scalar(0)]), Vector([r3])])
+    with pytest.raises(FieldMismatchError):
+        from_points([(r2, 0), (r3, 1)], ambient_dim=3)
+    with pytest.raises(ValueError, match="points of mixed dimension"):
+        from_points([Vector([r2, Scalar(0)]), Vector([r2])])
+    with pytest.raises(ValueError, match="points do not match"):
+        from_points([(r2, 0), (1, r2)], ambient_dim=3)
+    # a float is refused first, as each point becomes a Vector
+    with pytest.raises(TypeError):
+        from_points([(r2, 0), (r3,), (0.5, 1)])
+
+
 def test_json_rejects_bad_objects():
     with pytest.raises(ValueError):
         from_json({"ambient_dim": 2})

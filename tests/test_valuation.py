@@ -156,6 +156,42 @@ def test_a_float_coefficient_is_refused_by_evaluate(position):
         evaluate_union(v, [ORIGIN_IN_RELINT])
 
 
+#: segment [e1, 2 e1]: volume and cone term 0, so psi and phi are never read
+FLAT_SEGMENT = P((1, 0), (2, 0))
+
+
+@pytest.mark.parametrize("slots", [
+    (1, 2, 3, 4, 5),
+    (1, 2, 3, Linear(4), 5),
+    (Linear(1), 2, 3, Linear(4), Linear(5)),
+    (1, RationalPart(), 3, Linear(4), Linear(5)),
+    (1, 2, Linear(3), Linear(4), Linear(5)),
+    (1, 2, 3, "x", Linear(5)),
+    (1, 2, 3, Linear(4), Scalar(5)),
+], ids=["plain-psi-phi", "plain-phi", "plugin-c0", "plugin-c0p", "plugin-d0", "text-psi",
+        "scalar-phi"])
+def test_a_slot_of_the_wrong_kind_is_refused_on_every_polytope(slots):
+    """psi and phi must be CauchySolutions and c0, c0p, d0 must not be;
+    the slots are checked before any term is read, so the refusal does not
+    hang on which basis values are zero."""
+    v = ClassifiedValuation(*slots)
+    for poly in (SIMPLEX_AT_ORIGIN, ORIGIN_IN_RELINT, FLAT_SEGMENT, Polytope.empty(2)):
+        with pytest.raises(TypeError):
+            evaluate(v, poly)
+    for parts in ([SIMPLEX_AT_ORIGIN], [FLAT_SEGMENT, P((1, 0), (1, 1))], []):
+        with pytest.raises(TypeError):
+            evaluate_union(v, parts)
+
+
+def test_a_float_coefficient_is_refused_where_its_term_is_zero():
+    """relint_sign is 0 on the triangle, yet a float c0p is refused."""
+    v = ClassifiedValuation(1, 0.5, 3, Linear(4), Linear(5))
+    with pytest.raises(TypeError):
+        evaluate(v, SIMPLEX_AT_ORIGIN)
+    with pytest.raises(TypeError):
+        evaluate_union(v, [SIMPLEX_AT_ORIGIN])
+
+
 def test_evaluate_empty_is_zero():
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     assert evaluate(v, Polytope.empty(2)) == Scalar(0)
