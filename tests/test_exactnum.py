@@ -203,7 +203,7 @@ def test_parse_errors_at_the_shortcut_edges_read_as_the_reference(text):
 #: the binary operators behind the operand gate, by their Scalar.__dict__ names
 GATED = ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__",
          "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
-#: the operators as Python applies them, with the Fraction reference of each
+#: the gated operators as Python applies them, reflected ones included
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
           operator.lt, operator.le, operator.gt, operator.ge)
 
@@ -211,7 +211,7 @@ BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
 @pytest.mark.parametrize("name", GATED)
 @pytest.mark.parametrize("other", [0.5, 1.0, complex(1, 0), "1", None, Linear(1)],
                          ids=["0.5", "1.0", "complex", "text", "None", "Linear"])
-def test_the_gate_refuses_every_inexact_operand(name, other):
+def test_the_gate_refuses_every_operand_that_is_not_an_exact_rational(name, other):
     assert Scalar.__dict__[name](Scalar(1), other) is NotImplemented
 
 
@@ -266,8 +266,8 @@ IMMUTABLE = [
 
 @pytest.mark.parametrize("value, slot", IMMUTABLE, ids=[type(v).__name__ for v, _ in IMMUTABLE])
 def test_value_types_refuse_assignment(value, slot):
-    """An existing slot, a new name and a derived-data slot all refuse,
-    with the message naming the class; the value and its hash stay."""
+    """An existing slot and a new name both refuse, with the message naming
+    the class; the value and its hash stay, and no instance has a __dict__."""
     before, hashed = repr(value), hash(value)
     for name in (slot, "extra"):
         with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):

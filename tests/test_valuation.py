@@ -129,6 +129,8 @@ def test_linear_rejects_a_float_coefficient(position):
 
 SIMPLEX_AT_ORIGIN = P((0, 0), (1, 0), (0, 1))
 ORIGIN_IN_RELINT = P((-1, -1), (2, 0), (0, 2))
+#: segment [e1, 2 e1] off 0: every basis value but euler_char is 0
+FLAT_SEGMENT = P((1, 0), (2, 0))
 
 
 @pytest.mark.parametrize("kind", [int, Fraction, Scalar])
@@ -147,17 +149,16 @@ def test_plain_coefficients_evaluate_as_scalars(kind):
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_a_float_coefficient_is_refused_by_evaluate(position):
+    """Also where the float's term is 0: relint_sign on the triangle and
+    the origin indicator on the segment off 0."""
     coefficients = [1, 2, 3]
     coefficients[position] = 0.5
     v = ClassifiedValuation(*coefficients, Linear(4), Linear(5))
-    with pytest.raises(TypeError):
-        evaluate(v, ORIGIN_IN_RELINT)
-    with pytest.raises(TypeError):
-        evaluate_union(v, [ORIGIN_IN_RELINT])
-
-
-#: segment [e1, 2 e1]: volume and cone term 0, so psi and phi are never read
-FLAT_SEGMENT = P((1, 0), (2, 0))
+    for poly in (ORIGIN_IN_RELINT, SIMPLEX_AT_ORIGIN, FLAT_SEGMENT):
+        with pytest.raises(TypeError):
+            evaluate(v, poly)
+        with pytest.raises(TypeError):
+            evaluate_union(v, [poly])
 
 
 @pytest.mark.parametrize("slots", [
@@ -181,15 +182,6 @@ def test_a_slot_of_the_wrong_kind_is_refused_on_every_polytope(slots):
     for parts in ([SIMPLEX_AT_ORIGIN], [FLAT_SEGMENT, P((1, 0), (1, 1))], []):
         with pytest.raises(TypeError):
             evaluate_union(v, parts)
-
-
-def test_a_float_coefficient_is_refused_where_its_term_is_zero():
-    """relint_sign is 0 on the triangle, yet a float c0p is refused."""
-    v = ClassifiedValuation(1, 0.5, 3, Linear(4), Linear(5))
-    with pytest.raises(TypeError):
-        evaluate(v, SIMPLEX_AT_ORIGIN)
-    with pytest.raises(TypeError):
-        evaluate_union(v, [SIMPLEX_AT_ORIGIN])
 
 
 def test_evaluate_empty_is_zero():
