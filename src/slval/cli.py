@@ -6,10 +6,11 @@ verify (run the seeded check suite), demo-usc (semicontinuity tables).
 The parser is built once, at import, and parses every call of `main`.
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
-parse error, 3 external oracle failure.  Scalars cross the boundary as
-exact strings, never as floats.  An oracle command that has not answered
-within ORACLE_TIMEOUT_S seconds is killed and counts as an oracle failure,
-as do oracle values in another quadratic field than --field-d's.
+parse error, 3 external oracle failure, 141 (128 + SIGPIPE) when the reader
+of stdout has gone.  Scalars cross the boundary as exact strings, never as
+floats.  An oracle command that has not answered within ORACLE_TIMEOUT_S
+seconds is killed and counts as an oracle failure, as do oracle values in
+another quadratic field than --field-d's.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .exactnum import FieldMismatchError, Scalar, ScalarParseError, _check_discriminant
@@ -269,13 +271,20 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout has gone; pointing stdout at the null device
+        # keeps the flush at interpreter exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

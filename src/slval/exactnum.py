@@ -114,11 +114,15 @@ def _literal(text, field: int = 0) -> tuple[int, int, int, int]:
 
 class Immutable:
     """Base of the exact value types: an instance is filled once, through
-    `object.__setattr__`, and any later assignment raises AttributeError."""
+    `object.__setattr__`, and any later assignment or deletion raises
+    AttributeError."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 

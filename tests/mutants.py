@@ -308,6 +308,12 @@ CATALOGUE = (
          "tests/test_triangulate.py::test_volume_routes_agree"),
     ),
     Mutant(
+        "fit-line-passes-whatever-the-coefficients", "harness.py",
+        'yield _line("fit_roundtrip", 0, report.coefficients == expected or {',
+        'yield _line("fit_roundtrip", 0, True or {',
+        ("tests/test_harness.py::TestSuite::test_fit_line_fails_on_a_shifted_probe_value",),
+    ),
+    Mutant(
         "cone-check-reads-positive-offsets", "harness.py",
         "if h.offset < 0", "if h.offset > 0",
         ("tests/test_harness.py::TestConeDecomposition::test_square_worked_example",),
@@ -340,8 +346,8 @@ CATALOGUE = (
     ),
     Mutant(
         "cli-imports-subprocess-at-load", "cli.py",
-        "import json\nimport sys\n",
-        "import json\nimport subprocess\nimport sys\n",
+        "import json\nimport os\n",
+        "import json\nimport os\nimport subprocess\n",
         ("tests/test_footprint.py::test_importing_the_cli_loads_no_oracle_or_introspection_module",),
     ),
     Mutant(
@@ -371,10 +377,21 @@ CATALOGUE = (
     ),
     Mutant(
         "immutable-stores-the-value", "exactnum.py",
+        "    def __setattr__(self, name, value):\n"
         '        raise AttributeError(f"{type(self).__name__} is immutable")\n',
+        "    def __setattr__(self, name, value):\n"
         "        object.__setattr__(self, name, value)\n",
         ("tests/test_exactnum.py::test_value_types_refuse_assignment[Scalar]",
          "tests/test_exactnum.py::test_value_types_refuse_assignment[Linear]"),
+    ),
+    Mutant(
+        "immutable-allows-deletion", "exactnum.py",
+        "    def __delattr__(self, name):\n"
+        '        raise AttributeError(f"{type(self).__name__} is immutable")\n',
+        "    def __delattr__(self, name):\n"
+        "        object.__delattr__(self, name)\n",
+        ("tests/test_exactnum.py::test_value_types_refuse_assignment[Scalar]",
+         "tests/test_exactnum.py::test_value_types_refuse_assignment[Polytope]"),
     ),
     Mutant(
         # an int psi then fails in cauchy_eval with AttributeError, and is

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -435,6 +436,20 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS valuation_identity")
+
+    def test_reader_gone_exits_141_quietly(self):
+        """A stdout whose reader has gone, as in `slval verify | head -1`, is
+        no failed check: the broken pipe exits 141 (128 + SIGPIPE) with
+        nothing on stderr, not 1 with a traceback."""
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(slval.__file__)))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "slval.cli", "verify", "--n", "2", "--cases", "2"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestDemoUsc:

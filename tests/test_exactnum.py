@@ -266,12 +266,15 @@ IMMUTABLE = [
 
 @pytest.mark.parametrize("value, slot", IMMUTABLE, ids=[type(v).__name__ for v, _ in IMMUTABLE])
 def test_value_types_refuse_assignment(value, slot):
-    """An existing slot and a new name both refuse, with the message naming
-    the class; the value and its hash stay, and no instance has a __dict__."""
+    """An existing slot and a new name both refuse assignment and deletion,
+    with the message naming the class; the value and its hash stay, and no
+    instance has a __dict__."""
     before, hashed = repr(value), hash(value)
     for name in (slot, "extra"):
         with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
             setattr(value, name, Scalar(4))
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, name)
     assert repr(value) == before and hash(value) == hashed
     assert not hasattr(value, "__dict__")
 

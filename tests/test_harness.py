@@ -439,6 +439,34 @@ class TestSuite:
             at[line["check"]] = len(passes)
         assert at["usc_origin_indicator"] - at["fit_roundtrip"] == 10
 
+    @pytest.mark.parametrize("n, total", [(2, 57), (3, 58), (4, 57)])
+    def test_hull_pass_budget(self, monkeypatch, n, total):
+        """The fit line runs four hull passes, one per probe but the
+        translated simplex, which is handed its record, and the whole
+        5-case suite at seed 1 runs the recorded number."""
+        passes = []
+        real = slval.polytope._supporting
+        monkeypatch.setattr(slval.polytope, "_supporting",
+                            lambda *args: passes.append(args) or real(*args))
+        at = {}
+        for line in run_suite(n, seed=1, cases=5):
+            at[line["check"]] = len(passes)
+        assert at["fit_roundtrip"] - at["cone_decomposition"] == 4
+        assert len(passes) == total
+
+    def test_fit_line_fails_on_a_shifted_probe_value(self, monkeypatch):
+        """One probe value raised by 1, on the point {e1}, gives other
+        coefficients, which fail the fit line on their own; the witness
+        holds them and the five probe values they were solved from."""
+        point = from_points([(1, 0)], 2)
+        real = slval.harness.evaluate
+        monkeypatch.setattr(slval.harness, "evaluate",
+                            lambda V, Q: real(V, Q) + (1 if Q == point else 0))
+        (line,) = [line for line in run_suite(2, seed=0, cases=1) if line["check"] == "fit_roundtrip"]
+        assert not line["pass"]
+        assert line["witness"] == {"coefficients": ["2", "2", "5", "3", "3"],
+                                   "probe_values": ["7", "2", "3", "9", "15/2"]}
+
     def test_identity_line_names_the_broken_column(self, monkeypatch):
         """A volume entry raised by dim Q breaks the identity on case 0, a
         classic split whose meet has one dimension less than the other three
@@ -460,10 +488,10 @@ class TestSuite:
             "volume": {"left": left, "right": right, "whole": whole, "meet": meet}}
 
     def test_no_two_cases_draw_one_polytope(self, monkeypatch):
-        """Every polytope a 300-case suite draws, the fit's validation
-        polytopes among them, has its own (seed, family): from case 100 on,
-        each check family seeds on a range of its own, where identity case
-        201 and sl case 1 once drew one polytope."""
+        """Every polytope a 300-case suite draws has its own (seed,
+        family): from case 100 on, each check family seeds on a range of
+        its own, where identity case 201 and sl case 1 once drew one
+        polytope."""
         drawn = []
         real = slval.harness.gen_polytope
 
@@ -473,7 +501,7 @@ class TestSuite:
 
         monkeypatch.setattr(slval.harness, "gen_polytope", recording)
         assert all(line["pass"] for line in run_suite(2, seed=0, cases=300))
-        assert len(drawn) == 3 * 300 + 25
+        assert len(drawn) == 3 * 300
         assert len(set(drawn)) == len(drawn)
 
     def test_suite_is_deterministic(self):
