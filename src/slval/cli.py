@@ -149,6 +149,8 @@ def _cmd_valuate(args: argparse.Namespace) -> int:
         result = evaluate(val, poly)
     except FieldMismatchError as exc:
         raise UsageError(f"{args.valuation} and {args.polytope_path} lie in different fields: {exc}")
+    except ValueError as exc:  # more pulling cells than triangulate.MAX_CELLS
+        raise UsageError(f"cannot valuate {args.polytope_path}: {exc}")
     if args.format == "json":
         print(json.dumps({"value": str(result)}, sort_keys=True))
     else:

@@ -347,58 +347,71 @@ def as_scalar(value) -> Scalar:
 
 # -- additive solutions of the Cauchy equation on [0, inf) ----------------
 #
-# f(x + y) = f(x) + f(y).  Two families matter here: honest linear maps
-# x -> lam*x, and the coefficient projection a + b*sqrt(d) -> a.  The
-# projection is additive yet not linear over the field, which is exactly
-# what makes it a useful stress test downstream.
+# f(x + y) = f(x) + f(y) with no continuity assumed: on Q(sqrt d) such an f is
+# Q-linear, and CauchySolution(rational, surd) is a + b*sqrt(d) -> rational*a +
+# surd*b*sqrt(d).  Linear(lam) is (lam, lam); RationalPart is (1, 0), additive
+# yet not field-linear, which makes it a useful stress test downstream.
 
 
 class CauchySolution(Immutable):
-    __slots__ = ()
+    __slots__ = ("rational", "surd")
 
-    def value_at(self, x: Scalar) -> Scalar:
-        raise NotImplementedError
+    def __init__(self, rational, surd) -> None:
+        object.__setattr__(self, "rational", as_scalar(rational))
+        object.__setattr__(self, "surd", as_scalar(surd))
+
+    def _terms(self, A: int, B: int, q: int, d: int) -> tuple:
+        """`_read`'s two terms of self at (A + B*sqrt(d))/q >= 0, the surd part's first
+        so that fields that do not mix are named as `coefficient * x` names them."""
+        if _surd_sign(A, B, d) < 0:
+            x = Scalar._make(A, B, q, d)
+            raise ValueError(f"cauchy solutions are evaluated on [0, inf), got {x}")
+        return (self.surd, 0, B, q), (self.rational, A, 0, q)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CauchySolution)
+                and self.rational == other.rational and self.surd == other.surd)
+
+    def __hash__(self) -> int:
+        return hash((self.rational, self.surd))
 
 
 class Linear(CauchySolution):
-    __slots__ = ("coefficient",)
+    __slots__ = ()
+
+    #: the pair is (coefficient, coefficient)
+    coefficient = CauchySolution.rational
 
     def __init__(self, coefficient) -> None:
-        object.__setattr__(self, "coefficient", as_scalar(coefficient))
-
-    def value_at(self, x: Scalar) -> Scalar:
-        return self.coefficient * x
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Linear) and self.coefficient == other.coefficient
-
-    def __hash__(self) -> int:
-        return hash(("linear", self.coefficient))
+        super().__init__(coefficient, coefficient)
 
     def __repr__(self) -> str:
         return f"Linear({self.coefficient!r})"
 
 
 class RationalPart(CauchySolution):
-    """a + b*sqrt(d) -> a.  Additive, discontinuous, not field-linear."""
-
     __slots__ = ()
 
-    def value_at(self, x: Scalar) -> Scalar:
-        return Scalar._make(x._qa, 0, x._q, 0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPart)
-
-    def __hash__(self) -> int:
-        return hash("rational_part")
+    def __init__(self) -> None:
+        super().__init__(ONE, ZERO)
 
     def __repr__(self) -> str:
         return "RationalPart()"
 
 
+def _read(terms, d: int) -> Scalar:
+    """Sum of c*(a + b*sqrt(d))/q over terms (c, a, b, q), c a Scalar, on integers,
+    fields merged as `*` and `+` merge them: one Scalar built, the sum."""
+    A, B, q, e = 0, 0, 1, 0
+    for c, xa, xb, r in terms:
+        f = _merge_discriminants(c.d, d if xb else 0)
+        ta, tb, tq = c._qa * xa + f * c._qb * xb, c._qa * xb + c._qb * xa, c._q * r
+        if tb:
+            e = _merge_discriminants(e if B else 0, f)
+        A, B, q = A * tq + ta * q, B * tq + tb * q, q * tq
+    return Scalar._make(A, B, q, e)
+
+
 def cauchy_eval(f: CauchySolution, x) -> Scalar:
     x = as_scalar(x)
-    if x.sign() < 0:
-        raise ValueError(f"cauchy solutions are evaluated on [0, inf), got {x}")
-    return f.value_at(x)
+    return _read(f._terms(x._qa, x._qb, x._q, x.d), x.d)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar, _integer_rows, as_scalar
 from .linalg import (Matrix, SingularMatrixError, Vector, _eliminate, _over, _pair_dot, det,
@@ -293,11 +293,12 @@ def probe_polytopes(n: int) -> tuple[Polytope, ...]:
             _translate(simplex, [(x, 0) for x in e[0]], 1, 0))
 
 
-def surd_simplices(n: int, d: int, count: int = 5) -> list[Polytope]:
-    """The simplices [0, (i+1)*sqrt(d)*e1, e2, ..., en], i < count: irrational volumes."""
+def surd_simplices(n: int, d: int, count: int = 5) -> Iterator[Polytope]:
+    """The simplices [0, (i+1)*sqrt(d)*e1, e2, ..., en], i < count, each built
+    when it is drawn: irrational volumes."""
     surd = Scalar.sqrt_of(d)
-    return [from_points([origin(n), Vector([surd * (i + 1)] + [ZERO] * (n - 1))]
-                        + [Vector.basis(n, j) for j in range(1, n)], n) for i in range(count)]
+    return (from_points([origin(n), Vector([surd * (i + 1)] + [ZERO] * (n - 1))]
+                        + [Vector.basis(n, j) for j in range(1, n)], n) for i in range(count))
 
 
 def fit_validation_polytopes(n: int, seed: int = 0, count: int = 100,
@@ -305,7 +306,7 @@ def fit_validation_polytopes(n: int, seed: int = 0, count: int = 100,
     """`count` seeded rational polytopes, then the surd simplices unless field_d is 0."""
     polys = [gen_polytope(_sub_seed(seed, 900 + i), n, max_vertices=6, coord_bound=3,
                           family=FAMILIES[i % len(FAMILIES)]) for i in range(count)]
-    return polys + (surd_simplices(n, field_d) if field_d else [])
+    return polys + (list(surd_simplices(n, field_d)) if field_d else [])
 
 
 def fit_classification(values_of, n: int, seed: int = 0, validation_count: int = 100,

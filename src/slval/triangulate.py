@@ -29,6 +29,11 @@ from .linalg import _det
 from .polytope import Polytope, _facet_data, _indices, _origin_signs, _ridges, dim
 
 
+#: cap on the pulling cells `_basis` walks for one polytope, counted before any
+#: determinant; past it `_basis` raises ValueError
+MAX_CELLS = 50_000
+
+
 def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
     """Cells of the pulling triangulation of the k-face `face`, as vertex
     bitmasks; `masks` are the polytope's facet bitmasks and `memo` its one
@@ -55,7 +60,8 @@ def _basis(P: Polytope) -> tuple:
     kept in its `_basis` slot: ints, and triples (A, B, q) meaning
     (A + B sqrt d) / q.  0 is in relint P iff it is in aff P and every facet
     offset is > 0, in P iff every offset is >= 0; the cone term is vol P
-    plus the pyramids from 0 over the faces it sees, over one q."""
+    plus the pyramids from 0 over the faces it sees, over one q.  More than
+    MAX_CELLS cells in the two walks together raise ValueError."""
     if P._basis is None and P._rows:
         n, k, signs, rows, d = P.ambient_dim, dim(P), _origin_signs(P), P._rows, P._d
         relint = (-1) ** k if signs is not None and all(s > 0 for s, _ in signs) else 0
@@ -63,12 +69,18 @@ def _basis(P: Polytope) -> tuple:
         flat = [(-1, (1 << len(rows)) - 1)] if k == n - 1 and signs is None else []
         faces = signs if k == n else flat
         masks, memo, x0 = [z for _, z in _facet_data(P)], {}, rows[0]
-        A = B = a_seen = b_seen = 0
+        walks, count = [], 0
         for s, face in faces:
             to_volume, seen = not face & 1, s < 0
-            if not (to_volume or seen):
-                continue
-            for cell in _cells(masks, face, n - 1, memo):
+            if to_volume or seen:
+                cells = _cells(masks, face, n - 1, memo)
+                count += len(cells)
+                if count > MAX_CELLS:
+                    raise ValueError(f"the polytope has more than {MAX_CELLS} pulling cells")
+                walks.append((to_volume, seen, cells))
+        A = B = a_seen = b_seen = 0
+        for to_volume, seen, cells in walks:
+            for cell in cells:
                 X = [rows[i] for i in _indices(cell)]
                 if to_volume:
                     a, b = _abs_det([[(a - a0, b - b0) for (a, b), (a0, b0) in zip(x, x0)]

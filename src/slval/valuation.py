@@ -32,9 +32,8 @@ from .exactnum import (
     RationalPart,
     Scalar,
     _merge_discriminants,
-    _surd_sign,
+    _read,
     as_scalar,
-    cauchy_eval,
 )
 from .polytope import Polytope, intersect
 from .triangulate import _basis
@@ -76,30 +75,17 @@ class ClassifiedValuation(NamedTuple):
 
 def _apply(V: ClassifiedValuation, b, d: int) -> Scalar:
     """V read off the integer basis of a polytope over Q(sqrt d), or off a signed
-    sum of them with volume and cone >= 0 (psi and phi are additive), on
-    integers in basis order, fields merged as `+` merges them; only a psi or phi
-    other than Linear reads a Scalar.  A slot of the wrong kind raises TypeError."""
+    sum of them with volume and cone >= 0 (psi and phi are additive): one `_read`
+    in basis order, psi and phi a rational-part and a surd-part term each.  A
+    slot of the wrong kind raises TypeError."""
     euler, relint, vol, inside, cone = b
     c0, c0p, d0, psi, phi = V
     if not (type(c0) is Scalar and type(c0p) is Scalar and type(d0) is Scalar):
         c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)
     if not (isinstance(psi, CauchySolution) and isinstance(phi, CauchySolution)):
         raise TypeError(f"psi and phi must be Cauchy solutions, got {psi!r} and {phi!r}")
-    A, B, q, e = 0, 0, 1, 0
-    for c, (xa, xb, r) in ((c0, (euler, 0, 1)), (c0p, (relint, 0, 1)), (psi, vol),
-                           (d0, (inside, 0, 1)), (phi, cone)):
-        if not (xa or xb):
-            continue
-        if type(c) is Linear and _surd_sign(xa, xb, d) >= 0:
-            c = c.coefficient
-        if type(c) is not Scalar:
-            c, xa, xb, r = cauchy_eval(c, Scalar._make(xa, xb, r, d)), 1, 0, 1
-        f = _merge_discriminants(c.d, d if xb else 0)
-        ta, tb, tq = c._qa * xa + f * c._qb * xb, c._qa * xb + c._qb * xa, c._q * r
-        if tb:
-            e = _merge_discriminants(e if B else 0, f)
-        A, B, q = A * tq + ta * q, B * tq + tb * q, q * tq
-    return Scalar._make(A, B, q, e)
+    return _read(((c0, euler, 0, 1), (c0p, relint, 0, 1), *psi._terms(*vol, d),
+                  (d0, inside, 0, 1), *phi._terms(*cone, d)), d)
 
 
 def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:
@@ -148,11 +134,11 @@ def evaluate_union(V: ClassifiedValuation, parts: list[Polytope]) -> Scalar:
 
 
 def _solution_to_json(f: CauchySolution) -> dict:
-    if isinstance(f, Linear):
-        return {"kind": "linear", "lambda": str(f.coefficient)}
-    if isinstance(f, RationalPart):
+    if f.rational == f.surd:
+        return {"kind": "linear", "lambda": str(f.rational)}
+    if f == RationalPart():
         return {"kind": "rational_part"}
-    raise ValueError(f"unknown Cauchy solution {f!r}")
+    raise ValueError(f"no JSON kind for the Cauchy solution ({f.rational}, {f.surd})")
 
 
 def _solution_from_json(obj: dict) -> CauchySolution:

@@ -118,8 +118,8 @@ CATALOGUE = (
     ),
     Mutant(
         "apply-reads-the-volume-as-cone", "valuation.py",
-        "(phi, cone))",
-        "(phi, vol))",
+        "*phi._terms(*cone, d)",
+        "*phi._terms(*vol, d)",
         ("tests/test_valuation.py::test_evaluate_union_of_crossing_segments",),
     ),
     Mutant(
@@ -394,8 +394,7 @@ CATALOGUE = (
          "tests/test_exactnum.py::test_value_types_refuse_assignment[Polytope]"),
     ),
     Mutant(
-        # an int psi then fails in cauchy_eval with AttributeError, and is
-        # never read on a polytope of volume 0
+        # an int psi then fails in `psi._terms` with AttributeError
         "apply-skips-the-slot-kind-check", "valuation.py",
         "    if not (isinstance(psi, CauchySolution) and isinstance(phi, CauchySolution)):\n",
         "    if False:\n",
@@ -403,14 +402,56 @@ CATALOGUE = (
          "[plain-psi-phi]",),
     ),
     Mutant(
-        # a Linear c0 is read as its coefficient, and a float c0p whose term
-        # is 0 is never read
+        # a Linear c0 then fails in `_read` with AttributeError, and a float
+        # c0p whose term is 0 is never read
         "apply-reads-the-scalar-slots-unchecked", "valuation.py",
         "        c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)\n",
         "        pass\n",
         ("tests/test_valuation.py::test_a_slot_of_the_wrong_kind_is_refused_on_every_polytope"
          "[plugin-c0]",
          "tests/test_valuation.py::test_a_float_coefficient_is_refused_by_evaluate[1]"),
+    ),
+    Mutant(
+        "plugin-reads-rational-and-surd-swapped", "exactnum.py",
+        "        return (self.surd, 0, B, q), (self.rational, A, 0, q)\n",
+        "        return (self.rational, 0, B, q), (self.surd, A, 0, q)\n",
+        ("tests/test_exactnum.py::test_rational_part_examples",
+         "tests/test_exactnum.py::test_cauchy_eval_is_the_oracle_formula"),
+    ),
+    Mutant(
+        "plugin-skips-the-domain-check", "exactnum.py",
+        "        if _surd_sign(A, B, d) < 0:\n            x = Scalar._make(A, B, q, d)\n",
+        "        if False:\n            x = Scalar._make(A, B, q, d)\n",
+        ("tests/test_exactnum.py::test_the_read_and_the_oracle_raise_alike[linear-negative]",
+         "tests/test_exactnum.py::test_cauchy_eval_rejects_negative_argument"),
+    ),
+    Mutant(
+        "rational-part-is-the-pair-1-1", "exactnum.py",
+        "        super().__init__(ONE, ZERO)\n",
+        "        super().__init__(ONE, ONE)\n",
+        ("tests/test_exactnum.py::test_rational_part_examples",
+         "tests/test_valuation.py::test_rational_part_valuation_on_surd_box"),
+    ),
+    Mutant(
+        "surd-simplices-built-up-front", "harness.py",
+        "enumerate(surd_simplices(n, field_d, min(cases, 5)))",
+        "enumerate(list(surd_simplices(n, field_d, min(cases, 5))))",
+        ("tests/test_harness.py::TestSuite::test_each_surd_simplex_is_built_by_its_own_line[2]",),
+    ),
+    Mutant(
+        "cell-cap-counts-only-volume-cells", "triangulate.py",
+        "                count += len(cells)\n",
+        "                count += to_volume and len(cells)\n",
+        ("tests/test_triangulate.py::test_the_cell_cap_counts_the_cells_of_both_walks",
+         "tests/test_cli.py::TestValuate::test_more_cells_than_the_cap_exits_2"),
+    ),
+    Mutant(
+        # the 9-cube test is left out: with no check it would run for hours
+        "cell-cap-never-checked", "triangulate.py",
+        "                if count > MAX_CELLS:\n",
+        "                if False:\n",
+        ("tests/test_triangulate.py::test_the_cell_cap_counts_the_cells_of_both_walks",
+         "tests/test_cli.py::TestValuate::test_more_cells_than_the_cap_exits_2"),
     ),
     Mutant(
         "integer-option-skips-its-bound", "cli.py",

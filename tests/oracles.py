@@ -498,13 +498,27 @@ def scalar_basis_vector(P):
             Scalar._make(*cone, P._d))
 
 
+def plugin_value(f, x):
+    """The Cauchy solution f at the Scalar x >= 0 by Scalar arithmetic, on
+    formulas of its own: coefficient * x for a Linear f, the rational part
+    of x for a RationalPart, rational * a + surd * b * sqrt(d) for another
+    pair; a negative x raises ValueError."""
+    from slval.exactnum import Linear, RationalPart, Scalar
+
+    if x < 0:
+        raise ValueError(f"negative argument {x}")
+    if type(f) is Linear:
+        return f.coefficient * x
+    if type(f) is RationalPart:
+        return Scalar(x.a)
+    return f.rational * x.a + (f.surd * x.b * Scalar.sqrt_of(x.d) if x.b else 0)
+
+
 def scalar_apply(V, b):
     """The classified valuation V on a basis vector b of Scalars, term by term."""
-    from slval.exactnum import cauchy_eval
-
     euler, relint, vol, inside, cone = b
-    return (V.c0 * euler + V.c0p * relint + cauchy_eval(V.psi, vol)
-            + V.d0 * inside + cauchy_eval(V.phi, cone))
+    return (V.c0 * euler + V.c0p * relint + plugin_value(V.psi, vol)
+            + V.d0 * inside + plugin_value(V.phi, cone))
 
 
 def scalar_fit(values_of, n, seed=0, validation_count=100, field_d=0):

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import slval
+import slval.triangulate
 from slval import cli, harness
 from slval.cli import main
 from slval.exactnum import MAX_DISCRIMINANT
@@ -192,6 +193,36 @@ class TestValuate:
         ])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_more_cells_than_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        """The square [1, 2]^2 has four pulling cells, two for its volume and
+        one cone from 0 over each edge 0 sees: past a cap of 3, one stderr
+        line and exit 2; at a cap of 4 its value."""
+        square = {"ambient_dim": 2, "field_d": 0,
+                  "vertices": [["1", "1"], ["2", "1"], ["1", "2"], ["2", "2"]]}
+        argv = ["valuate", "--in", write_json(tmp_path / "p.json", square),
+                "--valuation", write_json(tmp_path / "v.json", linear_valuation(dn="1"))]
+        monkeypatch.setattr(slval.triangulate, "MAX_CELLS", 3)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot valuate {tmp_path / 'p.json'}: "
+                                "the polytope has more than 3 pulling cells\n")
+        monkeypatch.setattr(slval.triangulate, "MAX_CELLS", 4)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "2\n"
+
+    def test_the_9_cube_exits_2_at_once(self, tmp_path, capsys):
+        """The 9-cube's 362,880 pulling cells pass MAX_CELLS before any
+        determinant is taken: refused within a second, not hours later."""
+        cube = {"ambient_dim": 9, "field_d": 0,
+                "vertices": [[str(v >> i & 1) for i in range(9)] for v in range(512)]}
+        argv = ["valuate", "--in", write_json(tmp_path / "p.json", cube),
+                "--valuation", write_json(tmp_path / "v.json", linear_valuation(cn="1"))]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert f"more than {slval.triangulate.MAX_CELLS} pulling cells" in capsys.readouterr().err
 
 
 SURD_TRIANGLE = {"ambient_dim": 2, "field_d": 2,

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slval.exactnum import (
+    CauchySolution,
     FieldMismatchError,
     Linear,
     RationalPart,
@@ -15,8 +16,9 @@ from slval.exactnum import (
 )
 from slval.linalg import Matrix, Vector
 from slval.polytope import Halfspace, from_points
+from slval.valuation import ClassifiedValuation, _apply
 
-from oracles import reference_parse
+from oracles import plugin_value, reference_parse, scalar_apply
 
 
 def test_rational_addition():
@@ -365,3 +367,67 @@ class TestCauchyAdditivity:
         f = Linear(Scalar(3, 1, 2))
         if x.sign() >= 0 and y.sign() >= 0:
             assert cauchy_eval(f, x + y) == cauchy_eval(f, x) + cauchy_eval(f, y)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def field_scalars(draw, fields):
+    """A Scalar a + b*sqrt(d), d drawn from `fields` (0 for Q)."""
+    d = draw(st.sampled_from(fields))
+    b = draw(small_fractions) if d else 0
+    return Scalar(draw(small_fractions), b, d if b else 0)
+
+
+#: psi and phi with coefficients in Q and Q(sqrt 2)
+plugins = st.one_of(st.builds(Linear, field_scalars((0, 2))), st.just(RationalPart()),
+                    st.builds(CauchySolution, field_scalars((0, 2)), field_scalars((0, 2))))
+
+
+def outcome(read, *args):
+    """The value of read(*args), or the class of the ValueError it raised."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("f, x, error", [
+    (Linear(Scalar(1, 1, 2)), Scalar(1, 1, 3), FieldMismatchError),
+    (CauchySolution(1, Scalar(0, 1, 2)), Scalar(0, 1, 3), FieldMismatchError),
+    (Linear(2), Scalar(1, -1, 2), ValueError),
+    (RationalPart(), Scalar(-1), ValueError),
+], ids=["linear-mismatch", "surd-mismatch", "linear-negative", "rational-part-negative"])
+def test_the_read_and_the_oracle_raise_alike(f, x, error):
+    assert outcome(cauchy_eval, f, x) is outcome(plugin_value, f, x) is error
+    V = ClassifiedValuation(Scalar(0), Scalar(0), Scalar(0), f, Linear(0))
+    b = (0, 0, (x._qa, x._qb, x._q), 0, (0, 0, 1))
+    assert outcome(_apply, V, b, x.d) is error
+
+
+@given(plugins, field_scalars((0, 2, 3)))
+@settings(max_examples=150, deadline=None)
+def test_cauchy_eval_is_the_oracle_formula(f, x):
+    """The one integer read agrees with the oracle's own Scalar formulas on
+    values in Q, Q(sqrt 2) and Q(sqrt 3), negative ones and ones from another
+    field than the coefficients' included."""
+    assert outcome(cauchy_eval, f, x) == outcome(plugin_value, f, x)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_apply_is_the_oracle_sum(data):
+    """A valuation with coefficients in Q and Q(sqrt 2) read off a basis over
+    Q, Q(sqrt 2) or Q(sqrt 3): the same value, or the same error, as the
+    oracle's term-by-term Scalar sum."""
+    d = data.draw(st.sampled_from((0, 2, 3)))
+    coefficient = field_scalars((0, 2))
+    V = ClassifiedValuation(data.draw(coefficient), data.draw(coefficient), data.draw(coefficient),
+                            data.draw(plugins), data.draw(plugins))
+    vol, cone = (abs(data.draw(field_scalars((d,)))) for _ in range(2))
+    euler, inside = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    relint = data.draw(st.integers(-1, 1))
+    b = (euler, relint, (vol._qa, vol._qb, vol._q), inside, (cone._qa, cone._qb, cone._q))
+    expected = outcome(scalar_apply, V, (Scalar(euler), Scalar(relint), vol, Scalar(inside), cone))
+    assert outcome(_apply, V, b, d) == expected

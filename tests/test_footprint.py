@@ -52,8 +52,8 @@ def test_slab_unions_keep_no_polytope():
 
 
 def test_the_suite_keeps_no_polytope():
-    """A 5-case suite leaves as many live polytopes as before (92 more with
-    the keeping cache)."""
+    """A 5-case suite leaves as many live polytopes as before (15 more with
+    the keeping cache of the catalogue's volume-cache-keeps-polytopes)."""
     before = live_polytopes()
     assert all(line["pass"] for line in run_suite(2, seed=0, cases=5))
     assert live_polytopes() == before

@@ -454,6 +454,22 @@ class TestSuite:
         assert at["fit_roundtrip"] - at["cone_decomposition"] == 4
         assert len(passes) == total
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_surd_simplex_is_built_by_its_own_line(self, monkeypatch, n):
+        """The first sl_invariance_rational_part line follows two hull
+        passes, its simplex's and that simplex's image's, not six: the five
+        simplices are drawn one per line, as every other check family draws
+        its case."""
+        passes = []
+        real = slval.polytope._supporting
+        monkeypatch.setattr(slval.polytope, "_supporting",
+                            lambda *args: passes.append(args) or real(*args))
+        first, last = {}, {}
+        for line in run_suite(n, seed=1, cases=5):
+            first.setdefault(line["check"], len(passes))
+            last[line["check"]] = len(passes)
+        assert first["sl_invariance_rational_part"] - last["sl_invariance"] == 2
+
     def test_fit_line_fails_on_a_shifted_probe_value(self, monkeypatch):
         """One probe value raised by 1, on the point {e1}, gives other
         coefficients, which fail the fit line on their own; the witness

@@ -395,3 +395,26 @@ def test_one_facet_walk_matches_the_two_walk_reference(n):
     assert walk_ridges <= reference_ridges
     if n >= 3:
         assert walk_ridges < reference_ridges
+
+
+#: the square [1, 2]^2: its first vertex (1, 1) pulls two volume cells, and 0
+#: sees the two edges through (1, 1), one cone cell each
+OFF_ORIGIN_SQUARE = ((2, 2), (1, 2), (2, 1), (1, 1))
+
+
+def test_the_cell_cap_counts_the_cells_of_both_walks(monkeypatch):
+    """Four cells in all, two of them only in the cone walk: a cap of 4
+    passes, a cap of 3 raises ValueError and keeps no basis on P."""
+    monkeypatch.setattr(slval.triangulate, "MAX_CELLS", 4)
+    assert _basis(from_points(OFF_ORIGIN_SQUARE, 2)) == (1, 0, (2, 0, 2), 0, (4, 0, 2))
+    monkeypatch.setattr(slval.triangulate, "MAX_CELLS", 3)
+    square = from_points(OFF_ORIGIN_SQUARE, 2)
+    with pytest.raises(ValueError, match="^the polytope has more than 3 pulling cells$"):
+        _basis(square)
+    assert square._basis is None
+
+
+def test_the_cell_cap_admits_the_8_cube_by_its_count():
+    """The pulling triangulation of the n-cube has n! cells, so the cap
+    admits the 8-cube (40,320) and refuses the 9-cube (362,880)."""
+    assert factorial(8) <= slval.triangulate.MAX_CELLS < factorial(9)
