@@ -21,7 +21,8 @@ import json
 import os
 import sys
 
-from .exactnum import FieldMismatchError, Scalar, ScalarParseError, _check_discriminant
+from .exactnum import (FieldMismatchError, Scalar, ScalarParseError, _check_discriminant,
+                       _merge_discriminants)
 from .harness import _scalarize, fit_classification, run_suite, usc_sequences
 from .polytope import Polytope
 from .polytope import from_json as polytope_from_json
@@ -158,7 +159,9 @@ def _cmd_valuate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_values(cmd: str, polys: list[Polytope]) -> list[Scalar]:
+def _oracle_values(cmd: str, field_d: int, polys: list[Polytope]) -> list[Scalar]:
+    """The oracle's answers to polys, in order; an answer in another field than
+    field_d's raises FieldMismatchError."""
     import shlex
     import subprocess
     payload = "".join(json.dumps(polytope_to_json(P), sort_keys=True) + "\n" for P in polys)
@@ -182,9 +185,11 @@ def _oracle_values(cmd: str, polys: list[Polytope]) -> list[Scalar]:
     values = []
     for line in lines:
         try:
-            values.append(Scalar.parse(line.strip()))
+            value = Scalar.parse(line.strip())
         except ScalarParseError as exc:
             raise OracleError(f"unreadable oracle value {line.strip()!r}: {exc}")
+        _merge_discriminants(value.d, field_d)
+        values.append(value)
     return values
 
 
@@ -193,7 +198,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         val = _load_valuation(args.valuation)
         values_of = lambda polys: [evaluate(val, P) for P in polys]
     else:
-        values_of = functools.partial(_oracle_values, args.oracle_cmd)
+        values_of = functools.partial(_oracle_values, args.oracle_cmd, args.field_d)
     try:
         report = fit_classification(values_of, args.n, seed=args.seed,
                                     validation_count=args.cases, field_d=args.field_d)

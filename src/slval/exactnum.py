@@ -6,9 +6,9 @@ stored as one integer triple (A + B*sqrt(d)) / Q in lowest terms, which
 keeps the arithmetic to one gcd per operation and makes sign tests pure
 integer comparisons.  The rational coefficients are exposed as
 ``fractions.Fraction`` values.  Mixing two distinct nonzero discriminants
-is an error: one run of the pipeline works in one field.  Every binary
-operator takes its operand through one gate, `_gated`, which refuses floats,
-and the value types of the package share one guard, `Immutable`.
+is an error: a run works in one field, fixed by `valuation._apply` and
+`cauchy_eval` before `_read` sums.  Binary operators take operands through
+`_gated`, which refuses floats; the value types share one guard, `Immutable`.
 """
 
 from __future__ import annotations
@@ -361,12 +361,11 @@ class CauchySolution(Immutable):
         object.__setattr__(self, "surd", as_scalar(surd))
 
     def _terms(self, A: int, B: int, q: int, d: int) -> tuple:
-        """`_read`'s two terms of self at (A + B*sqrt(d))/q >= 0, the surd part's first
-        so that fields that do not mix are named as `coefficient * x` names them."""
+        """`_read`'s two terms of self at (A + B*sqrt(d))/q >= 0."""
         if _surd_sign(A, B, d) < 0:
             x = Scalar._make(A, B, q, d)
             raise ValueError(f"cauchy solutions are evaluated on [0, inf), got {x}")
-        return (self.surd, 0, B, q), (self.rational, A, 0, q)
+        return (self.rational, A, 0, q), (self.surd, 0, B, q)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CauchySolution)
@@ -400,18 +399,16 @@ class RationalPart(CauchySolution):
 
 
 def _read(terms, d: int) -> Scalar:
-    """Sum of c*(a + b*sqrt(d))/q over terms (c, a, b, q), c a Scalar, on integers,
-    fields merged as `*` and `+` merge them: one Scalar built, the sum."""
-    A, B, q, e = 0, 0, 1, 0
+    """Sum of c*(a + b*sqrt(d))/q over terms (c, a, b, q), c a Scalar in Q or
+    Q(sqrt d) as the caller checked, on integers: one Scalar built, the sum."""
+    A, B, q = 0, 0, 1
     for c, xa, xb, r in terms:
-        f = _merge_discriminants(c.d, d if xb else 0)
-        ta, tb, tq = c._qa * xa + f * c._qb * xb, c._qa * xb + c._qb * xa, c._q * r
-        if tb:
-            e = _merge_discriminants(e if B else 0, f)
+        ta, tb, tq = c._qa * xa + d * c._qb * xb, c._qa * xb + c._qb * xa, c._q * r
         A, B, q = A * tq + ta * q, B * tq + tb * q, q * tq
-    return Scalar._make(A, B, q, e)
+    return Scalar._make(A, B, q, d)
 
 
 def cauchy_eval(f: CauchySolution, x) -> Scalar:
     x = as_scalar(x)
-    return _read(f._terms(x._qa, x._qb, x._q, x.d), x.d)
+    e = _merge_discriminants(_merge_discriminants(f.rational.d, f.surd.d), x.d)
+    return _read(f._terms(x._qa, x._qb, x._q, x.d), e)

@@ -75,17 +75,20 @@ class ClassifiedValuation(NamedTuple):
 
 def _apply(V: ClassifiedValuation, b, d: int) -> Scalar:
     """V read off the integer basis of a polytope over Q(sqrt d), or off a signed
-    sum of them with volume and cone >= 0 (psi and phi are additive): one `_read`
-    in basis order, psi and phi a rational-part and a surd-part term each.  A
-    slot of the wrong kind raises TypeError."""
+    sum of them with volume and cone >= 0 (psi and phi are additive), in the field
+    of V's numbers in slot order and then d: one `_read` in basis order, psi and
+    phi two terms each.  A slot of the wrong kind raises TypeError."""
     euler, relint, vol, inside, cone = b
     c0, c0p, d0, psi, phi = V
     if not (type(c0) is Scalar and type(c0p) is Scalar and type(d0) is Scalar):
         c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)
     if not (isinstance(psi, CauchySolution) and isinstance(phi, CauchySolution)):
         raise TypeError(f"psi and phi must be Cauchy solutions, got {psi!r} and {phi!r}")
+    e = 0
+    for c in (c0, c0p, d0, psi.rational, psi.surd, phi.rational, phi.surd):
+        e = _merge_discriminants(e, c.d)
     return _read(((c0, euler, 0, 1), (c0p, relint, 0, 1), *psi._terms(*vol, d),
-                  (d0, inside, 0, 1), *phi._terms(*cone, d)), d)
+                  (d0, inside, 0, 1), *phi._terms(*cone, d)), _merge_discriminants(e, d))
 
 
 def evaluate(V: ClassifiedValuation, P: Polytope) -> Scalar:

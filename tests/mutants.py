@@ -58,6 +58,29 @@ CATALOGUE = (
          "[demo-usc --steps 3 -- --format]",),
     ),
     Mutant(
+        # c0 over Q(sqrt 3) then goes unseen on a polytope over Q(sqrt 2) whose
+        # basis is rational, and its surd is read as sqrt 2
+        "apply-leaves-c0-out-of-the-field-fold", "valuation.py",
+        "    for c in (c0, c0p, d0, psi.rational, psi.surd, phi.rational, phi.surd):\n",
+        "    for c in (c0p, d0, psi.rational, psi.surd, phi.rational, phi.surd):\n",
+        ("tests/test_cli.py::test_a_coefficient_in_another_field_is_refused_whatever_the_basis"
+         "[surd-triangle]",),
+    ),
+    Mutant(
+        # the message then names the polytope's field first
+        "apply-merges-the-basis-field-first", "valuation.py",
+        "*phi._terms(*cone, d)), _merge_discriminants(e, d))",
+        "*phi._terms(*cone, d)), _merge_discriminants(d, e))",
+        ("tests/test_cli.py::test_valuation_in_another_field_exits_2[valuate]",),
+    ),
+    Mutant(
+        # answers over Q(sqrt 3) against a model of 0 then give a residual
+        "oracle-answers-skip-the-field-fold", "cli.py",
+        "        _merge_discriminants(value.d, field_d)\n",
+        "",
+        ("tests/test_cli.py::TestFit::test_oracle_in_another_field_under_a_rational_model_exits_3",),
+    ),
+    Mutant(
         "fit-reraises-oracle-field-mismatch", "cli.py",
         '            raise OracleError(f"oracle values and {mismatch}")\n',
         "            raise\n",
@@ -402,8 +425,8 @@ CATALOGUE = (
          "[plain-psi-phi]",),
     ),
     Mutant(
-        # a Linear c0 then fails in `_read` with AttributeError, and a float
-        # c0p whose term is 0 is never read
+        # a Linear c0 or a float c0p then fails in `_apply`'s field fold with
+        # AttributeError, not with the slot's TypeError
         "apply-reads-the-scalar-slots-unchecked", "valuation.py",
         "        c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)\n",
         "        pass\n",
@@ -413,8 +436,8 @@ CATALOGUE = (
     ),
     Mutant(
         "plugin-reads-rational-and-surd-swapped", "exactnum.py",
-        "        return (self.surd, 0, B, q), (self.rational, A, 0, q)\n",
-        "        return (self.rational, 0, B, q), (self.surd, A, 0, q)\n",
+        "        return (self.rational, A, 0, q), (self.surd, 0, B, q)\n",
+        "        return (self.surd, A, 0, q), (self.rational, 0, B, q)\n",
         ("tests/test_exactnum.py::test_rational_part_examples",
          "tests/test_exactnum.py::test_cauchy_eval_is_the_oracle_formula"),
     ),

@@ -498,13 +498,27 @@ def scalar_basis_vector(P):
             Scalar._make(*cone, P._d))
 
 
+def field_of(numbers, d):
+    """The one field of the Scalars `numbers` and then of d, merged in order with
+    the running field first: the field a read fixes before its first term."""
+    from slval.exactnum import _merge_discriminants
+
+    e = 0
+    for c in numbers:
+        e = _merge_discriminants(e, c.d)
+    return _merge_discriminants(e, d)
+
+
 def plugin_value(f, x):
     """The Cauchy solution f at the Scalar x >= 0 by Scalar arithmetic, on
     formulas of its own: coefficient * x for a Linear f, the rational part
     of x for a RationalPart, rational * a + surd * b * sqrt(d) for another
-    pair; a negative x raises ValueError."""
+    pair.  The field of f's two numbers and x's is fixed first, so two
+    fields raise FieldMismatchError whatever x is; then a negative x raises
+    ValueError."""
     from slval.exactnum import Linear, RationalPart, Scalar
 
+    field_of((f.rational, f.surd), x.d)
     if x < 0:
         raise ValueError(f"negative argument {x}")
     if type(f) is Linear:
@@ -514,9 +528,12 @@ def plugin_value(f, x):
     return f.rational * x.a + (f.surd * x.b * Scalar.sqrt_of(x.d) if x.b else 0)
 
 
-def scalar_apply(V, b):
-    """The classified valuation V on a basis vector b of Scalars, term by term."""
+def scalar_apply(V, b, d):
+    """The classified valuation V on a basis vector b of Scalars of a polytope
+    over Q(sqrt d), term by term, once the field of V's numbers in slot order
+    and then d is fixed."""
     euler, relint, vol, inside, cone = b
+    field_of((V.c0, V.c0p, V.d0, V.psi.rational, V.psi.surd, V.phi.rational, V.phi.surd), d)
     return (V.c0 * euler + V.c0p * relint + plugin_value(V.psi, vol)
             + V.d0 * inside + plugin_value(V.phi, cone))
 
@@ -546,7 +563,7 @@ def scalar_fit(values_of, n, seed=0, validation_count=100, field_d=0):
     model = ClassifiedValuation.linear(*coefficients)
     residual = ZERO
     for P, value in zip(validation, values[5:]):
-        gap = abs(value - scalar_apply(model, scalar_basis_vector(P)))
+        gap = abs(value - scalar_apply(model, scalar_basis_vector(P), P._d))
         if gap > residual:
             residual = gap
     return FitReport(coefficients=coefficients, probe_values=probe_values, residual_max=residual)

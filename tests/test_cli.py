@@ -245,6 +245,32 @@ def test_valuation_in_another_field_exits_2(argv, tmp_path, capsys):
     assert err.startswith("error: ") and "cannot mix sqrt(3) with sqrt(2)" in err
 
 
+#: the triangle (0, 0), (sqrt 2, 0), (0, sqrt 2) over Q(sqrt 2): all five basis values are rational
+ROOT_TRIANGLE = {"ambient_dim": 2, "field_d": 2,
+                 "vertices": [["0", "0"], ["0+1*sqrt(2)", "0"], ["0", "0+1*sqrt(2)"]]}
+
+
+@pytest.mark.parametrize("polytope, out, code", [
+    (ROOT_TRIANGLE, "", 2),
+    (TRIANGLE, "25+1*sqrt(3)\n", 0),
+], ids=["surd-triangle", "rational-triangle"])
+def test_a_coefficient_in_another_field_is_refused_whatever_the_basis(polytope, out, code, tmp_path,
+                                                                     capsys):
+    """c0 over Q(sqrt 3) on a polytope over Q(sqrt 2) is two fields, though
+    every basis value of the triangle is rational; on a rational triangle the
+    valuation has its value in Q(sqrt 3)."""
+    paths = {"p": write_json(tmp_path / "p.json", polytope),
+             "v": write_json(tmp_path / "v.json", linear_valuation("1+1*sqrt(3)", "2", "3", "4", "5"))}
+    assert main(["valuate", "--in", paths["p"], "--valuation", paths["v"]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("cannot mix sqrt(3) with sqrt(2)\n")
+    else:
+        assert captured.err == ""
+
+
 class TestFit:
     def test_self_test_round_trip(self, tmp_path, capsys):
         ref = linear_valuation("1", "2", "3", "4", "5")
@@ -358,6 +384,23 @@ class TestFit:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith("oracle error: ") and "cannot mix sqrt(3) with sqrt(2)" in err
+
+    def test_oracle_in_another_field_under_a_rational_model_exits_3(self, tmp_path, capsys):
+        """0 on the probes and sqrt 3 on every validation polytope: the fitted
+        model is 0, whose values are rational, so no residual meets two fields;
+        each answer meets --field-d 2 as it is read, and the oracle failed."""
+        oracle = tmp_path / "oracle.py"
+        oracle.write_text(
+            "import sys\n"
+            "for k, line in enumerate(l for l in sys.stdin if l.strip()):\n"
+            "    print('0' if k < 5 else '0+1*sqrt(3)')\n"
+        )
+        code = main([
+            "fit", "--oracle-cmd", f"{sys.executable} {oracle}", "--cases", "5",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("oracle error: ") and err.endswith("cannot mix sqrt(3) with sqrt(2)\n")
 
     def test_non_valuation_blackbox_exits_1(self, tmp_path, capsys):
         # answers depend on nothing but line parity, so no classified

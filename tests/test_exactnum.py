@@ -406,6 +406,19 @@ def test_the_read_and_the_oracle_raise_alike(f, x, error):
     assert outcome(_apply, V, b, x.d) is error
 
 
+def test_a_plugin_whose_terms_cancel_their_surds_raises_alike():
+    """psi = (sqrt 2, -1) at 1 + sqrt 2 is sqrt 2 - sqrt 2 = 0: its two terms
+    cancel each other's surd.  Beside a c0 in Q(sqrt 3) the valuation still
+    has numbers in two fields, which the read and the oracle both refuse
+    before any term, whatever the sum of the terms would be."""
+    psi, x = CauchySolution(Scalar(0, 1, 2), -1), Scalar(1, 1, 2)
+    assert cauchy_eval(psi, x) == plugin_value(psi, x) == 0
+    V = ClassifiedValuation(Scalar(0, 1, 3), Scalar(0), Scalar(0), psi, Linear(0))
+    b = (1, 0, (x._qa, x._qb, x._q), 0, (0, 0, 1))
+    scalars = (Scalar(1), Scalar(0), x, Scalar(0), Scalar(0))
+    assert outcome(_apply, V, b, 2) is outcome(scalar_apply, V, scalars, 2) is FieldMismatchError
+
+
 @given(plugins, field_scalars((0, 2, 3)))
 @settings(max_examples=150, deadline=None)
 def test_cauchy_eval_is_the_oracle_formula(f, x):
@@ -429,5 +442,5 @@ def test_apply_is_the_oracle_sum(data):
     euler, inside = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     relint = data.draw(st.integers(-1, 1))
     b = (euler, relint, (vol._qa, vol._qb, vol._q), inside, (cone._qa, cone._qb, cone._q))
-    expected = outcome(scalar_apply, V, (Scalar(euler), Scalar(relint), vol, Scalar(inside), cone))
+    expected = outcome(scalar_apply, V, (Scalar(euler), Scalar(relint), vol, Scalar(inside), cone), d)
     assert outcome(_apply, V, b, d) == expected

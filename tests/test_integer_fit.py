@@ -77,10 +77,11 @@ def test_kept_basis_is_the_scalar_route_basis(n):
 
 
 ORACLES = {
-    "linear": lambda P: scalar_apply(ClassifiedValuation.linear(1, -2, 3, 4, 5), scalar_basis_vector(P)),
+    "linear": lambda P: scalar_apply(ClassifiedValuation.linear(1, -2, 3, 4, 5),
+                                     scalar_basis_vector(P), P._d),
     "rational_part": lambda P: scalar_apply(
         ClassifiedValuation(Scalar(1), Scalar(2), Scalar(4), RationalPart(), Linear(5)),
-        scalar_basis_vector(P)),
+        scalar_basis_vector(P), P._d),
     "not_a_valuation": lambda P: Scalar(0) if P.is_empty else Scalar(dim(P)),
 }
 
