@@ -27,7 +27,7 @@ from .harness import _scalarize, fit_classification, run_suite, usc_sequences
 from .polytope import Polytope
 from .polytope import from_json as polytope_from_json
 from .polytope import to_json as polytope_to_json
-from .valuation import evaluate
+from .valuation import _field, evaluate
 from .valuation import from_json as valuation_from_json
 
 
@@ -129,9 +129,12 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}")
 
 
-def _load_polytope(path: str) -> Polytope:
+def _load_polytope(path: str) -> tuple[Polytope, int]:
+    """The polytope of the file and the field the file declares, which a
+    polytope with only rational vertices does not keep."""
+    obj = _load_json(path)
     try:
-        return polytope_from_json(_load_json(path))
+        return polytope_from_json(obj), obj["field_d"]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} is not a polytope file: {exc}")
 
@@ -144,9 +147,10 @@ def _load_valuation(path: str):
 
 
 def _cmd_valuate(args: argparse.Namespace) -> int:
-    poly = _load_polytope(args.polytope_path)
+    poly, field_d = _load_polytope(args.polytope_path)
     val = _load_valuation(args.valuation)
     try:
+        _merge_discriminants(_field(*val), field_d)
         result = evaluate(val, poly)
     except FieldMismatchError as exc:
         raise UsageError(f"{args.valuation} and {args.polytope_path} lie in different fields: {exc}")

@@ -209,16 +209,16 @@ class Scalar(Immutable):
 
     # -- field arithmetic ------------------------------------------------
 
-    @_gated
-    def __add__(self, other) -> Scalar:
+    def _plus(self, other: Scalar, s: int) -> tuple[int, int, int, int]:
+        """(A, B, q, d) of self + s*other, s = 1 or -1: one cross-multiplication
+        over the product of the denominators."""
         d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
         q1, q2 = self._q, other._q
-        return Scalar._make(
-            self._qa * q2 + other._qa * q1,
-            self._qb * q2 + other._qb * q1,
-            q1 * q2,
-            d,
-        )
+        return self._qa * q2 + s * other._qa * q1, self._qb * q2 + s * other._qb * q1, q1 * q2, d
+
+    @_gated
+    def __add__(self, other) -> Scalar:
+        return Scalar._make(*self._plus(other, 1))
 
     __radd__ = __add__
 
@@ -227,14 +227,7 @@ class Scalar(Immutable):
 
     @_gated
     def __sub__(self, other) -> Scalar:
-        d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
-        q1, q2 = self._q, other._q
-        return Scalar._make(
-            self._qa * q2 - other._qa * q1,
-            self._qb * q2 - other._qb * q1,
-            q1 * q2,
-            d,
-        )
+        return Scalar._make(*self._plus(other, -1))
 
     @_gated
     def __rsub__(self, other) -> Scalar:
@@ -280,13 +273,8 @@ class Scalar(Immutable):
 
     def _cmp_sign(self, other) -> int:
         """Sign of self - other without building the difference."""
-        d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
-        q1, q2 = self._q, other._q
-        return _surd_sign(
-            self._qa * q2 - other._qa * q1,
-            self._qb * q2 - other._qb * q1,
-            d,
-        )
+        A, B, _, d = self._plus(other, -1)
+        return _surd_sign(A, B, d)
 
     @_gated
     def __eq__(self, other) -> bool:

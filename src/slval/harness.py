@@ -16,9 +16,8 @@ import random
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar, _integer_rows, as_scalar
-from .linalg import (Matrix, SingularMatrixError, Vector, _eliminate, _over, _pair_dot, det,
-                     random_sl_matrix)
+from .exactnum import ONE, ZERO, Linear, RationalPart, Scalar, as_scalar
+from .linalg import Matrix, SingularMatrixError, Vector, _pair_dot, _solve, det, random_sl_matrix
 from .polytope import (
     Halfspace,
     Polytope,
@@ -263,21 +262,16 @@ def check_cone_decomposition(P: Polytope):
     if contains(P, origin(n)):
         raise ValueError("cone decomposition needs 0 outside the polytope")
     k = dim(P)
+    if k < n and (k < n - 1 or in_affine_hull(P, origin(n))):
+        raise ValueError("needs a full-dimensional P, or dim n-1 with 0 off aff P")
+    total, value = volume(cone_hull(P)), basis_vector(P)[4]
     if k == n:
-        total = volume(cone_hull(P))
         parts = sum((volume(cone_hull(F)) for h, F in facets(P) if h.offset < 0), volume(P))
-        value = basis_vector(P)[4]
         if total == parts == value:
             return True
         return {"hull_volume": total, "decomposed": parts, "cone_volume": value}
-    if k == n - 1 and not in_affine_hull(P, origin(n)):
-        # below full dimension the hull with the origin is one pyramid over P
-        total = volume(cone_hull(P))
-        value = basis_vector(P)[4]
-        if total == value:
-            return True
-        return {"hull_volume": total, "cone_volume": value}
-    raise ValueError("needs a full-dimensional P, or dim n-1 with 0 off aff P")
+    # below full dimension the hull with the origin is one pyramid over P
+    return total == value or {"hull_volume": total, "cone_volume": value}
 
 
 # -- classification fitting ----------------------------------------------
@@ -330,18 +324,16 @@ def fit_classification(values_of, n: int, seed: int = 0, validation_count: int =
     validation = fit_validation_polytopes(n, seed, validation_count, field_d)
     values = values_of([*probes, *validation])
     probe_values = tuple(values[:5])
-    rows, _, d = _integer_rows([(*basis_vector(P), as_scalar(v)) for P, v in zip(probes, probe_values)])
-    form, pivots, _, D = _eliminate(rows, d)
+    pivots, coefficients = _solve([(*basis_vector(P), as_scalar(v)) for P, v in zip(probes, probe_values)])
     if pivots[:5] != [0, 1, 2, 3, 4]:
         raise SingularMatrixError(sum(c < 5 for c in pivots))
-    coefficients = tuple(_over([row[5] for row in form], D, d))
     model = ClassifiedValuation.linear(*coefficients)
     residual = ZERO
     for P, value in zip(validation, values[5:]):
         gap = abs(value - evaluate(model, P))
         if gap > residual:
             residual = gap
-    return FitReport(coefficients=coefficients, probe_values=probe_values, residual_max=residual)
+    return FitReport(coefficients=tuple(coefficients), probe_values=probe_values, residual_max=residual)
 
 
 # -- semicontinuity sequences --------------------------------------------

@@ -2,10 +2,10 @@
 
 There is one elimination, `_eliminate`: a fraction-free Gauss-Jordan
 (Bareiss 1968) on pairs (A, B) of ints meaning A + B*sqrt(d), which leaves
-one common pivot D on every pivot row.  Kernels, reduced echelon forms,
-solutions and determinants beyond 4 x 4 are read off that form; Scalars
-are built only from it, by one division by D.  A determinant up to 4 x 4,
-such as a volume cell's, is expanded in closed form on the pairs instead.
+one common pivot D on every pivot row.  Kernels, solutions (`_solve`) and
+determinants beyond 4 x 4 are read off that form; Scalars are built only
+from it, by one division by D.  A determinant up to 4 x 4, such as a
+volume cell's, is expanded in closed form on the pairs instead.
 """
 
 from __future__ import annotations
@@ -302,14 +302,12 @@ def _over(x: list[tuple[int, int]], D: tuple[int, int], d: int) -> list[Scalar]:
     return [Scalar._make(a, b, n, d) if a or b else ZERO for a, b in x]
 
 
-def _reduced_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced echelon form (zero rows last) and pivot columns: the
-    `_eliminate` form of the rows scaled to integers, divided by D."""
-    ints, _, d = _integer_rows(rows)
-    reduced, pivots, _, D = _eliminate(ints, d)
-    out = [_over(row, D, d) for row in reduced]
-    ncols = len(rows[0]) if rows else 0
-    return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
+def _solve(aug: Sequence[Sequence[Scalar]]) -> tuple[list[int], list[Scalar]]:
+    """Pivot columns of augmented rows and each pivot row's last entry over
+    D: one `_eliminate` of the rows scaled to integers."""
+    ints, _, d = _integer_rows(aug)
+    form, pivots, _, D = _eliminate(ints, d)
+    return pivots, _over([row[-1] for row in form], D, d)
 
 
 def matrix_rank(rows: Sequence[Sequence] | Matrix) -> int:
@@ -324,13 +322,13 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Scalar] | None:
     if m == 0:
         return []
     ncols = len(rows[0])
-    aug = [[as_scalar(x) for x in row] + [as_scalar(rhs[i])] for i, row in enumerate(rows)]
-    reduced, pivots = _reduced_echelon(aug)
+    pivots, values = _solve([[as_scalar(x) for x in row] + [as_scalar(rhs[i])]
+                             for i, row in enumerate(rows)])
     if ncols in pivots:
         return None
     solution = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = reduced[r][ncols]
+    for c, value in zip(pivots, values):
+        solution[c] = value
     return solution
 
 

@@ -409,19 +409,35 @@ def reference_parse(text):
 # What follows is the route it replaced, in Vectors and Scalars: the same
 # rng draws turned into Vectors, an interior point weighted in Fractions,
 # the five basis values assembled in Scalars on every read, and the probe
-# system solved as a Matrix.  It builds on the package's public
-# constructors and its cell sums, like `reference_clip`.
+# system solved as a Matrix on the whole reduced echelon form, of which
+# `linalg._solve` reads only the last column.  It builds on the package's
+# public constructors, its cell sums and its elimination, like
+# `reference_clip`.
+
+
+def reduced_echelon(rows):
+    """Reduced echelon form (zero rows last) and pivot columns of rows of
+    Scalars: the `_eliminate` form of the rows scaled to integers, divided
+    by D."""
+    from slval.exactnum import ZERO, _integer_rows
+    from slval.linalg import _eliminate, _over
+
+    ints, _, d = _integer_rows(rows)
+    reduced, pivots, _, D = _eliminate(ints, d)
+    out = [_over(row, D, d) for row in reduced]
+    ncols = len(rows[0]) if rows else 0
+    return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
 
 
 def solve(matrix, rhs):
     """Unique solution of a square system of Scalars; raises with the rank
     if singular: the reduced echelon form of the augmented rows."""
-    from slval.linalg import SingularMatrixError, Vector, _reduced_echelon
+    from slval.linalg import SingularMatrixError, Vector
 
     n = matrix.nrows
     if n != matrix.ncols or len(rhs) != n:
         raise ValueError("solve needs a square matrix and matching vector")
-    reduced, pivots = _reduced_echelon([list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)])
+    reduced, pivots = reduced_echelon([list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)])
     main_pivots = [c for c in pivots if c < n]
     if len(main_pivots) < n:
         raise SingularMatrixError(len(main_pivots))

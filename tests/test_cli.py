@@ -249,23 +249,34 @@ def test_valuation_in_another_field_exits_2(argv, tmp_path, capsys):
 ROOT_TRIANGLE = {"ambient_dim": 2, "field_d": 2,
                  "vertices": [["0", "0"], ["0+1*sqrt(2)", "0"], ["0", "0+1*sqrt(2)"]]}
 
+#: the unit triangle in a file that declares Q(sqrt 2): its vertices are rational
+DECLARED_TRIANGLE = {"ambient_dim": 2, "field_d": 2,
+                     "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 
-@pytest.mark.parametrize("polytope, out, code", [
-    (ROOT_TRIANGLE, "", 2),
-    (TRIANGLE, "25+1*sqrt(3)\n", 0),
-], ids=["surd-triangle", "rational-triangle"])
-def test_a_coefficient_in_another_field_is_refused_whatever_the_basis(polytope, out, code, tmp_path,
-                                                                     capsys):
+
+@pytest.mark.parametrize("polytope, c0, out, code", [
+    (ROOT_TRIANGLE, "1+1*sqrt(3)", "", 2),
+    (DECLARED_TRIANGLE, "1+1*sqrt(3)", "", 2),
+    (TRIANGLE, "1+1*sqrt(3)", "25+1*sqrt(3)\n", 0),
+    (DECLARED_TRIANGLE, "1", "9\n", 0),
+    (DECLARED_TRIANGLE, "1+1*sqrt(2)", "9+1*sqrt(2)\n", 0),
+], ids=["surd-triangle", "declared-field", "rational-triangle", "declared-field-rational",
+        "declared-field-root-2"])
+def test_a_coefficient_in_another_field_is_refused_whatever_the_basis(polytope, c0, out, code,
+                                                                     tmp_path, capsys):
     """c0 over Q(sqrt 3) on a polytope over Q(sqrt 2) is two fields, though
-    every basis value of the triangle is rational; on a rational triangle the
-    valuation has its value in Q(sqrt 3)."""
+    every basis value of the triangle is rational, and though the polytope
+    file only declares Q(sqrt 2); on a triangle over Q the valuation has its
+    value in Q(sqrt 3).  A rational c0, or one over the declared field, is
+    read on that file."""
     paths = {"p": write_json(tmp_path / "p.json", polytope),
-             "v": write_json(tmp_path / "v.json", linear_valuation("1+1*sqrt(3)", "2", "3", "4", "5"))}
+             "v": write_json(tmp_path / "v.json", linear_valuation(c0, "2", "3", "4", "5"))}
     assert main(["valuate", "--in", paths["p"], "--valuation", paths["v"]]) == code
     captured = capsys.readouterr()
     assert captured.out == out
     if code:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert paths["v"] in captured.err and paths["p"] in captured.err
         assert captured.err.endswith("cannot mix sqrt(3) with sqrt(2)\n")
     else:
         assert captured.err == ""

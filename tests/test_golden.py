@@ -7,16 +7,19 @@ not only a benchmark run.  It only reads `expected.json`.
 
 verify runs the whole `run_suite` report; surd_union runs `clip` and
 `intersect` on polytopes over Q(sqrt 2); hull_wide runs `valuate` on wide
-integer clouds.
+integer clouds.  The same output, and the same number of hull passes, must
+come out under any hash seed, since set and dict order follow it.
 """
 
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "perfbench")
 sys.path.append(BENCH_DIR)
 
 from worker import HullFiles, digest, surd_input, surd_union_text, verify_argv  # noqa: E402
@@ -50,3 +53,33 @@ def test_hull_wide(key, tmp_path, capsys):
     assert cli.main(["valuate", "--in", cloud, "--valuation", files.valuation]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert digest(line) == EXPECTED["hull_wide"][key]
+
+
+#: verify at n = 2, 3, 4 and one valuate, with the hull passes counted on stderr
+_HASH_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from slval import cli, polytope
+real, calls = polytope._supporting, [0]
+def counting(*args):
+    calls[0] += 1
+    return real(*args)
+polytope._supporting = counting
+for n in ("2", "3", "4"):
+    assert cli.main(["verify", "--n", n, "--cases", "5", "--seed", "1"]) == 0
+assert cli.main(["valuate", "--in", {cloud!r}, "--valuation", {valuation!r}]) == 0
+print(calls[0], file=sys.stderr)
+"""
+
+
+def test_output_and_hull_passes_do_not_depend_on_the_hash_seed(tmp_path):
+    files = HullFiles(str(tmp_path))
+    probe = _HASH_PROBE.format(src=os.path.join(ROOT, "src"), cloud=files.write("3x24", 0),
+                               valuation=files.valuation)
+    runs = [subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONHASHSEED=seed),
+                           capture_output=True, check=True, timeout=120)
+            for seed in ("0", "1")]
+    (out, err), (out_1, err_1) = ((run.stdout, run.stderr) for run in runs)
+    # 23 verify lines at 5 cases (4 checks of 5 lines, the fit, the two usc lines)
+    assert out == out_1 and out.count(b"\n") == 3 * 23 + 1
+    assert err == err_1 and int(err) > 0

