@@ -2,13 +2,15 @@
 
 Nothing in this module ever rounds.  A scalar carries the discriminant
 ``d`` of the field it lives in (``d == 0`` marks a plain rational) and is
-stored as one integer triple (A + B*sqrt(d)) / Q in lowest terms, which
-keeps the arithmetic to one gcd per operation and makes sign tests pure
-integer comparisons.  The rational coefficients are exposed as
-``fractions.Fraction`` values.  Mixing two distinct nonzero discriminants
-is an error: a run works in one field, fixed by `valuation._apply` and
-`cauchy_eval` before `_read` sums.  Binary operators take operands through
-`_gated`, which refuses floats; the value types share one guard, `Immutable`.
+stored as one integer triple (A + B*sqrt(d)) / Q in lowest terms, written
+by `Scalar._fill` alone, which keeps the arithmetic to one gcd per
+operation and makes sign tests pure integer comparisons; `_literal` reads
+text into a raw triple that its readers reduce.  The rational coefficients
+are exposed as ``fractions.Fraction`` values.  Mixing two distinct nonzero
+discriminants is an error: a run works in one field, fixed by
+`valuation._apply` and `cauchy_eval` before `_read` sums.  Binary operators
+take operands through `_gated`, which refuses floats; the value types share
+one guard, `Immutable`.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\
 
 
 def _literal(text, field: int = 0) -> tuple[int, int, int, int]:
-    """`a` or `a+-b*sqrt(d)` as a canonical (A, B, q, d): int if str(int(text)) == text,
-    else by the grammar; a d equal to `field`, which the caller checked, is not rechecked."""
+    """`a` or `a+-b*sqrt(d)` as a raw (A, B, q > 0, d if B else 0), which its readers reduce:
+    int if str(int(text)) == text, else by the grammar; d == `field`, checked by the caller,
+    is not rechecked."""
     try:
         if str(a := int(text)) == text:
             return a, 0, 1, 0
@@ -107,9 +110,8 @@ def _literal(text, field: int = 0) -> tuple[int, int, int, int]:
             raise ValueError("irrational part requires a nonzero discriminant")
     except ValueError as exc:
         raise ScalarParseError(str(exc)) from None
-    A, B, q = a * bq, (-b if sign == "-" else b) * aq, aq * bq
-    g = gcd(A, B, q)
-    return A // g, B // g, q // g, d if B else 0
+    B = (-b if sign == "-" else b) * aq
+    return a * bq, B, aq * bq, d if B else 0
 
 
 class Immutable:
@@ -155,34 +157,24 @@ class Scalar(Immutable):
     def __init__(self, a, b=0, d: int = 0) -> None:
         if not (isinstance(a, Rational) and isinstance(b, Rational)):
             raise TypeError(f"Scalar coefficients must be exact rationals, got {a!r}, {b!r}")
-        a = Fraction(a)
-        b = Fraction(b)
-        d = _check_discriminant(d)
+        a, b, d = Fraction(a), Fraction(b), _check_discriminant(d)
         if b != 0 and d == 0:
             raise ValueError("irrational part requires a nonzero discriminant")
-        if b == 0:
-            d = 0
-        q = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        object.__setattr__(self, "_qa", a.numerator * (q // a.denominator))
-        object.__setattr__(self, "_qb", b.numerator * (q // b.denominator))
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "d", d)
+        q = lcm(a.denominator, b.denominator)
+        self._fill(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q, d)
+
+    def _fill(self, qa: int, qb: int, q: int, d: int) -> None:
+        """The one writer of the slots: (qa + qb*sqrt(d)) / q, d valid and q != 0, canonical."""
+        g = gcd(qa, qb, q) if q > 0 else -gcd(qa, qb, q)
+        object.__setattr__(self, "_qa", qa // g)
+        object.__setattr__(self, "_qb", qb // g)
+        object.__setattr__(self, "_q", q // g)
+        object.__setattr__(self, "d", d if qb else 0)
 
     @classmethod
     def _make(cls, qa: int, qb: int, q: int, d: int) -> Scalar:
-        # trusted path: d already validated, q nonzero
-        if q < 0:
-            qa, qb, q = -qa, -qb, -q
-        g = gcd(qa, qb, q)
-        if g > 1:
-            qa //= g
-            qb //= g
-            q //= g
         self = object.__new__(cls)
-        object.__setattr__(self, "_qa", qa)
-        object.__setattr__(self, "_qb", qb)
-        object.__setattr__(self, "_q", q)
-        object.__setattr__(self, "d", d if qb else 0)
+        self._fill(qa, qb, q, d)
         return self
 
     @property

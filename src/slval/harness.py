@@ -102,20 +102,17 @@ def gen_polytope(
                 pts.append(p)
             return from_points(pts, n)
         if family == "avoids_origin":
-            axis = rng.randrange(n)
-            sign = rng.choice((-1, 1))
+            axis, sign = rng.randrange(n), rng.choice((-1, 1))
             pts = []
             for _ in range(count):
                 coords = [rng.randint(-coord_bound, coord_bound) for _ in range(n)]
                 coords[axis] = sign * rng.randint(1, coord_bound + 1)
                 pts.append(coords)
-            poly = from_points(pts, n)
-        elif family == "contains_origin":
-            pts = [point(coord_bound) for _ in range(count)]
-            poly = from_points(pts + [(0,) * n], n)
         else:
             pts = [point(coord_bound) for _ in range(count)]
-            poly = from_points(pts, n)
+            if family == "contains_origin":
+                pts.append((0,) * n)
+        poly = from_points(pts, n)
         if dim(poly) != n:
             continue
         if family == "origin_in_relint":

@@ -614,8 +614,7 @@ def _translate(P: Polytope, T, Lt: int, e: int) -> Polytope:
         return tuple(_primitive([(a * Lt, b * Lt) for a, b in row[:-1]] + [(Ca * Lt + A, Cb * Lt + B)]))
 
     (pivots, equalities), data = _hull(P)
-    object.__setattr__(Q, "_hull", ((pivots, tuple(map(shifted, equalities))),
-                                    tuple((shifted(row), z) for row, z in data)))
+    _fill_hull(Q, (pivots, tuple(map(shifted, equalities))), [(shifted(row), z) for row, z in data])
     return Q
 
 
@@ -631,8 +630,8 @@ def to_json(P: Polytope) -> dict:
 
 
 def from_json(obj: dict) -> Polytope:
-    """The hull of a `to_json` object: each row read as `_literal` triples and
-    checked against the field, all over the lcm of their q, into `_hull_of`."""
+    """The hull of a `to_json` object: rows of raw `_literal` triples, checked against
+    the field, over the lcm of their q, into `_hull_of`, whose `_of` reduces them."""
     try:
         n, d, raw = obj["ambient_dim"], obj["field_d"], obj["vertices"]
         if type(n) is not int or type(d) is not int:

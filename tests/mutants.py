@@ -49,7 +49,8 @@ CATALOGUE = (
         "    if any(row[-1] != (0, 0) for row in equalities):\n",
         "    if any(row[-1] != (0, 0) for row in equalities[:1]):\n",
         ("tests/test_polytope.py::test_origin_signs_agree_with_membership",
-         "tests/test_boxes.py::test_every_hull_has_the_plane_oracle_basis"),
+         "tests/test_boxes.py::test_every_hull_has_the_plane_oracle_basis",
+         "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cross]"),
     ),
     Mutant(
         "main-drops-leftovers", "cli.py",
@@ -106,7 +107,8 @@ CATALOGUE = (
         "eliminate-fused-step-never-divides", "linalg.py",
         "rows[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)",
         "rows[i] = [((xa * pa - ya * fa), (xb * pa - yb * fa))",
-        ("tests/test_linalg.py::test_solve_unique",),
+        ("tests/test_linalg.py::test_solve_unique",
+         "tests/test_boxes.py::test_every_space_hull_has_the_oracle_vertices_frame_and_facets[cross]"),
     ),
     Mutant(
         "intersect-one-side-of-each-equality", "polytope.py",
@@ -140,7 +142,8 @@ CATALOGUE = (
         "all(s > 0 for s, _ in signs)",
         "all(s >= 0 for s, _ in signs)",
         ("tests/test_valuation.py::test_relint_sign",
-         "tests/test_boxes.py::test_every_hull_has_the_plane_oracle_basis"),
+         "tests/test_boxes.py::test_every_hull_has_the_plane_oracle_basis",
+         "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cross]"),
     ),
     Mutant(
         "apply-reads-the-volume-as-cone", "valuation.py",
@@ -211,7 +214,8 @@ CATALOGUE = (
         "pulling-cones-through-the-apex", "triangulate.py",
         "for g in _ridges(face, masks, k, apex)\n",
         "for g in _ridges(face, masks, k)\n",
-        ("tests/test_triangulate.py::test_volume_of_unit_square_and_cube",),
+        ("tests/test_triangulate.py::test_volume_of_unit_square_and_cube",
+         "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cube]"),
     ),
     Mutant(
         # equivalent below dimension 5, where the vertex count alone decides
@@ -241,7 +245,8 @@ CATALOGUE = (
         "cone = (a_seen, b_seen, q) if faces else vol\n",
         ("tests/test_valuation.py::test_cone_volume_of_triangle",
          "tests/test_triangulate.py::test_one_facet_walk_matches_the_two_walk_reference[4]",
-         "tests/test_boxes.py::test_every_hull_has_the_plane_oracle_basis"),
+         "tests/test_boxes.py::test_every_hull_has_the_plane_oracle_basis",
+         "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cross]"),
     ),
     Mutant(
         "facet-handover-skips-the-clearing", "polytope.py",
@@ -288,7 +293,8 @@ CATALOGUE = (
         "            elif s < 0:\n                kept.append((r, z, e))\n",
         "            elif s <= 0:\n                kept.append((r, z, e))\n",
         ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
-         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
+         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]",
+         "tests/test_boxes.py::test_every_space_hull_has_the_oracle_vertices_frame_and_facets[cross]"),
     ),
     Mutant(
         # sums and == stay right; differences and the order < > <= >= go wrong
@@ -296,7 +302,8 @@ CATALOGUE = (
         "return self._qa * q2 + s * other._qa * q1, self._qb * q2 + s * other._qb * q1,",
         "return self._qa * q2 + other._qa * q1, self._qb * q2 + other._qb * q1,",
         ("tests/test_exactnum.py::test_comparisons",
-         "tests/test_exactnum.py::test_int_operands_keep_the_surd_part"),
+         "tests/test_exactnum.py::test_int_operands_keep_the_surd_part",
+         "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cross]"),
     ),
     Mutant(
         "literal-shortcut-skips-the-round-trip", "exactnum.py",
@@ -315,7 +322,8 @@ CATALOGUE = (
         "frame-keeps-the-coordinate-rows-in-forward-order", "polytope.py",
         "zip(form[:k:-1], free)",
         "zip(form[k + 1:], free)",
-        ("tests/test_hull.py::test_frame_matches_the_reference",),
+        ("tests/test_hull.py::test_frame_matches_the_reference",
+         "tests/test_boxes.py::test_every_space_hull_has_the_oracle_vertices_frame_and_facets[cross]"),
     ),
     Mutant(
         "split-slab-falls-back-to-generic", "harness.py",
@@ -343,7 +351,8 @@ CATALOGUE = (
         "Polytope._of(n, tuple(sorted(rows)), L, d)",
         ("tests/test_polytope.py::test_cone_hull_cases",
          "tests/test_polytope.py::test_origin_signs_agree_with_membership",
-         "tests/test_triangulate.py::test_volume_routes_agree"),
+         "tests/test_triangulate.py::test_volume_routes_agree",
+         "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cross]"),
     ),
     Mutant(
         "fit-line-passes-whatever-the-coefficients", "harness.py",
@@ -496,6 +505,37 @@ CATALOGUE = (
         "    if not ok(value):\n",
         "    if False:\n",
         ("tests/test_cli.py::test_integer_options_exit_2_with_their_message[verify-n-5]",),
+    ),
+    Mutant(
+        # a facet row is an inequality: its last entry may be negative, and the
+        # handed-over equality must then be negated to be canonical
+        "clip-keeps-the-facet-row-sign", "polytope.py",
+        "            h = h if h[c][0] > 0 else tuple((-a, -b) for a, b in h)\n",
+        "",
+        ("tests/test_acceptance.py::test_split_identity_bulk",
+         "tests/test_hull.py::test_facet_handover_of_a_segment_is_a_point",
+         "tests/test_hull.py::test_facet_handovers_equal_fresh_passes[2]"),
+    ),
+    Mutant(
+        "fill-keeps-a-negative-denominator", "exactnum.py",
+        "        g = gcd(qa, qb, q) if q > 0 else -gcd(qa, qb, q)\n",
+        "        g = gcd(qa, qb, q)\n",
+        ("tests/test_exactnum.py::test_division_round_trip",
+         "tests/test_exactnum.py::test_int_operands_keep_the_surd_part"),
+    ),
+    Mutant(
+        "fill-keeps-the-field-of-a-rational", "exactnum.py",
+        '        object.__setattr__(self, "d", d if qb else 0)\n',
+        '        object.__setattr__(self, "d", d)\n',
+        ("tests/test_exactnum.py::test_vanishing_surd_collapses_to_rational",
+         "tests/test_exactnum.py::test_conjugate_product_is_rational"),
+    ),
+    Mutant(
+        # `1+0*sqrt(3)` in a Q(sqrt 2) file is then refused as outside the field
+        "literal-keeps-the-field-of-a-rational", "exactnum.py",
+        "    return a * bq, B, aq * bq, d if B else 0\n",
+        "    return a * bq, B, aq * bq, d\n",
+        ("tests/test_read_path.py::test_json_reads_as_the_scalar_route",),
     ),
 )
 

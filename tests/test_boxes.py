@@ -1,17 +1,32 @@
-"""Every hull of a subset of the planar box {-1, 0, 1}^2 against the plane
-oracles: a sweep with no seed, the same on every run.
+"""Every hull of a subset of a small box against the oracles: a sweep with
+no seed, the same on every run.
 
-The 511 nonempty subsets of the nine box points have 213 distinct hulls:
-points, segments and polygons, with the origin at a vertex, on an edge,
-inside or outside.  Each hull's vertices are checked against
-`oracles.hull2d`, and its five basis values against `plane_basis`, which
-is built only from `hull2d`, `shoelace_area` and `in_hull2d`.
+The 511 nonempty subsets of the nine points of the planar box
+{-1, 0, 1}^2 have 213 distinct hulls: points, segments and polygons, with
+the origin at a vertex, on an edge, inside or outside.  Each hull's
+vertices are checked against `oracles.hull2d`, and its five basis values
+against `plane_basis`, which is built only from `hull2d`, `shoelace_area`
+and `in_hull2d`.
+
+Two space boxes follow: the 7 points 0, +-e1, +-e2 and +-e3, with 90
+distinct hulls that have the origin inside, on a face, at a vertex or
+outside, and the cube {0, 1}^3, with 255.  Each hull's vertices are checked
+against `oracles.extreme_indices`, its frame and facets against
+`oracles.halfspaces`, and its five basis values against `space_basis`,
+which reads the origin terms off `halfspaces` at 0 and the volumes off
+`pyramid_volume`.
 """
+
+from itertools import product
+
+import pytest
 
 from slval.polytope import from_points
 from slval.valuation import basis_vector
 
-from oracles import hull2d, in_hull2d, shoelace_area
+from oracles import (affine_frame, extreme_indices, halfspaces, hull2d, in_hull2d, pyramid_volume,
+                     reference_frame, shoelace_area)
+from records import scalar_facet_data, scalar_frame
 
 BOX = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
 ORIGIN = (0, 0)
@@ -72,3 +87,101 @@ def test_every_hull_has_the_plane_oracle_basis():
         if got != want:
             bad.append((points, [str(x) for x in got], [str(x) for x in want]))
     assert not bad, f"{len(bad)} of {len(HULLS)} hulls differ, first: {bad[:3]}"
+
+
+# -- the space boxes ------------------------------------------------------
+
+SPACE_BOXES = {
+    "cross": [(0, 0, 0)] + [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)],
+    "cube": list(product((0, 1), repeat=3)),
+}
+ORIGIN3 = (0, 0, 0)
+
+
+def space_hulls(box: list) -> dict:
+    """One subset of box per distinct hull, keyed by the sorted vertices
+    that `extreme_indices` picks."""
+    hulls = {}
+    for mask in range(1, 1 << len(box)):
+        points = [p for i, p in enumerate(box) if mask >> i & 1]
+        hulls.setdefault(tuple(sorted(points[i] for i in extreme_indices(points))), points)
+    return hulls
+
+
+SPACE_HULLS = {name: space_hulls(box) for name, box in SPACE_BOXES.items()}
+
+
+def space_volume(points: list):
+    """The volume of the hull in R^3 by `pyramid_volume`; 0 below full dimension."""
+    return pyramid_volume(from_points(points, 3))[0] if affine_frame(points)[0] == 3 else 0
+
+
+def space_basis(points: list) -> tuple:
+    """(euler, relint_sign, volume, origin, cone) of the hull of points in
+    R^3.  `halfspaces` lists the k-dimensional hull's 3 - k frame equalities
+    both ways, then its facets: the origin is in the hull iff every row
+    holds at 0, and in its relative interior iff every equality is tight at
+    0 and every facet is strict.  The cone term is the volume of the hull
+    with the origin added."""
+    k = affine_frame(points)[0]
+    rows = halfspaces(points)
+    equalities, facet_rows = rows[:2 * (3 - k)], rows[2 * (3 - k):]
+    relint = all(c == 0 for _, c in equalities) and all(c > 0 for _, c in facet_rows)
+    inside = all(c >= 0 for _, c in rows)
+    return (1, (-1) ** k if relint else 0, space_volume(points), int(inside),
+            space_volume(points + [ORIGIN3]))
+
+
+def record_halfspaces(P) -> list:
+    """P's hull record as the rows `halfspaces` gives: each frame equality
+    both ways, then each facet with its free columns eliminated by the
+    equalities and scaled so that its last nonzero entry is +-1."""
+    pivots, equalities = scalar_frame(P)
+    free = [c for c in range(P.ambient_dim) if c not in pivots]
+    eqs = [([x.a for x in w], b.a) for w, b in equalities]
+    out = [h for w, b in eqs for h in ((tuple(w), b), (tuple(-x for x in w), -b))]
+    for h, _ in scalar_facet_data(P):
+        w, c = [x.a for x in h.normal], h.offset.a
+        for f, (e, b) in zip(free, eqs):
+            w, c = [x - w[f] * y for x, y in zip(w, e)], c - w[f] * b
+        s = abs(next(x for x in reversed(w) if x))
+        out.append((tuple(x / s for x in w), c / s))
+    return out
+
+
+@pytest.mark.parametrize("name, count", [("cross", 90), ("cube", 255)])
+def test_the_space_boxes_have_their_distinct_hulls(name, count):
+    assert len(SPACE_HULLS[name]) == count
+    # points up to solids, and for the cross every place of the origin
+    assert {affine_frame(points)[0] for points in SPACE_HULLS[name].values()} == {0, 1, 2, 3}
+    if name == "cross":
+        places = set()
+        for ring, points in SPACE_HULLS[name].items():
+            _, relint, _, inside, _ = space_basis(points)
+            places.add("vertex" if ORIGIN3 in ring else "relint" if relint else
+                       "boundary" if inside else "outside")
+        assert places == {"vertex", "relint", "boundary", "outside"}
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_BOXES))
+def test_every_space_hull_has_the_oracle_vertices_frame_and_facets(name):
+    bad = []
+    for ring, points in SPACE_HULLS[name].items():
+        P = from_points(points, 3)
+        vertices = tuple(sorted(tuple(c.a for c in v) for v in P.vertices))
+        pivots = scalar_frame(P)[0]
+        if (vertices, pivots) != (ring, reference_frame(points)[0]) or \
+                sorted(record_halfspaces(P)) != sorted(halfspaces(points)):
+            bad.append(points)
+    assert not bad, f"{len(bad)} of {len(SPACE_HULLS[name])} hulls differ, first: {bad[:3]}"
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_BOXES))
+def test_every_space_hull_has_the_space_oracle_basis(name):
+    bad = []
+    for points in SPACE_HULLS[name].values():
+        got = tuple(basis_vector(from_points(points, 3)))
+        want = space_basis(points)
+        if got != want:
+            bad.append((points, [str(x) for x in got], [str(x) for x in want]))
+    assert not bad, f"{len(bad)} of {len(SPACE_HULLS[name])} hulls differ, first: {bad[:3]}"

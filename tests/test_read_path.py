@@ -34,6 +34,8 @@ CORPUS = [
     obj([["1/2", "0"], ["-3/4", "5/6"], ["0", "-7/3"], ["2", "2"]]),
     obj([["0", "0"], ["1+1*sqrt(2)", "0"], ["1", "2-1*sqrt(2)"]], d=2),
     obj([["1/3-1/2*sqrt(2)", "0"], ["1", "1"], ["0", "2/3+1*sqrt(2)"]], d=2),
+    # unreduced in both parts: the raw triple (16, 24, 32) is (2, 3, 4) in lowest terms
+    obj([["2/4+6/8*sqrt(2)", "0"], ["-6/8", "10/4"], ["0", "-4/6-2/6*sqrt(2)"]], d=2),
     obj([["1", "2"], ["3", "4"], ["0", "0"]], d=2),  # a rational polytope in a declared field
     obj([["+3", "-0"], ["007", "4/2"], ["0", "1"], ["1/2", "1+1/3*sqrt(2)"]], d=2),
     obj([["+3", "-0"], ["007", "4/2"], ["0", "1"]]),
