@@ -134,19 +134,11 @@ def space_basis(points: list) -> tuple:
 
 def record_halfspaces(P) -> list:
     """P's hull record as the rows `halfspaces` gives: each frame equality
-    both ways, then each facet with its free columns eliminated by the
-    equalities and scaled so that its last nonzero entry is +-1."""
-    pivots, equalities = scalar_frame(P)
-    free = [c for c in range(P.ambient_dim) if c not in pivots]
-    eqs = [([x.a for x in w], b.a) for w, b in equalities]
-    out = [h for w, b in eqs for h in ((tuple(w), b), (tuple(-x for x in w), -b))]
-    for h, _ in scalar_facet_data(P):
-        w, c = [x.a for x in h.normal], h.offset.a
-        for f, (e, b) in zip(free, eqs):
-            w, c = [x - w[f] * y for x, y in zip(w, e)], c - w[f] * b
-        s = abs(next(x for x in reversed(w) if x))
-        out.append((tuple(x / s for x in w), c / s))
-    return out
+    both ways, then each facet, which the pass makes zero off the pivot
+    columns, +-1 on its last nonzero entry."""
+    equalities = [(tuple(x.a for x in w), b.a) for w, b in scalar_frame(P)[1]]
+    return ([h for w, b in equalities for h in ((w, b), (tuple(-x for x in w), -b))]
+            + [(tuple(x.a for x in h.normal), h.offset.a) for h, _ in scalar_facet_data(P)])
 
 
 @pytest.mark.parametrize("name, count", [("cross", 90), ("cube", 255)])
