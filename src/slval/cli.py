@@ -127,6 +127,8 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise UsageError(f"{path} nests its JSON too deeply to read")
 
 
 def _load_polytope(path: str) -> tuple[Polytope, int]:
@@ -147,10 +149,13 @@ def _load_valuation(path: str):
 
 
 def _cmd_valuate(args: argparse.Namespace) -> int:
-    poly, field_d = _load_polytope(args.polytope_path)
+    """Reads the valuation file and fixes its field before it reads the
+    polytope file, which hulls it."""
     val = _load_valuation(args.valuation)
     try:
-        _merge_discriminants(_field(*val), field_d)
+        e = _field(*val)
+        poly, field_d = _load_polytope(args.polytope_path)
+        _merge_discriminants(e, field_d)
         result = evaluate(val, poly)
     except FieldMismatchError as exc:
         raise UsageError(f"{args.valuation} and {args.polytope_path} lie in different fields: {exc}")

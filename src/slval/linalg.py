@@ -80,12 +80,8 @@ class Vector(Immutable):
         return all(x.is_zero() for x in self.coords)
 
     def sort_key(self) -> tuple:
-        # lexicographic over the exact (a, b) of each coordinate; an integer
-        # coefficient stays an int, which compares exactly with a Fraction
-        return tuple(
-            (c._qa, c._qb) if c._q == 1 else (Fraction(c._qa, c._q), Fraction(c._qb, c._q))
-            for c in self.coords
-        )
+        # lexicographic over the exact (a, b) of each coordinate
+        return tuple((Fraction(c._qa, c._q), Fraction(c._qb, c._q)) for c in self.coords)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.coords == other.coords
@@ -280,22 +276,6 @@ def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
     return rows[:len(pivots)], pivots, sign, q
 
 
-def _kernel(rows, pivots: list[int], D: tuple[int, int], ncols: int) -> list[list]:
-    """Right kernel basis of an `_eliminate` form, one vector per free column
-    f: D on f, 0 on the other free columns and -a_i on pivot column c_i, a_i
-    being row i's entry on f."""
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [(0, 0)] * ncols
-        x[f] = D
-        for row, c in zip(rows, pivots):
-            x[c] = (-row[f][0], -row[f][1])
-        basis.append(x)
-    return basis
-
-
 def _over(x: list[tuple[int, int]], D: tuple[int, int], d: int) -> list[Scalar]:
     """The Scalars x / D, for integer pairs x and a nonzero pair D."""
     x, n = _rationalized(x, D, d)
@@ -334,10 +314,21 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Scalar] | None:
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
     """Basis of the right kernel of the given row list: one vector per free
-    column, 1 there and 0 on the other free columns."""
+    column f, 1 there and 0 on the other free columns.  It is read off one
+    `_eliminate` form: D on f and -a_i on pivot column c_i, a_i being row
+    i's entry on f, all over the form's pivot D."""
     ints, _, d = _integer_rows([[as_scalar(x) for x in row] for row in rows])
     form, pivots, _, D = _eliminate(ints, d)
-    return [Vector._of(tuple(_over(x, D, d))) for x in _kernel(form, pivots, D, ncols)]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [(0, 0)] * ncols
+        x[f] = D
+        for row, c in zip(form, pivots):
+            x[c] = (-row[f][0], -row[f][1])
+        basis.append(Vector._of(tuple(_over(x, D, d))))
+    return basis
 
 
 #: the shear factors of `random_sl_matrix` are drawn from [-5, 5]

@@ -201,8 +201,8 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     drops the rays it violates and combines each with every adjacent
     satisfied one into a ray tight at it, E alike.  Two rays are adjacent
     iff their common tight set has at least k - 1 points and lies in no
-    third ray's; below k = 4 any k - 1 points are affinely independent, so
-    two facets through them meet in a ridge: the third-ray scan starts at 4.
+    third ray's (Fukuda and Prodon 1996).  One rule at every k, the count
+    tested first, the third-ray scan second.
     """
     n, m = len(ints[0]), len(ints)
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
@@ -244,7 +244,7 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
                 common = zv & zs
                 if common.bit_count() < k - 1:
                     continue
-                if k > 3 and any(z & common == common for _, z, _ in rays if z != zv and z != zs):
+                if any(z & common == common for _, z, _ in rays if z != zv and z != zs):
                     continue
                 # xv > 0 > xs: the positive combination tight at the point
                 r, e = _combine(rs, xv, rv, xs, d, es, ev)
@@ -322,12 +322,11 @@ def _face(P: Polytope, z: int) -> Polytope:
 
 def _ridges(face: int, masks, k: int, avoid: int = 0) -> dict[int, int]:
     """The facets of the k-face `face` that miss `avoid`, each with the index
-    of a facet of `masks` through it: the maximal proper meets with masks that
-    miss `avoid` and have >= k vertices (all, below k = 4: no lower face has k)."""
+    of a facet of `masks` through it: the proper meets with masks that miss
+    `avoid`, have >= k vertices and lie in no other such meet.  One rule at
+    every k, the vertex count tested first."""
     meets = {r: g for g, m in enumerate(masks)
              if (r := face & m) != face and not r & avoid and r.bit_count() >= k}
-    if k < 4:
-        return meets
     return {r: g for r, g in meets.items() if not any(r & s == r != s for s in meets)}
 
 

@@ -89,8 +89,7 @@ def _apply(V: ClassifiedValuation, b, d: int) -> Scalar:
     phi two terms each.  A slot of the wrong kind raises TypeError."""
     euler, relint, vol, inside, cone = b
     c0, c0p, d0, psi, phi = V
-    if not (type(c0) is Scalar and type(c0p) is Scalar and type(d0) is Scalar):
-        c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)
+    c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)
     if not (isinstance(psi, CauchySolution) and isinstance(phi, CauchySolution)):
         raise TypeError(f"psi and phi must be Cauchy solutions, got {psi!r} and {phi!r}")
     e = _field(c0, c0p, d0, psi, phi)

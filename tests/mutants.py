@@ -225,6 +225,14 @@ CATALOGUE = (
         ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
     ),
     Mutant(
+        # from dimension 5 on a 4-face can meet a facet in a 2-face of 4
+        # vertices, as many as its own facets have
+        "ridges-keep-non-maximal-meets-at-k-4", "polytope.py",
+        "    return {r: g for r, g in meets.items() if not any(",
+        "    if k < 5:\n        return meets\n    return {r: g for r, g in meets.items() if not any(",
+        ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
+    ),
+    Mutant(
         # equal values: a facet through vertex 0 gives cells with a zero row
         # of differences, so only the determinant count sees the extra cells
         "walk-sends-every-facet-to-the-volume", "triangulate.py",
@@ -263,7 +271,7 @@ CATALOGUE = (
     ),
     Mutant(
         "supporting-skips-the-third-ray-test", "polytope.py",
-        "                if k > 3 and any(z & common == common for _, z, _ in rays if z != zv and z != zs):\n",
+        "                if any(z & common == common for _, z, _ in rays if z != zv and z != zs):\n",
         "                if False:\n",
         ("tests/test_hull.py::test_five_cube_combines_only_adjacent_rays",
          "tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays"),
@@ -271,8 +279,8 @@ CATALOGUE = (
     Mutant(
         # at k = 4 three common tight points may be collinear: no ridge
         "supporting-scans-for-a-third-ray-only-from-k-5", "polytope.py",
-        "if k > 3 and any(z & common == common",
-        "if k > 4 and any(z & common == common",
+        "                if any(z & common == common",
+        "                if k > 4 and any(z & common == common",
         ("tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays",),
     ),
     Mutant(
@@ -452,8 +460,8 @@ CATALOGUE = (
         # a Linear c0 or a float c0p then fails in `_apply`'s field fold with
         # AttributeError, not with the slot's TypeError
         "apply-reads-the-scalar-slots-unchecked", "valuation.py",
-        "        c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)\n",
-        "        pass\n",
+        "    c0, c0p, d0 = as_scalar(c0), as_scalar(c0p), as_scalar(d0)\n",
+        "",
         ("tests/test_valuation.py::test_a_slot_of_the_wrong_kind_is_refused_on_every_polytope"
          "[plugin-c0]",
          "tests/test_valuation.py::test_a_float_coefficient_is_refused_by_evaluate[1]"),
@@ -499,6 +507,47 @@ CATALOGUE = (
         "                if False:\n",
         ("tests/test_triangulate.py::test_the_cell_cap_counts_the_cells_of_both_walks",
          "tests/test_cli.py::TestValuate::test_more_cells_than_the_cap_exits_2"),
+    ),
+    Mutant(
+        "cell-cap-one-higher", "triangulate.py",
+        "MAX_CELLS = 50_000\n",
+        "MAX_CELLS = 50_001\n",
+        ("tests/test_readme.py::test_the_caps_are_the_figures_the_readme_states",),
+    ),
+    Mutant(
+        "union-cap-refuses-its-own-count", "valuation.py",
+        "            if terms > MAX_UNION_TERMS:\n",
+        "            if terms >= MAX_UNION_TERMS:\n",
+        ("tests/test_valuation.py::test_evaluate_union_cap_admits_exactly_its_count",),
+    ),
+    Mutant(
+        "sl-check-always-passes", "harness.py",
+        "    if before == after:\n",
+        "    if True:\n",
+        ("tests/test_harness.py::TestSlInvariance"
+         "::test_a_valuation_that_is_not_invariant_gets_its_witness",),
+    ),
+    Mutant(
+        # the decoder's RecursionError then ends `valuate` with a traceback, exit 1
+        "load-json-lets-deep-nesting-through", "cli.py",
+        "    except RecursionError:\n"
+        '        raise UsageError(f"{path} nests its JSON too deeply to read")\n',
+        "",
+        ("tests/test_cli.py::TestValuate::test_deeply_nested_json_exits_2[polytope]",
+         "tests/test_cli.py::TestValuate::test_deeply_nested_json_exits_2[valuation]"),
+    ),
+    Mutant(
+        # the polytope file is then hulled before the bad valuation is refused
+        "valuate-hulls-before-it-reads-the-valuation", "cli.py",
+        "    val = _load_valuation(args.valuation)\n"
+        "    try:\n"
+        "        e = _field(*val)\n"
+        "        poly, field_d = _load_polytope(args.polytope_path)\n",
+        "    poly, field_d = _load_polytope(args.polytope_path)\n"
+        "    val = _load_valuation(args.valuation)\n"
+        "    try:\n"
+        "        e = _field(*val)\n",
+        ("tests/test_cli.py::TestValuate::test_a_bad_valuation_is_refused_before_any_hull[bare-psi]",),
     ),
     Mutant(
         "integer-option-skips-its-bound", "cli.py",

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import slval
+import slval.polytope
 import slval.triangulate
 from slval import cli, harness
 from slval.cli import main
@@ -93,6 +94,39 @@ class TestValuate:
         ])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deep", ["polytope", "valuation"])
+    def test_deeply_nested_json_exits_2(self, deep, tmp_path, capsys):
+        """100,000 nested `[` pass the JSON decoder's recursion limit: one
+        stderr line and exit 2, not a RecursionError traceback."""
+        paths = {"polytope": write_json(tmp_path / "p.json", TRIANGLE),
+                 "valuation": write_json(tmp_path / "v.json", linear_valuation())}
+        paths[deep] = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        assert main(["valuate", "--in", paths["polytope"], "--valuation", paths["valuation"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[deep]} nests its JSON too deeply to read\n"
+
+    @pytest.mark.parametrize("valuation, message", [
+        (dict(linear_valuation(), psi=3), "is not a valuation file"),
+        (linear_valuation(c0="1+1*sqrt(3)", d0="1+1*sqrt(2)"), "lie in different fields"),
+    ], ids=["bare-psi", "two-fields"])
+    def test_a_bad_valuation_is_refused_before_any_hull(self, valuation, message, tmp_path, capsys,
+                                                          monkeypatch):
+        """The valuation file is read and its field fixed first: a bad one
+        exits 2 with no hull pass run, a good one runs the polytope's one."""
+        calls = []
+        real = slval.polytope._supporting
+        monkeypatch.setattr(slval.polytope, "_supporting", lambda *args: calls.append(args) or real(*args))
+        polytope = write_json(tmp_path / "p.json", TRIANGLE)
+        bad = write_json(tmp_path / "v.json", valuation)
+        assert main(["valuate", "--in", polytope, "--valuation", bad]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        good = write_json(tmp_path / "good.json", linear_valuation(c0="1"))
+        assert main(["valuate", "--in", polytope, "--valuation", good]) == 0
+        assert len(calls) == 1
 
     def test_wrong_shape_exits_2(self, tmp_path, capsys):
         """Vertices must be a JSON list of JSON lists: strings as rows, a

@@ -234,6 +234,23 @@ def test_a_float_is_never_equal():
     assert (Scalar(Fraction(1, 2)) != 0.5) is True and (0.5 != Scalar(Fraction(1, 2))) is True
 
 
+def test_a_scalar_is_true_iff_it_is_not_zero():
+    """Either part alone makes a Scalar true."""
+    values = (Scalar(0), Scalar(Fraction(-1, 2)), Scalar(0, 1, 2), Scalar(1, -1, 2))
+    assert [bool(x) for x in values] == [False, True, True, True]
+
+
+def test_cauchy_solutions_and_halfspaces_are_equal_iff_both_fields_are():
+    """Equal in one field only, or set against another type, they differ."""
+    assert Linear(1) == CauchySolution(1, 1) and RationalPart() == CauchySolution(1, 0)
+    assert RationalPart() != Linear(1) and RationalPart() != CauchySolution(2, 0)
+    assert Linear(1) != 1
+    h = Halfspace(Vector([1, 0]), 1)
+    assert h == Halfspace(Vector([1, 0]), 1)
+    assert h != Halfspace(Vector([1, 0]), 2) and h != Halfspace(Vector([1, 1]), 1)
+    assert h != (Vector([1, 0]), 1)
+
+
 @pytest.mark.parametrize("op", BINARY + (operator.eq,))
 @pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-2, 3), 2])
 @pytest.mark.parametrize("other", [3, -1, Fraction(1, 3), Fraction(3, 2)])

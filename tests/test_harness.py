@@ -24,6 +24,7 @@ from slval.polytope import (
 from slval.harness import (
     FAMILIES,
     SplitCase,
+    _sub_seed,
     check_cone_decomposition,
     check_sl_invariance,
     check_valuation_identity,
@@ -65,12 +66,25 @@ class TestGenPolytope:
             assert dim(gen_polytope(seed, 3, family="generic")) == 3
 
     def test_vertex_budget(self):
+        """max_vertices 1 and 12 and coord_bound 1 are drawn, both edges
+        included; max_vertices 0 and 13, coord_bound 0 and an unknown
+        family are refused."""
         poly = gen_polytope(3, 2, max_vertices=5)
         assert len(poly.vertices) <= 5
-        with pytest.raises(ValueError):
-            gen_polytope(0, 2, max_vertices=13)
-        with pytest.raises(ValueError):
-            gen_polytope(0, 2, family="weird")
+        assert len(gen_polytope(0, 2, max_vertices=1, family="lower_dim").vertices) == 1
+        assert len(gen_polytope(0, 2, max_vertices=12).vertices) <= 12
+        assert dim(gen_polytope(0, 2, coord_bound=1)) == 2
+        for bad, message in (({"max_vertices": 0}, "max_vertices"), ({"max_vertices": 13}, "max_vertices"),
+                             ({"coord_bound": 0}, "coord_bound"), ({"family": "weird"}, "family")):
+            with pytest.raises(ValueError, match=message):
+                gen_polytope(0, 2, **bad)
+
+    def test_sub_seeds_of_the_suite_families_never_collide(self):
+        """The suite's families sit 100 tags apart, and case 100 on moves
+        to tag * 1000 + case: the first 150 cases of tags 100 to 800 draw
+        1,200 distinct sub-seeds."""
+        seeds = {_sub_seed(0, tag, case) for tag in range(100, 900, 100) for case in range(150)}
+        assert len(seeds) == 8 * 150
 
 
 class TestGenSplit:
@@ -213,6 +227,16 @@ class TestSlInvariance:
             a = random_sl_matrix(seed, 2, 8)
             assert check_sl_invariance(volume, poly, a) is True
             assert check_sl_invariance(lambda Q: basis_vector(Q)[1], poly, a) is True
+
+    def test_a_valuation_that_is_not_invariant_gets_its_witness(self):
+        """The Euler characteristic of P and {x_1 >= 0} is a valuation but
+        not SL-invariant: the shear (x_1, x_2) -> (x_1 + 3 x_2, x_2) moves
+        the triangle's top vertex (-1, 1) across x_1 = 0, to (2, 1)."""
+        right = Halfspace(Vector([-1, 0]), 0)
+        triangle = P((-2, 0), (-1, 0), (-1, 1))
+        witness = check_sl_invariance(lambda Q: basis_vector(clip(Q, right))[0], triangle,
+                                      Matrix([[1, 3], [0, 1]]))
+        assert witness == {"original": Scalar(0), "transformed": Scalar(1)}
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):

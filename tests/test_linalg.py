@@ -125,6 +125,15 @@ def test_random_sl_matrix_is_deterministic():
     assert a != random_sl_matrix(8, 3, 8)
 
 
+def test_random_sl_matrix_refuses_each_bad_argument_alone():
+    """n < 1 and steps < 0 are each refused on their own; n = 1 with no
+    steps is the 1 x 1 identity."""
+    for n, steps in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="^need n >= 1, steps >= 0$"):
+            random_sl_matrix(0, n, steps)
+    assert random_sl_matrix(0, 1, 0) == Matrix([[1]])
+
+
 def test_random_sl_matrix_has_det_one():
     for seed in range(20):
         for n in (2, 3):

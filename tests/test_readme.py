@@ -1,4 +1,5 @@
-"""The README's Quick tour must run and print what its comments say.
+"""The README's Quick tour must run and print what its comments say, and
+the caps the README states must be the code's.
 
 Each `print(...)` line of the tour's python block ends in a comment whose
 value (the text after its last `=`, if any) is the line it prints.  The
@@ -10,6 +11,9 @@ import os
 import re
 import subprocess
 import sys
+
+from slval.triangulate import MAX_CELLS
+from slval.valuation import MAX_UNION_TERMS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -41,3 +45,12 @@ def test_quick_tour_prints_its_comments():
                           cwd=ROOT, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected
+
+
+def test_the_caps_are_the_figures_the_readme_states():
+    """The cell cap and the union cap are stated by value: moving either
+    moves what the README promises."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = " ".join(f.read().split())
+    assert f"`slval.triangulate.MAX_CELLS` ({MAX_CELLS:,})" in text
+    assert f"up to {MAX_UNION_TERMS:,} nonempty intersections" in text

@@ -274,6 +274,18 @@ def test_evaluate_union_meets_only_nonempty_meets(monkeypatch):
     assert (len(meets), len(reads)) == (3, 5)
 
 
+def test_evaluate_union_cap_admits_exactly_its_count(monkeypatch):
+    """The three slabs have 5 nonempty terms: a cap of 5 reads them all,
+    a cap of 4 raises."""
+    slabs = [P((i, 0), (i + 1, 0), (i, 3), (i + 1, 3)) for i in range(3)]
+    v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
+    monkeypatch.setattr(slval.valuation, "MAX_UNION_TERMS", 5)
+    assert evaluate_union(v, slabs) == Scalar(77)
+    monkeypatch.setattr(slval.valuation, "MAX_UNION_TERMS", 4)
+    with pytest.raises(ValueError, match="^more than 4 nonempty intersections$"):
+        evaluate_union(v, slabs)
+
+
 def test_evaluate_union_depth_does_not_grow_with_disjoint_parts(monkeypatch):
     """Pairwise disjoint parts nest no deeper for 30 parts than for 3:
     the recursion goes one level down per index set, not per part."""
