@@ -142,8 +142,11 @@ def _load_polytope(path: str) -> tuple[Polytope, int]:
 
 
 def _load_valuation(path: str):
+    """The valuation of the file and the one field of all its numbers: a
+    clash of fields inside the file is the file's error alone."""
     try:
-        return valuation_from_json(_load_json(path))
+        val = valuation_from_json(_load_json(path))
+        return val, _field(*val)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} is not a valuation file: {exc}")
 
@@ -151,9 +154,8 @@ def _load_valuation(path: str):
 def _cmd_valuate(args: argparse.Namespace) -> int:
     """Reads the valuation file and fixes its field before it reads the
     polytope file, which hulls it."""
-    val = _load_valuation(args.valuation)
+    val, e = _load_valuation(args.valuation)
     try:
-        e = _field(*val)
         poly, field_d = _load_polytope(args.polytope_path)
         _merge_discriminants(e, field_d)
         result = evaluate(val, poly)
@@ -204,7 +206,7 @@ def _oracle_values(cmd: str, field_d: int, polys: list[Polytope]) -> list[Scalar
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     if args.valuation is not None:
-        val = _load_valuation(args.valuation)
+        val, _ = _load_valuation(args.valuation)
         values_of = lambda polys: [evaluate(val, P) for P in polys]
     else:
         values_of = functools.partial(_oracle_values, args.oracle_cmd, args.field_d)

@@ -75,8 +75,7 @@ def _integer_rows(rows) -> tuple[list[list[tuple[int, int]]], int, int]:
     d, L = 0, 1
     for row in rows:
         for x in row:
-            if x.d != d:
-                d = _merge_discriminants(d, x.d)
+            d = _merge_discriminants(d, x.d)
             L = lcm(L, x._q)
     return [[(x._qa * (L // x._q), x._qb * (L // x._q)) for x in row] for row in rows], L, d
 
@@ -133,7 +132,7 @@ def _gated(op):
 
     @wraps(op)
     def gate(self, other):
-        if type(other) is not Scalar and (other := Scalar._coerce(other)) is NotImplemented:
+        if (other := Scalar._coerce(other)) is NotImplemented:
             return NotImplemented
         return op(self, other)
 
@@ -202,7 +201,7 @@ class Scalar(Immutable):
     def _plus(self, other: Scalar, s: int) -> tuple[int, int, int, int]:
         """(A, B, q, d) of self + s*other, s = 1 or -1: one cross-multiplication
         over the product of the denominators."""
-        d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
+        d = _merge_discriminants(self.d, other.d)
         q1, q2 = self._q, other._q
         return self._qa * q2 + s * other._qa * q1, self._qb * q2 + s * other._qb * q1, q1 * q2, d
 
@@ -225,7 +224,7 @@ class Scalar(Immutable):
 
     @_gated
     def __mul__(self, other) -> Scalar:
-        d = self.d if self.d == other.d else _merge_discriminants(self.d, other.d)
+        d = _merge_discriminants(self.d, other.d)
         return Scalar._make(
             self._qa * other._qa + d * self._qb * other._qb,
             self._qa * other._qb + self._qb * other._qa,
@@ -290,7 +289,7 @@ class Scalar(Immutable):
     def __hash__(self) -> int:
         # a rational hashes like the int or Fraction it equals
         if self._qb == 0:
-            return hash(self._qa) if self._q == 1 else hash(Fraction(self._qa, self._q))
+            return hash(Fraction(self._qa, self._q))
         return hash((self._qa, self._qb, self._q, self.d))
 
     def __bool__(self) -> bool:
@@ -308,9 +307,9 @@ class Scalar(Immutable):
         return f"Scalar({self.a!r}, {self.b!r}, {self.d!r})"
 
     @classmethod
-    def parse(cls, text: str, field: int = 0) -> Scalar:
+    def parse(cls, text: str) -> Scalar:
         """The Scalar of the literal that `_literal` reads, or ScalarParseError."""
-        return cls._make(*_literal(text, field))
+        return cls._make(*_literal(text))
 
 
 ZERO = Scalar(0)

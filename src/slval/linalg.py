@@ -264,7 +264,7 @@ def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
             f = row[c]
             if i != r and (p[1] or f[1] or q[1]):
                 x, n = _rationalized(_cross(row, p, top, f, d), q, d)
-                rows[i] = [(a // n, b // n) for a, b in x] if n != 1 else x
+                rows[i] = [(a // n, b // n) for a, b in x]
             elif i != r:
                 (pa, _), (fa, _), (qa, _) = p, f, q
                 rows[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)
@@ -279,7 +279,7 @@ def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
 def _over(x: list[tuple[int, int]], D: tuple[int, int], d: int) -> list[Scalar]:
     """The Scalars x / D, for integer pairs x and a nonzero pair D."""
     x, n = _rationalized(x, D, d)
-    return [Scalar._make(a, b, n, d) if a or b else ZERO for a, b in x]
+    return [Scalar._make(a, b, n, d) for a, b in x]
 
 
 def _solve(aug: Sequence[Sequence[Scalar]]) -> tuple[list[int], list[Scalar]]:

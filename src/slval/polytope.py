@@ -114,7 +114,7 @@ class Polytope(Immutable):
         """Trusted constructor for sorted distinct row tuples over a common
         denominator L > 0, such as a subsequence of a canonical matrix: no
         dedupe or sort; one gcd makes L least, and d is 0 if every B is."""
-        g = gcd(L, *chain.from_iterable(chain.from_iterable(rows))) if L > 1 else 1
+        g = gcd(L, *chain.from_iterable(chain.from_iterable(rows)))
         if g > 1:
             rows = tuple(tuple((a // g, b // g) for a, b in row) for row in rows)
         self = object.__new__(cls)
@@ -193,16 +193,16 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     the first affinely independent points, k = dim: right of X, row i is
     tight on each of them but the i-th, where the common pivot D orients
     it, and on X it holds its excess at every point, which gives the seed
-    rays' E and the candidates, the points neither in that simplex nor
-    strictly inside it.  Its other rows pivot in I, on the free columns (the
-    dual's reverse greedy basis complements the forward one); each is D on
-    its own free column, 0 on the others, and reads <w, X> = c on every
-    point: the frame equality is <L w, x> = c.  Each candidate, read off E,
-    drops the rays it violates and combines each with every adjacent
-    satisfied one into a ray tight at it, E alike.  Two rays are adjacent
-    iff their common tight set has at least k - 1 points and lies in no
-    third ray's (Fukuda and Prodon 1996).  One rule at every k, the count
-    tested first, the third-ray scan second.
+    rays' E and the candidates, the points not in that simplex.  Its other
+    rows pivot in I, on the free columns (the dual's reverse greedy basis
+    complements the forward one); each is D on its own free column, 0 on
+    the others, and reads <w, X> = c on every point: the frame equality is
+    <L w, x> = c.  Each candidate, read off E, drops the rays it violates
+    and combines each with every adjacent satisfied one into a ray tight at
+    it, E alike; one strictly inside the simplex violates none.  Two rays
+    are adjacent iff their common tight set has at least k - 1 points and
+    lies in no third ray's (Fukuda and Prodon 1996).  One rule at every k,
+    the count tested first, the third-ray scan second.
     """
     n, m = len(ints[0]), len(ints)
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
@@ -219,8 +219,7 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     frame = (tuple(c for c in range(n) if c not in free), equalities)
     form = form[:k + 1] if k else []
     simplex = pivots[:len(form)]
-    candidates = [c for c in range(m) if c not in simplex
-                  and not all(flip * _surd_sign(*row[c], d) < 0 for row in form)]
+    candidates = [c for c in range(m) if c not in simplex]
     rays = []
     for row, c in zip(form, simplex):
         # the ray's gcd divides its X block; E lists the last candidate first
@@ -295,9 +294,7 @@ def _restricted(frame, row, d: int) -> tuple:
     pivots, equalities = frame
     free = [col for col in range(len(row) - 1) if col not in pivots]
     for col, e in zip(free, equalities):
-        f = row[col]
-        if f != (0, 0):
-            row = _cross(row, e[col], e, f, d)
+        row = _cross(row, e[col], e, row[col], d)
     return _canonical(row, d)
 
 
@@ -320,13 +317,13 @@ def _face(P: Polytope, z: int) -> Polytope:
     return Polytope._of(P.ambient_dim, tuple(P._rows[i] for i in _indices(z)), P._L, P._d)
 
 
-def _ridges(face: int, masks, k: int, avoid: int = 0) -> dict[int, int]:
-    """The facets of the k-face `face` that miss `avoid`, each with the index
-    of a facet of `masks` through it: the proper meets with masks that miss
-    `avoid`, have >= k vertices and lie in no other such meet.  One rule at
-    every k, the vertex count tested first."""
-    meets = {r: g for g, m in enumerate(masks)
-             if (r := face & m) != face and not r & avoid and r.bit_count() >= k}
+def _ridges(face: int, masks, avoid: int = 0) -> dict[int, int]:
+    """The facets of the face `face`, not a point, that miss `avoid`, each
+    with the index of a facet of `masks` through it: the proper meets with
+    masks that miss `avoid` and lie in no other such meet.  A proper face
+    that misses `avoid` lies in a facet that misses it too, so the maximal
+    ones are those facets (Kaibel and Pfetsch 2002)."""
+    meets = {r: g for g, m in enumerate(masks) if (r := face & m) != face and not r & avoid}
     return {r: g for r, g in meets.items() if not any(r & s == r != s for s in meets)}
 
 
@@ -481,11 +478,11 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
             c = _last(h)
             h = h if h[c][0] > 0 else tuple((-a, -b) for a, b in h)
             free = [col for col in range(n) if col not in pivots]
-            rows = {col: e if e[c] == (0, 0) else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))
+            rows = {col: tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))
                     for col, e in zip(free, equalities)}
             rows[c] = h
             frame = (tuple(p for p in pivots if p != c), tuple(rows[col] for col in sorted(rows)))
-            ridges = _ridges(z, masks, len(pivots) - 1) if len(pivots) > 1 else {}
+            ridges = _ridges(z, masks) if len(pivots) > 1 else {}
             _fill_hull(F, frame, [(_restricted(frame, data[g][0], P._d),
                                    sum(1 << new for new, i in enumerate(kept) if r >> i & 1))
                                   for r, g in ridges.items()])
@@ -559,8 +556,6 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
     result = cut
     for row in rows:
         result = _clip(result, row, by._d)
-        if result.is_empty:
-            break
     return result
 
 

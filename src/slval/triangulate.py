@@ -5,11 +5,10 @@ that miss that vertex, recursively.  The cells are the pulling
 triangulation of P from its first vertex, which are also the simplex
 leaves of the pyramid recursion with that apex (Bueler, Enge and Fukuda
 2000).  A face is a bitmask of P's vertex indices, and its facets are the
-proper meets of it with P's facet bitmasks that have at least as many
-vertices as the face's dimension and lie in no other such meet, one rule
-in every dimension.  The recursion thus reads only the incidences of P's
-facet record, derives no face's frame or record, and keeps its faces for
-one polytope.
+proper meets of it with P's facet bitmasks that lie in no other such
+meet, one rule in every dimension.  The recursion thus reads only the
+incidences of P's facet record, derives no face's frame or record, and
+keeps its faces for one polytope.
 
 `_basis` walks P's facet record once, with one memo.  A facet F that
 misses vertex 0 gives the cells of P coned from it, |D| / (L^n n!) each,
@@ -43,7 +42,7 @@ def _cells(masks: list[int], face: int, k: int, memo: dict) -> list[int]:
         return [face]
     if face not in memo:
         apex = face & -face
-        memo[face] = [cell | apex for g in _ridges(face, masks, k, apex)
+        memo[face] = [cell | apex for g in _ridges(face, masks, apex)
                       for cell in _cells(masks, g, k - 1, memo)]
     return memo[face]
 

@@ -99,7 +99,7 @@ CATALOGUE = (
     Mutant(
         # the rational steps are fused; a surd pivot or entry takes this one
         "eliminate-never-divides-over-a-surd-field", "linalg.py",
-        "                rows[i] = [(a // n, b // n) for a, b in x] if n != 1 else x\n",
+        "                rows[i] = [(a // n, b // n) for a, b in x]\n",
         "                rows[i] = x\n",
         ("tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign",),
     ),
@@ -212,24 +212,25 @@ CATALOGUE = (
     ),
     Mutant(
         "pulling-cones-through-the-apex", "triangulate.py",
-        "for g in _ridges(face, masks, k, apex)\n",
-        "for g in _ridges(face, masks, k)\n",
+        "for g in _ridges(face, masks, apex)\n",
+        "for g in _ridges(face, masks)\n",
         ("tests/test_triangulate.py::test_volume_of_unit_square_and_cube",
          "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cube]"),
     ),
     Mutant(
-        # equivalent below dimension 5, where the vertex count alone decides
+        # every lower face of a face is then a facet of it, down to its vertices
+        # and the empty meet, in every dimension
         "pulling-keeps-non-maximal-meets", "polytope.py",
         " if not any(r & s == r != s for s in meets)}",
         "}",
         ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
     ),
     Mutant(
-        # from dimension 5 on a 4-face can meet a facet in a 2-face of 4
-        # vertices, as many as its own facets have
+        # a meet of 3 or more vertices that is no facet is a face of dimension
+        # >= 2 inside a facet, so it first occurs at k = 4, from dimension 5 on
         "ridges-keep-non-maximal-meets-at-k-4", "polytope.py",
         "    return {r: g for r, g in meets.items() if not any(",
-        "    if k < 5:\n        return meets\n    return {r: g for r, g in meets.items() if not any(",
+        "    return {r: g for r, g in meets.items() if r.bit_count() > 2 or not any(",
         ("tests/test_triangulate.py::test_volume_routes_agree_in_r5",),
     ),
     Mutant(
@@ -248,6 +249,14 @@ CATALOGUE = (
         ("tests/test_triangulate.py::test_one_facet_walk_matches_the_two_walk_reference[3]",),
     ),
     Mutant(
+        # the pyramids from 0 over the facets it sees then come off the volume;
+        # only a polytope that misses 0 has any
+        "walk-subtracts-the-seen-cells", "triangulate.py",
+        "cone = (A + a_seen, B + b_seen, q) if faces else vol\n",
+        "cone = (A - a_seen, B - b_seen, q) if faces else vol\n",
+        ("tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[shifted4]",),
+    ),
+    Mutant(
         "cone-omits-the-volume", "triangulate.py",
         "cone = (A + a_seen, B + b_seen, q) if faces else vol\n",
         "cone = (a_seen, b_seen, q) if faces else vol\n",
@@ -258,8 +267,8 @@ CATALOGUE = (
     ),
     Mutant(
         "facet-handover-skips-the-clearing", "polytope.py",
-        "rows = {col: e if e[c] == (0, 0) else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",
-        "rows = {col: e if True else tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",
+        "rows = {col: tuple(_primitive(_cross(e, h[c], h, e[c], P._d)))\n",
+        "rows = {col: e\n",
         ("tests/test_hull.py::test_facet_handover_clears_the_later_equalities",),
     ),
     Mutant(
@@ -290,9 +299,12 @@ CATALOGUE = (
         ("tests/test_read_path.py::test_pass_matches_the_dot_product_pass[3-False]",),
     ),
     Mutant(
+        # a point strictly inside the seed simplex may be skipped, as it
+        # violates no ray; one tight on a seed ray may not
         "supporting-drops-candidates-tight-on-a-seed-ray", "polytope.py",
-        "and not all(flip * _surd_sign(*row[c], d) < 0 for row in form)]",
-        "and not all(flip * _surd_sign(*row[c], d) <= 0 for row in form)]",
+        "    candidates = [c for c in range(m) if c not in simplex]\n",
+        "    candidates = [c for c in range(m) if c not in simplex\n"
+        "                  and not all(flip * _surd_sign(*row[c], d) <= 0 for row in form)]\n",
         ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
          "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
     ),
@@ -422,9 +434,8 @@ CATALOGUE = (
         # a float passes the gate uncoerced; the body fails on it with
         # AttributeError instead of Python's TypeError
         "gate-hands-a-float-to-the-operator", "exactnum.py",
-        "        if type(other) is not Scalar and (other := Scalar._coerce(other)) is NotImplemented:\n",
-        "        if type(other) not in (Scalar, float)"
-        " and (other := Scalar._coerce(other)) is NotImplemented:\n",
+        "        if (other := Scalar._coerce(other)) is NotImplemented:\n",
+        "        if type(other) is not float and (other := Scalar._coerce(other)) is NotImplemented:\n",
         ("tests/test_exactnum.py::"
          "test_the_gate_refuses_every_operand_that_is_not_an_exact_rational[0.5-__lt__]",
          "tests/test_exactnum.py::test_a_float_operand_raises_type_error_on_either_side[x0-add]",
@@ -539,15 +550,22 @@ CATALOGUE = (
     Mutant(
         # the polytope file is then hulled before the bad valuation is refused
         "valuate-hulls-before-it-reads-the-valuation", "cli.py",
-        "    val = _load_valuation(args.valuation)\n"
+        "    val, e = _load_valuation(args.valuation)\n"
         "    try:\n"
-        "        e = _field(*val)\n"
         "        poly, field_d = _load_polytope(args.polytope_path)\n",
         "    poly, field_d = _load_polytope(args.polytope_path)\n"
-        "    val = _load_valuation(args.valuation)\n"
-        "    try:\n"
-        "        e = _field(*val)\n",
+        "    val, e = _load_valuation(args.valuation)\n"
+        "    try:\n",
         ("tests/test_cli.py::TestValuate::test_a_bad_valuation_is_refused_before_any_hull[bare-psi]",),
+    ),
+    Mutant(
+        # a clash of fields inside the valuation file then surfaces in evaluate,
+        # where valuate blames the polytope file too and fit blames --field-d
+        "load-valuation-leaves-its-field-unchecked", "cli.py",
+        "        return val, _field(*val)\n",
+        "        return val, 0\n",
+        ("tests/test_cli.py::TestValuate::test_a_bad_valuation_is_refused_before_any_hull[two-fields]",
+         "tests/test_cli.py::TestFit::test_a_clash_of_fields_inside_the_valuation_blames_the_file[0]"),
     ),
     Mutant(
         "integer-option-skips-its-bound", "cli.py",

@@ -613,7 +613,7 @@ def scalar_from_json(obj):
         raise ValueError(f"bad polytope object: {exc}") from None
     points = []
     for row in raw:
-        coords = [Scalar.parse(text, d) for text in row]
+        coords = [Scalar.parse(text) for text in row]
         for c in coords:
             if c.d not in (0, d):
                 raise ValueError(f"vertex scalar {c} outside declared field sqrt({d})")

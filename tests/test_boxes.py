@@ -8,13 +8,16 @@ vertices are checked against `oracles.hull2d`, and its five basis values
 against `plane_basis`, which is built only from `hull2d`, `shoelace_area`
 and `in_hull2d`.
 
-Two space boxes follow: the 7 points 0, +-e1, +-e2 and +-e3, with 90
+Space boxes follow.  In R^3: the 7 points 0, +-e1, +-e2 and +-e3, with 90
 distinct hulls that have the origin inside, on a face, at a vertex or
-outside, and the cube {0, 1}^3, with 255.  Each hull's vertices are checked
-against `oracles.extreme_indices`, its frame and facets against
-`oracles.halfspaces`, and its five basis values against `space_basis`,
-which reads the origin terms off `halfspaces` at 0 and the volumes off
-`pyramid_volume`.
+outside, and the cube {0, 1}^3, with 255.  In R^4: the 8 points 0, -e1,
++-e2, +-e3 and +-e4, with 181 distinct hulls of dimension 0 to 4 and the
+origin in each of those places, and the same 8 points translated by 2 e1,
+whose 181 hulls all miss the origin, so that it sees facets in R^4.  Each
+hull's vertices are checked against `oracles.extreme_indices`, its frame
+and facets against `oracles.halfspaces`, and its five basis values against
+`space_basis`, which reads the origin terms off `halfspaces` at 0 and the
+volumes off `pyramid_volume`.
 """
 
 from itertools import product
@@ -91,11 +94,19 @@ def test_every_hull_has_the_plane_oracle_basis():
 
 # -- the space boxes ------------------------------------------------------
 
+def unit(n: int, i: int, s: int = 1) -> tuple:
+    """s e_i in R^n, i counted from 0."""
+    return tuple(s * (i == j) for j in range(n))
+
+
+CROSS4 = [(0, 0, 0, 0), unit(4, 0, -1)] + [unit(4, i, s) for i in range(1, 4) for s in (1, -1)]
+
 SPACE_BOXES = {
-    "cross": [(0, 0, 0)] + [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)],
+    "cross": [(0, 0, 0)] + [unit(3, i, s) for i in range(3) for s in (1, -1)],
     "cube": list(product((0, 1), repeat=3)),
+    "cross4": CROSS4,
+    "shifted4": [(x + 2, *rest) for x, *rest in CROSS4],
 }
-ORIGIN3 = (0, 0, 0)
 
 
 def space_hulls(box: list) -> dict:
@@ -112,24 +123,25 @@ SPACE_HULLS = {name: space_hulls(box) for name, box in SPACE_BOXES.items()}
 
 
 def space_volume(points: list):
-    """The volume of the hull in R^3 by `pyramid_volume`; 0 below full dimension."""
-    return pyramid_volume(from_points(points, 3))[0] if affine_frame(points)[0] == 3 else 0
+    """The volume of the hull in R^n by `pyramid_volume`; 0 below full dimension."""
+    n = len(points[0])
+    return pyramid_volume(from_points(points, n))[0] if affine_frame(points)[0] == n else 0
 
 
 def space_basis(points: list) -> tuple:
     """(euler, relint_sign, volume, origin, cone) of the hull of points in
-    R^3.  `halfspaces` lists the k-dimensional hull's 3 - k frame equalities
+    R^n.  `halfspaces` lists the k-dimensional hull's n - k frame equalities
     both ways, then its facets: the origin is in the hull iff every row
     holds at 0, and in its relative interior iff every equality is tight at
     0 and every facet is strict.  The cone term is the volume of the hull
     with the origin added."""
-    k = affine_frame(points)[0]
+    n, k = len(points[0]), affine_frame(points)[0]
     rows = halfspaces(points)
-    equalities, facet_rows = rows[:2 * (3 - k)], rows[2 * (3 - k):]
+    equalities, facet_rows = rows[:2 * (n - k)], rows[2 * (n - k):]
     relint = all(c == 0 for _, c in equalities) and all(c > 0 for _, c in facet_rows)
     inside = all(c >= 0 for _, c in rows)
     return (1, (-1) ** k if relint else 0, space_volume(points), int(inside),
-            space_volume(points + [ORIGIN3]))
+            space_volume(points + [(0,) * n]))
 
 
 def record_halfspaces(P) -> list:
@@ -141,25 +153,33 @@ def record_halfspaces(P) -> list:
             + [(tuple(x.a for x in h.normal), h.offset.a) for h, _ in scalar_facet_data(P)])
 
 
-@pytest.mark.parametrize("name, count", [("cross", 90), ("cube", 255)])
+#: where the origin lies among the hulls of each cross: every place, or outside all
+ORIGIN_PLACES = {"cross": {"vertex", "relint", "boundary", "outside"},
+                 "cross4": {"vertex", "relint", "boundary", "outside"},
+                 "shifted4": {"outside"}}
+
+
+@pytest.mark.parametrize("name, count", [("cross", 90), ("cube", 255), ("cross4", 181),
+                                         ("shifted4", 181)])
 def test_the_space_boxes_have_their_distinct_hulls(name, count):
     assert len(SPACE_HULLS[name]) == count
-    # points up to solids, and for the cross every place of the origin
-    assert {affine_frame(points)[0] for points in SPACE_HULLS[name].values()} == {0, 1, 2, 3}
-    if name == "cross":
+    # points up to full dimension, and for the crosses the places of the origin
+    n = len(SPACE_BOXES[name][0])
+    assert {affine_frame(points)[0] for points in SPACE_HULLS[name].values()} == set(range(n + 1))
+    if name in ORIGIN_PLACES:
         places = set()
         for ring, points in SPACE_HULLS[name].items():
             _, relint, _, inside, _ = space_basis(points)
-            places.add("vertex" if ORIGIN3 in ring else "relint" if relint else
+            places.add("vertex" if (0,) * n in ring else "relint" if relint else
                        "boundary" if inside else "outside")
-        assert places == {"vertex", "relint", "boundary", "outside"}
+        assert places == ORIGIN_PLACES[name]
 
 
 @pytest.mark.parametrize("name", sorted(SPACE_BOXES))
 def test_every_space_hull_has_the_oracle_vertices_frame_and_facets(name):
     bad = []
     for ring, points in SPACE_HULLS[name].items():
-        P = from_points(points, 3)
+        P = from_points(points, len(points[0]))
         vertices = tuple(sorted(tuple(c.a for c in v) for v in P.vertices))
         pivots = scalar_frame(P)[0]
         if (vertices, pivots) != (ring, reference_frame(points)[0]) or \
@@ -172,7 +192,7 @@ def test_every_space_hull_has_the_oracle_vertices_frame_and_facets(name):
 def test_every_space_hull_has_the_space_oracle_basis(name):
     bad = []
     for points in SPACE_HULLS[name].values():
-        got = tuple(basis_vector(from_points(points, 3)))
+        got = tuple(basis_vector(from_points(points, len(points[0]))))
         want = space_basis(points)
         if got != want:
             bad.append((points, [str(x) for x in got], [str(x) for x in want]))

@@ -110,19 +110,24 @@ class TestValuate:
 
     @pytest.mark.parametrize("valuation, message", [
         (dict(linear_valuation(), psi=3), "is not a valuation file"),
-        (linear_valuation(c0="1+1*sqrt(3)", d0="1+1*sqrt(2)"), "lie in different fields"),
+        (linear_valuation(c0="1+1*sqrt(3)", d0="1+1*sqrt(2)"),
+         "v.json is not a valuation file: cannot mix sqrt(3) with sqrt(2)\n"),
     ], ids=["bare-psi", "two-fields"])
     def test_a_bad_valuation_is_refused_before_any_hull(self, valuation, message, tmp_path, capsys,
                                                           monkeypatch):
         """The valuation file is read and its field fixed first: a bad one
-        exits 2 with no hull pass run, a good one runs the polytope's one."""
+        exits 2 with no hull pass run and blames only itself, even when the
+        polytope file is unreadable; a good one runs the polytope's one."""
         calls = []
         real = slval.polytope._supporting
         monkeypatch.setattr(slval.polytope, "_supporting", lambda *args: calls.append(args) or real(*args))
         polytope = write_json(tmp_path / "p.json", TRIANGLE)
         bad = write_json(tmp_path / "v.json", valuation)
-        assert main(["valuate", "--in", polytope, "--valuation", bad]) == 2
-        assert message in capsys.readouterr().err
+        for path in (polytope, str(tmp_path / "missing.json")):
+            assert main(["valuate", "--in", path, "--valuation", bad]) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert path not in err
         assert calls == []
         good = write_json(tmp_path / "good.json", linear_valuation(c0="1"))
         assert main(["valuate", "--in", polytope, "--valuation", good]) == 0
@@ -337,6 +342,17 @@ class TestFit:
         report = json.loads(capsys.readouterr().out)
         assert report["coefficients"] == ["0", "0", "1", "0", "1"]
         assert report["residual_max"] != "0"
+
+    @pytest.mark.parametrize("field_d", ["2", "0"])
+    def test_a_clash_of_fields_inside_the_valuation_blames_the_file(self, field_d, tmp_path,
+                                                                    capsys):
+        """c0 over Q(sqrt 3) and d0 over Q(sqrt 2) clash inside the file,
+        whatever --field-d is: the file's error, exit 2, no --field-d named."""
+        bad = write_json(tmp_path / "v.json", linear_valuation(c0="1+1*sqrt(3)", d0="1+1*sqrt(2)"))
+        assert main(["fit", "--valuation", bad, "--cases", "1", "--field-d", field_d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad} is not a valuation file: cannot mix sqrt(3) with sqrt(2)\n"
 
     def test_field_d_0_skips_the_surd_validation(self, tmp_path, capsys):
         val = dict(linear_valuation(dn="1"), psi={"kind": "rational_part"})
