@@ -1,18 +1,20 @@
 """In-process A/B timing of two slval trees on the three benchmark workloads.
 
-    python tests/ab.py PARENT_DIR CHANGE_DIR ROUNDS [WORKLOAD ...]
+    python tests/ab.py PARENT_DIR CHANGE_DIR ROUNDS
 
 PARENT_DIR/src/slval and CHANGE_DIR/src/slval are loaded into this one
 interpreter under two package names, so that both sides share the host's
 state second by second, which separate benchmark runs do not.  A unit of
 work runs on both sides, with the cyclic garbage collector off:
 
-- verify: one invocation of `verify --n N --seed S --cases 5` for N in
-  2, 3, 4 and S in 0..7, 24 units;
-- hull_wide: one `valuate` on a cloud of `perfbench/worker.py`, the
-  indices 0 to c - 1 of each stratum for its `RUN_INPUTS` count c;
-- surd_union: one op of `worker.surd_union_text` on the indices 0 to
-  c - 1 of each stratum alike, its input rebuilt untimed on each side.
+- verify: one invocation of `verify --n N --seed S --cases 5`;
+- hull_wide: one `valuate` on a cloud of `perfbench/worker.py`;
+- surd_union: one op of `worker.surd_union_text`, its input rebuilt
+  untimed on each side.
+
+Each workload runs the indices 0 to c - 1 of each stratum for its
+`RUN_INPUTS` count c, the benchmark's own mix: 16 verify invocations
+(9 at n = 2, 3 at n = 3, 4 at n = 4), 45 clouds and 352 ops.
 
 Inputs come from CHANGE_DIR/perfbench/worker.py, which is read and never
 changed.  A round runs every unit once per side, alternating which side
@@ -104,7 +106,8 @@ def surd_unit(worker, stratum: str, index: int):
 def units(worker, workload: str, directory: str) -> list:
     counts = worker.RUN_INPUTS[workload]
     if workload == "verify":
-        return [cli_unit(worker.verify_argv(str(n), seed)) for n in (2, 3, 4) for seed in range(8)]
+        return [cli_unit(worker.verify_argv(stratum, index))
+                for stratum, count in counts.items() for index in range(count)]
     if workload == "hull_wide":
         files = worker.HullFiles(directory)
         return [cli_unit(["valuate", "--in", files.write(stratum, index),
@@ -134,17 +137,13 @@ def round_ratio(work: list, sides: tuple, first: int) -> tuple[float, bool]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 3 or not argv[2].isdigit() or int(argv[2]) < 1:
+    if len(argv) != 3 or not argv[2].isdigit() or int(argv[2]) < 1:
         raise SystemExit(__doc__.split("\n\n")[1])
     parent, change, rounds = argv[0], argv[1], int(argv[2])
-    workloads = argv[3:] or list(WORKLOADS)
-    unknown = set(workloads) - set(WORKLOADS)
-    if unknown:
-        raise SystemExit(f"no such workload: {', '.join(sorted(unknown))}")
     sides = (load_package("slval_parent", parent), load_package("slval_change", change))
     worker = load_worker(change)
     identical = True
-    for workload in workloads:
+    for workload in WORKLOADS:
         with tempfile.TemporaryDirectory() as directory:
             work = units(worker, workload, directory)
             results = [round_ratio(work, sides, r % 2) for r in range(rounds)]
