@@ -22,16 +22,19 @@ and Prodon 1996) in ambient coordinates, whose one elimination seeds the
 rays and yields the frame equalities; its cost grows with the number of
 facets rather than with the number of point subsets.
 
-A polytope runs that pass itself, on first use, or is handed the record
-when it is built: by `from_points` and `cone_hull` (the record of their one
-pass, renumbered), by a clip through its interior (the parent's frame, the
-parent's facets through their kept vertices and crossing points, and the
-cut restricted to the parent's affine hull), by a clip that leaves a facet
-(the parent's frame and the facet row, and per ridge in it the other facet
-through it, restricted) or by a translate (the parent's, offsets shifted).
-`facets`, smaller faces and SL images are bare points.  A point has no
-facets.  The record is canonical, so every hand-over equals what a fresh
-pass on the same vertices derives.
+A polytope comes from three places only: a hull pass (`from_points`,
+`from_json`, `cone_hull`), a hand-over of a record (`_extreme`, `_clip`,
+`_translate`), or the trusted integer constructor `Polytope._of`, which
+`empty`, faces and SL images use.  It runs the pass itself, on first use,
+or is handed the record when it is built: by the hull pass (the record of
+its one pass, renumbered), by a clip through its interior (the parent's
+frame, the parent's facets through their kept vertices and crossing
+points, and the cut restricted to the parent's affine hull), by a clip
+that leaves a facet (the parent's frame and the facet row, and per ridge
+in it the other facet through it, restricted) or by a translate (the
+parent's, offsets shifted).  `facets`, smaller faces and SL images are
+bare points.  A point has no facets.  The record is canonical, so every
+hand-over equals what a fresh pass on the same vertices derives.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ class Halfspace(Immutable):
 class Polytope(Immutable):
     """Convex hull of finitely many points, in canonical vertex form.
 
-    Build through from_points unless the points are already known to be
-    the extreme points; the constructor only sorts and deduplicates.
+    Build through `from_points`; there is no public constructor, so every
+    polytope stores exactly its extreme points.
     `_rows`, `_L` and `_d` are the canonical integer pair matrix of the
     vertices; `vertices` builds their Vectors on each call.  The other
     underscored slots hold derived data, None until first use: `_hull` the
@@ -95,20 +98,6 @@ class Polytope(Immutable):
 
     ambient_dim: int
 
-    def __init__(self, ambient_dim: int, vertices: Iterable[Vector] = ()) -> None:
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be >= 1")
-        vertices = tuple(vertices)
-        if any(len(v) != ambient_dim for v in vertices):
-            raise ValueError("vertex dimension does not match ambient_dim")
-        # over one common L > 0, pairs (A, B) order as `Vector.sort_key`
-        ints, L, d = _integer_rows([v.coords for v in vertices])
-        self._fill(ambient_dim, tuple(sorted({tuple(row) for row in ints})), L, d)
-
-    def _fill(self, ambient_dim: int, rows: tuple, L: int, d: int) -> None:
-        for slot, value in zip(Polytope.__slots__, (ambient_dim, rows, L, d, None, None)):
-            object.__setattr__(self, slot, value)
-
     @classmethod
     def _of(cls, ambient_dim: int, rows: tuple, L: int, d: int) -> Polytope:
         """Trusted constructor for sorted distinct row tuples over a common
@@ -117,13 +106,17 @@ class Polytope(Immutable):
         g = gcd(L, *chain.from_iterable(chain.from_iterable(rows)))
         if g > 1:
             rows = tuple(tuple((a // g, b // g) for a, b in row) for row in rows)
+        d = d if d and any(b for row in rows for _, b in row) else 0
         self = object.__new__(cls)
-        self._fill(ambient_dim, rows, L // g, d if d and any(b for row in rows for _, b in row) else 0)
+        for slot, value in zip(Polytope.__slots__, (ambient_dim, rows, L // g, d, None, None)):
+            object.__setattr__(self, slot, value)
         return self
 
     @classmethod
     def empty(cls, ambient_dim: int) -> Polytope:
-        return cls(ambient_dim, ())
+        if ambient_dim < 1:
+            raise ValueError("ambient dimension must be >= 1")
+        return cls._of(ambient_dim, (), 1, 0)
 
     @property
     def vertices(self) -> tuple[Vector, ...]:

@@ -121,7 +121,8 @@ CATALOGUE = (
         "clip-keeps-unreduced-denominator", "polytope.py",
         "    Q = Polytope._of(n, tuple(rows[t] for t in order), M, d)\n",
         "    Q = object.__new__(Polytope)\n"
-        "    Q._fill(n, tuple(rows[t] for t in order), M, d)\n",
+        "    for slot, value in zip(Polytope.__slots__, (n, tuple(rows[t] for t in order), M, d, None, None)):\n"
+        "        object.__setattr__(Q, slot, value)\n",
         ("tests/test_hull.py::test_flat_and_low_dimensional_derivations_run_no_hull_pass",
          "tests/test_polytope.py::test_every_constructor_stores_canonical_rows"),
     ),

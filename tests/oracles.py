@@ -304,6 +304,7 @@ def reference_clip(P, H):
     from slval.exactnum import _integer_rows, _merge_discriminants
     from slval.polytope import (Polytope, _facet_data, _fill_hull, _frame, _restricted,
                                 field_discriminant)
+    from records import bare
 
     n = P.ambient_dim
     if P.is_empty:
@@ -316,7 +317,7 @@ def reference_clip(P, H):
     if not kept:
         return Polytope.empty(n)
     if all(signs[i] == 0 for i in kept):
-        return Polytope(n, [P.vertices[i] for i in kept])
+        return bare(n, [P.vertices[i] for i in kept])
     # incident vertex bitmasks of the record as index sets, and back
     data = [(h, {i for i in range(z.bit_length()) if z >> i & 1}) for h, z in _facet_data(P)]
     mask = lambda indices: sum(1 << q for q in set(indices))
@@ -333,7 +334,7 @@ def reference_clip(P, H):
         vi, vj = P.vertices[i], P.vertices[j]
         t = excesses[i] / (excesses[i] - excesses[j])
         crossing.append(vi + (vj - vi).scale(t))
-    Q = Polytope(n, [P.vertices[i] for i in kept] + crossing)
+    Q = bare(n, [P.vertices[i] for i in kept] + crossing)
     position = {v: q for q, v in enumerate(Q.vertices)}
     new = [position[v] for v in crossing]
     on = [[] for _ in data]

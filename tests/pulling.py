@@ -36,6 +36,8 @@ from slval.polytope import (EmptyPolytopeError, Polytope, _facet_data, _indices,
                             dim, facets, intersect)
 from slval.triangulate import _cells
 
+from records import bare
+
 
 def affine_rank(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull; -1 for no points, 0 for a single point."""
@@ -69,7 +71,7 @@ class Simplex:
         return len(self.vertices) - 1
 
     def as_polytope(self) -> Polytope:
-        return Polytope(self.ambient_dim, self.vertices)
+        return bare(self.ambient_dim, self.vertices)
 
     def volume(self) -> Scalar:
         """Full-dimensional volume; 0 when the simplex is lower-dimensional."""
@@ -172,7 +174,7 @@ def verify_complex(T: Triangulation):
     for a, b in combinations(cells, 2):
         pa, pb = a.as_polytope(), b.as_polytope()
         common = set(pa.vertices) & set(pb.vertices)
-        expected = Polytope(pa.ambient_dim, common)
+        expected = bare(pa.ambient_dim, common)
         if intersect(pa, pb) != expected:
             return (a, b)
     return True

@@ -11,13 +11,26 @@ equality row is divided by its entry on its own free column, a positive
 integer, so it becomes 1 there.
 The Scalars are built through the public constructor, which refuses an
 irrational entry in a record whose field is Q.
+
+`bare` builds a polytope on given points with no hull pass and no record,
+the way `slval.polytope` builds faces, for tests that derive a record
+afresh or that compare with the Fraction oracles.
 """
 
 from fractions import Fraction
 
-from slval.exactnum import Scalar
+from slval.exactnum import Scalar, _integer_rows
 from slval.linalg import Vector
-from slval.polytope import Halfspace, _facet_data, _frame, facets
+from slval.polytope import Halfspace, Polytope, _facet_data, _frame, facets
+
+
+def bare(n, points):
+    """The polytope in R^n on the distinct points, Vectors, sorted, with no
+    hull record: every point is taken as a vertex, so `bare(P.ambient_dim,
+    P.vertices)` is a copy of P that derives its record itself."""
+    ints, L, d = _integer_rows([p.coords for p in points])
+    assert all(len(row) == n for row in ints)
+    return Polytope._of(n, tuple(sorted({tuple(row) for row in ints})), L, d)
 
 
 def indices(z):

@@ -95,6 +95,17 @@ class TestValuate:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vertices", [[], [[]]], ids=["no-vertices", "empty-row"])
+    def test_ambient_dim_0_exits_2(self, vertices, tmp_path, capsys):
+        polytope = {"ambient_dim": 0, "field_d": 0, "vertices": vertices}
+        code = main([
+            "valuate", "--in", write_json(tmp_path / "p.json", polytope),
+            "--valuation", write_json(tmp_path / "v.json", linear_valuation()),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "ambient dimension must be >= 1" in captured.err
+
     @pytest.mark.parametrize("deep", ["polytope", "valuation"])
     def test_deeply_nested_json_exits_2(self, deep, tmp_path, capsys):
         """100,000 nested `[` pass the JSON decoder's recursion limit: one

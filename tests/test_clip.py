@@ -31,7 +31,7 @@ from slval.triangulate import volume
 from slval.valuation import basis_vector
 
 from oracles import pyramid_volume, reference_clip
-from records import scalar_facet_data
+from records import bare, scalar_facet_data
 
 ROOT2 = Scalar.sqrt_of(2)
 
@@ -91,7 +91,7 @@ def test_integer_clip_matches_the_scalar_reference(case):
 
 def assert_canonical(F):
     """F is what the public constructor makes of its own vertices."""
-    fresh = Polytope(F.ambient_dim, F.vertices)
+    fresh = bare(F.ambient_dim, F.vertices)
     assert F.vertices == fresh.vertices
     assert hash(F) == hash(fresh)
     assert field_discriminant(F) == field_discriminant(fresh)
@@ -208,16 +208,18 @@ def mid_cut(P, u):
 def test_straddling_clip_builds_no_polytope_and_hashes_no_vertex(monkeypatch):
     """A straddling clip orders its kept vertices and crossing points by
     one sort of their integer rows and reads their positions off that
-    permutation: no `Polytope.__init__` call and no `Vector.__hash__`.  A
-    clip that built Q with the public constructor and placed the vertices
-    by a {Vector: index} dict made 1 and 54 for this cut.  The result is
-    what a fresh hull of its vertices derives."""
+    permutation: no Scalar is made and no `Vector.__hash__` is called.  A
+    clip that built Q from Vectors and placed the vertices by a
+    {Vector: index} dict hashed 54 for this cut.  The result is what a
+    fresh hull of its vertices derives."""
     P = surd_polytope()
     H = mid_cut(P, Vector([1, -2, 1]))
-    built = counting_calls(monkeypatch, Polytope, "__init__")
+    made = []
+    real_make = Scalar._make.__func__
+    monkeypatch.setattr(Scalar, "_make", classmethod(lambda cls, *a: made.append(a) or real_make(cls, *a)))
     hashed = counting_calls(monkeypatch, Vector, "__hash__")
     Q = clip(P, H)
-    assert built == [] and hashed == []
+    assert made == [] and hashed == []
     monkeypatch.undo()
     fresh = from_points(Q.vertices)
     assert Q.vertices == fresh.vertices
@@ -279,7 +281,7 @@ def test_basis_vector_takes_one_leaf_per_cell_and_no_facet_record(monkeypatch):
     and 32 facet records, restricted 144 halfspaces and built 1,778
     Scalars."""
     cells = sum(pulling_cells(P) for P in guard_polytopes())
-    fresh = [Polytope(P.ambient_dim, P.vertices) for P in guard_polytopes()]
+    fresh = [bare(P.ambient_dim, P.vertices) for P in guard_polytopes()]
     derived = []
     for name in ("_supporting", "_restricted"):
         real = getattr(slval.polytope, name)

@@ -38,7 +38,7 @@ from slval.triangulate import volume
 from slval.valuation import evaluate, evaluate_union
 
 from oracles import affine_frame, extreme_indices, facets_by_subsets, reference_frame
-from records import indices, scalar_facet_data, scalar_frame, supporting
+from records import bare, indices, scalar_facet_data, scalar_frame, supporting
 from splits import SLAB_VALUATION, surd_slabs
 
 ROOT2 = Scalar.sqrt_of(2)
@@ -89,7 +89,7 @@ def assert_matches_oracle(points, k):
 def assert_handover_matches_fresh(P):
     """The frame and facets of P, handed over by from_points or derived,
     equal what a fresh polytope on the same vertices derives for itself."""
-    fresh = Polytope(P.ambient_dim, P.vertices)
+    fresh = bare(P.ambient_dim, P.vertices)
     assert fresh._hull is None
     assert _facet_data(P) == _facet_data(fresh)
     assert _frame(P) == _frame(fresh)
@@ -166,7 +166,7 @@ def test_frame_matches_the_reference(n):
                    for _ in range(k + 3 if k else 1)]
             points = [tuple(sum((e * x for e, x in zip(row, p)), s) for row, s in zip(embed, shift))
                       for p in low]
-            pivots, equalities = scalar_frame(Polytope(n, map(Vector, points)))
+            pivots, equalities = scalar_frame(bare(n, map(Vector, points)))
             assert (pivots, [(tuple(x.a for x in w), b.a) for w, b in equalities]) == \
                 reference_frame(points)
             ranks.add(len(pivots))
@@ -352,7 +352,7 @@ def test_hull_does_not_depend_on_input_order(case):
     P, Q = from_points(points), from_points(shuffled)
     assert Q.vertices == P.vertices
     assert _facet_data(Q) == _facet_data(P)
-    raw = Polytope(P.ambient_dim, [Vector(p) for p in points]).vertices
+    raw = bare(P.ambient_dim, [Vector(p) for p in points]).vertices
     order = [raw.index(Vector(p)) for p in dict.fromkeys(map(tuple, shuffled))]
     frame, moved = _supporting(*_integer_rows([raw[i] for i in order]))
     renumbered = {sum(1 << order[j] for j in indices(z)): h for z, h in moved.items()}
@@ -422,14 +422,14 @@ def test_convex_combinations_leave_the_hull(case):
     Q = from_points(points)
     assert Q == P
     if polytope.dim(Q) >= 1:
-        fresh = Polytope(P.ambient_dim, P.vertices)
+        fresh = bare(P.ambient_dim, P.vertices)
         assert _facet_data(Q) == _facet_data(fresh)
 
 
 def assert_inherits_at_every_depth(P):
     """P and every face of P, down to the vertices, hold the frame and facets
     a fresh polytope on the same vertices derives for itself."""
-    fresh = Polytope(P.ambient_dim, P.vertices)
+    fresh = bare(P.ambient_dim, P.vertices)
     assert _frame(P) == _frame(fresh)
     if polytope.dim(P) >= 1:
         assert _facet_data(P) == _facet_data(fresh)
@@ -493,7 +493,7 @@ def test_derived_polytopes_are_handed_their_facets():
     derived.append(top)
     for Q in derived:
         assert Q._hull is not None
-        assert _hull(Q) == _hull(Polytope(3, Q.vertices))
+        assert _hull(Q) == _hull(bare(3, Q.vertices))
     assert len(_facet_data(derived[1])) == 4
     assert top == from_points([Vector([x, y, 1]) for x in range(2) for y in range(2)])
     assert len(_facet_data(top)) == 4
@@ -635,7 +635,7 @@ def test_flat_and_low_dimensional_derivations_run_no_hull_pass(monkeypatch):
     assert derived[2] == from_points([Vector([0, 0]), Vector([1, 1])])
     for Q, record in zip(derived, records):
         assert Q == from_points(Q.vertices)
-        assert record == _facet_data(Polytope(Q.ambient_dim, Q.vertices))
+        assert record == _facet_data(bare(Q.ambient_dim, Q.vertices))
 
 
 def test_a_point_has_no_facets():

@@ -17,9 +17,10 @@ import pytest
 from slval import polytope
 from slval.exactnum import Scalar
 from slval.linalg import Vector
-from slval.polytope import Polytope, _indices, _supporting, from_json, from_points
+from slval.polytope import _indices, _supporting, from_json, from_points
 
 from oracles import dot_supporting, scalar_from_json
+from records import bare
 
 HUGE = "7" * 4300  # the longest literal `int` reads without raising
 TOO_LONG = "1" * 5000
@@ -165,7 +166,7 @@ def test_pass_matches_the_dot_product_pass(n, surd):
         points = cloud(rng, n, ("full", "grid", "flat", "repeated")[trial % 4])
         rows = [Vector([Scalar(x) + (root2 * y if surd else 0) for x, y in zip(p, p[1:] + p[:1])])
                 for p in points]
-        raw = Polytope(n, rows)  # the pass runs on distinct sorted rows, as `from_points` gives it
+        raw = bare(n, rows)  # the pass runs on distinct sorted rows, as `from_points` gives it
         assert _supporting(raw._rows, raw._L, raw._d) == dot_supporting(raw._rows, raw._L, raw._d), points
         P = from_points(rows)
         frame, found = dot_supporting(P._rows, P._L, P._d)

@@ -29,7 +29,7 @@ from oracles import pyramid_volume, shoelace_area
 import pulling
 from pulling import (Simplex, Triangulation, _cell_sum, apex_volume, triangulate, two_walk_basis,
                      verify_complex)
-from records import scalar_facet_data, visible_facets
+from records import bare, scalar_facet_data, visible_facets
 
 
 def P(*tuples):
@@ -285,7 +285,7 @@ def test_volume_routes_agree(case):
     for fam in FAMILIES:
         rational = gen_polytope(seed, n, max_vertices=6, coord_bound=3, family=fam)
         for p in (rational, _over_root2(rational)):
-            assert _with_leaves(_pivot_volume, Polytope(n, p.vertices)) == pyramid_volume(p)
+            assert _with_leaves(_pivot_volume, bare(n, p.vertices)) == pyramid_volume(p)
             cone = basis_vector(p)[4]
             assert cone == volume(cone_hull(p))
             visible = [(inc, F) for (h, inc), (_, F) in zip(scalar_facet_data(p), facets(p))
@@ -293,7 +293,7 @@ def test_volume_routes_agree(case):
             if dim(p) == n and visible:
                 masks = [sum(1 << i for i in inc) for inc, _ in visible]
                 value, leaves = _with_leaves(lambda q: apex_volume(q, masks),
-                                             Polytope(n, p.vertices))
+                                             bare(n, p.vertices))
                 assert volume(p) + value == cone
                 assert leaves == sum(pyramid_volume(F)[1] for _, F in visible)
     # a hyperplane piece missing the origin: the pyramid over it
@@ -314,7 +314,7 @@ def test_volume_routes_agree_in_r5(surd):
     cube = [[(mask >> i & 1) * 2 + 1 for i in range(4)] + [3] for mask in range(16)]
     bipyramid = from_points([Vector(v) for v in cube + [[2, 2, 2, 2, 2], [2, 2, 2, 2, 4]]])
     p = _over_root2(bipyramid) if surd else bipyramid
-    assert _with_leaves(_pivot_volume, Polytope(5, p.vertices)) == pyramid_volume(p)
+    assert _with_leaves(_pivot_volume, bare(5, p.vertices)) == pyramid_volume(p)
     assert basis_vector(p)[4] == volume(cone_hull(p))
 
 
@@ -381,7 +381,7 @@ def test_one_facet_walk_matches_the_two_walk_reference(n):
             for module, route in ((slval.triangulate, _basis), (pulling, two_walk_basis)):
                 dets = []
                 mp.setattr(module, "_det", lambda rows, d, dets=dets: dets.append(rows) or _det(rows, d))
-                value = route(Polytope(n, p.vertices))
+                value = route(bare(n, p.vertices))
                 counts.append((value, len(dets), len(ridged)))
         (basis, walk_dets, walk), (expected, reference_dets, both) = counts
         assert basis == expected, p
