@@ -123,10 +123,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: an int past Python's digit limit
+        raise UsageError(f"cannot read {path}: {exc}")
     except RecursionError:
         raise UsageError(f"{path} nests its JSON too deeply to read")
 

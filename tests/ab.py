@@ -8,7 +8,9 @@ state second by second, which separate benchmark runs do not.  A unit of
 work runs on both sides, with the cyclic garbage collector off:
 
 - verify: one invocation of `verify --n N --seed S --cases 5`;
-- hull_wide: one `valuate` on a cloud of `perfbench/worker.py`;
+- hull_wide: `HULL_REPEATS` runs of `valuate` on one cloud of
+  `perfbench/worker.py`, so that a round lasts about as long as a verify
+  round;
 - surd_union: one op of `worker.surd_union_text`, its input rebuilt
   untimed on each side.
 
@@ -22,7 +24,7 @@ goes first from unit to unit (ABBA), and sums each side's time; successive
 rounds start on alternate sides.  For each workload the script prints the
 median over the rounds of the change's time over the parent's, the least
 and greatest round ratio, and whether every unit printed the same text on
-both sides.  Given the same directory twice it is an A/A run, which shows
+both sides and in every repeat.  Given the same directory twice it is an A/A run, which shows
 the spread that the host alone gives.  It exits 1 if any output differed.
 
 pytest does not collect this file: its name does not start with `test_`.
@@ -41,6 +43,7 @@ import tempfile
 import time
 
 WORKLOADS = ("verify", "hull_wide", "surd_union")
+HULL_REPEATS = 5
 
 
 def load_package(name: str, tree: str):
@@ -81,14 +84,18 @@ def as_slval(package):
         sys.modules.update(saved)
 
 
-def cli_unit(argv: list[str]):
-    """A unit that runs `main(argv)` on a side: (seconds, stdout and exit code)."""
+def cli_unit(argv: list[str], repeats: int = 1):
+    """A unit that runs `main(argv)` `repeats` times on a side: (seconds,
+    [stdout and exit code of each run])."""
     def unit(package):
-        out = io.StringIO()
+        texts = []
         start = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = package.cli.main(argv)
-        return time.perf_counter() - start, f"{out.getvalue()}exit {code}\n"
+        for _ in range(repeats):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = package.cli.main(argv)
+            texts.append(f"{out.getvalue()}exit {code}\n")
+        return time.perf_counter() - start, texts
     return unit
 
 
@@ -99,7 +106,7 @@ def surd_unit(worker, stratum: str, index: int):
             prepared = worker.surd_input(stratum, index)
             start = time.perf_counter()
             text = worker.surd_union_text(*prepared)
-            return time.perf_counter() - start, text
+            return time.perf_counter() - start, [text]
     return unit
 
 
@@ -111,7 +118,7 @@ def units(worker, workload: str, directory: str) -> list:
     if workload == "hull_wide":
         files = worker.HullFiles(directory)
         return [cli_unit(["valuate", "--in", files.write(stratum, index),
-                          "--valuation", files.valuation])
+                          "--valuation", files.valuation], HULL_REPEATS)
                 for stratum, count in counts.items() for index in range(count)]
     return [surd_unit(worker, stratum, index)
             for stratum, count in counts.items() for index in range(count)]
@@ -119,7 +126,7 @@ def units(worker, workload: str, directory: str) -> list:
 
 def round_ratio(work: list, sides: tuple, first: int) -> tuple[float, bool]:
     """One round: the change's summed time over the parent's, and whether
-    both sides printed the same text on every unit."""
+    every run of every unit printed the same text on both sides."""
     spent, same = [0.0, 0.0], True
     gc.collect()
     gc.disable()
@@ -130,7 +137,7 @@ def round_ratio(work: list, sides: tuple, first: int) -> tuple[float, bool]:
             for side in order:
                 seconds, outputs[side] = unit(sides[side])
                 spent[side] += seconds
-            same = same and outputs[0] == outputs[1]
+            same = same and len({*outputs[0], *outputs[1]}) == 1
     finally:
         gc.enable()
     return spent[1] / spent[0], same

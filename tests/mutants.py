@@ -115,7 +115,17 @@ CATALOGUE = (
         "for side in (e, tuple((-a, -b) for a, b in e))]",
         "for side in (e,)]",
         ("tests/test_polytope.py::test_intersect_crossing_segments_in_the_plane",
-         "tests/test_polytope.py::test_intersect_crossing_triangles_in_space"),
+         "tests/test_polytope.py::test_intersect_crossing_triangles_in_space",
+         "tests/test_valuation.py::test_evaluate_union_of_crossing_flat_pieces_matches_all_subsets[3-0]"),
+    ),
+    Mutant(
+        # the meet of two flat pieces then keeps the half of the cut operand
+        # on the far side of each equality of the other's affine hull
+        "intersect-keeps-only-the-negated-side", "polytope.py",
+        "for side in (e, tuple((-a, -b) for a, b in e))]",
+        "for side in (tuple((-a, -b) for a, b in e),)]",
+        ("tests/test_valuation.py::test_evaluate_union_of_crossing_flat_pieces_matches_all_subsets[2-0]",
+         "tests/test_valuation.py::test_evaluate_union_of_crossing_flat_pieces_matches_all_subsets[3-0]"),
     ),
     Mutant(
         "clip-keeps-unreduced-denominator", "polytope.py",
@@ -597,6 +607,14 @@ CATALOGUE = (
         '        object.__setattr__(self, "d", d)\n',
         ("tests/test_exactnum.py::test_vanishing_surd_collapses_to_rational",
          "tests/test_exactnum.py::test_conjugate_product_is_rational"),
+    ),
+    Mutant(
+        # a JSON int past Python's digit limit in the polytope file is then
+        # blamed on the valuate step, with the message of the cell cap
+        "load-json-leaves-the-digit-limit-to-the-caller", "cli.py",
+        "    except (OSError, ValueError) as exc:",
+        "    except OSError as exc:",
+        ("tests/test_cli.py::TestValuate::test_an_int_past_the_digit_limit_exits_2[polytope]",),
     ),
     Mutant(
         # `1+0*sqrt(3)` in a Q(sqrt 2) file is then refused as outside the field

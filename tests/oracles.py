@@ -20,7 +20,8 @@ exceptions.  The first is the
 differential oracle of the clip in `slval.polytope`, which reads signs and
 crossing points off integer pairs.  It reads the package's facet record the
 same way, but takes every excess and crossing point in `Scalar` arithmetic
-and builds the polytopes it makes through the public constructor.  The
+and builds the polytopes it makes from their Vectors by `records.bare`,
+with no hull pass.  The
 second is the other volume route beside `slval.triangulate`, which sums
 pair determinants over the pulling cells it finds on facet bitmasks: it
 recurses over the facets as polytopes, each with its own frame and facet
@@ -412,8 +413,8 @@ def reference_parse(text):
 # the five basis values assembled in Scalars on every read, and the probe
 # system solved as a Matrix on the whole reduced echelon form, of which
 # `linalg._solve` reads only the last column.  It builds on the package's
-# public constructors, its cell sums and its elimination, like
-# `reference_clip`.
+# public Vector and Scalar constructors, its cell sums and its elimination,
+# like `reference_clip`.
 
 
 def reduced_echelon(rows):

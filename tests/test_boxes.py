@@ -6,7 +6,8 @@ The 511 nonempty subsets of the nine points of the planar box
 the origin at a vertex, on an edge, inside or outside.  Each hull's
 vertices are checked against `oracles.hull2d`, and its five basis values
 against `plane_basis`, which is built only from `hull2d`, `shoelace_area`
-and `in_hull2d`.
+and `in_hull2d`.  A fixed stride of the pairs of these hulls meets as
+`oracles.reference_intersect` says.
 
 Space boxes follow.  In R^3: the 7 points 0, +-e1, +-e2 and +-e3, with 90
 distinct hulls that have the origin inside, on a face, at a vertex or
@@ -20,15 +21,15 @@ and facets against `oracles.halfspaces`, and its five basis values against
 volumes off `pyramid_volume`.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from slval.polytope import from_points
+from slval.polytope import dim, from_points, intersect
 from slval.valuation import basis_vector
 
 from oracles import (affine_frame, extreme_indices, halfspaces, hull2d, in_hull2d, pyramid_volume,
-                     reference_frame, shoelace_area)
+                     reference_frame, reference_intersect, shoelace_area)
 from records import scalar_facet_data, scalar_frame
 
 BOX = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
@@ -90,6 +91,31 @@ def test_every_hull_has_the_plane_oracle_basis():
         if got != want:
             bad.append((points, [str(x) for x in got], [str(x) for x in want]))
     assert not bad, f"{len(bad)} of {len(HULLS)} hulls differ, first: {bad[:3]}"
+
+
+#: every STRIDE-th of the 22,791 unordered pairs of the 213 planar hulls,
+#: each hull with itself among them, in the order of
+#: `combinations_with_replacement`: all of them meet in about 2 s, but the
+#: oracle takes about 78 s for all
+STRIDE = 37
+
+
+def test_a_stride_of_the_planar_pairs_meet_as_the_oracle_says():
+    """`intersect` both ways round against `oracles.reference_intersect`,
+    on 616 pairs whose meets are empty or of every dimension."""
+    polytopes = {ring: from_points(points, 2) for ring, points in HULLS.items()}
+    pairs = list(combinations_with_replacement(HULLS, 2))
+    assert len(pairs) == 22_791
+    bad, dims = [], set()
+    for a, b in pairs[::STRIDE]:
+        expected = reference_intersect(list(a), list(b))
+        for p, q in ((a, b), (b, a)):
+            meet = intersect(polytopes[p], polytopes[q])
+            if {tuple(c.a for c in v) for v in meet.vertices} != expected:
+                bad.append((p, q))
+        dims.add(dim(meet) if not meet.is_empty else -1)
+    assert not bad, f"{len(bad)} of {2 * len(pairs[::STRIDE])} meets differ, first: {bad[:3]}"
+    assert dims == {-1, 0, 1, 2}
 
 
 # -- the space boxes ------------------------------------------------------

@@ -119,6 +119,21 @@ class TestValuate:
         assert captured.out == ""
         assert captured.err == f"error: {paths[deep]} nests its JSON too deeply to read\n"
 
+    @pytest.mark.parametrize("unreadable", ["polytope", "valuation"])
+    def test_an_int_past_the_digit_limit_exits_2(self, unreadable, tmp_path, capsys):
+        """A JSON int of more than 4,300 digits, which Python will not read,
+        blames the file that holds it, whichever it is: in the polytope file
+        it read as `cannot valuate`, the message of the cell cap, before."""
+        paths = {"polytope": write_json(tmp_path / "p.json", TRIANGLE),
+                 "valuation": write_json(tmp_path / "v.json", linear_valuation())}
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"ambient_dim": ' + "9" * 5000 + "}")
+        paths[unreadable] = str(bad)
+        assert main(["valuate", "--in", paths["polytope"], "--valuation", paths["valuation"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot read {bad}: Exceeds the limit (4300 digits)")
+
     @pytest.mark.parametrize("valuation, message", [
         (dict(linear_valuation(), psi=3), "is not a valuation file"),
         (linear_valuation(c0="1+1*sqrt(3)", d0="1+1*sqrt(2)"),

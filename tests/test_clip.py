@@ -90,7 +90,7 @@ def test_integer_clip_matches_the_scalar_reference(case):
 
 
 def assert_canonical(F):
-    """F is what the public constructor makes of its own vertices."""
+    """F stores what its own vertices give as a bare polytope."""
     fresh = bare(F.ambient_dim, F.vertices)
     assert F.vertices == fresh.vertices
     assert hash(F) == hash(fresh)

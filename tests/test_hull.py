@@ -344,8 +344,8 @@ def shuffled_point_sets(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_hull_does_not_depend_on_input_order(case):
     """from_points on a shuffle of its input gives the same vertices and
-    facet record.  The constructor sorts the points before the pass, so
-    the pass is also run on shuffled points directly: the insertion order,
+    facet record.  from_points sorts the points before the pass, so the
+    pass is also run on shuffled points directly: the insertion order,
     seed simplex included, changes with the shuffle through the ties of the
     far-first key, and neither the frame nor the facets may."""
     points, shuffled = case

@@ -380,6 +380,47 @@ def test_evaluate_union_matches_all_subsets(n, dense, d):
             assert evaluate_union(V, parts) == expected
 
 
+def crossing_family(seed, n):
+    """Seeded flat parts in R^n that cross, and one full-dimensional part.
+    In R^2: segments across the strip |x| <= 2, three from x = -2 to 2 and
+    one from y = -2 to 2.  In R^3: four triangles conv(a, b, c - a - b),
+    their centroids c / 3 within 1/3 of the origin, in planes that cross
+    near it.  The full part is a simplex with a random vertex b of
+    [-2, 2]^n and its other vertices on the rays b + e_i."""
+    rng = random.Random(seed)
+    r = lambda: rng.randint(-2, 2)
+    if n == 2:
+        parts = [[(-2, r()), (2, r())] for _ in range(3)] + [[(r(), -2), (r(), 2)]]
+    else:
+        parts = []
+        for _ in range(4):
+            a, b, c = ([r() for _ in range(3)] for _ in range(3))
+            parts.append([a, b, [z - x - y for x, y, z in zip(a, b, [rng.randint(-1, 1) for _ in a])]])
+    base = [r() for _ in range(n)]
+    parts.append([base] + [[x + (i == j) * rng.randint(1, 3) for j, x in enumerate(base)]
+                           for i in range(n)])
+    return [from_points(points, n) for points in parts]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_union_of_crossing_flat_pieces_matches_all_subsets(n, seed):
+    """Unions whose flat parts cross, so that `intersect` clips a part by
+    both sides of each equality of another's affine hull, against the plain
+    inclusion-exclusion."""
+    parts = crossing_family(seed, n)
+    dims = [dim(Q) for Q in parts]
+    assert dims[-1] == n and all(k < n for k in dims[:-1])
+    meet = lru_cache(maxsize=None)(intersect)
+    # some two flat parts cross: they meet in less than either
+    crossings = [(Q, R) for i, Q in enumerate(parts[:-1]) for R in parts[i + 1:-1]
+                 if not (M := meet(Q, R)).is_empty and dim(M) < min(dim(Q), dim(R))]
+    assert crossings
+    for V in UNION_VALUATIONS:
+        expected = inclusion_exclusion(parts, meet, lambda Q: evaluate(V, Q))
+        assert evaluate_union(V, parts) == expected
+
+
 def test_evaluate_union_builds_scalars_only_for_its_value(monkeypatch):
     """The slab unions over Q(sqrt 2) sum integer bases over a common
     denominator and build one Scalar per call, the value, however many
