@@ -24,8 +24,9 @@ goes first from unit to unit (ABBA), and sums each side's time; successive
 rounds start on alternate sides.  For each workload the script prints the
 median over the rounds of the change's time over the parent's, the least
 and greatest round ratio, and whether every unit printed the same text on
-both sides and in every repeat.  Given the same directory twice it is an A/A run, which shows
-the spread that the host alone gives.  It exits 1 if any output differed.
+both sides and in every repeat.  Given the same directory twice it is an
+A/A run, which shows the spread that the host alone gives.  It exits 1 if
+any output differed.
 
 pytest does not collect this file: its name does not start with `test_`.
 """

@@ -216,7 +216,8 @@ def test_straddling_clip_builds_no_polytope_and_hashes_no_vertex(monkeypatch):
     H = mid_cut(P, Vector([1, -2, 1]))
     made = []
     real_make = Scalar._make.__func__
-    monkeypatch.setattr(Scalar, "_make", classmethod(lambda cls, *a: made.append(a) or real_make(cls, *a)))
+    monkeypatch.setattr(Scalar, "_make",
+                        classmethod(lambda cls, *a: made.append(a) or real_make(cls, *a)))
     hashed = counting_calls(monkeypatch, Vector, "__hash__")
     Q = clip(P, H)
     assert made == [] and hashed == []

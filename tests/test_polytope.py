@@ -75,7 +75,7 @@ def test_there_is_no_public_constructor():
     points = [V(0, 0), V(2, 0), V(0, 2), V(1, 1), V(1, 0)]
     with pytest.raises(TypeError):
         Polytope(2, points)
-    assert P2((0, 0), (2, 0), (0, 2), (1, 1), (1, 0)).vertices == (V(0, 0), V(0, 2), V(2, 0))
+    assert from_points(points).vertices == (V(0, 0), V(0, 2), V(2, 0))
     with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
         Polytope.empty(0)
 
