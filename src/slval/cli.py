@@ -185,6 +185,8 @@ def _oracle_values(cmd: str, field_d: int, polys: list[Polytope]) -> list[Scalar
         raise OracleError(f"cannot run {cmd!r}: {exc}")
     except subprocess.TimeoutExpired:
         raise OracleError(f"oracle gave no answer within {ORACLE_TIMEOUT_S} s")
+    except UnicodeDecodeError as exc:
+        raise OracleError(f"unreadable oracle output: {exc}")
     if proc.returncode != 0:
         detail = proc.stderr.strip() or f"exit code {proc.returncode}"
         raise OracleError(f"oracle failed: {detail}")

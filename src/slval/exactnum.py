@@ -80,8 +80,8 @@ def _integer_rows(rows) -> tuple[list[list[tuple[int, int]]], int, int]:
     return [[(x._qa * (L // x._q), x._qb * (L // x._q)) for x in row] for row in rows], L, d
 
 
-# a = an/aq, then optionally +-(bn/bq)*sqrt(d)
-_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?$")
+# a = an/aq, then optionally +-(bn/bq)*sqrt(d); digits are 0-9 only
+_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?$", re.ASCII)
 
 
 def _literal(text, field: int = 0) -> tuple[int, int, int, int]:

@@ -217,13 +217,6 @@ def _cross(x, p, y, f, d: int) -> list[tuple[int, int]]:
              xa * pb + xb * pa - ya * fb - yb * fa) for (xa, xb), (ya, yb) in zip(x, y)]
 
 
-def _combine(x, p, y, f, d: int, xs, ys) -> tuple[list, list]:
-    """x*p - y*f entrywise, made primitive, and xs*p - ys*f over the same gcd."""
-    x, xs = _cross(x, p, y, f, d), _cross(xs, p, ys, f, d)
-    g = gcd(*chain.from_iterable(x))
-    return ([(a // g, b // g) for a, b in x], [(a // g, b // g) for a, b in xs]) if g > 1 else (x, xs)
-
-
 def _rationalized(x, q: tuple[int, int], d: int) -> tuple[list[tuple[int, int]], int]:
     """(x', n) with x / q = x' / n and n an integer: x * conj(q) over the
     norm of q, or x over q itself if q is rational."""

@@ -45,8 +45,8 @@ from typing import Iterable
 
 from .exactnum import (Immutable, Scalar, _check_discriminant, _integer_rows, _literal,
                        _merge_discriminants, _surd_sign, as_scalar)
-from .linalg import (Matrix, SingularMatrixError, Vector, _combine, _cross, _eliminate, _over,
-                     _pair_dot, _primitive, _rationalized)
+from .linalg import (Matrix, SingularMatrixError, Vector, _cross, _eliminate, _over, _pair_dot, _primitive,
+                     _rationalized)
 
 
 class EmptyPolytopeError(ValueError):
@@ -176,26 +176,24 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     ones, W zero off the pivot columns.  A point has no facets.
 
     Double description in Z[sqrt d] on x' = (X, -1), coordinates reversed.
-    Each facet is a ray (r, Z, E): r a gcd-reduced integer vector with
+    Each facet is a ray (r, Z): r a gcd-reduced integer vector with
     <r, x'> <= 0 on every point, Z the bitmask of tight points inserted so
-    far, E the excesses <r, x'> at the candidates not yet inserted, over
-    r's gcd.  Points go in far first, by decreasing sum of A^2 + d B^2 over
+    far.  Points go in far first, by decreasing sum of A^2 + d B^2 over
     their pairs, ties by index, which keeps the intermediate rays few (Avis,
     Bremner and Seidel 1997).  One `_eliminate` of [X | I], the x' as X's
     columns in that order, seeds all.  Its k + 1 rows that pivot on X pick
     the first affinely independent points, k = dim: right of X, row i is
     tight on each of them but the i-th, where the common pivot D orients
-    it, and on X it holds its excess at every point, which gives the seed
-    rays' E and the candidates, the points not in that simplex.  Its other
-    rows pivot in I, on the free columns (the dual's reverse greedy basis
-    complements the forward one); each is D on its own free column, 0 on
-    the others, and reads <w, X> = c on every point: the frame equality is
-    <L w, x> = c.  Each candidate, read off E, drops the rays it violates
-    and combines each with every adjacent satisfied one into a ray tight at
-    it, E alike; one strictly inside the simplex violates none.  Two rays
-    are adjacent iff their common tight set has at least k - 1 points and
-    lies in no third ray's (Fukuda and Prodon 1996).  One rule at every k,
-    the count tested first, the third-ray scan second.
+    it, and gives the seed ray.  Its other rows pivot in I, on the free
+    columns (the dual's reverse greedy basis complements the forward one);
+    each is D on its own free column, 0 on the others, and reads
+    <w, X> = c on every point: the frame equality is <L w, x> = c.  Each
+    point not in that simplex takes its excess <r, x'> at every ray, drops
+    the rays it violates and combines each with every adjacent satisfied
+    one into a ray tight at it.  Two rays are adjacent iff their common
+    tight set has at least k - 1 points and lies in no third ray's (Fukuda
+    and Prodon 1996).  One rule at every k, the count tested first, the
+    third-ray scan second.
     """
     n, m = len(ints[0]), len(ints)
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
@@ -212,37 +210,34 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     frame = (tuple(c for c in range(n) if c not in free), equalities)
     form = form[:k + 1] if k else []
     simplex = pivots[:len(form)]
-    candidates = [c for c in range(m) if c not in simplex]
-    rays = []
-    for row, c in zip(form, simplex):
-        # the ray's gcd divides its X block; E lists the last candidate first
-        v = _primitive([(flip * a, flip * b) for a, b in row[m:] + [row[t] for t in candidates[::-1]]])
-        rays.append((v[:n + 1], sum(1 << order[j] for j in simplex if j != c), v[n + 1:]))
-    for c in candidates:
+    rays = [(_primitive([(flip * a, flip * b) for a, b in row[m:]]),
+             sum(1 << order[j] for j in simplex if j != c)) for row, c in zip(form, simplex)]
+    for c, x in enumerate(pts):
+        if c in simplex:
+            continue
         bit = 1 << order[c]
         violated, satisfied, kept = [], [], []
-        for r, z, e in rays:
-            x = e.pop()
-            s = _surd_sign(*x, d) if d else x[0]
+        for r, z in rays:
+            e = _pair_dot(r, x, d)
+            s = _surd_sign(*e, d) if d else e[0]
             if s > 0:
-                violated.append((r, z, e, x))
+                violated.append((r, z, e))
             elif s < 0:
-                kept.append((r, z, e))
-                satisfied.append((r, z, e, x))
+                kept.append((r, z))
+                satisfied.append((r, z, e))
             else:
-                kept.append((r, z | bit, e))
-        for rv, zv, ev, xv in violated:
-            for rs, zs, es, xs in satisfied:
+                kept.append((r, z | bit))
+        for rv, zv, ev in violated:
+            for rs, zs, es in satisfied:
                 common = zv & zs
                 if common.bit_count() < k - 1:
                     continue
-                if any(z & common == common for _, z, _ in rays if z != zv and z != zs):
+                if any(z & common == common for _, z in rays if z != zv and z != zs):
                     continue
-                # xv > 0 > xs: the positive combination tight at the point
-                r, e = _combine(rs, xv, rv, xs, d, es, ev)
-                kept.append((r, common | bit, e))
+                # ev > 0 > es: the positive combination tight at the point
+                kept.append((_primitive(_cross(rs, ev, rv, es, d)), common | bit))
         rays = kept
-    return frame, {z: _canonical(on_x(r, 1), d) for r, z, _ in rays}
+    return frame, {z: _canonical(on_x(r, 1), d) for r, z in rays}
 
 
 def _hull(P: Polytope) -> tuple[tuple, tuple[tuple[tuple, int], ...]]:

@@ -291,7 +291,7 @@ CATALOGUE = (
     ),
     Mutant(
         "supporting-skips-the-third-ray-test", "polytope.py",
-        "                if any(z & common == common for _, z, _ in rays if z != zv and z != zs):\n",
+        "                if any(z & common == common for _, z in rays if z != zv and z != zs):\n",
         "                if False:\n",
         ("tests/test_hull.py::test_five_cube_combines_only_adjacent_rays",
          "tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays"),
@@ -299,33 +299,35 @@ CATALOGUE = (
     Mutant(
         # at k = 4 three common tight points may be collinear: no ridge
         "supporting-scans-for-a-third-ray-only-from-k-5", "polytope.py",
-        "                if any(z & common == common",
-        "                if k > 4 and any(z & common == common",
+        "                if any(z & common == common for _, z in rays",
+        "                if k > 4 and any(z & common == common for _, z in rays",
         ("tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays",),
-    ),
-    Mutant(
-        "combine-leaves-the-excesses-undivided", "linalg.py",
-        "[(a // g, b // g) for a, b in xs]) if g > 1 else (x, xs)",
-        "xs) if g > 1 else (x, xs)",
-        ("tests/test_read_path.py::test_pass_matches_the_dot_product_pass[3-False]",),
     ),
     Mutant(
         # a point strictly inside the seed simplex may be skipped, as it
         # violates no ray; one tight on a seed ray may not
         "supporting-drops-candidates-tight-on-a-seed-ray", "polytope.py",
-        "    candidates = [c for c in range(m) if c not in simplex]\n",
-        "    candidates = [c for c in range(m) if c not in simplex\n"
-        "                  and not all(flip * _surd_sign(*row[c], d) <= 0 for row in form)]\n",
+        "        if c in simplex:\n",
+        "        if c in simplex or all(flip * _surd_sign(*row[c], d) <= 0 for row in form):\n",
         ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
          "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
     ),
     Mutant(
         "supporting-skips-rays-tight-at-the-point", "polytope.py",
-        "            elif s < 0:\n                kept.append((r, z, e))\n",
-        "            elif s <= 0:\n                kept.append((r, z, e))\n",
+        "            elif s < 0:\n                kept.append((r, z))\n",
+        "            elif s <= 0:\n                kept.append((r, z))\n",
         ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
          "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]",
          "tests/test_boxes.py::test_every_space_hull_has_the_oracle_vertices_frame_and_facets[cross]"),
+    ),
+    Mutant(
+        # each point is then classified by the excesses of the point inserted
+        # before it, in far-first order
+        "supporting-reads-the-excess-at-the-point-before", "polytope.py",
+        "            e = _pair_dot(r, x, d)\n",
+        "            e = _pair_dot(r, pts[c - 1], d)\n",
+        ("tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]",
+         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[3-True]"),
     ),
     Mutant(
         # sums and == stay right; differences and the order < > <= >= go wrong
@@ -335,6 +337,15 @@ CATALOGUE = (
         ("tests/test_exactnum.py::test_comparisons",
          "tests/test_exactnum.py::test_int_operands_keep_the_surd_part",
          "tests/test_boxes.py::test_every_space_hull_has_the_space_oracle_basis[cross]"),
+    ),
+    Mutant(
+        # `\d` then matches any Unicode decimal digit, and `int` reads them
+        "literal-reads-non-ascii-digits", "exactnum.py",
+        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?$", re.ASCII)',
+        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?$")',
+        ("tests/test_cli.py::TestValuate::test_non_ascii_digits_exit_2[polytope]",
+         "tests/test_cli.py::TestFit::test_oracle_answers_end_as_the_exit_table_says[arabic-indic-3]",
+         "tests/test_exactnum.py::test_parse_matches_the_fraction_reference"),
     ),
     Mutant(
         "literal-shortcut-skips-the-round-trip", "exactnum.py",

@@ -29,10 +29,10 @@ record, and sums heights times facet volumes in `Scalar`s.  The third is
 the oracle of `Scalar.parse`, which reads its integer triple straight off
 the text: it reads both coefficients as `Fraction`s and builds the value
 through the public `Scalar` constructor.  The read path of `slval valuate`
-that `slval.polytope.from_json` replaced, `scalar_from_json`, and the hull
-pass that took every excess as a fresh dot product, `dot_supporting`, are
-the oracles of the integer read path and of the rays that carry their
-excesses.
+that `slval.polytope.from_json` replaced, `scalar_from_json`, and a second
+writing of the hull pass, `dot_supporting`, which skips the points strictly
+inside its seed simplex, are the oracles of the integer read path and of
+the hull pass.
 """
 
 import re
@@ -384,7 +384,7 @@ def pyramid_volume(P):
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(
-    rf"^(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$"
+    rf"^(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$", re.ASCII
 )
 
 
@@ -624,9 +624,10 @@ def scalar_from_json(obj):
 
 
 def dot_supporting(ints, L, d):
-    """`slval.polytope._supporting` as it took each excess: <r, x'> by
-    `_pair_dot` for every ray at every point not inside the seed simplex,
-    and the third-ray scan for every adjacency."""
+    """The pass of `slval.polytope._supporting`, written apart from it:
+    <r, x'> by `_pair_dot` for every ray at every point neither in nor
+    strictly inside the seed simplex, read by input index, and the
+    third-ray scan over the rays' masks for every adjacency."""
     from slval.exactnum import _surd_sign
     from slval.linalg import _cross, _eliminate, _pair_dot, _primitive
     from slval.polytope import _canonical

@@ -119,6 +119,20 @@ class TestValuate:
         assert captured.out == ""
         assert captured.err == f"error: {paths[deep]} nests its JSON too deeply to read\n"
 
+    @pytest.mark.parametrize("polytope, d0", [
+        ({"ambient_dim": 1, "field_d": 0, "vertices": [["\u0661"], ["\uff13"]]}, "4"),
+        (SEGMENT, "\u0664"),
+    ], ids=["polytope", "valuation"])
+    def test_non_ascii_digits_exit_2(self, polytope, d0, tmp_path, capsys):
+        """Digits are 0-9: the segment spelt with an Arabic-Indic one and a
+        fullwidth three, or a d0 of Arabic-Indic four, is no input, though
+        `int` and a Unicode `\\d` read them as 1, 3 and 4."""
+        code = main(["valuate", "--in", write_json(tmp_path / "p.json", polytope),
+                     "--valuation", write_json(tmp_path / "v.json", linear_valuation(d0=d0))])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "bad scalar literal" in captured.err
+
     @pytest.mark.parametrize("unreadable", ["polytope", "valuation"])
     def test_an_int_past_the_digit_limit_exits_2(self, unreadable, tmp_path, capsys):
         """A JSON int of more than 4,300 digits, which Python will not read,
@@ -504,6 +518,45 @@ class TestFit:
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         assert report["residual_max"] != "0"
+
+    @pytest.mark.parametrize("tail, code, message", [
+        ("print(*values, sep='\\n')", 0, ""),
+        ("print(*(v * v for v in volumes), sep='\\n')", 1, ""),
+        *((f"print(*[{answer!r}] * len(lines), sep='\\n')", 3, "unreadable oracle value")
+          for answer in ("0.5", "1e3", "nan", "1/0", "-", "1" * 5001, "\u0663")),
+        ("print(*['1+1*sqrt(3)'] * len(lines), sep='\\n')", 3, "cannot mix sqrt(3) with sqrt(2)"),
+        ("sys.stdout.buffer.write(b'\\xff\\n' * len(lines))", 3, "unreadable oracle output"),
+        ("print(*values[1:], sep='\\n')", 3, "oracle answered 14 of 15 polytopes"),
+        ("sys.exit(4)", 3, "oracle failed: exit code 4"),
+        ("pass", 3, "oracle answered 0 of 15 polytopes"),
+    ], ids=["exact", "volume-squared", "0.5", "1e3", "nan", "1/0", "lone-minus", "5001-digits",
+            "arabic-indic-3", "sqrt-3", "not-utf-8", "one-line-short", "nonzero-exit", "no-output"])
+    def test_oracle_answers_end_as_the_exit_table_says(self, tail, code, message, tmp_path,
+                                                       monkeypatch, capsys):
+        """An oracle run with sys.executable on the 15 polytopes of a 5-case
+        fit: exact answers exit 0, answers that no valuation gives exit 1,
+        and an answer that is no value of --field-d 2's field, or a failed
+        oracle, exits 3 with one `oracle error:` line and no traceback."""
+        monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(slval.__file__)))
+        oracle = tmp_path / "oracle.py"
+        oracle.write_text(
+            "import json, sys\n"
+            "from slval.polytope import from_json\n"
+            "from slval.triangulate import volume\n"
+            "from slval.valuation import evaluate, from_json as valuation_from_json\n"
+            f"val = valuation_from_json({linear_valuation('1', '2', '3', '4', '5')!r})\n"
+            "lines = [l for l in sys.stdin if l.strip()]\n"
+            "values = [evaluate(val, from_json(json.loads(l))) for l in lines]\n"
+            "volumes = [volume(from_json(json.loads(l))) for l in lines]\n"
+            + tail + "\n", encoding="utf-8"
+        )
+        assert main(["fit", "--oracle-cmd", f"{sys.executable} {oracle}", "--cases", "5"]) == code
+        out, err = capsys.readouterr()
+        if code == 3:
+            assert out == "" and err.startswith("oracle error: ") and err.count("\n") == 1
+            assert message in err and "Traceback" not in err
+        else:
+            assert err == "" and (json.loads(out)["residual_max"] == "0") == (code == 0)
 
     def test_oracle_answers_are_read_in_order(self, tmp_path, monkeypatch, capsys):
         # every answer differs by polytope, so an answer read at another

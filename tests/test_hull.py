@@ -310,13 +310,13 @@ def test_far_first_insertion_combines_few_rays(monkeypatch):
     cloud each lie outside the hull so far, and the pass combines 66 ray
     pairs to find 12 edges; inserted far first, it combines 26."""
     calls = []
-    real = polytope._combine
+    real = polytope._cross
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(polytope, "_combine", counting)
+    monkeypatch.setattr(polytope, "_cross", counting)
     points = symmetric_cloud(random.Random(3), 2, 40, bound=20)
     P = from_points(as_scalars(points))
     assert len(P.vertices) == 12

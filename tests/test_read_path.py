@@ -4,13 +4,14 @@
 rows over their common denominator directly; `scalar_from_json` in
 `oracles.py` reads a Scalar per literal, builds a Vector per row and calls
 `from_points`.  Both must give equal polytopes with equal hull records, or
-raise the same exception with the same message.  The hull pass carries each
-ray's excesses at the points still to come; `dot_supporting` takes every
-excess as a dot product and scans every adjacency for a third ray.  Both
-must give the same frame and facets.
+raise the same exception with the same message.  The hull pass skips no
+point outside its seed simplex; `dot_supporting` skips the points strictly
+inside it and scans every adjacency for a third ray.  Both must give the
+same frame and facets.
 """
 
 import random
+from itertools import groupby
 
 import pytest
 
@@ -44,7 +45,7 @@ CORPUS = [
     obj([[" 3", "0"], ["1", "1"]]),
     obj([["3 ", "0"], ["1", "1"]]),
     obj([["3_0", "0"], ["1", "1"]]),
-    obj([["٣", "0"], ["1", "١"], ["0", "0"]]),  # Arabic-Indic digits, which \d matches
+    obj([["٣", "0"], ["1", "١"], ["0", "0"]]),  # Arabic-Indic digits, which both routes refuse
     obj([[HUGE, "0"], ["0", "1"], ["0", "0"]]),
     obj([["-" + HUGE, "1/" + HUGE], ["0", "1"], ["0", "0"]]),
     obj([[TOO_LONG, "0"], ["1", "1"]]),
@@ -173,12 +174,18 @@ def test_pass_matches_the_dot_product_pass(n, surd):
         assert P._hull == (frame, tuple(sorted(((h, z) for z, h in found.items()), key=lambda item: _indices(item[1]))))
 
 
-def test_pass_takes_no_dot_product(monkeypatch):
-    """Each excess the pass reads was carried by its ray: from_points on a
-    40-point cloud in R^3 calls `_pair_dot` not once."""
+def test_pass_takes_one_dot_product_per_ray_and_point(monkeypatch):
+    """Each point outside the seed simplex takes its excess at every live
+    ray by one `_pair_dot`, and nothing else does: the 39 distinct points
+    of a 40-point cloud in R^3 make 35 runs of calls, one per point, the
+    first on the 4 seed rays, 833 calls in all."""
     calls = []
     real = polytope._pair_dot
-    monkeypatch.setattr(polytope, "_pair_dot", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(polytope, "_pair_dot", lambda r, x, d: calls.append(x) or real(r, x, d))
     rng = random.Random(7)
-    P = from_points([[rng.randint(-9, 9) for _ in range(3)] for _ in range(40)])
-    assert len(P._rows) > 4 and calls == []
+    points = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(40)]
+    P = from_points(points)
+    runs = [(x, len(list(at_x))) for x, at_x in groupby(calls)]
+    assert len(P._rows) > 4 and len(set(map(tuple, points))) == 39
+    assert len({x for x, _ in runs}) == len(runs) == 35
+    assert runs[0][1] == 4 and len(calls) == 833
