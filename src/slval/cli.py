@@ -2,7 +2,8 @@
 
 Subcommands: valuate (apply a stored classified valuation to one polytope),
 fit (recover coefficients from a stored valuation or an external oracle),
-verify (run the seeded check suite), demo-usc (semicontinuity tables).
+verify (run the seeded check suite), demo-usc (semicontinuity tables).  Only
+fit, verify and demo-usc import the check suite, `slval.harness`, as they run.
 The parser is built once, at import, and parses every call of `main`.
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
@@ -23,7 +24,6 @@ import sys
 
 from .exactnum import (FieldMismatchError, Scalar, ScalarParseError, _check_discriminant,
                        _merge_discriminants)
-from .harness import _scalarize, fit_classification, run_suite, usc_sequences
 from .polytope import Polytope
 from .polytope import from_json as polytope_from_json
 from .polytope import to_json as polytope_to_json
@@ -188,7 +188,7 @@ def _oracle_values(cmd: str, field_d: int, polys: list[Polytope]) -> list[Scalar
     except UnicodeDecodeError as exc:
         raise OracleError(f"unreadable oracle output: {exc}")
     if proc.returncode != 0:
-        detail = proc.stderr.strip() or f"exit code {proc.returncode}"
+        detail = proc.stderr.strip().rpartition("\n")[2].strip() or f"exit code {proc.returncode}"
         raise OracleError(f"oracle failed: {detail}")
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     if len(lines) != len(polys):
@@ -207,6 +207,7 @@ def _oracle_values(cmd: str, field_d: int, polys: list[Polytope]) -> list[Scalar
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .harness import fit_classification
     if args.valuation is not None:
         val, _ = _load_valuation(args.valuation)
         values_of = lambda polys: [evaluate(val, P) for P in polys]
@@ -236,6 +237,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .harness import run_suite
     all_pass = True
     for line in run_suite(args.n, seed=args.seed, cases=args.cases,
                           field_d=args.field_d, include_broken=args.inject_broken):
@@ -252,6 +254,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_usc(args: argparse.Namespace) -> int:
+    from .harness import _scalarize, usc_sequences
     try:
         c0p = Scalar.parse(args.c0p)
         d0 = Scalar.parse(args.d0)

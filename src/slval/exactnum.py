@@ -81,7 +81,7 @@ def _integer_rows(rows) -> tuple[list[list[tuple[int, int]]], int, int]:
 
 
 # a = an/aq, then optionally +-(bn/bq)*sqrt(d); digits are 0-9 only
-_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?$", re.ASCII)
+_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?\*sqrt\((\d+)\))?\Z", re.ASCII)
 
 
 def _literal(text, field: int = 0) -> tuple[int, int, int, int]:

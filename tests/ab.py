@@ -12,11 +12,16 @@ work runs on both sides, with the cyclic garbage collector off:
   `perfbench/worker.py`, so that a round lasts about as long as a verify
   round;
 - surd_union: one op of `worker.surd_union_text`, its input rebuilt
-  untimed on each side.
+  untimed on each side;
+- cold_start: one fresh interpreter that imports `slval.cli` from the
+  side's tree, timed around the subprocess in the caller's environment, as
+  the benchmark's setup_s probe is; a round runs `COLD_REPEATS` of them per
+  side.
 
 Each workload runs the indices 0 to c - 1 of each stratum for its
 `RUN_INPUTS` count c, the benchmark's own mix: 16 verify invocations
-(9 at n = 2, 3 at n = 3, 4 at n = 4), 45 clouds and 352 ops.
+(9 at n = 2, 3 at n = 3, 4 at n = 4), 45 clouds and 352 ops.  cold_start
+is no benchmark workload: it gives import-time changes an A/B of their own.
 
 Inputs come from CHANGE_DIR/perfbench/worker.py, which is read and never
 changed.  A round runs every unit once per side, alternating which side
@@ -39,12 +44,16 @@ import importlib.util
 import io
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 WORKLOADS = ("verify", "hull_wide", "surd_union")
 HULL_REPEATS = 5
+COLD_REPEATS = 20
+#: a fresh interpreter that imports slval.cli from the tree/src given as argv[1]
+COLD_PROBE = "import sys; sys.path.insert(0, sys.argv[1]); import slval.cli"
 
 
 def load_package(name: str, tree: str):
@@ -111,7 +120,19 @@ def surd_unit(worker, stratum: str, index: int):
     return unit
 
 
+def cold_unit(package):
+    """One fresh interpreter that imports the side's `slval.cli`: (seconds,
+    [its output and exit code])."""
+    src = os.path.dirname(package.__path__[0])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", COLD_PROBE, src], capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    return seconds, [f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n"]
+
+
 def units(worker, workload: str, directory: str) -> list:
+    if workload == "cold_start":
+        return [cold_unit] * COLD_REPEATS
     counts = worker.RUN_INPUTS[workload]
     if workload == "verify":
         return [cli_unit(worker.verify_argv(stratum, index))
@@ -151,7 +172,7 @@ def main(argv: list[str]) -> int:
     sides = (load_package("slval_parent", parent), load_package("slval_change", change))
     worker = load_worker(change)
     identical = True
-    for workload in WORKLOADS:
+    for workload in (*WORKLOADS, "cold_start"):
         with tempfile.TemporaryDirectory() as directory:
             work = units(worker, workload, directory)
             results = [round_ratio(work, sides, r % 2) for r in range(rounds)]

@@ -341,11 +341,19 @@ CATALOGUE = (
     Mutant(
         # `\d` then matches any Unicode decimal digit, and `int` reads them
         "literal-reads-non-ascii-digits", "exactnum.py",
-        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?$", re.ASCII)',
-        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?$")',
+        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?\\Z", re.ASCII)',
+        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?\\Z")',
         ("tests/test_cli.py::TestValuate::test_non_ascii_digits_exit_2[polytope]",
          "tests/test_cli.py::TestFit::test_oracle_answers_end_as_the_exit_table_says[arabic-indic-3]",
          "tests/test_exactnum.py::test_parse_matches_the_fraction_reference"),
+    ),
+    Mutant(
+        # `$` also matches before a final newline, so "3\\n" then reads as 3
+        "scalar-literal-allows-a-trailing-newline", "exactnum.py",
+        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?\\Z", re.ASCII)',
+        '(?:/(\\d+))?\\*sqrt\\((\\d+)\\))?$", re.ASCII)',
+        ("tests/test_exactnum.py::test_parse_rejects_garbage",
+         "tests/test_cli.py::TestValuate::test_a_literal_with_a_trailing_newline_exits_2"),
     ),
     Mutant(
         "literal-shortcut-skips-the-round-trip", "exactnum.py",
@@ -438,6 +446,20 @@ CATALOGUE = (
         "import json\nimport os\n",
         "import json\nimport os\nimport subprocess\n",
         ("tests/test_footprint.py::test_importing_the_cli_loads_no_oracle_or_introspection_module",),
+    ),
+    Mutant(
+        "cli-imports-the-check-suite-at-load", "cli.py",
+        "from .polytope import Polytope\n",
+        "from .harness import _scalarize, fit_classification, run_suite, usc_sequences\n"
+        "from .polytope import Polytope\n",
+        ("tests/test_footprint.py::test_the_check_suite_loads_with_verify_and_not_with_valuate",),
+    ),
+    Mutant(
+        # a failed oracle's traceback then ends fit as five stderr lines
+        "oracle-error-relays-all-of-stderr", "cli.py",
+        '        detail = proc.stderr.strip().rpartition("\\n")[2].strip() or f"exit code {proc.returncode}"\n',
+        '        detail = proc.stderr.strip() or f"exit code {proc.returncode}"\n',
+        ("tests/test_cli.py::TestFit::test_oracle_answers_end_as_the_exit_table_says[raises]",),
     ),
     Mutant(
         "identity-always-holds", "harness.py",

@@ -384,7 +384,7 @@ def pyramid_volume(P):
 
 _RATIONAL = r"[+-]?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(
-    rf"^(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?$", re.ASCII
+    rf"^(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\))?\Z", re.ASCII
 )
 
 

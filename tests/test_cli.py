@@ -133,6 +133,15 @@ class TestValuate:
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and "bad scalar literal" in captured.err
 
+    def test_a_literal_with_a_trailing_newline_exits_2(self, tmp_path, capsys):
+        """The vertex "3\\n" is refused as " 3" is, not read as 3."""
+        polytope = {"ambient_dim": 1, "field_d": 0, "vertices": [["0"], ["3\n"]]}
+        code = main(["valuate", "--in", write_json(tmp_path / "p.json", polytope),
+                     "--valuation", write_json(tmp_path / "v.json", linear_valuation())])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "bad scalar literal" in captured.err
+
     @pytest.mark.parametrize("unreadable", ["polytope", "valuation"])
     def test_an_int_past_the_digit_limit_exits_2(self, unreadable, tmp_path, capsys):
         """A JSON int of more than 4,300 digits, which Python will not read,
@@ -528,15 +537,18 @@ class TestFit:
         ("sys.stdout.buffer.write(b'\\xff\\n' * len(lines))", 3, "unreadable oracle output"),
         ("print(*values[1:], sep='\\n')", 3, "oracle answered 14 of 15 polytopes"),
         ("sys.exit(4)", 3, "oracle failed: exit code 4"),
+        ("raise RuntimeError('boom')", 3, "oracle failed: RuntimeError: boom"),
         ("pass", 3, "oracle answered 0 of 15 polytopes"),
     ], ids=["exact", "volume-squared", "0.5", "1e3", "nan", "1/0", "lone-minus", "5001-digits",
-            "arabic-indic-3", "sqrt-3", "not-utf-8", "one-line-short", "nonzero-exit", "no-output"])
+            "arabic-indic-3", "sqrt-3", "not-utf-8", "one-line-short", "nonzero-exit", "raises",
+            "no-output"])
     def test_oracle_answers_end_as_the_exit_table_says(self, tail, code, message, tmp_path,
                                                        monkeypatch, capsys):
         """An oracle run with sys.executable on the 15 polytopes of a 5-case
         fit: exact answers exit 0, answers that no valuation gives exit 1,
         and an answer that is no value of --field-d 2's field, or a failed
-        oracle, exits 3 with one `oracle error:` line and no traceback."""
+        oracle, exits 3 with one `oracle error:` line and no traceback; a
+        failed oracle's message is the last line of its stderr."""
         monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(slval.__file__)))
         oracle = tmp_path / "oracle.py"
         oracle.write_text(
@@ -555,6 +567,8 @@ class TestFit:
         if code == 3:
             assert out == "" and err.startswith("oracle error: ") and err.count("\n") == 1
             assert message in err and "Traceback" not in err
+            if message.startswith("oracle "):
+                assert err == f"oracle error: {message}\n"
         else:
             assert err == "" and (json.loads(out)["residual_max"] == "0") == (code == 0)
 

@@ -124,7 +124,9 @@ def test_parse_and_str_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "1 + 2", "sqrt(2)", "1/0", "1+2*sqrt(-3)", "1.5", "1+2*sqrt(4)"]:
+    # a literal is the whole string: a final newline is refused as a blank is
+    for text in ["", "1 + 2", "sqrt(2)", "1/0", "1+2*sqrt(-3)", "1.5", "1+2*sqrt(4)",
+                 "3\n", "1/2\n", "1+1*sqrt(2)\n"]:
         with pytest.raises(ScalarParseError):
             Scalar.parse(text)
 
@@ -166,8 +168,8 @@ def parse_outcome(parse, text):
 
 #: the texts at the edge of the integer shortcut, which reads a text by `int`
 #: only when `str` writes the int back as the same text: signs, zeros,
-#: blanks, underscores, non-ASCII digits, the digit limit of `int` and values
-#: that are not text at all
+#: blanks and a final newline (both refused), underscores, non-ASCII digits,
+#: the digit limit of `int` and values that are not text at all
 SHORTCUT_EDGES = ["3", "-3", "0", "+3", "-0", "007", "-007", "4/2", " 3", "3 ", "\t3", "3\n", "3_0",
                   "٣", "-٣", "1٣", "7" * 4300, "-" + "7" * 4300, "1" * 4301, "1" * 5000,
                   "0x10", "1e3", "", 3, -3, True, None, 3.0, [1], b"3"]

@@ -1,6 +1,7 @@
 """Memory and import footprint: a process keeps nothing of the polytopes an
-op built once the op returns, and `import slval.cli` loads only the standard
-modules every command uses.
+op built once the op returns, `import slval.cli` loads only the standard
+modules every command uses, and the check suite, `slval.harness`, loads
+with `fit`, `verify` and `demo-usc` only.
 
 `triangulate.volume` keeps its `lru_cache` wrapper at size 0, so it stores
 (and hashes) nothing; each polytope holds its own basis on integers, the
@@ -77,3 +78,25 @@ def test_importing_the_cli_loads_no_oracle_or_introspection_module():
     out = subprocess.run([sys.executable, "-S", "-c", probe, *heavy], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_the_check_suite_loads_with_verify_and_not_with_valuate(tmp_path):
+    """In a fresh interpreter, `slval.harness` is not loaded by `import
+    slval.cli` nor by a `valuate` run, and is by a `verify` run."""
+    polytope = tmp_path / "p.json"
+    polytope.write_text('{"ambient_dim": 2, "field_d": 0,'
+                        ' "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}')
+    valuation = tmp_path / "v.json"
+    valuation.write_text('{"c0": "1", "c0p": "2", "d0": "4", "psi": {"kind": "linear", "lambda": "3"},'
+                         ' "phi": {"kind": "linear", "lambda": "5"}}')
+    probe = ("import sys; from slval import cli; loaded = ['slval.harness' in sys.modules]; "
+             "codes = [cli.main(['valuate', '--in', sys.argv[1], '--valuation', sys.argv[2]])]; "
+             "loaded.append('slval.harness' in sys.modules); "
+             "codes.append(cli.main(['verify', '--n', '2', '--cases', '1'])); "
+             "loaded.append('slval.harness' in sys.modules); "
+             "print(codes, loaded, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(polytope), str(valuation)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.startswith("9\n")
+    assert proc.stderr == "[0, 0] [False, False, True]\n"
