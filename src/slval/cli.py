@@ -69,6 +69,18 @@ def _discriminant(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _command(text: str) -> tuple[str, list[str]]:
+    """An --oracle-cmd as typed and its argv, split once as a POSIX shell
+    splits it; text that splits into no program is argparse's usage error."""
+    import shlex
+    try:
+        if argv := shlex.split(text):
+            return text, argv
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot split {text!r}: {exc}")
+    raise argparse.ArgumentTypeError(f"no program in {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slval",
@@ -90,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = fit.add_mutually_exclusive_group(required=True)
     source.add_argument("--valuation", metavar="FILE",
                         help="self-test against a stored valuation")
-    source.add_argument("--oracle-cmd", metavar="CMD",
+    source.add_argument("--oracle-cmd", type=_command, metavar="CMD",
                         help="external command fed polytope JSON lines on stdin; "
                              f"killed after {ORACLE_TIMEOUT_S} s")
     fit.add_argument("--field-d", type=_discriminant, default=2,
@@ -170,19 +182,19 @@ def _cmd_valuate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_values(cmd: str, field_d: int, polys: list[Polytope]) -> list[Scalar]:
-    """The oracle's answers to polys, in order; an answer in another field than
-    field_d's raises FieldMismatchError."""
-    import shlex
+def _oracle_values(cmd: tuple[str, list[str]], field_d: int, polys: list[Polytope]) -> list[Scalar]:
+    """The answers to polys, in order, of the oracle that `_command` split;
+    an answer in another field than field_d's raises FieldMismatchError."""
     import subprocess
+    text, argv = cmd
     payload = "".join(json.dumps(polytope_to_json(P), sort_keys=True) + "\n" for P in polys)
     try:
         proc = subprocess.run(
-            shlex.split(cmd), input=payload, capture_output=True, text=True,
+            argv, input=payload, capture_output=True, text=True,
             timeout=ORACLE_TIMEOUT_S,
         )
     except OSError as exc:
-        raise OracleError(f"cannot run {cmd!r}: {exc}")
+        raise OracleError(f"cannot run {text!r}: {exc}")
     except subprocess.TimeoutExpired:
         raise OracleError(f"oracle gave no answer within {ORACLE_TIMEOUT_S} s")
     except UnicodeDecodeError as exc:

@@ -63,8 +63,6 @@ def _surd_sign(A: int, B: int, d: int) -> int:
     """Sign of A + B*sqrt(d); equality of squares cannot occur for squarefree d."""
     if B == 0:
         return (A > 0) - (A < 0)
-    if (A > 0) == (B > 0):
-        return 1 if A > 0 else -1
     return (1 if A > 0 else -1) if A * A > d * B * B else (1 if B > 0 else -1)
 
 

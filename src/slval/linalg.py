@@ -3,9 +3,9 @@
 There is one elimination, `_eliminate`: a fraction-free Gauss-Jordan
 (Bareiss 1968) on pairs (A, B) of ints meaning A + B*sqrt(d), which leaves
 one common pivot D on every pivot row.  Kernels, solutions (`_solve`) and
-determinants beyond 4 x 4 are read off that form; Scalars are built only
-from it, by one division by D.  A determinant up to 4 x 4, such as a
-volume cell's, is expanded in closed form on the pairs instead.
+determinants other than 2 x 2 to 4 x 4 are read off that form; Scalars are
+built only from it, by one division by D.  A 2 x 2 to 4 x 4 determinant,
+such as a volume cell's, is expanded in closed form on the pairs instead.
 """
 
 from __future__ import annotations
@@ -175,17 +175,15 @@ _LAPLACE = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)),
 
 
 def _det(rows, d: int) -> tuple[int, int]:
-    """Determinant of a square matrix of integer pairs.  Up to 4 x 4 in
-    closed form: the entry, the 2 x 2 minor, the cofactors of the first row
-    or the Laplace sum over the 2 x 2 minors of the first two rows.  Else
-    +-D, D the common pivot `_eliminate` leaves, or (0, 0) if the rank
-    falls short; the empty matrix has determinant 1."""
+    """Determinant of a square matrix of integer pairs.  From 2 x 2 to
+    4 x 4 in closed form: the 2 x 2 minor, the cofactors of the first row or
+    the Laplace sum over the 2 x 2 minors of the first two rows.  Else +-D,
+    D the common pivot `_eliminate` leaves, or (0, 0) if the rank falls
+    short; the empty matrix has determinant 1."""
     k = len(rows)
-    if not 0 < k <= 4:
+    if not 1 < k <= 4:
         _, pivots, sign, (Da, Db) = _eliminate(rows, d)
         return (sign * Da, sign * Db) if len(pivots) == k else (0, 0)
-    if k == 1:
-        return rows[0][0]
     if k == 2:
         return _minor(*rows, 0, 1, d)
     if k == 3:
@@ -219,10 +217,8 @@ def _cross(x, p, y, f, d: int) -> list[tuple[int, int]]:
 
 def _rationalized(x, q: tuple[int, int], d: int) -> tuple[list[tuple[int, int]], int]:
     """(x', n) with x / q = x' / n and n an integer: x * conj(q) over the
-    norm of q, or x over q itself if q is rational."""
+    norm of q, which is x * q over q^2 if q is rational."""
     qa, qb = q
-    if not qb:
-        return x, qa
     return [(a * qa - d * b * qb, b * qa - a * qb) for a, b in x], qa * qa - d * qb * qb
 
 
@@ -264,8 +260,6 @@ def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
                            for (xa, xb), (ya, yb) in zip(row, top)]
         q = p
         pivots.append(c)
-        if len(pivots) == m:
-            break
     return rows[:len(pivots)], pivots, sign, q
 
 

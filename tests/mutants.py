@@ -656,6 +656,29 @@ CATALOGUE = (
         "    return a * bq, B, aq * bq, d\n",
         ("tests/test_read_path.py::test_json_reads_as_the_scalar_route",),
     ),
+    Mutant(
+        # an empty or blank command then reaches subprocess, whose IndexError
+        # ends fit in a traceback once every polytope is built
+        "oracle-command-skips-the-empty-check", "cli.py",
+        "        if argv := shlex.split(text):\n            return text, argv\n",
+        "        return text, shlex.split(text)\n",
+        ("tests/test_cli.py::test_an_oracle_command_with_no_program_exits_2[empty]",),
+    ),
+    Mutant(
+        # the cut's values are equal, since its first use runs its own hull
+        # pass; only a count of the passes sees the lost hand-over
+        "clip-hands-over-no-record", "polytope.py",
+        "    _fill_hull(Q, frame, items)\n    return Q\n",
+        "    return Q\n",
+        ("tests/test_golden.py::test_surd_union[2-40]",),
+    ),
+    Mutant(
+        # the sign test's one rule then compares A^2 with B^2
+        "surd-sign-drops-the-discriminant", "exactnum.py",
+        "if A * A > d * B * B else (1 if B > 0 else -1)",
+        "if A * A > B * B else (1 if B > 0 else -1)",
+        ("tests/test_exactnum.py::test_sign_matches_the_isqrt_oracle[2]",),
+    ),
 )
 
 

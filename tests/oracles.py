@@ -10,7 +10,8 @@ v - v0.  `reference_intersect` meets two hulls by solving every n-subset
 of the hyperplanes of both H-representations these give.  `rref_root2` is a
 Gauss-Jordan over Q(sqrt 2) on Fraction pairs, the oracle of the
 fraction-free elimination in `linalg`, and `det_root2` is the Leibniz
-determinant over Q(sqrt 2), which eliminates nothing.
+determinant over Q(sqrt 2), which eliminates nothing.  `surd_sign` reads
+the sign of A + B*sqrt(d) off one integer square root.
 `inclusion_exclusion` sums a value over all 2^m - 1 index subsets of a
 cover; the meet and the value are the caller's.
 
@@ -38,7 +39,7 @@ the hull pass.
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, isqrt
 
 
 def _cross(o, a, b):
@@ -169,6 +170,19 @@ def det_root2(rows):
         sign = -1 if inversions % 2 else 1
         total = (total[0] + sign * term[0], total[1] + sign * term[1])
     return total
+
+
+def surd_sign(A, B, d):
+    """Sign of A + B*sqrt(d) for ints A, B and a squarefree d >= 2, read off
+    s = isqrt(d B^2): sqrt(d B^2) is irrational for B != 0, so it lies
+    strictly between s and s + 1, and the integer A clears -B*sqrt(d) iff it
+    clears -s (B > 0) or s + 1 (B < 0).  No square of A is compared."""
+    if B == 0:
+        return (A > 0) - (A < 0)
+    s = isqrt(d * B * B)
+    if B > 0:
+        return 1 if A >= -s else -1
+    return 1 if A >= s + 1 else -1
 
 
 def reference_frame(points):

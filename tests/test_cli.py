@@ -740,6 +740,38 @@ def test_integer_options_exit_2_with_their_message(argv, message, capsys):
     assert captured.err.splitlines()[-1] == message
 
 
+@pytest.mark.parametrize("cmd, message", [
+    ("", "no program in ''"),
+    ("   ", "no program in '   '"),
+    ("'", "cannot split \"'\": No closing quotation"),
+], ids=["empty", "blank", "open-quote"])
+def test_an_oracle_command_with_no_program_exits_2(cmd, message, capsys):
+    """--oracle-cmd is split as it is parsed, before any polytope is built:
+    a command that splits into no program, or does not split, is argparse's
+    usage error, with the usage lines that `fit --n 5` prints and one error
+    line, and not a traceback from subprocess or shlex."""
+    with pytest.raises(SystemExit):
+        main(["fit", "--n", "5", "--oracle-cmd", "cat"])
+    usage = capsys.readouterr().err.splitlines()[:-1]
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--n", "2", "--cases", "1", "--oracle-cmd", cmd])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [*usage, f"slval fit: error: argument --oracle-cmd: {message}"]
+
+
+def test_an_oracle_that_cannot_start_exits_3(tmp_path, capsys):
+    """The split command is what runs: a program that does not exist is an
+    oracle failure, named by the command as typed, blanks and quotes kept."""
+    missing = tmp_path / "missing-oracle"
+    cmd = f"{missing}  '--flag'"
+    assert main(["fit", "--cases", "1", "--oracle-cmd", cmd]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"oracle error: cannot run {cmd!r}: "
+                                 f"[Errno 2] No such file or directory: '{missing}'\n")
+
+
 # argv cases on which `main` must act exactly as a freshly built full parser:
 # help, usage errors, option forms and clean parses
 PARSER_CASES = [
@@ -764,6 +796,7 @@ PARSER_CASES = [
     ["fit", "--valuation", "v.json", "--oracle-cmd", "cat"],
     ["fit", "--valuation", "v.json"],
     ["fit", "--oracle-cmd", "cat", "--n", "3", "--fo", "text", "--field-d", "0"],
+    ["fit", "--oracle-cmd", "'"],
     ["verify", "--n", "5"],
     ["verify", "--n", "two"],
     ["verify", "--n"],

@@ -12,13 +12,14 @@ from slval.exactnum import (
     RationalPart,
     Scalar,
     ScalarParseError,
+    _surd_sign,
     cauchy_eval,
 )
 from slval.linalg import Matrix, Vector
 from slval.polytope import Halfspace, from_points
 from slval.valuation import ClassifiedValuation, _apply
 
-from oracles import plugin_value, reference_parse, scalar_apply
+from oracles import plugin_value, reference_parse, scalar_apply, surd_sign
 
 
 def test_rational_addition():
@@ -38,6 +39,23 @@ def test_sign_of_small_positive_surd():
     assert Scalar(-3, 2, 2).sign() == -1
     assert Scalar(1, -1, 2).sign() == -1
     assert Scalar(0).sign() == 0
+
+
+#: (sqrt 2 - 1)^k = A + B*sqrt 2 for k = 2, 4, 6, 8: positive, and within
+#: 1 / (2|B| sqrt 2) of zero
+PELL_TIES = [(3, -2), (17, -12), (99, -70), (577, -408)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7])
+def test_sign_matches_the_isqrt_oracle(d):
+    """`_surd_sign` agrees with the integer-square-root oracle on every A, B
+    in -30..30, and over sqrt 2 on the Pell near-ties and their negatives,
+    where the float comparison of `test_sign_against_float` cannot look."""
+    pairs = [(A, B) for A in range(-30, 31) for B in range(-30, 31)]
+    if d == 2:
+        pairs += [(s * A, s * B) for A, B in PELL_TIES for s in (1, -1)]
+        assert [surd_sign(A, B, d) for A, B in pairs[-8:]] == [1, -1] * 4
+    assert [_surd_sign(A, B, d) for A, B in pairs] == [surd_sign(A, B, d) for A, B in pairs]
 
 
 def test_division_round_trip():

@@ -7,8 +7,10 @@ not only a benchmark run.  It only reads `expected.json`.
 
 verify runs the whole `run_suite` report; surd_union runs `clip` and
 `intersect` on polytopes over Q(sqrt 2); hull_wide runs `valuate` on wide
-integer clouds.  The same output, and the same number of hull passes, must
-come out under any hash seed, since set and dict order follow it.
+integer clouds.  A surd_union op runs no hull pass, since every cut is
+handed its record, and a hull_wide `valuate` runs one.  The same output,
+and the same number of hull passes, must come out under any hash seed,
+since set and dict order follow it.
 """
 
 import json
@@ -24,7 +26,7 @@ sys.path.append(BENCH_DIR)
 
 from worker import HullFiles, digest, surd_input, surd_union_text, verify_argv  # noqa: E402
 
-from slval import cli  # noqa: E402
+from slval import cli, polytope  # noqa: E402
 
 with open(os.path.join(BENCH_DIR, "expected.json")) as _fh:
     EXPECTED = json.load(_fh)
@@ -38,21 +40,38 @@ def test_verify_lines(key, capsys):
     assert [digest(line) for line in lines] == EXPECTED["verify"][key]
 
 
+def counting_passes(monkeypatch) -> list:
+    """A list that gains one entry per hull pass (`polytope._supporting`
+    call) from here to the end of the monkeypatch context."""
+    passes, real = [], polytope._supporting
+    monkeypatch.setattr(polytope, "_supporting", lambda *args: passes.append(args) or real(*args))
+    return passes
+
+
 @pytest.mark.parametrize("stratum, count", [("2", 40), ("3", 10)])
-def test_surd_union(stratum, count):
+def test_surd_union(stratum, count, monkeypatch):
+    """Digests, and no hull pass inside an op: the passes that build its
+    input are not counted."""
     for index in range(count):
-        text = surd_union_text(*surd_input(stratum, index))
+        prepared = surd_input(stratum, index)
+        with monkeypatch.context() as patch:
+            passes = counting_passes(patch)
+            text = surd_union_text(*prepared)
         assert digest(text) == EXPECTED["surd_union"][f"{stratum}:{index}"], index
+        assert passes == [], index
 
 
 @pytest.mark.parametrize("key", ["2x40:0", "2x40:1", "3x24:0", "3x40:0", "4x12:0", "4x20:0"])
-def test_hull_wide(key, tmp_path, capsys):
+def test_hull_wide(key, tmp_path, capsys, monkeypatch):
+    """Digests, and one hull pass per `valuate`."""
     stratum, index = key.split(":")
     files = HullFiles(str(tmp_path))
     cloud = files.write(stratum, int(index))
+    passes = counting_passes(monkeypatch)
     assert cli.main(["valuate", "--in", cloud, "--valuation", files.valuation]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert digest(line) == EXPECTED["hull_wide"][key]
+    assert len(passes) == 1
 
 
 #: verify at n = 2, 3, 4 and one valuate, with the hull passes counted on stderr

@@ -302,9 +302,9 @@ def test_pair_determinant_beyond_4x4_keeps_the_swap_sign(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_pair_determinant_eliminates_only_beyond_4x4(monkeypatch, k):
-    """Up to 4 x 4 the determinant is expanded in closed form; a 5 x 5 one
-    takes one elimination, and so does the empty matrix, whose determinant
-    is 1."""
+    """From 2 x 2 to 4 x 4 the determinant is expanded in closed form; a
+    5 x 5 one takes one elimination, and so do a 1 x 1 one and the empty
+    matrix, whose determinant is 1."""
     calls = []
     real = slval.linalg._eliminate
     monkeypatch.setattr(slval.linalg, "_eliminate",
@@ -312,4 +312,4 @@ def test_pair_determinant_eliminates_only_beyond_4x4(monkeypatch, k):
     rows = [[((i + 1) * (j + 2) % 7 - 3, (i - j) % 3) for j in range(k)] for i in range(k)]
     expected = det_root2([[(Fraction(a), Fraction(b)) for a, b in row] for row in rows])
     assert _det(rows, 2) == expected
-    assert len(calls) == (0 if 0 < k <= 4 else 1)
+    assert len(calls) == (0 if 1 < k <= 4 else 1)
