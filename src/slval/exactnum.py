@@ -16,7 +16,7 @@ one guard, `Immutable`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
+from functools import total_ordering, wraps
 from math import gcd, lcm
 from numbers import Rational
 import re
@@ -137,12 +137,14 @@ def _gated(op):
     return gate
 
 
+@total_ordering
 class Scalar(Immutable):
     """Immutable element of Q or Q(sqrt(d)), kept in canonical form.
 
     Canonical means: gcd(A, B, Q) = 1 with Q > 0, and ``d == 0`` whenever
     the irrational coefficient vanishes.  Equality is structural, which
-    canonical form makes the same as numeric equality.
+    canonical form makes the same as numeric equality; `total_ordering`
+    derives <=, > and >= from the gated < and ==.
     """
 
     __slots__ = ("_qa", "_qb", "_q", "d")
@@ -271,18 +273,6 @@ class Scalar(Immutable):
     @_gated
     def __lt__(self, other) -> bool:
         return self._cmp_sign(other) < 0
-
-    @_gated
-    def __le__(self, other) -> bool:
-        return self._cmp_sign(other) <= 0
-
-    @_gated
-    def __gt__(self, other) -> bool:
-        return self._cmp_sign(other) > 0
-
-    @_gated
-    def __ge__(self, other) -> bool:
-        return self._cmp_sign(other) >= 0
 
     def __hash__(self) -> int:
         # a rational hashes like the int or Fraction it equals

@@ -306,12 +306,12 @@ def _face(P: Polytope, z: int) -> Polytope:
 
 
 def _ridges(face: int, masks, avoid: int = 0) -> dict[int, int]:
-    """The facets of the face `face`, not a point, that miss `avoid`, each
-    with the index of a facet of `masks` through it: the proper meets with
-    masks that miss `avoid` and lie in no other such meet.  A proper face
-    that misses `avoid` lies in a facet that misses it too, so the maximal
-    ones are those facets (Kaibel and Pfetsch 2002)."""
-    meets = {r: g for g, m in enumerate(masks) if (r := face & m) != face and not r & avoid}
+    """The facets of the face `face` that miss `avoid`, each with the index
+    of a facet of `masks` through it: the nonempty proper meets with masks
+    that miss `avoid` and lie in no other such meet.  A proper face that
+    misses `avoid` lies in a facet that misses it too, so the maximal ones
+    are those facets (Kaibel and Pfetsch 2002)."""
+    meets = {r: g for g, m in enumerate(masks) if (r := face & m) != face and r and not r & avoid}
     return {r: g for r, g in meets.items() if not any(r & s == r != s for s in meets)}
 
 
@@ -387,10 +387,10 @@ def facets(P: Polytope) -> tuple[tuple[Halfspace, Polytope], ...]:
 
 def _meets(P: Polytope, x: Vector, facets: bool) -> bool:
     """x lies in aff P, and if facets is set, in P: on integer pairs."""
-    if P.is_empty:
-        return False
     if len(x) != P.ambient_dim:
         raise ValueError("point dimension does not match the polytope")
+    if P.is_empty:
+        return False
     (X,), L, e = _integer_rows([x.coords])
     # <(W, C), (X, -L)> = <W, X> - C L has the sign of <W, x> - C
     X, d = (*X, (-L, 0)), _merge_discriminants(P._d, e)
@@ -470,10 +470,9 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
                     for col, e in zip(free, equalities)}
             rows[c] = h
             frame = (tuple(p for p in pivots if p != c), tuple(rows[col] for col in sorted(rows)))
-            ridges = _ridges(z, masks) if len(pivots) > 1 else {}
             _fill_hull(F, frame, [(_restricted(frame, data[g][0], P._d),
                                    sum(1 << new for new, i in enumerate(kept) if r >> i & 1))
-                                  for r, g in ridges.items()])
+                                  for r, g in _ridges(z, masks).items()])
         return F
     frame, data = _hull(P)
     everything = (1 << len(signs)) - 1
@@ -525,26 +524,24 @@ def cone_hull(P: Polytope) -> Polytope:
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
     """Exact intersection of any two polytopes in one space.
 
-    The operand of lower dimension (P on a tie) is clipped by both sides of
-    each equality pinning the other's affine hull, which leaves its part in
-    that hull, and then by the other's facet rows.  A clip by one of the
-    cut operand's own facets returns it, so those are skipped: the ones the
-    operands share as the same row object, as two clips of one polytope
-    share its facets, found by identity without hashing.
+    P is clipped by both sides of each equality pinning aff Q, which leaves
+    its part in that hull, and then by Q's facet rows.  A clip by one of P's
+    own facets returns it, so those are skipped: the ones P and Q share as
+    the same row object, as two clips of one polytope share its facets,
+    found by identity without hashing.
     """
     n = P.ambient_dim
     if Q.ambient_dim != n:
         raise ValueError("ambient dimensions differ")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(n)
-    cut, by = (Q, P) if dim(Q) < dim(P) else (P, Q)
-    own = {id(row) for row, _ in _facet_data(cut)}
-    rows = [side for e in _frame(by)[1] for side in (e, tuple((-a, -b) for a, b in e))]
-    rows += [row for row, _ in _facet_data(by) if id(row) not in own]
-    result = cut
+    own = {id(row) for row, _ in _facet_data(P)}
+    (_, equalities), data = _hull(Q)
+    rows = [side for e in equalities for side in (e, tuple((-a, -b) for a, b in e))]
+    rows += [row for row, _ in data if id(row) not in own]
     for row in rows:
-        result = _clip(result, row, by._d)
-    return result
+        P = _clip(P, row, Q._d)
+    return P
 
 
 def transform(A: Matrix, P: Polytope) -> Polytope:

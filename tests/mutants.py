@@ -673,6 +673,22 @@ CATALOGUE = (
         ("tests/test_golden.py::test_surd_union[2-40]",),
     ),
     Mutant(
+        # a facet of a segment, an endpoint, then gets the empty meet with the
+        # other endpoint as a facet, which a fresh pass on the point does not
+        "ridges-keep-empty-meets", "polytope.py",
+        "(r := face & m) != face and r and not r & avoid}",
+        "(r := face & m) != face and not r & avoid}",
+        ("tests/test_clip.py::test_faces_built_by_index_are_canonical",),
+    ),
+    Mutant(
+        # Scalar then has no <=, > or >=: its __dict__ lacks them, and each raises TypeError
+        "scalar-order-without-total-ordering", "exactnum.py",
+        "\n@total_ordering\nclass Scalar(Immutable):\n",
+        "\nclass Scalar(Immutable):\n",
+        ("tests/test_exactnum.py::test_the_gate_refuses_every_operand_that_is_not_an_exact_rational"
+         "[0.5-__le__]",),
+    ),
+    Mutant(
         # the sign test's one rule then compares A^2 with B^2
         "surd-sign-drops-the-discriminant", "exactnum.py",
         "if A * A > d * B * B else (1 if B > 0 else -1)",

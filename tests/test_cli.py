@@ -664,6 +664,12 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS valuation_identity")
+        # a failing line is followed by its witness, indented, as sorted JSON
+        code = main(["verify", "--cases", "2", "--format", "text", "--inject-broken"])
+        assert code == 1
+        *_, verdict, witness = capsys.readouterr().out.splitlines()
+        assert verdict == "FAIL broken_plugin seed=0"
+        assert witness == '     witness: {"left": "2", "meet": "1", "right": "2", "whole": "2"}'
 
     def test_reader_gone_exits_141_quietly(self):
         """A stdout whose reader has gone, as in `slval verify | head -1`, is

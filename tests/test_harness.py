@@ -8,7 +8,7 @@ import slval.harness
 import slval.polytope
 import slval.valuation
 from slval.exactnum import Scalar
-from slval.linalg import Matrix, Vector, det, random_sl_matrix
+from slval.linalg import Matrix, SingularMatrixError, Vector, det, random_sl_matrix
 from slval.polytope import (
     Halfspace,
     Polytope,
@@ -68,7 +68,8 @@ class TestGenPolytope:
     def test_vertex_budget(self):
         """max_vertices 1 and 12 and coord_bound 1 are drawn, both edges
         included; max_vertices 0 and 13, coord_bound 0 and an unknown
-        family are refused."""
+        family are refused, and n = 0 in every family with one message,
+        where lower_dim and avoids_origin would fail on their first draw."""
         poly = gen_polytope(3, 2, max_vertices=5)
         assert len(poly.vertices) <= 5
         assert len(gen_polytope(0, 2, max_vertices=1, family="lower_dim").vertices) == 1
@@ -78,6 +79,9 @@ class TestGenPolytope:
                              ({"coord_bound": 0}, "coord_bound"), ({"family": "weird"}, "family")):
             with pytest.raises(ValueError, match=message):
                 gen_polytope(0, 2, **bad)
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+                gen_polytope(0, 0, family=family)
 
     def test_sub_seeds_of_the_suite_families_never_collide(self):
         """The suite's families sit 100 tags apart, and case 100 on moves
@@ -288,6 +292,16 @@ class TestFit:
         report = fit_classification(values_of(lambda p: Scalar(dim(p))), 2, validation_count=30)
         assert report.residual_max != Scalar(0)
 
+    def test_repeated_probe_is_singular(self, monkeypatch):
+        """Two equal probes give two equal rows: rank 4, refused before any
+        coefficient is read."""
+        real = probe_polytopes(2)
+        monkeypatch.setattr(slval.harness, "probe_polytopes", lambda n: (*real[:4], real[3]))
+        blackbox = ClassifiedValuation.linear(1, 2, 3, 4, 5)
+        with pytest.raises(SingularMatrixError) as exc:
+            fit_classification(values_of(lambda p: evaluate(blackbox, p)), 2, validation_count=0)
+        assert exc.value.rank == 4
+
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_fit_refuses_n_below_2_before_building_a_polytope(self, monkeypatch, n):
         """SL(1) is trivial, and at n = 1 the probes' basis rows are
@@ -315,6 +329,10 @@ class TestConeDecomposition:
     def test_origin_inside_rejected(self):
         with pytest.raises(ValueError):
             check_cone_decomposition(P((0, 0), (1, 0), (0, 1)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="needs a nonempty polytope"):
+            check_cone_decomposition(Polytope.empty(2))
 
     def test_flat_branch(self):
         seg = P((1, 0), (0, 1))

@@ -56,6 +56,15 @@ def test_det_with_surds():
     assert det(m) == Scalar(1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: det(Matrix([[1, 2, 3], [4, 5, 6]])), "determinant needs a square matrix"),
+    (lambda: Matrix([[1, 2], [3]]), "ragged rows"),
+], ids=["det-2x3", "ragged"])
+def test_a_matrix_of_the_wrong_shape_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_solve_unique():
     m = Matrix([[2, 1], [1, 3]])
     x = solve(m, Vector([5, 10]))

@@ -84,6 +84,7 @@ def test_empty_polytope():
     e = Polytope.empty(2)
     assert e.is_empty
     assert not contains(e, V(0, 0))
+    assert translate(e, V(1, 2)) is e
     with pytest.raises(EmptyPolytopeError):
         dim(e)
 
@@ -104,11 +105,12 @@ def test_contains_segment():
 
 @pytest.mark.parametrize(
     "points",
-    [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 1), (1, 0, 1), (0, 1, 1)]],
-    ids=["full", "flat"],
+    [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 1), (1, 0, 1), (0, 1, 1)], []],
+    ids=["full", "flat", "empty"],
 )
 def test_point_of_wrong_dimension_rejected(points):
-    p = from_points([Vector(t) for t in points])
+    """Checked before the empty shortcut, as clip checks its halfspace."""
+    p = from_points([Vector(t) for t in points], 3)
     for x in (V(0, 0), V(0, 0, 1, 0)):
         with pytest.raises(ValueError):
             in_affine_hull(p, x)
@@ -193,6 +195,22 @@ def test_clip_rejects_a_halfspace_of_another_dimension():
     for P in (Polytope.empty(2), P2((0, 0), (1, 0), (0, 1))):
         with pytest.raises(ValueError, match="dimension"):
             clip(P, H)
+
+
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Halfspace(V(0, 0), 1), "halfspace normal must be nonzero"),
+    (lambda: from_points([]), "empty point set needs an explicit ambient_dim"),
+    (lambda: intersect(P2(*SQUARE), from_points([V(0, 0, 0)])), "ambient dimensions differ"),
+    (lambda: transform(Matrix([[1, 0, 0], [0, 1, 0]]), P2(*SQUARE)), "needs a square matrix"),
+    (lambda: translate(P2(*SQUARE), V(1, 0, 0)), "translation dimension"),
+    (lambda: translate(Polytope.empty(2), V(1, 0, 0)), "translation dimension"),
+], ids=["zero-normal", "no-points", "intersect", "transform", "translate", "translate-empty"])
+def test_an_argument_of_the_wrong_shape_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_transform_rejects_a_matrix_of_another_dimension():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import slval.polytope
 import slval.valuation
-from slval.exactnum import Linear, RationalPart, Scalar
+from slval.exactnum import CauchySolution, Linear, RationalPart, Scalar
 from slval.harness import FAMILIES, gen_polytope
 from slval.linalg import Vector, random_sl_matrix
 from slval.polytope import (
@@ -265,13 +265,19 @@ def test_evaluate_union_rejects_too_many_parts(monkeypatch):
 
 def test_evaluate_union_meets_only_nonempty_meets(monkeypatch):
     """Three consecutive slabs of a square: S1 & S3 is empty, so
-    (S1 & S2) & S3 is never formed.  3 meets and 5 nonempty terms."""
+    (S1 & S2) & S3 is never formed.  3 meets and 5 nonempty terms.  An
+    empty part is no term and meets nothing."""
     meets = _counting(monkeypatch, "intersect")
     reads = _counting(monkeypatch, "_basis")
     slabs = [P((i, 0), (i + 1, 0), (i, 3), (i + 1, 3)) for i in range(3)]
     v = ClassifiedValuation.linear(1, 2, 3, 4, 5)
     assert evaluate_union(v, slabs) == Scalar(77)
     assert (len(meets), len(reads)) == (3, 5)
+    whole = evaluate(v, TRIANGLE)
+    meets.clear()
+    reads.clear()
+    assert evaluate_union(v, [TRIANGLE, Polytope.empty(2)]) == whole
+    assert (len(meets), len(reads)) == (0, 1)
 
 
 def test_evaluate_union_cap_admits_exactly_its_count(monkeypatch):
@@ -471,6 +477,11 @@ def test_json_round_trip():
 
 
 def test_json_rejects_unknown_kind():
+    """Read or written: a plugin that is neither linear nor the rational
+    part has no JSON kind."""
+    v = ClassifiedValuation.linear(1, 2, 3, 4, 5)._replace(psi=CauchySolution(1, 2))
+    with pytest.raises(ValueError, match=r"no JSON kind for the Cauchy solution \(1, 2\)"):
+        to_json(v)
     with pytest.raises(ValueError):
         from_json(
             {
