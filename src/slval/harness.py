@@ -307,9 +307,10 @@ def fit_classification(values_of, n: int, seed: int = 0, validation_count: int =
     `values_of` maps the five probes followed by the validation polytopes
     to their values, in order, in one call; each value is read by its
     position, so a polytope that occurs twice is asked twice and both
-    answers count.  The probe values pin the coefficients through an exact
-    5x5 solve, and the validation values measure the worst deviation of the
-    fitted model: 0 for the classified form with linear psi and phi,
+    answers count; an answer of any other length raises ValueError before
+    any value is read.  The probe values pin the coefficients through an
+    exact 5x5 solve, and the validation values measure the worst deviation
+    of the fitted model: 0 for the classified form with linear psi and phi,
     nonzero otherwise.  A RationalPart plugin agrees with Linear(1) on
     rational volumes; the surd simplices of a nonzero field_d, whose
     volumes are irrational, tell the two apart.  n must be >= 2: SL(1) is
@@ -319,7 +320,10 @@ def fit_classification(values_of, n: int, seed: int = 0, validation_count: int =
         raise ValueError(f"the fit needs n >= 2, got {n}: the classification is of SL(n), n >= 2")
     probes = probe_polytopes(n)
     validation = fit_validation_polytopes(n, seed, validation_count, field_d)
-    values = values_of([*probes, *validation])
+    polys = [*probes, *validation]
+    values = values_of(polys)
+    if len(values) != len(polys):
+        raise ValueError(f"values_of answered {len(values)} values for {len(polys)} polytopes")
     probe_values = tuple(values[:5])
     pivots, coefficients = _solve([(*basis_vector(P), as_scalar(v)) for P, v in zip(probes, probe_values)])
     if pivots[:5] != [0, 1, 2, 3, 4]:

@@ -441,10 +441,13 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
 
     With vertices X_i / L, vertex i has the sign of E_i = <W, X_i> - C L,
     and edge ij meets the cut at (E_i X_j - E_j X_i) / (L (E_i - E_j)),
-    rationalized.  One sort of the kept and crossing rows over one common
-    denominator M orders Q's vertices; a crossing lies inside an edge, so
-    none repeats a vertex, and the facet record reads positions off that
-    sort.  One gcd then reduces M to the least common denominator.
+    rationalized over a denominator q of either sign: M, the lcm of L and
+    every q, is positive, and M // q carries the sign of q.  Each point of Q
+    carries the mask of P's facets through it (through both ends of its
+    edge, for a crossing) and whether it lies on the cut.  One sort of these
+    over M orders Q's vertices, none repeated, as a crossing lies inside an
+    edge; each facet's mask and the cut's are read off the sorted list.  One
+    gcd then reduces M to the least common denominator.
     """
     n = P.ambient_dim
     ints, L = P._rows, P._L
@@ -475,42 +478,26 @@ def _clip(P: Polytope, row, e: int) -> Polytope:
                                   for r, g in _ridges(z, masks).items()])
         return F
     frame, data = _hull(P)
-    everything = (1 << len(signs)) - 1
-    crossing = []
-    through: list[list[int]] = []
-    for i, j in combinations(range(len(signs)), 2):
+    through = [sum(1 << g for g, (_, z) in enumerate(data) if z >> i & 1) for i in range(len(ints))]
+    points = [(ints[i], L, through[i], signs[i] == 0) for i in kept]
+    for i, j in combinations(range(len(ints)), 2):
         if signs[i] * signs[j] >= 0:
             continue
-        pair = 1 << i | 1 << j
-        shared = [g for g, (_, z) in enumerate(data) if z & pair == pair]
-        meet = everything
-        for g in shared:
+        shared, meet = through[i] & through[j], (1 << len(ints)) - 1
+        for g in _indices(shared):
             meet &= data[g][1]
-        if meet != pair:
-            continue
-        through.append(shared)
-        (Ai, Bi), (Aj, Bj) = excesses[i], excesses[j]
-        x, q = _rationalized(_cross(ints[j], excesses[i], ints[i], excesses[j], d),
-                             (L * (Ai - Aj), L * (Bi - Bj)), d)
-        crossing.append((x, q) if q > 0 else ([(-a, -b) for a, b in x], -q))
-    M = lcm(L, *(q for _, q in crossing))
-    rows = [tuple((a * (M // L), b * (M // L)) for a, b in ints[i]) for i in kept]
-    rows += [tuple((a * (M // q), b * (M // q)) for a, b in x) for x, q in crossing]
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    Q = Polytope._of(n, tuple(rows[t] for t in order), M, d)
-    position = sorted(range(len(order)), key=order.__getitem__)
-    # the bit of each kept vertex and crossing point in Q, by P index or edge
-    bit = [1 << q for q in position]
-    at = dict(zip(kept, bit))
-    on = [0] * len(data)
-    for b, shared in zip(bit[len(kept):], through):
-        for g in shared:
-            on[g] |= b
+        if meet == 1 << i | 1 << j:
+            (Ai, Bi), (Aj, Bj) = excesses[i], excesses[j]
+            x, q = _rationalized(_cross(ints[j], excesses[i], ints[i], excesses[j], d),
+                                 (L * (Ai - Aj), L * (Bi - Bj)), d)
+            points.append((x, q, shared, True))
+    M = lcm(*(q for _, q, _, _ in points))
+    points = sorted((tuple((a * (M // q), b * (M // q)) for a, b in x), f, cut) for x, q, f, cut in points)
+    Q = Polytope._of(n, tuple(x for x, _, _ in points), M, d)
     inside = sum(1 << i for i, s in enumerate(signs) if s < 0)
-    items = [(h, sum(at[i] for i in kept if z >> i & 1) | on[g])
+    items = [(h, sum(1 << p for p, (_, f, _) in enumerate(points) if f >> g & 1))
              for g, (h, z) in enumerate(data) if z & inside]
-    cut = sum(at[i] for i in kept if signs[i] == 0) | sum(bit[len(kept):])
-    items.append((_restricted(frame, row, d), cut))
+    items.append((_restricted(frame, row, d), sum(1 << p for p, (_, _, cut) in enumerate(points) if cut)))
     _fill_hull(Q, frame, items)
     return Q
 

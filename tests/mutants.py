@@ -129,12 +129,40 @@ CATALOGUE = (
     ),
     Mutant(
         "clip-keeps-unreduced-denominator", "polytope.py",
-        "    Q = Polytope._of(n, tuple(rows[t] for t in order), M, d)\n",
+        "    Q = Polytope._of(n, tuple(x for x, _, _ in points), M, d)\n",
         "    Q = object.__new__(Polytope)\n"
-        "    for slot, value in zip(Polytope.__slots__, (n, tuple(rows[t] for t in order), M, d, None, None)):\n"
+        "    for slot, value in zip(Polytope.__slots__, (n, tuple(x for x, _, _ in points), M, d, None, None)):\n"
         "        object.__setattr__(Q, slot, value)\n",
         ("tests/test_hull.py::test_flat_and_low_dimensional_derivations_run_no_hull_pass",
          "tests/test_polytope.py::test_every_constructor_stores_canonical_rows"),
+    ),
+    Mutant(
+        # a straddling pair that is no edge then adds a crossing point inside
+        # P, which Q keeps as a vertex
+        "clip-admits-every-straddling-pair", "polytope.py",
+        "        if meet == 1 << i | 1 << j:\n",
+        "        if True:\n",
+        ("tests/test_polytope.py::test_clip_square_in_half",
+         "tests/test_hull.py::test_derived_polytopes_are_handed_their_facets",
+         "tests/test_clip.py::test_integer_clip_matches_the_scalar_reference"),
+    ),
+    Mutant(
+        # the handed-over facets of P then miss their crossing points
+        "clip-crossing-carries-no-facets", "polytope.py",
+        "            points.append((x, q, shared, True))\n",
+        "            points.append((x, q, 0, True))\n",
+        ("tests/test_hull.py::test_derived_polytopes_are_handed_their_facets",
+         "tests/test_hull.py::test_slab_union_runs_no_hull_pass",
+         "tests/test_clip.py::test_integer_clip_matches_the_scalar_reference"),
+    ),
+    Mutant(
+        # the handed-over cut then misses the kept vertices on it, as the
+        # cube's cut x + y + z <= 1 through three of its vertices shows
+        "clip-cut-skips-kept-vertices", "polytope.py",
+        "    points = [(ints[i], L, through[i], signs[i] == 0) for i in kept]\n",
+        "    points = [(ints[i], L, through[i], False) for i in kept]\n",
+        ("tests/test_hull.py::test_derived_polytopes_are_handed_their_facets",
+         "tests/test_clip.py::test_integer_clip_matches_the_scalar_reference"),
     ),
     Mutant(
         "random-sl-matrix-adds-j-into-i", "linalg.py",

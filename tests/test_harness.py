@@ -302,6 +302,20 @@ class TestFit:
             fit_classification(values_of(lambda p: evaluate(blackbox, p)), 2, validation_count=0)
         assert exc.value.rank == 4
 
+    @pytest.mark.parametrize("extra", [-30, -1, 1])
+    def test_fit_refuses_an_answer_of_the_wrong_length(self, extra):
+        """One value per probe and validation polytope, no more and no
+        fewer: a short answer would leave validation polytopes unvalued and
+        a long one would be ignored, each with residual 0."""
+        blackbox = ClassifiedValuation.linear(1, 2, 3, 4, 5)
+
+        def answer(polys):
+            values = [evaluate(blackbox, P) for P in polys]
+            return values[:extra] if extra < 0 else values + values[:extra]
+
+        with pytest.raises(ValueError, match=f"answered {35 + extra} values for 35 polytopes"):
+            fit_classification(answer, 2, validation_count=30)
+
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_fit_refuses_n_below_2_before_building_a_polytope(self, monkeypatch, n):
         """SL(1) is trivial, and at n = 1 the probes' basis rows are

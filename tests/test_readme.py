@@ -1,5 +1,6 @@
 """The README's Quick tour and its command blocks must print what the
-README shows, and the caps the README states must be the code's.
+README shows, the caps the README states must be the code's, and the test
+extra it installs must pin the versions CI installs.
 
 Each `print(...)` line of the tour's python block ends in a comment whose
 value (the text after its last `=`, if any) is the line it prints.  The
@@ -105,3 +106,19 @@ def test_command_blocks_print_what_the_readme_shows(command, tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_the_test_extra_pins_the_versions_ci_installs():
+    """The `test` extra that the README installs and both `pip install`
+    lines of the CI workflow name the same pytest and hypothesis versions:
+    derandomized hypothesis examples, and the count guards and catalogue
+    kills behind them, depend on the version.  Both files are read by
+    regex, since Python 3.10 has no tomllib."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as f:
+        extra = re.search(r"^test = \[(.*)\]$", f.read(), re.M).group(1)
+    pins = sorted(re.findall(r'"([\w-]+==[\w.]+)"', extra))
+    assert [p.split("==")[0] for p in pins] == ["hypothesis", "pytest"]
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml")) as f:
+        installs = re.findall(r"^\s*run: python -m pip install (.*)$", f.read(), re.M)
+    assert len(installs) == 2
+    assert all(sorted(line.split()) == pins for line in installs)
