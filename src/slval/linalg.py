@@ -3,9 +3,10 @@
 There is one elimination, `_eliminate`: a fraction-free Gauss-Jordan
 (Bareiss 1968) on pairs (A, B) of ints meaning A + B*sqrt(d), which leaves
 one common pivot D on every pivot row.  Kernels, solutions (`_solve`) and
-determinants other than 2 x 2 to 4 x 4 are read off that form; Scalars are
-built only from it, by one division by D.  A 2 x 2 to 4 x 4 determinant,
-such as a volume cell's, is expanded in closed form on the pairs instead.
+determinants other than 2 x 2 to 4 x 4 are read off its transform T, times
+the input columns read; Scalars are built only from them, by one division
+by D.  A 2 x 2 to 4 x 4 determinant, such as a volume cell's, is expanded
+in closed form on the pairs instead.
 """
 
 from __future__ import annotations
@@ -223,44 +224,47 @@ def _rationalized(x, q: tuple[int, int], d: int) -> tuple[list[tuple[int, int]],
 
 
 def _eliminate(rows, d: int) -> tuple[list, list[int], int, tuple[int, int]]:
-    """Fraction-free Gauss-Jordan over Z[sqrt d] (Bareiss 1968).
+    """Fraction-free Gauss-Jordan over Z[sqrt d] (Bareiss 1968) on its transform.
 
-    Returns the nonzero rows of a form spanning the same row space, their
-    pivot columns, the sign of the row swaps, and the common pivot D (1 if
-    there is none).  A row is cleared on pivot column c by
-    (row*p - pivot_row*f) / q, with p the pivot, f the row's entry on c and
-    q the previous pivot, in one pass when all three are rational; every
-    other row takes the same step.  Each entry is then a minor of the input,
-    so the division is exact.  Row i ends with D, the determinant of the
-    pivot minor, on its pivot column c_i and zero on the other ones.
-    """
-    rows = list(rows)
+    Returns the rows of T, the product of the row operations, whose products
+    with the input are the form's nonzero rows, their pivot columns, the sign
+    of the row swaps, and the common pivot D (1 if there is none).  Column c
+    of the form, T times input column c, is formed only when the walk reaches
+    it; the walk stops once every row has pivoted.  A row of T is cleared on
+    pivot column c by (row*p - pivot_row*f) / q, p the pivot, f the row's
+    entry and q the previous pivot, in one pass when all three are rational.
+    T is the form of [input | I] right of the input, whose entries are
+    minors, so the division is exact.  Row i of the form ends with D on its
+    pivot column c_i and 0 on the others."""
     m = len(rows)
+    T = [[(1, 0) if i == j else (0, 0) for j in range(m)] for i in range(m)]
     pivots: list[int] = []
     sign = 1
     q = (1, 0)
-    for c in range(len(rows[0]) if m else 0):
+    for c, column in enumerate(zip(*rows)):
         r = len(pivots)
-        pick = next((i for i in range(r, m) if rows[i][c] != (0, 0)), None)
+        if r == m:
+            break
+        form = [_pair_dot(t, column, d) for t in T] if r else list(column)  # T is I before a pivot
+        pick = next((i for i in range(r, m) if form[i] != (0, 0)), None)
         if pick is None:
             continue
         if pick != r:
-            rows[r], rows[pick] = rows[pick], rows[r]
+            T[r], T[pick], form[r], form[pick] = T[pick], T[r], form[pick], form[r]
             sign = -sign
-        top = rows[r]
-        p = top[c]
-        for i, row in enumerate(rows):
-            f = row[c]
+        top = T[r]
+        p = form[r]
+        for i, (row, f) in enumerate(zip(T, form)):
             if i != r and (p[1] or f[1] or q[1]):
                 x, n = _rationalized(_cross(row, p, top, f, d), q, d)
-                rows[i] = [(a // n, b // n) for a, b in x]
+                T[i] = [(a // n, b // n) for a, b in x]
             elif i != r:
                 (pa, _), (fa, _), (qa, _) = p, f, q
-                rows[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)
-                           for (xa, xb), (ya, yb) in zip(row, top)]
+                T[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)
+                        for (xa, xb), (ya, yb) in zip(row, top)]
         q = p
         pivots.append(c)
-    return rows[:len(pivots)], pivots, sign, q
+    return T[:len(pivots)], pivots, sign, q
 
 
 def _over(x: list[tuple[int, int]], D: tuple[int, int], d: int) -> list[Scalar]:
@@ -271,10 +275,11 @@ def _over(x: list[tuple[int, int]], D: tuple[int, int], d: int) -> list[Scalar]:
 
 def _solve(aug: Sequence[Sequence[Scalar]]) -> tuple[list[int], list[Scalar]]:
     """Pivot columns of augmented rows and each pivot row's last entry over
-    D: one `_eliminate` of the rows scaled to integers."""
+    D: one `_eliminate` of the rows scaled to integers, T times their last."""
     ints, _, d = _integer_rows(aug)
-    form, pivots, _, D = _eliminate(ints, d)
-    return pivots, _over([row[-1] for row in form], D, d)
+    T, pivots, _, D = _eliminate(ints, d)
+    last = [row[-1] for row in ints]
+    return pivots, _over([_pair_dot(t, last, d) for t in T], D, d)
 
 
 def matrix_rank(rows: Sequence[Sequence] | Matrix) -> int:
@@ -303,17 +308,18 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
     """Basis of the right kernel of the given row list: one vector per free
     column f, 1 there and 0 on the other free columns.  It is read off one
     `_eliminate` form: D on f and -a_i on pivot column c_i, a_i being row
-    i's entry on f, all over the form's pivot D."""
+    i's entry on f (T_i times input column f), all over the pivot D."""
     ints, _, d = _integer_rows([[as_scalar(x) for x in row] for row in rows])
-    form, pivots, _, D = _eliminate(ints, d)
+    T, pivots, _, D = _eliminate(ints, d)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         x = [(0, 0)] * ncols
         x[f] = D
-        for row, c in zip(form, pivots):
-            x[c] = (-row[f][0], -row[f][1])
+        column = [(-row[f][0], -row[f][1]) for row in ints]
+        for t, c in zip(T, pivots):
+            x[c] = _pair_dot(t, column, d)
         basis.append(Vector._of(tuple(_over(x, D, d))))
     return basis
 

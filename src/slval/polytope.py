@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from .exactnum import (Immutable, Scalar, _check_discriminant, _integer_rows, _literal,
@@ -175,51 +176,57 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
     <W, x> <= C, valid on every point and tight exactly on the incident
     ones, W zero off the pivot columns.  A point has no facets.
 
-    Double description in Z[sqrt d] on x' = (X, -1), coordinates reversed.
-    Each facet is a ray (r, Z): r a gcd-reduced integer vector with
-    <r, x'> <= 0 on every point, Z the bitmask of tight points inserted so
-    far.  Points go in far first, by decreasing sum of A^2 + d B^2 over
+    Double description in Z[sqrt d] on x' = (X, -1), coordinates reversed,
+    on plain ints over Q.  Each facet is a ray (r, Z): r an integer vector
+    with <r, x'> <= 0 on every point, Z the bitmask of tight points inserted
+    so far.  Points go in far first, by decreasing sum of A^2 + d B^2 over
     their pairs, ties by index, which keeps the intermediate rays few (Avis,
     Bremner and Seidel 1997).  One `_eliminate` of [X | I], the x' as X's
     columns in that order, seeds all.  Its k + 1 rows that pivot on X pick
-    the first affinely independent points, k = dim: right of X, row i is
-    tight on each of them but the i-th, where the common pivot D orients
+    the first affinely independent points, k = dim: row i of its transform
+    is tight on each of them but the i-th, where the common pivot D orients
     it, and gives the seed ray.  Its other rows pivot in I, on the free
     columns (the dual's reverse greedy basis complements the forward one);
     each is D on its own free column, 0 on the others, and reads
     <w, X> = c on every point: the frame equality is <L w, x> = c.  Each
-    point not in that simplex takes its excess <r, x'> at every ray, drops
-    the rays it violates and combines each with every adjacent satisfied
-    one into a ray tight at it.  Two rays are adjacent iff their common
-    tight set has at least k - 1 points and lies in no third ray's (Fukuda
-    and Prodon 1996).  One rule at every k, the count tested first, the
-    third-ray scan second.
+    point not in that simplex takes its excess <r, x'> at every ray; unless
+    all are negative, it drops the rays it violates and combines each with
+    every adjacent satisfied one into a ray tight at it, over their gcd.
+    Two rays are adjacent iff their common tight set has at least k - 1
+    points and lies in no third ray's (Fukuda and Prodon 1996).  One rule at
+    every k, the count tested first, the third-ray scan second.
     """
     n, m = len(ints[0]), len(ints)
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
     unit = [[(int(r == c), 0) for r in range(n + 1)] for c in range(n + 1)]
     pts = [(*ints[i][::-1], (-1, 0)) for i in order]
-    form, pivots, _, D = _eliminate([list(row) for row in zip(*pts, *unit)], d)
+    T, pivots, _, D = _eliminate([list(row) for row in zip(*pts, *unit)], d)
     k = sum(c < m for c in pivots) - 1
     free = sorted(m + n - 1 - c for c in pivots[k + 1:])
     # a row r on x' is the row (L r reversed, r_n) on x, here times s
     on_x = lambda r, s: [(s * L * a, s * L * b) for a, b in r[n - 1::-1]] + [(s * r[n][0], s * r[n][1])]
     # -flip, the sign of D, makes each equality positive on its free column
     flip = -1 if _surd_sign(*D, d) > 0 else 1
-    equalities = tuple(_canonical(on_x(row[m:], -flip), d, col) for row, col in zip(form[:k:-1], free))
+    equalities = tuple(_canonical(on_x(row, -flip), d, col) for row, col in zip(T[:k:-1], free))
     frame = (tuple(c for c in range(n) if c not in free), equalities)
-    form = form[:k + 1] if k else []
-    simplex = pivots[:len(form)]
-    rays = [(_primitive([(flip * a, flip * b) for a, b in row[m:]]),
-             sum(1 << order[j] for j in simplex if j != c)) for row, c in zip(form, simplex)]
+    T = T[:k + 1] if k else []
+    simplex = pivots[:len(T)]
+    rays = [(_primitive([(flip * a, flip * b) for a, b in row]) if d else [flip * a for a, _ in row],
+             sum(1 << order[j] for j in simplex if j != c)) for row, c in zip(T, simplex)]
     for c, x in enumerate(pts):
         if c in simplex:
             continue
+        if d:
+            excesses = [_pair_dot(r, x, d) for r, _ in rays]
+            signs = [_surd_sign(A, B, d) for A, B in excesses]
+        else:
+            x = [a for a, _ in x]
+            excesses = signs = [sum(map(mul, r, x)) for r, _ in rays]
+        if max(signs, default=0) < 0:
+            continue
         bit = 1 << order[c]
         violated, satisfied, kept = [], [], []
-        for r, z in rays:
-            e = _pair_dot(r, x, d)
-            s = _surd_sign(*e, d) if d else e[0]
+        for (r, z), e, s in zip(rays, excesses, signs):
             if s > 0:
                 violated.append((r, z, e))
             elif s < 0:
@@ -235,8 +242,16 @@ def _supporting(ints, L: int, d: int) -> tuple[tuple, dict]:
                 if any(z & common == common for _, z in rays if z != zv and z != zs):
                     continue
                 # ev > 0 > es: the positive combination tight at the point
-                kept.append((_primitive(_cross(rs, ev, rv, es, d)), common | bit))
+                if d:
+                    r = _primitive(_cross(rs, ev, rv, es, d))
+                else:
+                    r = [a * ev - b * es for a, b in zip(rs, rv)]
+                    g = gcd(*r)
+                    r = [a // g for a in r]
+                kept.append((r, common | bit))
         rays = kept
+    if not d:  # an int ray back to a pair row on x
+        on_x = lambda r, _: [(L * a, 0) for a in r[n - 1::-1]] + [(r[n], 0)]
     return frame, {z: _canonical(on_x(r, 1), d) for r, z in rays}
 
 

@@ -29,9 +29,11 @@ goes first from unit to unit (ABBA), and sums each side's time; successive
 rounds start on alternate sides.  For each workload the script prints the
 median over the rounds of the change's time over the parent's, the least
 and greatest round ratio, and whether every unit printed the same text on
-both sides and in every repeat.  Given the same directory twice it is an
-A/A run, which shows the spread that the host alone gives.  It exits 1 if
-any output differed.
+both sides and in every repeat.  Under the hull_wide row it prints the same
+ratios for each of its size classes (2x40, 3x24, 3x40, 4x12, 4x20), each
+over the summed time of the class's units.  Given the same directory twice
+it is an A/A run, which shows the spread that the host alone gives.  It
+exits 1 if any output differed.
 
 pytest does not collect this file: its name does not start with `test_`.
 """
@@ -131,38 +133,46 @@ def cold_unit(package):
 
 
 def units(worker, workload: str, directory: str) -> list:
+    """The workload's units, each with its stratum ("" for cold_start)."""
     if workload == "cold_start":
-        return [cold_unit] * COLD_REPEATS
+        return [("", cold_unit)] * COLD_REPEATS
     counts = worker.RUN_INPUTS[workload]
+    inputs = [(stratum, index) for stratum, count in counts.items() for index in range(count)]
     if workload == "verify":
-        return [cli_unit(worker.verify_argv(stratum, index))
-                for stratum, count in counts.items() for index in range(count)]
+        return [(stratum, cli_unit(worker.verify_argv(stratum, index))) for stratum, index in inputs]
     if workload == "hull_wide":
         files = worker.HullFiles(directory)
-        return [cli_unit(["valuate", "--in", files.write(stratum, index),
-                          "--valuation", files.valuation], HULL_REPEATS)
-                for stratum, count in counts.items() for index in range(count)]
-    return [surd_unit(worker, stratum, index)
-            for stratum, count in counts.items() for index in range(count)]
+        return [(stratum, cli_unit(["valuate", "--in", files.write(stratum, index),
+                                    "--valuation", files.valuation], HULL_REPEATS))
+                for stratum, index in inputs]
+    return [(stratum, surd_unit(worker, stratum, index)) for stratum, index in inputs]
 
 
-def round_ratio(work: list, sides: tuple, first: int) -> tuple[float, bool]:
-    """One round: the change's summed time over the parent's, and whether
+def round_ratios(work: list, sides: tuple, first: int) -> tuple[dict, bool]:
+    """One round: the change's summed time over the parent's, keyed None
+    for the whole workload and by stratum for each stratum, and whether
     every run of every unit printed the same text on both sides."""
-    spent, same = [0.0, 0.0], True
+    spent, same = {}, True
     gc.collect()
     gc.disable()
     try:
-        for k, unit in enumerate(work):
+        for k, (stratum, unit) in enumerate(work):
             order = (first, 1 - first) if k % 2 == 0 else (1 - first, first)
             outputs = [None, None]
             for side in order:
                 seconds, outputs[side] = unit(sides[side])
-                spent[side] += seconds
+                for key in (None, stratum):
+                    spent.setdefault(key, [0.0, 0.0])[side] += seconds
             same = same and len({*outputs[0], *outputs[1]}) == 1
     finally:
         gc.enable()
-    return spent[1] / spent[0], same
+    return {key: change / parent for key, (parent, change) in spent.items()}, same
+
+
+def summary(results: list, key, rounds: int, count: int) -> str:
+    ratios = [ratios[key] for ratios, _ in results]
+    return (f"median ratio {statistics.median(ratios):.3f}, range {min(ratios):.3f}"
+            f" to {max(ratios):.3f} over {rounds} rounds of {count} units")
 
 
 def main(argv: list[str]) -> int:
@@ -175,13 +185,15 @@ def main(argv: list[str]) -> int:
     for workload in (*WORKLOADS, "cold_start"):
         with tempfile.TemporaryDirectory() as directory:
             work = units(worker, workload, directory)
-            results = [round_ratio(work, sides, r % 2) for r in range(rounds)]
-        ratios = [ratio for ratio, _ in results]
+            results = [round_ratios(work, sides, r % 2) for r in range(rounds)]
         same = all(ok for _, ok in results)
         identical = identical and same
-        print(f"{workload}: median ratio {statistics.median(ratios):.3f}, range {min(ratios):.3f}"
-              f" to {max(ratios):.3f} over {rounds} rounds of {len(work)} units,"
+        print(f"{workload}: {summary(results, None, rounds, len(work))},"
               f" outputs {'identical' if same else 'DIFFER'}", flush=True)
+        if workload == "hull_wide":  # a hull pass change shows which size class gains
+            for stratum in dict.fromkeys(s for s, _ in work):
+                count = sum(s == stratum for s, _ in work)
+                print(f"  {workload} {stratum}: {summary(results, stratum, rounds, count)}", flush=True)
     return 0 if identical else 1
 
 

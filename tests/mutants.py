@@ -99,14 +99,22 @@ CATALOGUE = (
     Mutant(
         # the rational steps are fused; a surd pivot or entry takes this one
         "eliminate-never-divides-over-a-surd-field", "linalg.py",
-        "                rows[i] = [(a // n, b // n) for a, b in x]\n",
-        "                rows[i] = x\n",
+        "                T[i] = [(a // n, b // n) for a, b in x]\n",
+        "                T[i] = x\n",
         ("tests/test_linalg.py::test_pair_determinant_beyond_4x4_keeps_the_swap_sign",),
     ),
     Mutant(
+        # the last row then never pivots: a full-rank input reads as rank - 1
+        "eliminate-stops-one-pivot-short", "linalg.py",
+        "        if r == m:\n            break\n",
+        "        if r == m - 1:\n            break\n",
+        ("tests/test_linalg.py::test_eliminate_transform_times_the_input_is_the_form",
+         "tests/test_boxes.py::test_every_hull_has_the_oracle_vertices"),
+    ),
+    Mutant(
         "eliminate-fused-step-never-divides", "linalg.py",
-        "rows[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)",
-        "rows[i] = [((xa * pa - ya * fa), (xb * pa - yb * fa))",
+        "T[i] = [((xa * pa - ya * fa) // qa, (xb * pa - yb * fa) // qa)",
+        "T[i] = [((xa * pa - ya * fa), (xb * pa - yb * fa))",
         ("tests/test_linalg.py::test_solve_unique",
          "tests/test_boxes.py::test_every_space_hull_has_the_oracle_vertices_frame_and_facets[cross]"),
     ),
@@ -225,8 +233,8 @@ CATALOGUE = (
         # `_solve` then reads the last unknown's column, not the right-hand side;
         # an inconsistent system is still told by its pivots
         "fit-reads-the-wrong-column", "linalg.py",
-        "[row[-1] for row in form]",
-        "[row[-2] for row in form]",
+        "last = [row[-1] for row in ints]",
+        "last = [row[-2] for row in ints]",
         ("tests/test_integer_fit.py::test_fit_reports_the_scalar_route_report[2-linear-0]",
          "tests/test_harness.py::TestFit::test_round_trip_full",
          "tests/test_linalg.py::test_solve_any_underdetermined"),
@@ -332,11 +340,11 @@ CATALOGUE = (
         ("tests/test_hull.py::test_boundary_points_in_r4_combine_only_adjacent_rays",),
     ),
     Mutant(
-        # a point strictly inside the seed simplex may be skipped, as it
-        # violates no ray; one tight on a seed ray may not
-        "supporting-drops-candidates-tight-on-a-seed-ray", "polytope.py",
-        "        if c in simplex:\n",
-        "        if c in simplex or all(flip * _surd_sign(*row[c], d) <= 0 for row in form):\n",
+        # a point strictly inside every ray may stop after its excesses, as
+        # it violates none; one tight on a ray may not
+        "supporting-drops-candidates-tight-on-a-ray", "polytope.py",
+        "        if max(signs, default=0) < 0:\n",
+        "        if max(signs, default=0) <= 0:\n",
         ("tests/test_hull.py::test_unit_grids_with_non_simplicial_facets",
          "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
     ),
@@ -350,12 +358,37 @@ CATALOGUE = (
     ),
     Mutant(
         # each point is then classified by the excesses of the point inserted
-        # before it, in far-first order
-        "supporting-reads-the-excess-at-the-point-before", "polytope.py",
-        "            e = _pair_dot(r, x, d)\n",
-        "            e = _pair_dot(r, pts[c - 1], d)\n",
+        # before it, in far-first order: on pairs over Q(sqrt d) ...
+        "supporting-reads-the-pair-excess-at-the-point-before", "polytope.py",
+        "            excesses = [_pair_dot(r, x, d) for r, _ in rays]\n",
+        "            excesses = [_pair_dot(r, pts[c - 1], d) for r, _ in rays]\n",
+        ("tests/test_read_path.py::test_pass_matches_the_dot_product_pass[3-True]",),
+    ),
+    Mutant(
+        # ... and on plain ints over Q
+        "supporting-reads-the-int-excess-at-the-point-before", "polytope.py",
+        "            x = [a for a, _ in x]\n",
+        "            x = [a for a, _ in pts[c - 1]]\n",
         ("tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]",
-         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[3-True]"),
+         "tests/test_hull.py::test_wide_clouds_take_the_same_pass_on_ints_and_on_pairs[2x40]"),
+    ),
+    Mutant(
+        # the int excess then leaves out the -1 of x' = (X, -1): every ray is
+        # read as if its offset were 0
+        "supporting-int-excess-drops-the-homogenizing-coordinate", "polytope.py",
+        "            x = [a for a, _ in x]\n",
+        "            x = [a for a, _ in x[:-1]]\n",
+        ("tests/test_boxes.py::test_every_box_hull_takes_the_same_pass_on_ints_and_on_pairs[plane]",
+         "tests/test_hull.py::test_wide_clouds_take_the_same_pass_on_ints_and_on_pairs[2x40]"),
+    ),
+    Mutant(
+        # es < 0 < ev: the new int ray then weighs both rays negatively, and
+        # its excess at the point is es^2 - ev^2, not 0
+        "supporting-int-combination-swaps-the-excesses", "polytope.py",
+        "r = [a * ev - b * es for a, b in zip(rs, rv)]",
+        "r = [a * es - b * ev for a, b in zip(rs, rv)]",
+        ("tests/test_boxes.py::test_every_box_hull_takes_the_same_pass_on_ints_and_on_pairs[plane]",
+         "tests/test_read_path.py::test_pass_matches_the_dot_product_pass[2-False]"),
     ),
     Mutant(
         # sums and == stay right; differences and the order < > <= >= go wrong
@@ -398,8 +431,8 @@ CATALOGUE = (
     ),
     Mutant(
         "frame-keeps-the-coordinate-rows-in-forward-order", "polytope.py",
-        "zip(form[:k:-1], free)",
-        "zip(form[k + 1:], free)",
+        "zip(T[:k:-1], free)",
+        "zip(T[k + 1:], free)",
         ("tests/test_hull.py::test_frame_matches_the_reference",
          "tests/test_boxes.py::test_every_space_hull_has_the_oracle_vertices_frame_and_facets[cross]"),
     ),

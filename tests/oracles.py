@@ -155,6 +155,42 @@ def rref_root2(rows):
     return rows, pivots
 
 
+def bareiss_form(rows, d):
+    """The fraction-free Gauss-Jordan that `slval.linalg._eliminate` runs on
+    its transform, run instead on every entry of whole rows of integer pairs
+    (A, B), meaning A + B*sqrt(d): (the nonzero rows of the form, their
+    pivot columns, the sign of the row swaps, the common pivot D).  Each row
+    step is (row*p - pivot_row*f) / q, the division checked to be exact."""
+    def mul(x, y):
+        return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def over(x, q):
+        norm = q[0] * q[0] - d * q[1] * q[1]
+        a, b = mul(x, (q[0], -q[1]))
+        assert a % norm == 0 and b % norm == 0, (x, q)
+        return (a // norm, b // norm)
+
+    rows = [list(row) for row in rows]
+    pivots, sign, q = [], 1, (1, 0)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c] != (0, 0)), None)
+        if pick is None:
+            continue
+        if pick != r:
+            rows[r], rows[pick] = rows[pick], rows[r]
+            sign = -sign
+        p = rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [over((a[0] - b[0], a[1] - b[1]), q)
+                           for a, b in ((mul(x, p), mul(y, f)) for x, y in zip(row, rows[r]))]
+        q = p
+        pivots.append(c)
+    return rows[:len(pivots)], pivots, sign, q
+
+
 def det_root2(rows):
     """Determinant over Q(sqrt 2) of a square matrix of pairs (a, b) of
     Fractions, meaning a + b*sqrt(2): the Leibniz sum over permutations,
@@ -433,14 +469,14 @@ def reference_parse(text):
 
 def reduced_echelon(rows):
     """Reduced echelon form (zero rows last) and pivot columns of rows of
-    Scalars: the `_eliminate` form of the rows scaled to integers, divided
-    by D."""
+    Scalars: the `_eliminate` form of the rows scaled to integers, its
+    transform times those rows, divided by D."""
     from slval.exactnum import ZERO, _integer_rows
-    from slval.linalg import _eliminate, _over
+    from slval.linalg import _eliminate, _over, _pair_dot
 
     ints, _, d = _integer_rows(rows)
-    reduced, pivots, _, D = _eliminate(ints, d)
-    out = [_over(row, D, d) for row in reduced]
+    T, pivots, _, D = _eliminate(ints, d)
+    out = [_over([_pair_dot(t, column, d) for column in zip(*ints)], D, d) for t in T]
     ncols = len(rows[0]) if rows else 0
     return out + [[ZERO] * ncols for _ in range(len(rows) - len(out))], pivots
 
@@ -650,7 +686,9 @@ def dot_supporting(ints, L, d):
     pts = [(*row[::-1], (-1, 0)) for row in ints]
     order = sorted(range(m), key=lambda i: (-sum(a * a + d * b * b for a, b in ints[i]), i))
     unit = [[(int(r == c), 0) for r in range(n + 1)] for c in range(n + 1)]
-    form, pivots, _, D = _eliminate([list(row) for row in zip(*[pts[i] for i in order], *unit)], d)
+    inputs = [list(row) for row in zip(*[pts[i] for i in order], *unit)]
+    T, pivots, _, D = _eliminate(inputs, d)
+    form = [[_pair_dot(t, column, d) for column in zip(*inputs)] for t in T]
     k = sum(c < m for c in pivots) - 1
     free = sorted(m + n - 1 - c for c in pivots[k + 1:])
     on_x = lambda r, s: [(s * L * a, s * L * b) for a, b in r[n - 1::-1]] + [(s * r[n][0], s * r[n][1])]

@@ -19,13 +19,17 @@ hull's vertices are checked against `oracles.extreme_indices`, its frame
 and facets against `oracles.halfspaces`, and its five basis values against
 `space_basis`, which reads the origin terms off `halfspaces` at 0 and the
 volumes off `pyramid_volume`.
+
+Over Q the hull pass runs on plain ints.  On every box hull, its subset of
+points gives the same frame and facets when the pass is told d = 2 and so
+runs on pairs.
 """
 
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from slval.polytope import dim, from_points, intersect
+from slval.polytope import _supporting, dim, from_points, intersect
 from slval.valuation import basis_vector
 
 from oracles import (affine_frame, extreme_indices, halfspaces, hull2d, in_hull2d, pyramid_volume,
@@ -223,3 +227,18 @@ def test_every_space_hull_has_the_space_oracle_basis(name):
         if got != want:
             bad.append((points, [str(x) for x in got], [str(x) for x in want]))
     assert not bad, f"{len(bad)} of {len(SPACE_HULLS[name])} hulls differ, first: {bad[:3]}"
+
+
+def same_pass_on_ints_and_pairs(points) -> bool:
+    """One hull pass on the distinct integer points gives the same frame and
+    facets over Q, where it runs on plain ints, as told d = 2, where it runs
+    on pairs."""
+    rows = sorted(tuple((x, 0) for x in p) for p in points)
+    return _supporting(rows, 1, 0) == _supporting(rows, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["plane", *sorted(SPACE_BOXES)])
+def test_every_box_hull_takes_the_same_pass_on_ints_and_on_pairs(name):
+    hulls = HULLS if name == "plane" else SPACE_HULLS[name]
+    bad = [points for points in hulls.values() if not same_pass_on_ints_and_pairs(points)]
+    assert not bad, f"{len(bad)} of {len(hulls)} hulls differ, first: {bad[:3]}"

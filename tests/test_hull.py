@@ -10,7 +10,9 @@ their own.  The tests compare each with a fresh pass on the same vertices
 and count the passes run and the eliminations.
 """
 
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -40,6 +42,9 @@ from slval.valuation import evaluate, evaluate_union
 from oracles import affine_frame, extreme_indices, facets_by_subsets, reference_frame
 from records import bare, indices, scalar_facet_data, scalar_frame, supporting
 from splits import SLAB_VALUATION, surd_slabs
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import worker  # noqa: E402
 
 ROOT2 = Scalar.sqrt_of(2)
 
@@ -305,22 +310,39 @@ def test_hull_cost_does_not_grow_with_subsets(monkeypatch):
     assert len(calls) == 1
 
 
+def far_first_combinations(monkeypatch, scale, name):
+    """The calls to polytope's `name` in one pass on a 40-point planar cloud
+    times the scale, which finds its 12 edges."""
+    raw = bare(2, [Vector([scale * x for x in p]) for p in symmetric_cloud(random.Random(3), 2, 40, bound=20)])
+    calls = []
+    real = getattr(polytope, name)
+    monkeypatch.setattr(polytope, name, lambda *args: calls.append(args) or real(*args))
+    assert len(_supporting(raw._rows, raw._L, raw._d)[1]) == 12
+    return len(calls)
+
+
+@pytest.mark.parametrize("stratum", ["2x40", "3x24", "4x12"])
+def test_wide_clouds_take_the_same_pass_on_ints_and_on_pairs(stratum):
+    """The pass runs on plain ints over Q and on pairs over Q(sqrt d).  Told
+    d = 2, it runs on pairs on the same rational rows of the benchmark's
+    clouds 0 to 4 of each class, and gives the same frame and facets."""
+    for index in range(5):
+        rows = sorted(tuple((x, 0) for x in p) for p in worker.symmetric_cloud(stratum, index))
+        assert _supporting(rows, 1, 0) == _supporting(rows, 1, 2), index
+
+
 def test_far_first_insertion_combines_few_rays(monkeypatch):
     """Inserted in index order, the sorted points of this 40-point planar
     cloud each lie outside the hull so far, and the pass combines 66 ray
-    pairs to find 12 edges; inserted far first, it combines 26."""
-    calls = []
-    real = polytope._cross
+    pairs to find 12 edges; inserted far first, it combines 26, each by one
+    `gcd` of plain ints."""
+    assert far_first_combinations(monkeypatch, Scalar(1), "gcd") == 26
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(polytope, "_cross", counting)
-    points = symmetric_cloud(random.Random(3), 2, 40, bound=20)
-    P = from_points(as_scalars(points))
-    assert len(P.vertices) == 12
-    assert len(calls) <= 30
+def test_far_first_insertion_combines_few_rays_over_a_surd_field(monkeypatch):
+    """The cloud times 1 + sqrt 2 combines the same 26 ray pairs, each by one
+    `_cross` of pairs."""
+    assert far_first_combinations(monkeypatch, 1 + ROOT2, "_cross") == 26
 
 
 @st.composite

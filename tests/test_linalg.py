@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slval.linalg
-from slval.exactnum import Scalar
+from slval.exactnum import Scalar, _integer_rows
 from slval.linalg import (
     Matrix,
     SingularMatrixError,
     Vector,
     _det,
+    _eliminate,
+    _pair_dot,
     det,
     kernel_basis,
     matrix_rank,
@@ -19,7 +21,7 @@ from slval.linalg import (
     solve_any,
 )
 
-from oracles import det_root2, reduced_echelon, rref_root2, solve
+from oracles import bareiss_form, det_root2, reduced_echelon, rref_root2, solve
 from pulling import affine_rank
 
 
@@ -294,6 +296,26 @@ def test_pair_determinant_matches_the_leibniz_oracle(case):
     rows, d = case
     expected = det_root2([[(Fraction(a), Fraction(b)) for a, b in row] for row in rows])
     assert _det(rows, d) == expected
+
+
+def scaled(case):
+    """An `echelon_cases` draw as its integer pair rows and d."""
+    rows, d = case
+    ints, _, e = _integer_rows([[Scalar(a, b, d) for a, b in row] for row in rows])
+    return ints, e
+
+
+@given(st.one_of(echelon_cases().map(scaled), pair_matrices()))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_eliminate_transform_times_the_input_is_the_form(case):
+    """`_eliminate` forms a column only when its walk reaches it and stops
+    once every row has pivoted; its transform times the input is still the
+    whole form that row steps on every entry give, with the same pivots,
+    swap sign and D."""
+    rows, d = case
+    T, pivots, sign, D = _eliminate(rows, d)
+    form = [[_pair_dot(t, column, d) for column in zip(*rows)] for t in T]
+    assert (form, pivots, sign, D) == bareiss_form(rows, d)
 
 
 @pytest.mark.parametrize("k", [5, 6])

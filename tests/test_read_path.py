@@ -4,12 +4,14 @@
 rows over their common denominator directly; `scalar_from_json` in
 `oracles.py` reads a Scalar per literal, builds a Vector per row and calls
 `from_points`.  Both must give equal polytopes with equal hull records, or
-raise the same exception with the same message.  The hull pass skips no
-point outside its seed simplex; `dot_supporting` skips the points strictly
-inside it and scans every adjacency for a third ray.  Both must give the
-same frame and facets.
+raise the same exception with the same message.  The hull pass takes the
+excess of every point outside its seed simplex at every ray, on plain ints
+over Q; `dot_supporting` skips the points strictly inside the seed simplex,
+takes every excess on pairs and scans every adjacency for a third ray.
+Both must give the same frame and facets.
 """
 
+import math
 import random
 from itertools import groupby
 
@@ -174,18 +176,49 @@ def test_pass_matches_the_dot_product_pass(n, surd):
         assert P._hull == (frame, tuple(sorted(((h, z) for z, h in found.items()), key=lambda item: _indices(item[1]))))
 
 
+def pass_counts(monkeypatch, raw):
+    """One pass on the rows of `raw`, counted where each form takes its
+    steps: per point outside the seed simplex, in pass order, its number of
+    int excesses (each one `map`) and of pair excesses (each one
+    `_pair_dot`); the points whose excesses are all negative; and the rays
+    combined by one `gcd` over ints and by one `_cross` over pairs."""
+    ints, pairs, tops, gcds, crosses = [], [], [], [], []
+    real_dot, real_cross = polytope._pair_dot, polytope._cross
+    monkeypatch.setattr(polytope, "map", lambda f, r, x: ints.append(tuple(x)) or map(f, r, x), raising=False)
+    monkeypatch.setattr(polytope, "max", lambda *a, **k: tops.append(max(*a, **k)) or tops[-1], raising=False)
+    monkeypatch.setattr(polytope, "gcd", lambda *a: gcds.append(a) or math.gcd(*a))
+    monkeypatch.setattr(polytope, "_pair_dot", lambda r, x, d: pairs.append(x) or real_dot(r, x, d))
+    monkeypatch.setattr(polytope, "_cross", lambda *a: crosses.append(a) or real_cross(*a))
+    _supporting(raw._rows, raw._L, raw._d)
+    runs = lambda calls: [len(list(at_x)) for _, at_x in groupby(calls)]
+    return runs(ints), runs(pairs), sum(top < 0 for top in tops), len(gcds), len(crosses)
+
+
+def cloud_counts(monkeypatch, scale):
+    """`pass_counts` on the 39 distinct points of a 40-point cloud in R^3
+    times the scale."""
+    rng = random.Random(7)
+    points = {tuple(rng.randint(-9, 9) for _ in range(3)): None for _ in range(40)}
+    raw = bare(3, [Vector([scale * c for c in p]) for p in points])
+    assert len(raw._rows) == 39
+    return pass_counts(monkeypatch, raw)
+
+
 def test_pass_takes_one_dot_product_per_ray_and_point(monkeypatch):
     """Each point outside the seed simplex takes its excess at every live
-    ray by one `_pair_dot`, and nothing else does: the 39 distinct points
-    of a 40-point cloud in R^3 make 35 runs of calls, one per point, the
-    first on the 4 seed rays, 833 calls in all."""
-    calls = []
-    real = polytope._pair_dot
-    monkeypatch.setattr(polytope, "_pair_dot", lambda r, x, d: calls.append(x) or real(r, x, d))
-    rng = random.Random(7)
-    points = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(40)]
-    P = from_points(points)
-    runs = [(x, len(list(at_x))) for x, at_x in groupby(calls)]
-    assert len(P._rows) > 4 and len(set(map(tuple, points))) == 39
-    assert len({x for x, _ in runs}) == len(runs) == 35
-    assert runs[0][1] == 4 and len(calls) == 833
+    ray, a dot product on plain ints over Q, and nothing else does: the 39
+    distinct points of a 40-point cloud in R^3 make 35 runs, one per point,
+    the first on the 4 seed rays, 833 excesses in all.  13 points lie
+    strictly inside every ray and stop there; 77 ray pairs combine."""
+    int_runs, pair_runs, inside, gcds, crosses = cloud_counts(monkeypatch, Scalar(1))
+    assert len(int_runs) == 35 and int_runs[0] == 4 and sum(int_runs) == 833
+    assert (inside, gcds) == (13, 77) and pair_runs == [] and crosses == 0
+
+
+def test_pass_over_a_surd_field_takes_the_same_steps_on_pairs(monkeypatch):
+    """The cloud above times 1 + sqrt 2, whose hull is the same up to that
+    scale, takes the same steps, each excess by one `_pair_dot` and each
+    combination by one `_cross`."""
+    int_runs, pair_runs, inside, gcds, crosses = cloud_counts(monkeypatch, 1 + Scalar.sqrt_of(2))
+    assert len(pair_runs) == 35 and pair_runs[0] == 4 and sum(pair_runs) == 833
+    assert (inside, crosses) == (13, 77) and int_runs == [] and gcds == 0
